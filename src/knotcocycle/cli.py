@@ -1,16 +1,20 @@
 """Command-line front end for batch runs and reproduction.
 
 Subcommands: pair, coboundary, stokes-check, equations, solve, verify,
-eval-loop, rot-test.  Results are printed as JSON by default or as
-aligned text with --format text; identical invocations produce
-byte-identical output.  Exit status: 0 on success, 1 on verification
-failure, 2 on input errors.
+eval-loop, rot-test, invariants.  Results are printed as JSON by default
+or as aligned text with --format text; identical invocations produce
+byte-identical output.  The common options --fixtures and --format may
+be given before or after the subcommand; when given in both places the
+one after it wins.  --seed and --jobs are options of stokes-check, the
+only randomized, parallel command.  Exit status: 0 on success, 1 on
+verification failure, 2 on input errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -23,7 +27,7 @@ from .germs import make_germ
 from .moves import MOVE_KINDS, apply_move, enumerate_moves
 from .cocycles import (Loop, alpha31, assemble_default_system, evaluate_loop,
                        rot_loop, v2, verify_cocycle)
-from .rational_linalg import kernel_basis, rank
+from .rational_linalg import kernel_basis
 
 
 class InputError(Exception):
@@ -138,6 +142,13 @@ def _stokes_chunk(seed: int, trials: int, max_degree: int):
 
 
 def cmd_stokes_check(args) -> int:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise InputError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
+    if args.trials < 0:
+        raise InputError(f"--trials must be at least 0, got {args.trials}")
+    if args.max_degree < 0:
+        raise InputError(f"--max-degree must be at least 0, got {args.max_degree}")
     per = [args.trials // args.jobs] * args.jobs
     per[0] += args.trials - sum(per)
     chunks = [(args.seed + i, n, args.max_degree) for i, n in enumerate(per) if n]
@@ -296,13 +307,13 @@ def cmd_rot_test(args) -> int:
 
 
 def main(argv=None) -> int:
+    # SUPPRESS keeps a subparser from overwriting a value given before the
+    # subcommand with its own default; the real defaults are set below.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--fixtures", default=None,
+    common.add_argument("--fixtures", default=argparse.SUPPRESS,
                         help="fixture directory (default: $KNOT_COCYCLE_FIXTURES or ./fixtures)")
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property suites")
-    common.add_argument("--jobs", type=int, default=1)
+    common.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS,
+                        help="output format (default: json)")
     ap = argparse.ArgumentParser(prog="knotcocycle", description=__doc__,
                                  parents=[common])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -319,23 +330,23 @@ def main(argv=None) -> int:
     p = sub.add_parser("stokes-check", parents=[common], help="randomized Stokes formula suite")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random suite")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most the CPU count")
     p.set_defaults(fn=cmd_stokes_check)
 
     p = sub.add_parser("equations", parents=[common], help="assemble and export the degree-3 system")
-    p.add_argument("--degree", type=int, default=3, choices=(3,))
     p.add_argument("--bystanders", action="store_true")
     p.add_argument("--matrix-out", default=None,
                    help="write the plain-text 'row col num/den' matrix here")
     p.set_defaults(fn=cmd_equations)
 
     p = sub.add_parser("solve", parents=[common], help="kernel and quotient dimensions of the system")
-    p.add_argument("--degree", type=int, default=3, choices=(3,))
     p.add_argument("--bystanders", action="store_true")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("verify", parents=[common], help="check a formula against all meridian equations")
     p.add_argument("--formula", default="alpha31")
-    p.add_argument("--degree", type=int, default=3, choices=(3,))
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("eval-loop", parents=[common], help="evaluate a formula on a loop file")
@@ -352,7 +363,7 @@ def main(argv=None) -> int:
     p.add_argument("--max-degree", type=int, default=2)
     p.set_defaults(fn=cmd_invariants)
 
-    args = ap.parse_args(argv)
+    args = ap.parse_args(argv, argparse.Namespace(fixtures=None, format="json"))
     try:
         return args.fn(args)
     except InputError as exc:

@@ -15,11 +15,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, TAIL, HEAD, pair
-from .germs import (Germ, KIND_R1, KIND_R2, KIND_R3, boundary, canonical_term,
-                    monotonic_reduce, pair_germ, partial_germ_into,
-                    transpose_triple)
-from .moves import arrow_positions, r3_triangle, validate_r3
+from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, pair
+from .germs import (Germ, KIND_R1, KIND_R2, boundary, canonical_term,
+                    monotonic_reduce, pair_germ, partial_germ_into, r3_germ_into)
+from .moves import arrow_positions, isolated, killable, r3_moves, split_gaps
 
 
 @dataclass
@@ -41,80 +40,45 @@ class CoboundaryValue:
         return not (self.r1 or self.r2 or self.r3 or self.partial)
 
 
-def _isolated_arrows(a: ArrowDiagram) -> list[int]:
-    pos = arrow_positions(a)
-    return [aid for aid, ends in pos.items() if abs(ends[TAIL] - ends[HEAD]) == 1]
-
-
-def _killable_pairs(a: ArrowDiagram) -> list[tuple[int, int]]:
-    pos = arrow_positions(a)
-    out = []
-    ids = sorted(pos)
-    for i, x in enumerate(ids):
-        for y in ids[i + 1:]:
-            if abs(pos[x][TAIL] - pos[y][TAIL]) == 1 and abs(pos[x][HEAD] - pos[y][HEAD]) == 1:
-                out.append((x, y))
-    return out
-
-
 def coboundary(a: ArrowDiagram) -> CoboundaryValue:
     """dA, generated by inserting distinguished structure into A."""
     if isinstance(a, GaussDiagram):
         raise TypeError("the coboundary acts on arrow diagrams")
+    pos = arrow_positions(a)
     r1 = FormalSum()
-    for aid in _isolated_arrows(a):
-        key, coeff = canonical_term(Germ(KIND_R1, a.delete({aid}), a, aid))
-        r1.add(key, coeff)
+    for aid in pos:
+        if isolated(pos, aid):
+            key, coeff = canonical_term(Germ(KIND_R1, a.delete({aid}), a, aid))
+            r1.add(key, coeff)
 
     r2 = FormalSum()
-    for x, y in _killable_pairs(a):
-        key, coeff = canonical_term(Germ(KIND_R2, a.delete({x, y}), a, frozenset((x, y))))
-        r2.add(key, coeff)
+    for x, y in itertools.combinations(sorted(pos), 2):
+        if killable(pos, x, y):
+            key, coeff = canonical_term(Germ(KIND_R2, a.delete({x, y}), a, frozenset((x, y))))
+            r2.add(key, coeff)
 
     r3 = FormalSum()
-    n2 = len(a.word)
-    candidates = [g for g in range(1, n2) if a.word[g - 1][0] != a.word[g][0]]
-    for gaps in itertools.combinations(candidates, 3):
-        if r3_triangle(a, gaps) is None or not validate_r3(a, gaps):
-            continue
-        key, coeff = canonical_term(Germ(KIND_R3, transpose_triple(a, gaps), a, tuple(gaps)))
+    for move in r3_moves(a):
+        key, coeff = canonical_term(r3_germ_into(a, move.data))
         r3.add(key, coeff)
 
     lam = FormalSum()
-    for gap in candidates:
+    for gap in split_gaps(a):
         key, coeff = canonical_term(partial_germ_into(a, gap))
         lam.add(key, coeff)
 
     return CoboundaryValue(r1, r2, r3, monotonic_reduce(lam))
 
 
-def coboundary_sum(alpha: FormalSum) -> FormalSum:
-    """Linear extension of d, merged over all four components."""
-    out = FormalSum()
-    for a, c in alpha.items():
-        for key, coeff in coboundary(a).total().items():
-            out.add(key, c * coeff)
-    return out
-
-
-def pair_diagram_sum(alpha: FormalSum, chain: FormalSum) -> Fraction:
-    total = Fraction(0)
-    for a, ca in alpha.items():
-        for g, cg in chain.items():
-            total += ca * cg * pair(a, g)
-    return total
+def stokes_sides(a: ArrowDiagram, gamma: Germ) -> tuple[Fraction, Fraction]:
+    """The two sides <dA, gamma> and <A, boundary(gamma)>."""
+    lhs = pair_germ(coboundary(a).total(), gamma)
+    canon = a.canonical()
+    rhs = sum((c * pair(canon, g) for g, c in boundary(gamma).items()), Fraction(0))
+    return lhs, rhs
 
 
 def stokes_check(a: ArrowDiagram, gamma: Germ) -> bool:
     """Whether <dA, gamma> equals <A, boundary(gamma)> exactly."""
-    lhs = pair_germ(coboundary(a).total(), gamma)
-    alpha = FormalSum([(a.canonical(), Fraction(1))])
-    rhs = pair_diagram_sum(alpha, boundary(gamma))
+    lhs, rhs = stokes_sides(a, gamma)
     return lhs == rhs
-
-
-def stokes_sides(a: ArrowDiagram, gamma: Germ) -> tuple[Fraction, Fraction]:
-    lhs = pair_germ(coboundary(a).total(), gamma)
-    alpha = FormalSum([(a.canonical(), Fraction(1))])
-    rhs = pair_diagram_sum(alpha, boundary(gamma))
-    return lhs, rhs

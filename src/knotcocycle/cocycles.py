@@ -15,17 +15,17 @@ that its value on the rotation loop of a long knot K is -v2(K).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, pair
-from .germs import Germ, make_germ, pair_germ, ti
+from .germs import enumerate_arrow_diagrams, make_germ, ti
 from .coboundary import coboundary
-from .moves import Move, apply_move
+from .moves import Move, apply_move, inverse
 from . import fixtures_io as fio
 from .morse import rot_moves, trace
-from .rational_linalg import SparseMatrix, kernel_basis, rank, solve_in_span
+from .rational_linalg import SparseMatrix, rank, solve_in_span
 from .strata import System, restrict_to_variables
 
 
@@ -70,7 +70,7 @@ class Loop:
         moves = []
         steps = list(zip(diagrams, self.moves, diagrams[1:]))
         for before, m, after in reversed(steps):
-            undo = _inverse_on(before, m)
+            undo = inverse(before, m)
             phi = {a: b for (a, _), (b, _) in zip(after.word, cur.word)}
             undo = _translate_ids(undo, phi)
             cur = apply_move(cur, undo)
@@ -85,11 +85,6 @@ class Loop:
         if self.tags is not None and other.tags is not None:
             tags = self.tags + other.tags
         return Loop(self.initial, self.moves + list(other.moves), tags)
-
-
-def _inverse_on(d: GaussDiagram, m: Move) -> Move:
-    from .moves import inverse
-    return inverse(d, m)
 
 
 def _translate_ids(m: Move, phi: dict) -> Move:
@@ -171,18 +166,36 @@ def load_tetra_rows(fixtures=None) -> list[FormalSum]:
     return rows
 
 
-def trivial_cocycle_vectors(degree: int = 3):
+@functools.cache
+def trivial_cocycle_vectors(degree: int = 3) -> tuple:
     """Coboundaries dA of all arrow diagrams of the given degree.
 
-    Returned as full formal sums; these span the trivial cocycles at
-    this degree.
+    Returned as (A, dA) pairs; these span the trivial cocycles at this
+    degree.  Computed once per process, so callers must not mutate them.
     """
-    from .germs import enumerate_arrow_diagrams
     out = []
     for a in enumerate_arrow_diagrams(degree):
         db = coboundary(a)
         if not db.is_zero():
             out.append((a, db))
+    return tuple(out)
+
+
+def trivial_variable_vectors(var_index) -> list[dict[int, Fraction]]:
+    """The degree-3 coboundaries that live on the given variables.
+
+    Coboundaries with an R1 or R2 component, or with support outside the
+    variables, are not vectors of this coordinate space and are skipped;
+    the rest come in arrow-diagram enumeration order.
+    """
+    out = []
+    for _, db in trivial_cocycle_vectors(3):
+        full = db.r3 + db.partial
+        if db.r1 or db.r2 or any(k not in var_index for k in full.keys()):
+            continue
+        vec = restrict_to_variables(full, var_index)
+        if vec:
+            out.append(vec)
     return out
 
 
@@ -193,7 +206,6 @@ class CocycleReport:
     kernel_dim: int
     trivial_dim: int
     quotient_dim: int
-    in_kernel: bool = True
 
     @property
     def passed(self) -> bool:
@@ -203,30 +215,13 @@ class CocycleReport:
     def nontrivial(self) -> bool:
         return self.passed and not self.trivial
 
-    def summary(self) -> str:
-        status = "pass" if self.passed else f"FAIL ({len(self.violated)} equations)"
-        kind = "trivial" if self.trivial else "nontrivial"
-        return (f"{status}, {kind}; kernel dim {self.kernel_dim}, "
-                f"trivial dim {self.trivial_dim}, quotient dim {self.quotient_dim}")
-
 
 def system_dimensions(system: System):
     """(kernel dim, trivial-subspace dim, quotient dim) of the system."""
     mat = system.matrix()
     kdim = len(system.variables) - rank(mat)
-    trivs = []
-    for _, db in trivial_cocycle_vectors(3):
-        if db.r1 or db.r2:
-            continue
-        full = db.r3 + db.partial
-        if any(k not in system.var_index for k in full.keys()):
-            # support outside the allowed variables: not a vector of this
-            # coordinate space
-            continue
-        vec = restrict_to_variables(full, system.var_index)
-        if vec:
-            trivs.append(vec)
-    tmat = SparseMatrix(len(trivs), len(system.variables), [dict(v) for v in trivs])
+    trivs = trivial_variable_vectors(system.var_index)
+    tmat = SparseMatrix(len(trivs), len(system.variables), trivs)
     tdim = rank(tmat)
     return kdim, tdim, kdim - tdim
 
@@ -237,23 +232,21 @@ def verify_cocycle(alpha: FormalSum, degree: int = 3, system: System | None = No
 
     Violations are computed with the full pairing (all germ kinds), so
     coboundaries dA pass by the Stokes formula even though they carry
-    R1 and R2 components.  Triviality means membership in the span of
-    the coboundaries of arrow diagrams of degree at most ``degree``.
+    R1 and R2 components.  ``alpha`` is reported trivial when it lies in
+    the span of the coboundaries dA of the arrow diagrams A of every
+    degree from 0 to ``degree``.  The dimensions are those of the system.
     """
     if system is None:
         system = assemble_default_system(fixtures)
     violated = [i for i, fs in enumerate(system.full_rows) if alpha.dot(fs) != 0]
 
-    trivial_sums = [db.total() for _, db in trivial_cocycle_vectors(degree)]
-    rows = []
-    for fs in trivial_sums:
-        rows.append({g.key(): c for g, c in fs.items()})
+    rows = [{g.key(): c for g, c in db.total().items()}
+            for deg in range(degree + 1) for _, db in trivial_cocycle_vectors(deg)]
     target = {g.key(): c for g, c in alpha.items()}
     trivial = solve_in_span(rows, target) is not None
 
     kdim, tdim, qdim = system_dimensions(system)
-    in_kernel = not violated
-    return CocycleReport(violated, trivial, kdim, tdim, qdim, in_kernel)
+    return CocycleReport(violated, trivial, kdim, tdim, qdim)
 
 
 _DEFAULT_SYSTEM: dict = {}

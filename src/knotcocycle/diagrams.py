@@ -86,9 +86,6 @@ class ArrowDiagram:
         flip = {TAIL: HEAD, HEAD: TAIL}
         return ArrowDiagram((a, flip[k]) for a, k in self.word)
 
-    def with_signs(self, signs: Mapping[int, int]) -> "GaussDiagram":
-        return GaussDiagram(self.word, signs)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ArrowDiagram) and not isinstance(other, GaussDiagram) \
             and self.canonical_key() == other.canonical_key()
@@ -223,12 +220,6 @@ class FormalSum:
             return FormalSum()
         return FormalSum((k, v * c) for k, v in self.items())
 
-    def map_keys(self, fn) -> "FormalSum":
-        out = FormalSum()
-        for k, v in self.items():
-            out.add(fn(k), v)
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FormalSum) and self._c == other._c
 
@@ -328,14 +319,6 @@ def pair_embedding_count(a: ArrowDiagram, g: GaussDiagram) -> Fraction:
 
 def pair_via_completions(a: ArrowDiagram, g: GaussDiagram) -> Fraction:
     return completions(a).dot(subdiagrams(g))
-
-
-def pair_sum(alpha: FormalSum, g: GaussDiagram) -> Fraction:
-    """Linear extension of the pairing in the first slot."""
-    total = Fraction(0)
-    for key, coeff in alpha.items():
-        total += coeff * pair(key, g)
-    return total
 
 
 def parse_diagram(text: str) -> GaussDiagram | ArrowDiagram:

@@ -18,17 +18,18 @@ import itertools
 from fractions import Fraction
 from pathlib import Path
 
-from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, format_diagram, pair
-from .germs import (enumerate_arrow_diagrams, enumerate_partial_germs,
-                    make_germ, ti, triangle_relator, _monotonic_partners)
+from .diagrams import ArrowDiagram, FormalSum, format_diagram, pair
+from .germs import (enumerate_arrow_diagrams, enumerate_partial_germs, make_germ, ti,
+                    _monotonic_partners)
 from .coboundary import coboundary
+from .cocycles import Loop, evaluate_loop, trivial_variable_vectors
 from .morse import FIXTURE_MORSE, rot_moves, trace
 from .moves import apply_move
 from .quadruple import quadruple_meridians
 from .rational_linalg import SparseMatrix, in_row_span, kernel_basis, solve_in_span
-from .strata import (Meridian, assemble_system, classify_scenes, dedupe_meridians,
-                     enumerate_cube_meridians, homogeneous_parts, normalise_row,
-                     restrict_to_variables, ti_meridian, variable_basis)
+from .strata import (assemble_system, classify_scenes, dedupe_meridians,
+                     enumerate_cube_meridians, homogeneous_parts, row_of_meridian,
+                     ti_meridian, variable_basis)
 from . import fixtures_io as fio
 
 
@@ -164,21 +165,18 @@ def gen_strata(out: Path):
 
     # Tetrahedron pair: quadruple rows not spanned by the cube rows.
     cube_rows = sorted({r for m in meridians
-                        for r in [_meridian_row(m, var_index)] if r})
+                        for r in [row_of_meridian(m, var_index)] if r})
     cube_mat = SparseMatrix(len(cube_rows), len(variables),
                             [dict((j, Fraction(v)) for j, v in r) for r in cube_rows])
     novel = []
     seen = set()
     for m in quadruple_meridians():
-        part = homogeneous_parts(ti_meridian(m, frozenset())).get(3)
-        if not part:
-            continue
-        norm = normalise_row(restrict_to_variables(part, var_index))
+        norm = row_of_meridian(m, var_index)
         if not norm or norm in seen:
             continue
         seen.add(norm)
         if not in_row_span(cube_mat, dict((j, Fraction(v)) for j, v in norm)):
-            novel.append(part)
+            novel.append(homogeneous_parts(ti_meridian(m, frozenset()))[3])
     if len(novel) != 2:
         raise RuntimeError(f"expected 2 novel tetrahedron equations, got {len(novel)}")
     fio.save_json(out / "strata" / "fig9_tetra.json", {
@@ -187,14 +185,7 @@ def gen_strata(out: Path):
                        "other under arrow reversal",
         "equations": [fio.formula_to_json(fs) for fs in novel],
     })
-    return variables, var_index, meridians, novel
-
-
-def _meridian_row(m: Meridian, var_index):
-    part = homogeneous_parts(ti_meridian(m, frozenset())).get(3)
-    if not part:
-        return ()
-    return normalise_row(restrict_to_variables(part, var_index))
+    return variables, var_index, novel
 
 
 def derive_alpha31(variables, var_index, tetra_rows, knots):
@@ -210,18 +201,8 @@ def derive_alpha31(variables, var_index, tetra_rows, knots):
     mat = system.matrix()
     ker = kernel_basis(mat)
 
-    trivials = []
-    for a in enumerate_arrow_diagrams(3):
-        db = coboundary(a)
-        if db.r1 or db.r2:
-            continue
-        full = db.r3 + db.partial
-        if any(k not in var_index for k in full.keys()):
-            continue
-        vec = restrict_to_variables(full, var_index)
-        if vec:
-            trivials.append(vec)
-    tmat = SparseMatrix(len(trivials), len(variables), [dict(v) for v in trivials])
+    trivials = trivial_variable_vectors(var_index)
+    tmat = SparseMatrix(len(trivials), len(variables), trivials)
     v0 = None
     for v in ker:
         if not in_row_span(tmat, v):
@@ -292,14 +273,8 @@ def gen_alpha31(out: Path, variables, var_index, tetra_rows, knots) -> FormalSum
     fs = derive_alpha31(variables, var_index, tetra_rows, knots)
     # Hard validation before freezing: the rotation identity on all three
     # fixture knots, with the advertised sign.
-    from .cocycles import Loop
     for name, events in FIXTURE_MORSE.items():
-        initial, moves, tags = rot_moves(events)
-        loop = Loop(initial, moves, tags)
-        total = Fraction(0)
-        for germ, move in loop.germs():
-            if move.kind == "R3":
-                total += fs.dot(ti(germ))
+        total = evaluate_loop(fs, Loop(*rot_moves(events)))
         expected = {"unknot": 0, "trefoil": -1, "figure8": 1}[name]
         if total != expected:
             raise RuntimeError(f"alpha31 candidate fails rot({name}): {total}")
@@ -314,7 +289,7 @@ def generate_all(out) -> None:
     gen_v2(out, knots)
     gen_seed_r3(out)
     gen_triangle_relations(out)
-    variables, var_index, meridians, novel = gen_strata(out)
+    variables, var_index, novel = gen_strata(out)
     gen_alpha31(out, variables, var_index, novel, knots)
 
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 from .diagrams import (ArrowDiagram, FormalSum, GaussDiagram, HEAD, TAIL)
 from .moves import (InvalidMove, Move, R1_BIRTH, R1_DEATH, R2_BIRTH, R2_DEATH,
                     R3, apply_move, arrow_positions, edge_data, edge_flanks,
-                    r3_triangle, validate_r3)
+                    r3_moves, r3_triangle, split_gaps, transpose, validate_r3)
 
 KIND_R1 = "R1"
 KIND_R2 = "R2"
@@ -210,14 +210,6 @@ def boundary(germ: Germ) -> FormalSum:
     return out
 
 
-def boundary_sum(chain: FormalSum) -> FormalSum:
-    out = FormalSum()
-    for g, c in chain.items():
-        out.add(g.g1.canonical(), c)
-        out.add(g.g0.canonical(), -c)
-    return out
-
-
 def _locate_edge(d, flank_left, flank_right) -> int:
     word = d.word
     for i in range(1, len(word)):
@@ -253,14 +245,20 @@ def _delete_from_germ(germ: Germ, ids: set[int]) -> Germ:
     raise ValueError("no surviving distinguished edge")
 
 
-def subgerms(germ: Germ) -> FormalSum:
+def subgerms(germ: Germ, keep: frozenset[int] = frozenset(),
+             drop: frozenset[int] = frozenset()) -> FormalSum:
     """The map I: formal sum of all subgerms, canonically normalised.
 
     For R1 and R2 germs no distinguished arrow may be removed; for a
     3-germ at most one may; partial germs keep their distinguished pair.
+    ``keep`` and ``drop`` are sets of non-distinguished arrows that every
+    subgerm retains and that every subgerm loses, respectively; with both
+    empty this is the full expansion.
     """
     dist = germ.distinguished_ids()
-    rest = [a for a in germ.arrow_ids() if a not in dist]
+    if (keep | drop) & dist:
+        raise ValueError("keep/drop sets must consist of non-distinguished arrows")
+    rest = [a for a in germ.arrow_ids() if a not in dist and a not in keep and a not in drop]
     out = FormalSum()
     removable_dist: tuple = ((),)
     if germ.kind == KIND_R3:
@@ -268,7 +266,7 @@ def subgerms(germ: Germ) -> FormalSum:
     for r in range(len(rest) + 1):
         for bys in itertools.combinations(rest, r):
             for dd in removable_dist:
-                sub = _delete_from_germ(germ, set(bys) | set(dd))
+                sub = _delete_from_germ(germ, drop.union(bys, dd))
                 key, coeff = canonical_term(sub)
                 out.add(key, coeff)
     return out
@@ -343,21 +341,18 @@ def _chain_subgerms(chain: FormalSum) -> FormalSum:
     return out
 
 
-def transpose_at(d, gap: int):
-    """Switch the two consecutive arrow ends bounding an interior gap."""
-    (a, _), (b, _) = edge_flanks(d, gap)
-    if a == b:
-        raise InvalidMove("transposition needs two distinct arrows")
-    word = list(d.word)
-    word[gap - 1], word[gap] = word[gap], word[gap - 1]
-    if isinstance(d, GaussDiagram):
-        return GaussDiagram(word, d.signs)
-    return ArrowDiagram(word)
+# Public name of the end swap across the three gaps of an R3 germ.
+transpose_triple = transpose
 
 
 def partial_germ_into(d, gap: int) -> Germ:
     """The partial germ oriented towards d, switching the pair at gap."""
-    return Germ(KIND_P, transpose_at(d, gap), d, gap)
+    return Germ(KIND_P, transpose(d, (gap,)), d, gap)
+
+
+def r3_germ_into(d, gaps) -> Germ:
+    """The 3-germ oriented towards d, switching the pairs at the three gaps."""
+    return Germ(KIND_R3, transpose(d, gaps), d, gaps)
 
 
 def triangle_completions(p: Germ) -> list[Germ]:
@@ -398,21 +393,12 @@ def triangle_completions(p: Germ) -> list[Germ]:
         triple_gaps = tuple(sorted((gap_ab, gap_a, gap_b)))
         assert r3_triangle(comp, triple_gaps) is not None
         assert validate_r3(comp, triple_gaps)
-        out.append(Germ(KIND_R3, transpose_triple(comp, triple_gaps), comp, triple_gaps))
+        out.append(r3_germ_into(comp, triple_gaps))
     if p.is_monotonic():
         assert len(out) == 1
     else:
         assert len(out) == 2
     return out
-
-
-def transpose_triple(d, gaps):
-    word = list(d.word)
-    for g in gaps:
-        word[g - 1], word[g] = word[g], word[g - 1]
-    if isinstance(d, GaussDiagram):
-        return GaussDiagram(word, d.signs)
-    return ArrowDiagram(word)
 
 
 def _monotonic_partners(p: Germ) -> list[Germ]:
@@ -481,10 +467,7 @@ def enumerate_partial_germs(degree: int):
     """All canonical partial arrow germs of the given degree."""
     seen = set()
     for d in enumerate_arrow_diagrams(degree):
-        for gap in range(1, len(d.word)):
-            (a, _), (b, _) = edge_flanks(d, gap)
-            if a == b:
-                continue
+        for gap in split_gaps(d):
             germ, _ = partial_germ_into(d, gap).canonical()
             if germ not in seen:
                 seen.add(germ)
@@ -495,13 +478,8 @@ def enumerate_arrow_3germs(degree: int):
     """All canonical arrow 3-germs of the given degree."""
     seen = set()
     for d in enumerate_arrow_diagrams(degree):
-        n2 = len(d.word)
-        candidates = [g for g in range(1, n2)
-                      if d.word[g - 1][0] != d.word[g][0]]
-        for gaps in itertools.combinations(candidates, 3):
-            if r3_triangle(d, gaps) is None or not validate_r3(d, gaps):
-                continue
-            germ, _ = Germ(KIND_R3, transpose_triple(d, gaps), d, tuple(gaps)).canonical()
+        for move in r3_moves(d):
+            germ, _ = r3_germ_into(d, move.data).canonical()
             if germ not in seen:
                 seen.add(germ)
                 yield germ

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import ArrowDiagram, GaussDiagram, HEAD, TAIL
-from .moves import (Move, apply_move, r1_birth, r1_death, r2_birth, r2_death,
-                    r3)
+from .diagrams import GaussDiagram, HEAD, TAIL
+from .moves import (Move, _fresh_ids, apply_move, r1_birth, r1_death, r2_birth,
+                    r2_death, r3)
 
 CUP = "cup"
 CAP = "cap"
@@ -209,11 +209,6 @@ class LoopBuildError(RuntimeError):
     pass
 
 
-def _fresh_pair(d):
-    top = max([a for a, _ in d.word], default=0)
-    return top + 1, top + 2
-
-
 def _region_tokens(tr: Trace, gap: int, riser_ids, kind: str):
     """K's word with one riser token of the given kind per transit at gap."""
     inserts = sorted(range(len(tr.transits[gap])),
@@ -285,7 +280,7 @@ def _sweep(tr: Trace, diagram: GaussDiagram, under: bool):
             riser_ids[p - 1], riser_ids[p] = riser_ids[p], riser_ids[p - 1]
             r3_count += 1
         elif kind == CUP:
-            a, b = _fresh_pair(cur)
+            a, b = _fresh_ids(cur, 2)
             nxt_ids = list(riser_ids)
             # Heights p, p+1 are 1-based; the first-transited branch gets
             # the first fresh id (its tail comes first along the knot).

@@ -43,6 +43,17 @@ def arrow_positions(d: ArrowDiagram) -> dict[int, dict[str, int]]:
     return pos
 
 
+def isolated(pos, aid: int) -> bool:
+    """Whether the two ends of an arrow are adjacent (R1 death position)."""
+    return abs(pos[aid][TAIL] - pos[aid][HEAD]) == 1
+
+
+def killable(pos, a: int, b: int) -> bool:
+    """Whether two arrows have adjacent tails and adjacent heads (R2 death position)."""
+    return (abs(pos[a][TAIL] - pos[b][TAIL]) == 1
+            and abs(pos[a][HEAD] - pos[b][HEAD]) == 1)
+
+
 def interleave(d: ArrowDiagram, a: int, b: int) -> bool:
     """Whether arrows a and b cross (their spans alternate along the line)."""
     pos = arrow_positions(d)
@@ -154,12 +165,35 @@ def validate_r3(d: ArrowDiagram, gaps) -> bool:
     return True
 
 
-def applicable(d: ArrowDiagram, move: Move) -> bool:
-    try:
-        apply_move(d, move)
-    except InvalidMove:
-        return False
-    return True
+def transpose(d, gaps):
+    """Switch the two ends bounding each of the given interior gaps."""
+    word = list(d.word)
+    for g in gaps:
+        word[g - 1], word[g] = word[g], word[g - 1]
+    if isinstance(d, GaussDiagram):
+        return GaussDiagram(word, d.signs)
+    return ArrowDiagram(word)
+
+
+def split_gaps(d: ArrowDiagram, arrows=None) -> list[int]:
+    """Interior gaps bounded by two distinct arrows, both in ``arrows`` if given."""
+    word = d.word
+    return [g for g in range(1, len(word))
+            if word[g - 1][0] != word[g][0]
+            and (arrows is None or (word[g - 1][0] in arrows and word[g][0] in arrows))]
+
+
+def r3_moves(d, arrows=None) -> list[Move]:
+    """All valid R3 moves of d, or only those on the arrow triple ``arrows``.
+
+    Restricting the candidate gaps to those flanked by the required arrows
+    before forming triples keeps the cube-meridian search small.
+    """
+    out = []
+    for gaps in itertools.combinations(split_gaps(d, arrows), 3):
+        if r3_triangle(d, gaps) is not None and validate_r3(d, gaps):
+            out.append(r3(gaps))
+    return out
 
 
 def apply_move(d, move: Move):
@@ -184,10 +218,11 @@ def apply_move(d, move: Move):
 
     elif move.kind == R1_DEATH:
         (aid,) = move.data
-        pos = [i for i, t in enumerate(word) if t[0] == aid]
-        if len(pos) != 2 or pos[1] - pos[0] != 1:
+        pos = arrow_positions(d)
+        if aid not in pos or not isolated(pos, aid):
             raise InvalidMove(f"arrow {aid} is not isolated")
-        del word[pos[0]:pos[0] + 2]
+        first = min(pos[aid].values())
+        del word[first:first + 2]
         if signed:
             del signs[aid]
 
@@ -216,9 +251,7 @@ def apply_move(d, move: Move):
         pos = arrow_positions(d)
         if a not in pos or b not in pos:
             raise InvalidMove("arrows not present")
-        ta, tb = pos[a][TAIL], pos[b][TAIL]
-        ha, hb = pos[a][HEAD], pos[b][HEAD]
-        if abs(ta - tb) != 1 or abs(ha - hb) != 1:
+        if not killable(pos, a, b):
             raise InvalidMove("pair is not in killing position")
         if signed and signs[a] * signs[b] != -1:
             raise InvalidMove("pair must have opposite signs")
@@ -231,8 +264,7 @@ def apply_move(d, move: Move):
         gaps = move.data
         if not validate_r3(d, gaps):
             raise InvalidMove(f"R3 conditions fail at gaps {gaps}")
-        for g in gaps:
-            word[g - 1], word[g] = word[g], word[g - 1]
+        return transpose(d, gaps)
 
     else:
         raise InvalidMove(f"unknown move kind {move.kind}")
@@ -261,7 +293,6 @@ def inverse(d, move: Move) -> Move:
         first, second = (a, b) if ta < tb else (b, a)
         positions = sorted([ta, tb, ha, hb])
         # Gaps in the word after deletion.
-        indices = {p: i for i, p in enumerate(positions)}
         gt = min(ta, tb) - sum(1 for p in positions if p < min(ta, tb))
         gh = min(ha, hb) - sum(1 for p in positions if p < min(ha, hb))
         swap_heads = (ha < hb) != (ta < tb)
@@ -287,9 +318,7 @@ def enumerate_moves(d, kind: str) -> list[Move]:
 
     elif kind == R1_DEATH:
         pos = arrow_positions(d)
-        for aid, ends in pos.items():
-            if abs(ends[TAIL] - ends[HEAD]) == 1:
-                out.append(r1_death(aid))
+        out = [r1_death(aid) for aid in pos if isolated(pos, aid)]
 
     elif kind == R2_BIRTH:
         for gt in range(n2 + 1):
@@ -302,20 +331,11 @@ def enumerate_moves(d, kind: str) -> list[Move]:
 
     elif kind == R2_DEATH:
         pos = arrow_positions(d)
-        for a, b in itertools.combinations(sorted(pos), 2):
-            m = r2_death(a, b)
-            if applicable(d, m):
-                out.append(m)
+        out = [r2_death(a, b) for a, b in itertools.combinations(sorted(pos), 2)
+               if killable(pos, a, b) and not (signed and d.signs[a] == d.signs[b])]
 
     elif kind == R3:
-        candidates = []
-        for g in range(1, n2):
-            (a, _), (b, _) = d.word[g - 1], d.word[g]
-            if a != b:
-                candidates.append(g)
-        for gaps in itertools.combinations(candidates, 3):
-            if r3_triangle(d, gaps) is not None and validate_r3(d, gaps):
-                out.append(r3(gaps))
+        out = r3_moves(d)
 
     else:
         raise InvalidMove(f"unknown move kind {kind}")

@@ -8,6 +8,7 @@ reduced form and the kernel basis are reproducible.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -63,7 +64,7 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int):
         piv = work.pop(best)
         inv = 1 / piv[col]
         piv = {c: v * inv for c, v in piv.items()}
-        for row in work:
+        for row in itertools.chain(work, final):
             f = row.get(col)
             if f:
                 for c, v in piv.items():
@@ -72,15 +73,6 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int):
                         row.pop(c, None)
                     else:
                         row[c] = nv
-        for prow in final:
-            f = prow.get(col)
-            if f:
-                for c, v in piv.items():
-                    nv = prow.get(c, Fraction(0)) - f * v
-                    if nv == 0:
-                        prow.pop(c, None)
-                    else:
-                        prow[c] = nv
         work = [r for r in work if r]
         pivots.append((col, len(final)))
         final.append(piv)

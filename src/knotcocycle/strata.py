@@ -26,13 +26,12 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, HEAD, TAIL
-from .germs import (Germ, KIND_P, KIND_R3, canonical_term, enumerate_arrow_3germs,
-                    enumerate_partial_germs, forget_germ_signs, make_germ,
-                    monotonic_reduce, _delete_from_germ)
-from .moves import (Move, R2_BIRTH, R2_DEATH, R3, apply_move, arrow_positions,
-                    enumerate_moves, r2_death, r3, r3_triangle, validate_r3)
-from .rational_linalg import SparseMatrix, in_row_span, kernel_basis, rank, rref
+from .diagrams import FormalSum, GaussDiagram, HEAD, TAIL
+from .germs import (Germ, KIND_P, enumerate_arrow_3germs, enumerate_partial_germs,
+                    make_germ, subgerms, t_map, _delete_from_germ)
+from .moves import (R2_BIRTH, apply_move, arrow_positions, enumerate_moves,
+                    isolated, killable, r2_death, r3_moves)
+from .rational_linalg import SparseMatrix, kernel_basis, rank
 
 CUBE = "cube"
 QUADRUPLE = "quadruple"
@@ -67,46 +66,21 @@ class Meridian:
                         self.bystanders)
 
 
-def subgerms_restricted(germ: Germ, keep: frozenset[int], drop: frozenset[int]) -> FormalSum:
-    """Subgerms that retain every arrow of keep and none of drop."""
-    dist = germ.distinguished_ids()
-    if (keep | drop) & dist:
-        raise ValueError("keep/drop sets must consist of non-distinguished arrows")
-    rest = [a for a in germ.arrow_ids() if a not in dist and a not in keep and a not in drop]
+def i_meridian(m: Meridian, s: frozenset[int]) -> FormalSum:
+    """I(m; s): subgerms keeping the bystanders in s and losing the others."""
+    if not s <= m.bystanders:
+        raise ValueError("s must be a set of bystanders")
+    drop = m.bystanders - s
     out = FormalSum()
-    removable_dist: tuple = ((),)
-    if germ.kind == KIND_R3:
-        removable_dist = ((),) + tuple((x,) for x in sorted(dist))
-    for r in range(len(rest) + 1):
-        for bys in itertools.combinations(rest, r):
-            for dd in removable_dist:
-                sub = _delete_from_germ(germ, set(bys) | set(dd) | set(drop))
-                key, coeff = canonical_term(sub)
-                out.add(key, coeff)
+    for germ in m.germs:
+        for key, c in subgerms(germ, s, drop).items():
+            out.add(key, c)
     return out
 
 
 def ti_meridian(m: Meridian, s: frozenset[int]) -> FormalSum:
     """T(I(m; s)): bystanders outside s removed, those in s retained."""
-    if not s <= m.bystanders:
-        raise ValueError("s must be a set of bystanders")
-    drop = m.bystanders - s
-    out = FormalSum()
-    for germ in m.germs:
-        for sub, c in subgerms_restricted(germ, s, drop).items():
-            key, coeff = forget_germ_signs(sub)
-            out.add(key, c * coeff)
-    return out
-
-
-def i_meridian(m: Meridian, s: frozenset[int]) -> FormalSum:
-    if not s <= m.bystanders:
-        raise ValueError("s must be a set of bystanders")
-    drop = m.bystanders - s
-    out = FormalSum()
-    for germ in m.germs:
-        out = out + subgerms_restricted(germ, s, drop)
-    return out
+    return t_map(i_meridian(m, s))
 
 
 def meridian_without(m: Meridian, removed: frozenset[int]) -> Meridian:
@@ -124,53 +98,31 @@ def homogeneous_parts(fs: FormalSum) -> dict[int, FormalSum]:
 
 # -- Variable filter (the strata that never appear as rows) -----------------
 
-def _isolated(d: ArrowDiagram, aid: int) -> bool:
-    pos = arrow_positions(d)[aid]
-    return abs(pos[TAIL] - pos[HEAD]) == 1
-
-
-def _killable(d: ArrowDiagram, x: int, y: int) -> bool:
-    pos = arrow_positions(d)
-    return (abs(pos[x][TAIL] - pos[y][TAIL]) == 1
-            and abs(pos[x][HEAD] - pos[y][HEAD]) == 1)
-
-
 def banned_variable(germ: Germ) -> bool:
     """The four participation bans for arrow 3-germ formulas."""
     dist = germ.distinguished_ids()
     rest = [a for a in germ.arrow_ids() if a not in dist]
     for side in (germ.g0, germ.g1):
-        for a in rest:
-            if _isolated(side, a):
-                return True
-        for x, y in itertools.combinations(rest, 2):
-            if _killable(side, x, y):
-                return True
-    if germ.kind == KIND_P:
-        for side in (germ.g0, germ.g1):
-            for a in sorted(dist):
-                if _isolated(side, a):
+        pos = arrow_positions(side)
+        if any(isolated(pos, a) for a in rest):
+            return True
+        if any(killable(pos, x, y) for x, y in itertools.combinations(rest, 2)):
+            return True
+        for a in sorted(dist):
+            if isolated(pos, a):
+                if germ.kind == KIND_P:
                     return True
-    else:
-        for side in (germ.g0, germ.g1):
-            for a in sorted(dist):
-                if _isolated(side, a):
-                    others = sorted(dist - {a})
-                    if _killable(side.delete({a}), *others):
-                        return True
+                others = sorted(dist - {a})
+                if killable(arrow_positions(side.delete({a})), *others):
+                    return True
     return False
-
-
-def filter_variables(basis) -> list[Germ]:
-    return [g for g in basis if not banned_variable(g)]
 
 
 def variable_basis(degree: int) -> list[Germ]:
     """Allowed arrow 3-germs and monotonic partial germs of the degree."""
     germs: list[Germ] = list(enumerate_arrow_3germs(degree))
     germs.extend(p for p in enumerate_partial_germs(degree) if p.is_monotonic())
-    germs = filter_variables(germs)
-    return sorted(germs, key=lambda g: g.key())
+    return sorted((g for g in germs if not banned_variable(g)), key=lambda g: g.key())
 
 
 # -- Cube meridian enumeration ----------------------------------------------
@@ -193,23 +145,6 @@ def _scene_diagrams(extra_bystanders: int):
         seen.add(perm)
         for signs in itertools.product((1, -1), repeat=len(ids)):
             yield GaussDiagram(perm, dict(zip(ids, signs)))
-
-
-def _find_r3_with(d: GaussDiagram, required: frozenset[int]) -> list[Move]:
-    n2 = len(d.word)
-    candidates = []
-    for g in range(1, n2):
-        a, b = d.word[g - 1][0], d.word[g][0]
-        if a != b and a in required and b in required:
-            candidates.append(g)
-    out = []
-    for gaps in itertools.combinations(candidates, 3):
-        tri = r3_triangle(d, gaps)
-        if tri is None or frozenset(tri) != required:
-            continue
-        if validate_r3(d, gaps):
-            out.append(r3(gaps))
-    return out
 
 
 def _pruned_births(g0: GaussDiagram):
@@ -246,9 +181,9 @@ def enumerate_cube_meridians(bystanders: int = 0, scenes=None):
             pair = sorted(set(g1.arrow_ids()) - set(g0.arrow_ids()))
             c1, c2 = pair
             for first, second in ((c1, c2), (c2, c1)):
-                for m1 in _find_r3_with(g1, frozenset((1, 2, first))):
+                for m1 in r3_moves(g1, frozenset((1, 2, first))):
                     g2 = apply_move(g1, m1)
-                    for m2 in _find_r3_with(g2, frozenset((1, 2, second))):
+                    for m2 in r3_moves(g2, frozenset((1, 2, second))):
                         g3 = apply_move(g2, m2)
                         death = r2_death(c1, c2)
                         try:
@@ -358,15 +293,6 @@ class System:
 
     def rank(self) -> int:
         return rank(self.matrix())
-
-
-def meridian_equations(m: Meridian, s: frozenset[int], var_index=None):
-    """Homogeneous parts of T(I(m; s)), optionally read off in variables."""
-    parts = homogeneous_parts(ti_meridian(m, s))
-    if var_index is None:
-        return parts
-    return {deg: restrict_to_variables(part, var_index)
-            for deg, part in parts.items()}
 
 
 def collect_rows(meridians, var_index, degree: int, sources=None, tag="cube",

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from conftest import FIXTURES, REPO
+from knotcocycle.cli import main
 
 
 def run_cli(*argv, expect=0):
@@ -92,3 +94,43 @@ def test_matrix_export(tmp_path):
         int(r), int(c)
         num, den = val.split("/")
         int(num), int(den)
+
+
+def test_top_level_fixtures_used_outside_the_repo(tmp_path):
+    # No ./fixtures in tmp_path: the run must read the top-level --fixtures.
+    env = dict(os.environ)
+    env.pop("KNOT_COCYCLE_FIXTURES", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    cmd = [sys.executable, "-m", "knotcocycle", "--fixtures", str(FIXTURES),
+           "rot-test", "--knot", "unknot"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "alpha31(rot)=0, v2=0, identity holds"
+
+
+def test_common_option_after_subcommand_wins(capsys):
+    diagram = str(FIXTURES / "formulas" / "v2_diagram.json")
+    assert main(["--format", "text", "coboundary", "--diagram", diagram]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "Delta:"
+    assert main(["--format", "text", "coboundary", "--format", "json",
+                 "--diagram", diagram]) == 0
+    assert json.loads(capsys.readouterr().out)["Delta"] == []
+
+
+@pytest.mark.parametrize("flags", [
+    ["--jobs", "0"],
+    ["--jobs", str((os.cpu_count() or 1) + 1)],
+    ["--trials", "-5"],
+    ["--max-degree", "-1"],
+])
+def test_stokes_check_rejects_out_of_range_inputs(flags, capsys, monkeypatch):
+    import multiprocessing
+
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert main(["stokes-check", *flags]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")

@@ -124,3 +124,13 @@ def test_rot_loop_lengths(fixtures_dir):
     lengths = {"unknot": 2, "trefoil": 12, "figure8": 18}
     for name, expected in lengths.items():
         assert len(rot_loop(name, fixtures_dir).moves) == expected
+
+
+def test_verify_reports_coboundaries_up_to_the_degree_as_trivial(fixtures_dir, degree3_system):
+    from knotcocycle.germs import enumerate_arrow_diagrams
+    diagrams = [a for deg in range(3) for a in enumerate_arrow_diagrams(deg)]
+    diagrams.append(parse_diagram("3; T1 T2 H1 T3 H2 H3"))
+    for a in diagrams:
+        rep = verify_cocycle(coboundary(a).total(), system=degree3_system,
+                             fixtures=fixtures_dir)
+        assert rep.passed and rep.trivial, a
