@@ -197,7 +197,7 @@ def cmd_solve(args) -> int:
     _emit({
         "variables": len(system.variables),
         "equations": len(system.rows),
-        "rank": system.rank(),
+        "rank": len(system.variables) - kdim,
         "kernel_dimension": kdim,
         "trivial_dimension": tdim,
         "quotient_dimension": qdim,
@@ -249,6 +249,8 @@ def cmd_eval_loop(args) -> int:
 
 def cmd_invariants(args) -> int:
     """Basis of Ker d over arrow diagrams up to the given degree."""
+    if args.max_degree < 0:
+        raise InputError(f"--max-degree must be at least 0, got {args.max_degree}")
     if args.max_degree > 4:
         raise InputError("degree cap is 4; the basis enumeration blows up beyond")
     from .germs import enumerate_arrow_diagrams

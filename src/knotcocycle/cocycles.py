@@ -26,7 +26,7 @@ from .moves import Move, apply_move, inverse
 from . import fixtures_io as fio
 from .morse import rot_moves, trace
 from .rational_linalg import SparseMatrix, rank, solve_in_span
-from .strata import System, restrict_to_variables
+from .strata import System, assemble_system, restrict_to_variables
 
 
 class OpenLoopError(ValueError):
@@ -211,13 +211,13 @@ class CocycleReport:
     def passed(self) -> bool:
         return not self.violated
 
-    @property
-    def nontrivial(self) -> bool:
-        return self.passed and not self.trivial
 
-
+@functools.cache
 def system_dimensions(system: System):
-    """(kernel dim, trivial-subspace dim, quotient dim) of the system."""
+    """(kernel dim, trivial-subspace dim, quotient dim) of the system.
+
+    Computed once per system: systems hash by identity.
+    """
     mat = system.matrix()
     kdim = len(system.variables) - rank(mat)
     trivs = trivial_variable_vectors(system.var_index)
@@ -249,13 +249,14 @@ def verify_cocycle(alpha: FormalSum, degree: int = 3, system: System | None = No
     return CocycleReport(violated, trivial, kdim, tdim, qdim)
 
 
-_DEFAULT_SYSTEM: dict = {}
-
-
 def assemble_default_system(fixtures=None, bystanders: bool = False) -> System:
-    from .strata import assemble_system
-    key = (str(fio.resolve_fixtures(fixtures)), bystanders)
-    if key not in _DEFAULT_SYSTEM:
-        tetra = load_tetra_rows(fixtures)
-        _DEFAULT_SYSTEM[key] = assemble_system(tetra_rows=tetra, bystanders=bystanders)
-    return _DEFAULT_SYSTEM[key]
+    """The system over the tetrahedron rows of a fixture directory.
+
+    Assembled once per process for each resolved directory.
+    """
+    return _default_system(fio.resolve_fixtures(fixtures), bystanders)
+
+
+@functools.cache
+def _default_system(fixdir, bystanders: bool) -> System:
+    return assemble_system(load_tetra_rows(fixdir), bystanders=bystanders)

@@ -8,7 +8,7 @@ equations extracted from the quadruple-point movie, and the formula
 alpha31 selected from the solution space of the degree-3 system.
 
 Run as  python -m knotcocycle.fixturegen [--out DIR]  to refresh them;
-the test suite regenerates the cheap ones and compares.
+the test suite regenerates them all and compares byte for byte.
 """
 
 from __future__ import annotations
@@ -19,17 +19,16 @@ from fractions import Fraction
 from pathlib import Path
 
 from .diagrams import ArrowDiagram, FormalSum, format_diagram, pair
-from .germs import (enumerate_arrow_diagrams, enumerate_partial_germs, make_germ, ti,
-                    _monotonic_partners)
+from .germs import enumerate_arrow_diagrams, enumerate_partial_germs, ti, _monotonic_partners
 from .coboundary import coboundary
 from .cocycles import Loop, evaluate_loop, trivial_variable_vectors
 from .morse import FIXTURE_MORSE, rot_moves, trace
 from .moves import apply_move
 from .quadruple import quadruple_meridians
 from .rational_linalg import SparseMatrix, in_row_span, kernel_basis, solve_in_span
-from .strata import (assemble_system, classify_scenes, dedupe_meridians,
-                     enumerate_cube_meridians, homogeneous_parts, row_of_meridian,
-                     ti_meridian, variable_basis)
+from .strata import (System, assemble_system, classify_scenes, dedupe_meridians,
+                     enumerate_cube_meridians, equation_row, meridian_equation,
+                     variable_basis)
 from . import fixtures_io as fio
 
 
@@ -129,10 +128,11 @@ def _row_to_formula(row: tuple, variables) -> list:
     return fio.formula_to_json(fs)
 
 
-def gen_strata(out: Path):
+def gen_strata(out: Path) -> System:
+    """Write the scene and tetrahedron fixtures; return the degree-3 system."""
     variables = variable_basis(3)
     var_index = {g: j for j, g in enumerate(variables)}
-    meridians = dedupe_meridians(enumerate_cube_meridians(0), up_to_traversal=True)
+    meridians = dedupe_meridians(enumerate_cube_meridians(0))
     scenes = classify_scenes(meridians, variables, var_index)
 
     scene_objs = []
@@ -164,19 +164,19 @@ def gen_strata(out: Path):
     })
 
     # Tetrahedron pair: quadruple rows not spanned by the cube rows.
-    cube_rows = sorted({r for m in meridians
-                        for r in [row_of_meridian(m, var_index)] if r})
+    cube_rows = sorted(set().union(*(cls["rows"] for cls in scenes.values())) - {()})
     cube_mat = SparseMatrix(len(cube_rows), len(variables),
                             [dict((j, Fraction(v)) for j, v in r) for r in cube_rows])
     novel = []
     seen = set()
     for m in quadruple_meridians():
-        norm = row_of_meridian(m, var_index)
+        part = meridian_equation(m)
+        norm = equation_row(part, var_index)
         if not norm or norm in seen:
             continue
         seen.add(norm)
         if not in_row_span(cube_mat, dict((j, Fraction(v)) for j, v in norm)):
-            novel.append(homogeneous_parts(ti_meridian(m, frozenset()))[3])
+            novel.append(part)
     if len(novel) != 2:
         raise RuntimeError(f"expected 2 novel tetrahedron equations, got {len(novel)}")
     fio.save_json(out / "strata" / "fig9_tetra.json", {
@@ -185,10 +185,10 @@ def gen_strata(out: Path):
                        "other under arrow reversal",
         "equations": [fio.formula_to_json(fs) for fs in novel],
     })
-    return variables, var_index, novel
+    return assemble_system(novel, meridians=meridians)
 
 
-def derive_alpha31(variables, var_index, tetra_rows, knots):
+def derive_alpha31(system: System) -> FormalSum:
     """Select the distinguished representative of the nontrivial class.
 
     The kernel of the degree-3 system modulo coboundaries is expected to
@@ -197,9 +197,8 @@ def derive_alpha31(variables, var_index, tetra_rows, knots):
     rotation value, invisible to the over-pass), three further terms
     invisible on the fixture rotation loops, and unit coefficients.
     """
-    system = assemble_system(tetra_rows=tetra_rows)
-    mat = system.matrix()
-    ker = kernel_basis(mat)
+    variables, var_index = system.variables, system.var_index
+    ker = kernel_basis(system.matrix())
 
     trivials = trivial_variable_vectors(var_index)
     tmat = SparseMatrix(len(trivials), len(variables), trivials)
@@ -211,7 +210,7 @@ def derive_alpha31(variables, var_index, tetra_rows, knots):
     if v0 is None:
         raise RuntimeError("no nontrivial kernel vector found")
 
-    profile = _rot_profiles(var_index, knots)
+    profile = _rot_profiles(var_index)
     first = [j for j, (tb, tt, fb, ft) in profile.items()
              if tt == 0 and ft == 0 and tb == -1 and fb == 1]
     if len(first) != 1:
@@ -253,24 +252,28 @@ def derive_alpha31(variables, var_index, tetra_rows, knots):
     return fs
 
 
-def _rot_profiles(var_index, knots):
+def _rot_profiles(var_index):
+    """Each variable's TI coefficients summed over the rotation loops.
+
+    Keyed by variable index, valued (trefoil bottom, trefoil top,
+    figure8 bottom, figure8 top) over the R3 moves of each pass;
+    variables no R3 germ reaches are absent.
+    """
     profile: dict = {}
     for pos, name in enumerate(("trefoil", "figure8")):
-        initial, moves, tags = rot_moves(FIXTURE_MORSE[name])
-        cur = initial
-        for move, tag in zip(moves, tags):
+        loop = Loop(*rot_moves(FIXTURE_MORSE[name]))
+        for (germ, move), tag in zip(loop.germs(), loop.tags):
             if move.kind == "R3":
-                for key, c in ti(make_germ(cur, move)).items():
+                for key, c in ti(germ).items():
                     j = var_index.get(key)
                     if j is not None:
                         rec = profile.setdefault(j, [Fraction(0)] * 4)
                         rec[2 * pos + (0 if tag == "bottom" else 1)] += c
-            cur = apply_move(cur, move)
     return {j: tuple(rec) for j, rec in profile.items()}
 
 
-def gen_alpha31(out: Path, variables, var_index, tetra_rows, knots) -> FormalSum:
-    fs = derive_alpha31(variables, var_index, tetra_rows, knots)
+def gen_alpha31(out: Path, system: System) -> FormalSum:
+    fs = derive_alpha31(system)
     # Hard validation before freezing: the rotation identity on all three
     # fixture knots, with the advertised sign.
     for name, events in FIXTURE_MORSE.items():
@@ -289,8 +292,7 @@ def generate_all(out) -> None:
     gen_v2(out, knots)
     gen_seed_r3(out)
     gen_triangle_relations(out)
-    variables, var_index, novel = gen_strata(out)
-    gen_alpha31(out, variables, var_index, novel, knots)
+    gen_alpha31(out, gen_strata(out))
 
 
 def main(argv=None) -> int:

@@ -290,14 +290,19 @@ def t_map(chain: FormalSum) -> FormalSum:
     return out
 
 
-def ti(germ_or_chain) -> FormalSum:
+def i_map(germ_or_chain) -> FormalSum:
+    """The map I on a germ, extended linearly to chains of germs."""
     if isinstance(germ_or_chain, Germ):
-        return t_map(subgerms(germ_or_chain))
+        return subgerms(germ_or_chain)
     out = FormalSum()
     for g, c in germ_or_chain.items():
-        for key, coeff in t_map(subgerms(g)).items():
+        for key, coeff in subgerms(g).items():
             out.add(key, c * coeff)
     return out
+
+
+def ti(germ_or_chain) -> FormalSum:
+    return t_map(i_map(germ_or_chain))
 
 
 def s_map(alpha: FormalSum) -> FormalSum:
@@ -329,16 +334,7 @@ def pair_germ(alpha: FormalSum, gamma) -> Fraction:
 
 def pair_germ_via_s(alpha: FormalSum, gamma) -> Fraction:
     """Independent evaluation <S(alpha), I(gamma)>."""
-    chain = subgerms(gamma) if isinstance(gamma, Germ) else _chain_subgerms(gamma)
-    return s_map(alpha).dot(chain)
-
-
-def _chain_subgerms(chain: FormalSum) -> FormalSum:
-    out = FormalSum()
-    for g, c in chain.items():
-        for key, coeff in subgerms(g).items():
-            out.add(key, c * coeff)
-    return out
+    return s_map(alpha).dot(i_map(gamma))
 
 
 # Public name of the end swap across the three gaps of an R3 germ.

@@ -14,24 +14,29 @@ move, slides across the two triangles it forms with the active arrows
 basepoint, optional bystander arrow) is enumerated and the loop-closure
 requirement prunes the invalid ones.
 
-An equation is a homogeneous part of T(I(m; s)) where s selects the
+An equation is the degree-3 part of T(I(m; s)) where s selects the
 surviving bystanders; for the degree-3 system only s of size at most
-one matters.  Rows are normalised to integer vectors with positive
-leading coefficient, so scalar multiples collapse under deduplication.
+one matters.  The system is assembled in one pass: the cube equations,
+then those of the bystander meridians, then the tetrahedron equations
+form one ordered list; its scalar-distinct members are the stored
+equations, and their restrictions to the variables, normalised to
+integer vectors with positive leading coefficient, are the rows.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagrams import FormalSum, GaussDiagram, HEAD, TAIL
-from .germs import (Germ, KIND_P, enumerate_arrow_3germs, enumerate_partial_germs,
-                    make_germ, subgerms, t_map, _delete_from_germ)
+from .germs import (Germ, KIND_P, boundary, enumerate_arrow_3germs,
+                    enumerate_partial_germs, make_germ, subgerms, t_map, _delete_from_germ)
 from .moves import (R2_BIRTH, apply_move, arrow_positions, enumerate_moves,
                     isolated, killable, r2_death, r3_moves)
-from .rational_linalg import SparseMatrix, kernel_basis, rank
+from .rational_linalg import SparseMatrix, rank
 
 CUBE = "cube"
 QUADRUPLE = "quadruple"
@@ -55,11 +60,7 @@ class Meridian:
             raise ValueError("meridian does not close up")
 
     def boundary(self) -> FormalSum:
-        out = FormalSum()
-        for g in self.germs:
-            out.add(g.g1.canonical(), 1)
-            out.add(g.g0.canonical(), -1)
-        return out
+        return sum((boundary(g) for g in self.germs), FormalSum())
 
     def reverse_arrows(self) -> "Meridian":
         return Meridian(self.tag, [g.reverse_arrows() for g in self.germs],
@@ -118,11 +119,15 @@ def banned_variable(germ: Germ) -> bool:
     return False
 
 
-def variable_basis(degree: int) -> list[Germ]:
-    """Allowed arrow 3-germs and monotonic partial germs of the degree."""
+@functools.cache
+def variable_basis(degree: int) -> tuple[Germ, ...]:
+    """Allowed arrow 3-germs and monotonic partial germs of the degree.
+
+    Computed once per process, so callers must not mutate the germs.
+    """
     germs: list[Germ] = list(enumerate_arrow_3germs(degree))
     germs.extend(p for p in enumerate_partial_germs(degree) if p.is_monotonic())
-    return sorted((g for g in germs if not banned_variable(g)), key=lambda g: g.key())
+    return tuple(sorted((g for g in germs if not banned_variable(g)), key=lambda g: g.key()))
 
 
 # -- Cube meridian enumeration ----------------------------------------------
@@ -138,11 +143,7 @@ def _scene_diagrams(extra_bystanders: int):
     for b in range(extra_bystanders):
         tokens.extend([(3 + b, TAIL), (3 + b, HEAD)])
     ids = sorted({a for a, _ in tokens})
-    seen = set()
     for perm in itertools.permutations(tokens):
-        if perm in seen:
-            continue
-        seen.add(perm)
         for signs in itertools.product((1, -1), repeat=len(ids)):
             yield GaussDiagram(perm, dict(zip(ids, signs)))
 
@@ -165,16 +166,14 @@ def _pruned_births(g0: GaussDiagram):
             yield m
 
 
-def enumerate_cube_meridians(bystanders: int = 0, scenes=None):
+def enumerate_cube_meridians(bystanders: int = 0):
     """All cube meridians over the given number of bystander arrows.
 
     Yields closed 4-germ loops: R2 birth, two R3 moves relating the pair
     to the two active arrows, R2 death.  Both traversal orientations are
     produced; meridians come out with the scene as base diagram.
     """
-    if scenes is None:
-        scenes = _scene_diagrams(bystanders)
-    for g0 in scenes:
+    for g0 in _scene_diagrams(bystanders):
         byst = frozenset(a for a in g0.arrow_ids() if a not in (1, 2))
         for birth in _pruned_births(g0):
             g1 = apply_move(g0, birth)
@@ -208,8 +207,8 @@ def meridian_reversed(m: Meridian) -> Meridian:
     return Meridian(m.tag, [g.swapped() for g in reversed(m.germs)], m.bystanders)
 
 
-def dedupe_meridians(meridians, up_to_traversal: bool = True):
-    """Keep one representative per meridian (optionally per unoriented one)."""
+def dedupe_meridians(meridians):
+    """Keep one representative per unoriented meridian."""
     out = []
     seen = set()
     for m in meridians:
@@ -217,8 +216,7 @@ def dedupe_meridians(meridians, up_to_traversal: bool = True):
         if k in seen:
             continue
         seen.add(k)
-        if up_to_traversal:
-            seen.add(meridian_key(meridian_reversed(m)))
+        seen.add(meridian_key(meridian_reversed(m)))
         out.append(m)
     return out
 
@@ -246,39 +244,40 @@ def normalise_row(row: dict[int, Fraction]) -> tuple:
     if not row:
         return ()
     items = sorted(row.items())
-    denom_lcm = 1
-    for _, v in items:
-        denom_lcm = denom_lcm * v.denominator // _gcd(denom_lcm, v.denominator)
+    denom_lcm = math.lcm(*(v.denominator for _, v in items))
     ints = [(j, int(v * denom_lcm)) for j, v in items]
-    g = 0
-    for _, v in ints:
-        g = _gcd(g, abs(v))
-    ints = [(j, v // g) for j, v in ints]
-    if ints[0][1] < 0:
-        ints = [(j, -v) for j, v in ints]
-    return tuple(ints)
+    g = math.gcd(*(v for _, v in ints))
+    sign = -1 if ints[0][1] < 0 else 1
+    return tuple((j, sign * v // g) for j, v in ints)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def meridian_equation(m: Meridian, s: frozenset[int] = frozenset()) -> FormalSum:
+    """The degree-3 equation of a meridian: the degree-3 part of T(I(m; s))."""
+    return homogeneous_parts(ti_meridian(m, s)).get(3, FormalSum())
+
+
+def equation_row(part: FormalSum, var_index) -> tuple:
+    """The normalised row of an equation over the variables."""
+    return normalise_row(restrict_to_variables(part, var_index))
 
 
 @dataclass
 class EquationSource:
     stratum: str
-    meridian: Meridian
+    meridian: Meridian | None
     s: frozenset[int]
-    degree: int
 
 
-@dataclass
+@dataclass(eq=False)
 class System:
-    """The assembled degree-3 linear system."""
+    """The assembled degree-3 linear system.
+
+    Systems compare and hash by identity, so per-system results can be
+    cached.
+    """
 
     degree: int
-    variables: list[Germ]
+    variables: tuple[Germ, ...]
     var_index: dict
     rows: list[tuple]
     sources: dict[tuple, EquationSource] = field(default_factory=dict)
@@ -288,49 +287,40 @@ class System:
         rows = [dict((j, Fraction(v)) for j, v in row) for row in self.rows]
         return SparseMatrix(len(rows), len(self.variables), rows)
 
-    def kernel(self):
-        return kernel_basis(self.matrix())
-
     def rank(self) -> int:
         return rank(self.matrix())
 
 
-def collect_rows(meridians, var_index, degree: int, sources=None, tag="cube",
-                 full_rows=None, full_seen=None, skip_empty_s=False):
-    rows = []
+def collect_rows(meridians) -> list[tuple[FormalSum, EquationSource]]:
+    """The distinct degree-3 equations of cube meridians, with their sources.
+
+    s runs over the empty set and the single bystanders; on a meridian
+    with bystanders s = {} is skipped, as it reproduces the equation of
+    the meridian with them deleted, which is collected from the
+    bystander-free enumeration.
+    """
+    def equations():
+        for m in meridians:
+            for s in [frozenset((b,)) for b in sorted(m.bystanders)] or [frozenset()]:
+                part = meridian_equation(m, s)
+                if part:
+                    yield part, EquationSource(CUBE, m, s)
+
+    return _distinct_equations(equations())
+
+
+def _distinct_equations(equations) -> list[tuple[FormalSum, EquationSource]]:
+    """The first of each set of equations that differ by a scalar factor."""
+    out = []
     seen = set()
-    for m in meridians:
-        subsets = [frozenset()] + [frozenset((b,)) for b in sorted(m.bystanders)]
-        if skip_empty_s and m.bystanders:
-            # s = {} on a decorated meridian reproduces the row of the
-            # meridian with the bystander deleted, already collected.
-            subsets = subsets[1:]
-        for s in subsets:
-            parts = homogeneous_parts(ti_meridian(m, s))
-            part = parts.get(degree)
-            if not part:
-                continue
-            row = restrict_to_variables(part, var_index)
-            norm = normalise_row(row)
-            if norm and norm not in seen:
-                seen.add(norm)
-                rows.append(norm)
-                if sources is not None:
-                    sources[norm] = EquationSource(tag, m, s, degree)
-            if full_rows is not None and part:
-                fkey = _formal_key(part)
-                if fkey and fkey not in full_seen:
-                    full_seen.add(fkey)
-                    full_rows.append(part)
-    return rows
-
-
-def _formal_key(fs: FormalSum):
-    items = sorted(((k.key(), v) for k, v in fs.items()), key=lambda kv: kv[0])
-    if not items:
-        return ()
-    lead = items[0][1]
-    return tuple((k, v / lead) for k, v in items)
+    for part, source in equations:
+        items = sorted(((k.key(), v) for k, v in part.items()), key=lambda kv: kv[0])
+        lead = items[0][1]
+        fkey = tuple((k, v / lead) for k, v in items)
+        if fkey not in seen:
+            seen.add(fkey)
+            out.append((part, source))
+    return out
 
 
 # -- Scene classification -----------------------------------------------------
@@ -367,10 +357,7 @@ def picture_fingerprint(m: Meridian, with_rotation: bool = True):
 
 
 def row_of_meridian(m: Meridian, var_index) -> tuple:
-    part = homogeneous_parts(ti_meridian(m, frozenset())).get(3)
-    if not part:
-        return ()
-    return normalise_row(restrict_to_variables(part, var_index))
+    return equation_row(meridian_equation(m), var_index)
 
 
 def reversal_on_rows(variables, var_index):
@@ -399,17 +386,18 @@ def classify_scenes(meridians, variables, var_index):
     pictures: dict = {}
     for m in meridians:
         pictures.setdefault(picture_fingerprint(m), []).append(m)
+    picture_rows = {fp: frozenset(row_of_meridian(m, var_index) for m in ms)
+                    for fp, ms in pictures.items()}
 
     groups: dict = {}
-    for fp, ms in pictures.items():
-        rows = frozenset(row_of_meridian(m, var_index) for m in ms)
-        key = frozenset(rows) | frozenset(reverse_row(r) for r in rows)
+    for fp, rows in picture_rows.items():
+        key = rows | frozenset(reverse_row(r) for r in rows)
         groups.setdefault(key, []).append(fp)
 
     classes = []
     for key, fps in groups.items():
         ms = [m for fp in fps for m in pictures[fp]]
-        rows = {row_of_meridian(m, var_index) for m in ms}
+        rows = set().union(*(picture_rows[fp] for fp in fps))
         nonempty = {r for r in rows if r}
         up_to_rev = {min(r, reverse_row(r)) for r in nonempty}
         has4 = any(len(r) >= 4 for r in nonempty)
@@ -438,44 +426,41 @@ def classify_scenes(meridians, variables, var_index):
     return labels
 
 
-def assemble_system(tetra_rows=None, bystanders: bool = False,
+def assemble_system(tetra_rows, bystanders: bool = False,
                     meridians=None) -> System:
     """The complete degree-3 system: cube rows plus the tetrahedron pair.
 
     ``tetra_rows`` are the two quadruple-point equations as FormalSums
     over germs (loaded from the fixture or regenerated); the double-R3
     stratum only contributes from degree 4 on and is omitted.
+    ``meridians`` are the deduplicated bystander-free cube meridians,
+    enumerated here when not given.
+
+    One pass: the cube equations, those of the one-bystander meridians
+    (with ``bystanders``) and the degree-3 parts of ``tetra_rows`` form
+    one ordered list.  Its members that are distinct up to a scalar are
+    the stored equations ``full_rows``; their nonzero normalised rows,
+    each kept at its first occurrence with the source of that equation,
+    are ``rows``.  ``collect_rows`` already drops scalar repeats within
+    each meridian family, which leaves the first occurrences unchanged.
     """
     variables = variable_basis(3)
     var_index = {g: j for j, g in enumerate(variables)}
     if meridians is None:
-        meridians = dedupe_meridians(enumerate_cube_meridians(0),
-                                     up_to_traversal=True)
-    sources: dict = {}
-    full_rows: list = []
-    full_seen: set = set()
-    rows = collect_rows(meridians, var_index, 3, sources=sources, tag=CUBE,
-                        full_rows=full_rows, full_seen=full_seen)
+        meridians = dedupe_meridians(enumerate_cube_meridians(0))
+    equations = collect_rows(meridians)
     if bystanders:
-        mers1 = dedupe_meridians(enumerate_cube_meridians(1),
-                                 up_to_traversal=True)
-        extra = collect_rows(mers1, var_index, 3, sources=sources, tag=CUBE,
-                             full_rows=full_rows, full_seen=full_seen,
-                             skip_empty_s=True)
-        known = set(rows)
-        rows.extend(r for r in extra if r not in known)
-    if tetra_rows is not None:
-        known = set(rows)
-        for fs in tetra_rows:
-            part = {k: v for k, v in fs.items() if k.degree == 3}
-            fsum = FormalSum(part.items())
-            norm = normalise_row(restrict_to_variables(fsum, var_index))
-            if norm and norm not in known:
-                known.add(norm)
-                rows.append(norm)
-                sources[norm] = EquationSource(QUADRUPLE, None, frozenset(), 3)
-            fkey = _formal_key(fsum)
-            if fkey and fkey not in full_seen:
-                full_seen.add(fkey)
-                full_rows.append(fsum)
-    return System(3, variables, var_index, rows, sources, full_rows)
+        equations += collect_rows(dedupe_meridians(enumerate_cube_meridians(1)))
+    for fs in tetra_rows:
+        part = homogeneous_parts(fs).get(3)
+        if part:
+            equations.append((part, EquationSource(QUADRUPLE, None, frozenset())))
+
+    full_rows: list[FormalSum] = []
+    sources: dict[tuple, EquationSource] = {}
+    for part, source in _distinct_equations(equations):
+        full_rows.append(part)
+        norm = equation_row(part, var_index)
+        if norm:
+            sources.setdefault(norm, source)
+    return System(3, variables, var_index, list(sources), sources, full_rows)

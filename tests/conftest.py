@@ -27,7 +27,7 @@ def knots(fixtures_dir):
 @pytest.fixture(scope="session")
 def cube_meridians():
     from knotcocycle.strata import dedupe_meridians, enumerate_cube_meridians
-    return dedupe_meridians(enumerate_cube_meridians(0), up_to_traversal=True)
+    return dedupe_meridians(enumerate_cube_meridians(0))
 
 
 @pytest.fixture(scope="session")

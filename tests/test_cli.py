@@ -134,3 +134,11 @@ def test_stokes_check_rejects_out_of_range_inputs(flags, capsys, monkeypatch):
     assert main(["stokes-check", *flags]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_invariants_rejects_negative_degree(capsys):
+    assert main(["invariants", "--max-degree", "-3"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == ""

@@ -72,3 +72,15 @@ def test_fig8_equations_match_regeneration(fixtures_dir, cube_meridians):
             fs = fio.formula_from_json(formula)
             loaded.add(normalise_row(restrict_to_variables(fs, var_index)))
         assert loaded == regenerated
+
+
+def test_full_regeneration_reproduces_fixtures(fixtures_dir, tmp_path):
+    from knotcocycle.fixturegen import main
+    assert main(["--out", str(tmp_path)]) == 0
+    stored = {p.relative_to(fixtures_dir): p.read_bytes()
+              for p in fixtures_dir.rglob("*") if p.is_file()}
+    regenerated = {p.relative_to(tmp_path): p.read_bytes()
+                   for p in tmp_path.rglob("*") if p.is_file()}
+    assert sorted(regenerated) == sorted(stored)
+    for path, data in stored.items():
+        assert regenerated[path] == data, path
