@@ -21,10 +21,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import fixtures_io as fio
-from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, pair, parse_diagram
+from .diagrams import FormalSum, GaussDiagram, pair, parse_diagram
 from .coboundary import coboundary, stokes_sides
 from .germs import make_germ
-from .moves import MOVE_KINDS, apply_move, enumerate_moves
+from .moves import random_arrow_diagram, random_gauss_diagram, random_move
 from .cocycles import (Loop, alpha31, assemble_default_system, evaluate_loop,
                        rot_loop, v2, verify_cocycle)
 from .rational_linalg import kernel_basis
@@ -97,42 +97,17 @@ def cmd_coboundary(args) -> int:
     return 0
 
 
-def _random_gauss(rng: random.Random, max_degree: int) -> GaussDiagram:
-    g = GaussDiagram((), {})
-    for _ in range(rng.randrange(0, 3 * max_degree + 2)):
-        kind = rng.choice(MOVE_KINDS)
-        moves = enumerate_moves(g, kind)
-        if not moves:
-            continue
-        nxt = apply_move(g, rng.choice(moves))
-        if nxt.degree <= max_degree:
-            g = nxt
-    return g
-
-
-def _random_arrow(rng: random.Random, max_degree: int) -> ArrowDiagram:
-    deg = rng.randrange(0, max_degree + 1)
-    tokens = []
-    for i in range(1, deg + 1):
-        tokens.extend([(i, "T"), (i, "H")])
-    rng.shuffle(tokens)
-    return ArrowDiagram(tokens).canonical()
-
-
 def _stokes_chunk(seed: int, trials: int, max_degree: int):
     rng = random.Random(seed)
     failures = []
     done = 0
     while done < trials:
-        a = _random_arrow(rng, max_degree)
-        g = _random_gauss(rng, max_degree)
-        moves = []
-        for kind in MOVE_KINDS:
-            moves.extend(enumerate_moves(g, kind))
-        if not moves:
+        a = random_arrow_diagram(rng, max_degree)
+        g = random_gauss_diagram(rng, max_degree)
+        move = random_move(rng, g)
+        if move is None:
             continue
-        germ = make_germ(g, rng.choice(moves))
-        lhs, rhs = stokes_sides(a, germ)
+        lhs, rhs = stokes_sides(a, make_germ(g, move))
         if lhs != rhs:
             failures.append({"arrow": fio.diagram_to_json(a),
                              "gauss": fio.diagram_to_json(g),
@@ -232,11 +207,12 @@ def cmd_verify(args) -> int:
 def _load_loop(path: str) -> Loop:
     try:
         obj = json.loads(Path(path).read_text())
-        initial = fio.diagram_from_json(obj["initial"])
-        moves = [fio.move_from_json(m) for m in obj["moves"]]
+        loop = Loop(fio.diagram_from_json(obj["initial"]),
+                    [fio.move_from_json(m) for m in obj["moves"]])
+        loop.check_closed()  # an open loop or an inapplicable move is a ValueError
     except (OSError, ValueError, KeyError) as exc:
         raise InputError(f"malformed loop file {path}: {exc}") from exc
-    return Loop(initial, moves)
+    return loop
 
 
 def cmd_eval_loop(args) -> int:

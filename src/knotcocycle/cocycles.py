@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, pair
-from .germs import enumerate_arrow_diagrams, make_germ, ti
+from .germs import Germ, enumerate_arrow_diagrams, make_germ, ti
 from .coboundary import coboundary
 from .moves import Move, apply_move, inverse
 from . import fixtures_io as fio
@@ -35,28 +35,33 @@ class OpenLoopError(ValueError):
 
 @dataclass
 class Loop:
-    """A closed move path: an initial diagram plus a move schedule."""
+    """A closed move path: an initial diagram plus a move schedule.
+
+    The schedule is replayed once, on first use; treat a loop as immutable.
+    """
 
     initial: GaussDiagram
     moves: list[Move]
     tags: list[str] | None = None
 
-    def diagrams(self) -> list[GaussDiagram]:
-        out = [self.initial]
+    @functools.cached_property
+    def _germs(self) -> list[Germ]:
+        out = []
+        cur = self.initial
         for m in self.moves:
-            out.append(apply_move(out[-1], m))
+            out.append(make_germ(cur, m))
+            cur = out[-1].g1
         return out
+
+    def diagrams(self) -> list[GaussDiagram]:
+        return [self.initial] + [g.g1 for g in self._germs]
 
     def check_closed(self) -> None:
         if self.diagrams()[-1] != self.initial:
             raise OpenLoopError("loop does not return to its initial diagram")
 
     def germs(self):
-        cur = self.initial
-        for m in self.moves:
-            g = make_germ(cur, m)
-            yield g, m
-            cur = g.g1
+        return zip(self._germs, self.moves)
 
     def reversed(self) -> "Loop":
         """The loop traversed backwards.
@@ -113,13 +118,9 @@ def rot_loop(knot, fixtures=None) -> Loop:
     of a fixture knot, or a Gauss diagram canonically equal to one of
     the fixture knots.  Loops for other diagrams need an explicit Morse
     presentation: the loop structure lives in the plane, not in the
-    Gauss word alone.
+    Gauss word alone.  ``rot_moves`` checks that the schedule closes.
     """
-    events = _resolve_morse(knot, fixtures)
-    initial, moves, tags = rot_moves(events)
-    loop = Loop(initial, moves, tags)
-    loop.check_closed()
-    return loop
+    return Loop(*rot_moves(_resolve_morse(knot, fixtures)))
 
 
 def _resolve_morse(knot, fixtures=None):

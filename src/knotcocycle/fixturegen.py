@@ -5,7 +5,10 @@ from Morse presentations, the v2 arrow diagram validated against the
 trefoil and figure-eight values, the degree-2 triangle relators, the
 six cube scenes with their expected equations, the two tetrahedron
 equations extracted from the quadruple-point movie, and the formula
-alpha31 selected from the solution space of the degree-3 system.
+alpha31 selected from the solution space of the degree-3 system.  Span
+questions are answered by normal forms: the cube rows and the trivial
+cocycles are each eliminated once, and every candidate row is reduced
+against that echelon form.
 
 Run as  python -m knotcocycle.fixturegen [--out DIR]  to refresh them;
 the test suite regenerates them all and compares byte for byte.
@@ -25,7 +28,7 @@ from .cocycles import Loop, evaluate_loop, trivial_variable_vectors
 from .morse import FIXTURE_MORSE, rot_moves, trace
 from .moves import apply_move
 from .quadruple import quadruple_meridians
-from .rational_linalg import SparseMatrix, in_row_span, kernel_basis, solve_in_span
+from .rational_linalg import SparseMatrix, kernel_basis, residual, rref, solve_in_span
 from .strata import (System, assemble_system, classify_scenes, dedupe_meridians,
                      enumerate_cube_meridians, equation_row, meridian_equation,
                      variable_basis)
@@ -165,8 +168,8 @@ def gen_strata(out: Path) -> System:
 
     # Tetrahedron pair: quadruple rows not spanned by the cube rows.
     cube_rows = sorted(set().union(*(cls["rows"] for cls in scenes.values())) - {()})
-    cube_mat = SparseMatrix(len(cube_rows), len(variables),
-                            [dict((j, Fraction(v)) for j, v in r) for r in cube_rows])
+    cube_span, _ = rref(SparseMatrix(len(cube_rows), len(variables),
+                                     [dict((j, Fraction(v)) for j, v in r) for r in cube_rows]))
     novel = []
     seen = set()
     for m in quadruple_meridians():
@@ -175,7 +178,7 @@ def gen_strata(out: Path) -> System:
         if not norm or norm in seen:
             continue
         seen.add(norm)
-        if not in_row_span(cube_mat, dict((j, Fraction(v)) for j, v in norm)):
+        if residual(cube_span, dict((j, Fraction(v)) for j, v in norm)):
             novel.append(part)
     if len(novel) != 2:
         raise RuntimeError(f"expected 2 novel tetrahedron equations, got {len(novel)}")
@@ -196,18 +199,20 @@ def derive_alpha31(system: System) -> FormalSum:
     a sweep-counting first germ (the unique variable carrying the whole
     rotation value, invisible to the over-pass), three further terms
     invisible on the fixture rotation loops, and unit coefficients.
+
+    Vectors are reduced modulo the trivial span, eliminated once; the
+    class is that of the first kernel vector v0 with a nonzero residual.
+    A support of the first germ and three invisible variables is kept
+    when sum_j x_j res(e_j) = res(v0) has a unique solution x without
+    zero entries; scaled to x_first = 1, unit solutions compete and the
+    smallest sorted germ keys win.
     """
     variables, var_index = system.variables, system.var_index
-    ker = kernel_basis(system.matrix())
-
     trivials = trivial_variable_vectors(var_index)
-    tmat = SparseMatrix(len(trivials), len(variables), trivials)
-    v0 = None
-    for v in ker:
-        if not in_row_span(tmat, v):
-            v0 = v
-            break
-    if v0 is None:
+    trivial_span, _ = rref(SparseMatrix(len(trivials), len(variables), trivials))
+    residuals = (residual(trivial_span, v) for v in kernel_basis(system.matrix()))
+    target = next((r for r in residuals if r), None)
+    if target is None:
         raise RuntimeError("no nontrivial kernel vector found")
 
     profile = _rot_profiles(var_index)
@@ -216,40 +221,24 @@ def derive_alpha31(system: System) -> FormalSum:
     if len(first) != 1:
         raise RuntimeError(f"sweep-counting first germ not unique: {first}")
     fg = first[0]
-    visible = set(profile)
-    invisible = [j for j in range(len(variables)) if j not in visible]
+    invisible = [j for j in range(len(variables)) if j not in profile]
+    res = {j: residual(trivial_span, {j: Fraction(1)}) for j in (fg, *invisible)}
 
-    tlist = [dict(r) for r in tmat.rows]
     candidates = []
     for s3 in itertools.combinations(invisible, 3):
-        support = {fg, *s3}
-        proj_t = [{c: val for c, val in t.items() if c not in support} for t in tlist]
-        proj_v = {c: -val for c, val in v0.items() if c not in support}
-        sol = solve_in_span(proj_t, proj_v)
-        if sol is None:
+        support = (fg, *s3)
+        # solve_in_span gives non-pivot rows coefficient 0, so a solution
+        # without a zero coefficient is unique.
+        sol = solve_in_span([res[j] for j in support], target)
+        if sol is None or not all(sol):
             continue
-        cand = dict(v0)
-        for ci, t in zip(sol, tlist):
-            if ci:
-                for c, val in t.items():
-                    nv = cand.get(c, Fraction(0)) + ci * val
-                    if nv == 0:
-                        cand.pop(c, None)
-                    else:
-                        cand[c] = nv
-        if set(cand) == support:
-            scale = 1 / cand[fg]
-            cand = {j: c * scale for j, c in cand.items()}
-            if all(abs(c) == 1 for c in cand.values()):
-                candidates.append(cand)
+        cand = {j: x / sol[0] for j, x in zip(support, sol)}
+        if all(abs(c) == 1 for c in cand.values()):
+            candidates.append(cand)
     if not candidates:
         raise RuntimeError("no unit-coefficient four-term representative found")
-    candidates.sort(key=lambda cand: sorted(variables[j].key() for j in cand))
-    chosen = candidates[0]
-    fs = FormalSum()
-    for j, c in chosen.items():
-        fs.add(variables[j], c)
-    return fs
+    chosen = min(candidates, key=lambda cand: sorted(variables[j].key() for j in cand))
+    return FormalSum((variables[j], c) for j, c in chosen.items())
 
 
 def _rot_profiles(var_index):

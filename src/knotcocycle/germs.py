@@ -337,10 +337,6 @@ def pair_germ_via_s(alpha: FormalSum, gamma) -> Fraction:
     return s_map(alpha).dot(i_map(gamma))
 
 
-# Public name of the end swap across the three gaps of an R3 germ.
-transpose_triple = transpose
-
-
 def partial_germ_into(d, gap: int) -> Germ:
     """The partial germ oriented towards d, switching the pair at gap."""
     return Germ(KIND_P, transpose(d, (gap,)), d, gap)

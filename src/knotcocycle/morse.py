@@ -246,14 +246,12 @@ def _wire_sign(east_going: bool) -> int:
 def _sweep(tr: Trace, diagram: GaussDiagram, under: bool):
     """Generate the moves of one full riser pass, left to right.
 
-    Returns (moves, diagrams, r3_flags, final_riser_id).  The riser is
+    Returns (moves, final diagram, final riser id).  The riser is
     assumed to already cross the single wire at gap 0 with the arrow of
     largest id in ``diagram``.
     """
     ncol = len(tr.events)
     moves: list[Move] = []
-    diagrams = [diagram]
-    r3_count = 0
     riser_ids = [max(diagram.arrow_ids())]
     cur = diagram
     assert list(cur.word) == _expected_word(tr, 0, riser_ids, under), "bad sweep start"
@@ -278,7 +276,6 @@ def _sweep(tr: Trace, diagram: GaussDiagram, under: bool):
             assert abs(pos[(up, wk)] - pos[tok_up]) == 1
             move = r3((gap_cluster, gap_low, gap_up))
             riser_ids[p - 1], riser_ids[p] = riser_ids[p], riser_ids[p - 1]
-            r3_count += 1
         elif kind == CUP:
             a, b = _fresh_ids(cur, 2)
             nxt_ids = list(riser_ids)
@@ -316,8 +313,7 @@ def _sweep(tr: Trace, diagram: GaussDiagram, under: bool):
             raise LoopBuildError(
                 f"sweep mismatch after column {col} ({ev}): {list(cur.word)} != {expected}")
         moves.append(move)
-        diagrams.append(cur)
-    return moves, diagrams, riser_ids[0]
+    return moves, cur, riser_ids[0]
 
 
 def rot_moves(events) -> tuple[GaussDiagram, list[Move], list[str]]:
@@ -339,17 +335,15 @@ def rot_moves(events) -> tuple[GaussDiagram, list[Move], list[str]]:
     tags.append("cusp")
     assert list(cur.word) == _expected_word(tr, 0, [r0], True)
 
-    under_moves, under_diagrams, wrap_id = _sweep(tr, cur, under=True)
+    under_moves, cur, wrap_id = _sweep(tr, cur, under=True)
     moves.extend(under_moves)
     tags.extend("bottom" if m.kind == "R3" else "slide" for m in under_moves)
-    cur = under_diagrams[-1]
 
     # The wrapped state read as the start of the over-pass, verbatim.
     assert list(cur.word) == _expected_word(tr, 0, [wrap_id], False)
-    over_moves, over_diagrams, end_id = _sweep(tr, cur, under=False)
+    over_moves, cur, end_id = _sweep(tr, cur, under=False)
     moves.extend(over_moves)
     tags.extend("top" if m.kind == "R3" else "slide" for m in over_moves)
-    cur = over_diagrams[-1]
 
     death = r1_death(end_id)
     cur = apply_move(cur, death)

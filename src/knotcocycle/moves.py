@@ -340,3 +340,35 @@ def enumerate_moves(d, kind: str) -> list[Move]:
     else:
         raise InvalidMove(f"unknown move kind {kind}")
     return out
+
+
+# -- Random samples for the randomized checks ---------------------------------
+
+def random_move(rng, d):
+    """A uniformly chosen move of any kind applicable to d, or None."""
+    moves = [m for kind in MOVE_KINDS for m in enumerate_moves(d, kind)]
+    return rng.choice(moves) if moves else None
+
+
+def random_gauss_diagram(rng, max_degree: int) -> GaussDiagram:
+    """A random diagram reached from the empty one by random R-moves."""
+    g = GaussDiagram((), {})
+    for _ in range(rng.randrange(0, 3 * max_degree + 2)):
+        kind = rng.choice(MOVE_KINDS)
+        moves = enumerate_moves(g, kind)
+        if not moves:
+            continue
+        nxt = apply_move(g, rng.choice(moves))
+        if nxt.degree <= max_degree:
+            g = nxt
+    return g
+
+
+def random_arrow_diagram(rng, max_degree: int) -> ArrowDiagram:
+    """A canonical arrow diagram of random degree and random token order."""
+    deg = rng.randrange(0, max_degree + 1)
+    tokens = []
+    for i in range(1, deg + 1):
+        tokens.extend([(i, TAIL), (i, HEAD)])
+    rng.shuffle(tokens)
+    return ArrowDiagram(tokens).canonical()

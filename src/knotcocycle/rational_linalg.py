@@ -48,10 +48,24 @@ class SparseMatrix:
         return out
 
 
+def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
+    """row -= f * other in place, dropping the entries that cancel."""
+    for c, v in other.items():
+        nv = row.get(c, Fraction(0)) - f * v
+        if nv == 0:
+            row.pop(c, None)
+        else:
+            row[c] = nv
+
+
 def _eliminate(rows: list[dict[int, Fraction]], ncols: int):
-    """Reduced row echelon form in place; returns the pivot columns."""
+    """Reduced row echelon form: the pivot rows and their pivot columns.
+
+    Pivots are taken in increasing column order, so the i-th row has its
+    leading entry, 1, in the i-th pivot column.
+    """
     work = [dict(r) for r in rows if r]
-    pivots: list[tuple[int, int]] = []  # (col, index into final list)
+    pivots: list[int] = []
     final: list[dict[int, Fraction]] = []
     for col in range(ncols):
         best = None
@@ -67,24 +81,17 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int):
         for row in itertools.chain(work, final):
             f = row.get(col)
             if f:
-                for c, v in piv.items():
-                    nv = row.get(c, Fraction(0)) - f * v
-                    if nv == 0:
-                        row.pop(c, None)
-                    else:
-                        row[c] = nv
+                _subtract(row, f, piv)
         work = [r for r in work if r]
-        pivots.append((col, len(final)))
+        pivots.append(col)
         final.append(piv)
-    return final, [c for c, _ in pivots]
+    return final, pivots
 
 
 def rref(m: SparseMatrix) -> tuple[SparseMatrix, list[int]]:
     """Reduced echelon form and the pivot column list; rank = len(pivots)."""
     final, pivots = _eliminate(m.rows, m.ncols)
-    order = sorted(range(len(final)), key=lambda i: min(final[i]))
-    rows = [final[i] for i in order]
-    return SparseMatrix(len(rows), m.ncols, rows), sorted(pivots)
+    return SparseMatrix(len(final), m.ncols, final), pivots
 
 
 def rank(m: SparseMatrix) -> int:
@@ -95,10 +102,7 @@ def kernel_basis(m: SparseMatrix) -> list[dict[int, Fraction]]:
     """Exact basis of the null space; count equals ncols - rank."""
     reduced, pivots = rref(m)
     pivot_set = set(pivots)
-    pivot_row = {}
-    for row in reduced.rows:
-        lead = min(row)
-        pivot_row[lead] = row
+    pivot_row = dict(zip(pivots, reduced.rows))
     basis = []
     for free in range(m.ncols):
         if free in pivot_set:
@@ -112,37 +116,40 @@ def kernel_basis(m: SparseMatrix) -> list[dict[int, Fraction]]:
     return basis
 
 
-def in_row_span(m: SparseMatrix, row: dict[int, Fraction]) -> bool:
-    """Whether the row lies in the span of the matrix rows."""
-    reduced, _ = rref(m)
+def residual(reduced: SparseMatrix, row: dict[int, Fraction]) -> dict[int, Fraction]:
+    """The normal form of a row modulo the row span of an ``rref`` result.
+
+    The residual misses every pivot column; it is empty exactly when the
+    row lies in the span, and equal for rows that differ by a member of
+    the span.  Eliminate once with ``rref`` to reduce many rows.
+    """
     work = dict(row)
     for prow in reduced.rows:
-        lead = min(prow)
-        f = work.get(lead)
+        f = work.get(min(prow))
         if f:
-            for c, v in prow.items():
-                nv = work.get(c, Fraction(0)) - f * v
-                if nv == 0:
-                    work.pop(c, None)
-                else:
-                    work[c] = nv
-    return not work
+            _subtract(work, f, prow)
+    return work
+
+
+def in_row_span(m: SparseMatrix, row: dict[int, Fraction]) -> bool:
+    """Whether the row lies in the span of the matrix rows."""
+    return not residual(rref(m)[0], row)
 
 
 def solve_in_span(rows: list[dict[int, Fraction]], target: dict[int, Fraction]):
     """Coefficients expressing target over the rows, or None.
 
     Solves the transposed system exactly; intended for small systems such
-    as the triviality test for cocycle formulas.
+    as the triviality test for cocycle formulas.  The coefficients of rows
+    that are not pivots of the elimination are 0, so a solution without a
+    zero coefficient is the only one: the rows are linearly independent.
     """
     cols = set(target)
     for r in rows:
         cols.update(r)
-    col_list = sorted(cols)
-    col_index = {c: i for i, c in enumerate(col_list)}
     # Build [rows^T | target] and eliminate.
     aug: list[dict[int, Fraction]] = []
-    for c in col_list:
+    for c in sorted(cols):
         row = {}
         for j, r in enumerate(rows):
             v = r.get(c)
@@ -155,8 +162,5 @@ def solve_in_span(rows: list[dict[int, Fraction]], target: dict[int, Fraction]):
     final, pivots = _eliminate(aug, len(rows) + 1)
     if len(rows) in pivots:
         return None
-    coeffs = {}
-    for row in final:
-        lead = min(row)
-        coeffs[lead] = row.get(len(rows), Fraction(0))
+    coeffs = {p: row.get(len(rows), Fraction(0)) for p, row in zip(pivots, final)}
     return [coeffs.get(j, Fraction(0)) for j in range(len(rows))]

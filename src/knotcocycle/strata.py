@@ -11,8 +11,9 @@ Cube meridians are enumerated combinatorially: a scene is a small Gauss
 diagram with two active arrows, a pair is born next to them by an R2
 move, slides across the two triangles it forms with the active arrows
 (two R3 moves) and dies again.  Every decoration (signs, positions,
-basepoint, optional bystander arrow) is enumerated and the loop-closure
-requirement prunes the invalid ones.
+basepoint, optional bystander arrow) is enumerated once, up to swapping
+the labels of the two active arrows, and the loop-closure requirement
+prunes the invalid ones.
 
 An equation is the degree-3 part of T(I(m; s)) where s selects the
 surviving bystanders; for the degree-3 system only s of size at most
@@ -135,15 +136,20 @@ def variable_basis(degree: int) -> tuple[Germ, ...]:
 def _scene_diagrams(extra_bystanders: int):
     """Scene diagrams: two active arrows plus optional bystanders.
 
-    Words are generated literally (not up to relabelling) so that every
-    basepoint placement of the local picture occurs exactly once; the
-    active arrows are ids 1 and 2.
+    Words are generated literally (not up to relabelling), with ids 1 and
+    2 for the active arrows.  Swapping those two labels gives the same
+    scene, so only words whose first active token belongs to arrow 1 are
+    kept; each basepoint placement of the local picture then occurs
+    exactly once.  Permutations come in lexicographic order, so every kept
+    word precedes its relabelled twin.
     """
     tokens = [(1, TAIL), (1, HEAD), (2, TAIL), (2, HEAD)]
     for b in range(extra_bystanders):
         tokens.extend([(3 + b, TAIL), (3 + b, HEAD)])
     ids = sorted({a for a, _ in tokens})
     for perm in itertools.permutations(tokens):
+        if next(a for a, _ in perm if a in (1, 2)) != 1:
+            continue
         for signs in itertools.product((1, -1), repeat=len(ids)):
             yield GaussDiagram(perm, dict(zip(ids, signs)))
 
@@ -325,7 +331,7 @@ def _distinct_equations(equations) -> list[tuple[FormalSum, EquationSource]]:
 
 # -- Scene classification -----------------------------------------------------
 
-def picture_fingerprint(m: Meridian, with_rotation: bool = True):
+def picture_fingerprint(m: Meridian):
     """Rotation-invariant fingerprint of a cube meridian's local picture.
 
     The degree-4 snapshot after the birth is relabelled by the roles of
@@ -348,8 +354,7 @@ def picture_fingerprint(m: Meridian, with_rotation: bool = True):
             role.update({b: 5 + i for i, b in enumerate(byst)})
             word = [(role[a], k) for a, k in g1.word]
             signs = tuple(g1.signs[a] for a in sorted(role, key=role.get))
-            rots = range(len(word)) if with_rotation else (0,)
-            for r in rots:
+            for r in range(len(word)):
                 cand = (tuple(word[r:] + word[:r]), signs)
                 if best is None or cand < best:
                     best = cand
@@ -380,7 +385,9 @@ def classify_scenes(meridians, variables, var_index):
     three essentially different equations over the three basepoint
     placements, and scenes d and e are the two whose equations involve
     four-term rows; the remaining labels follow the canonical
-    fingerprint order.
+    fingerprint order.  Raises RuntimeError unless the classes split into
+    two four-term ones, one such c and three others, as those of all the
+    bystander-free cube meridians do.
     """
     reverse_row = reversal_on_rows(variables, var_index)
     pictures: dict = {}
@@ -410,20 +417,15 @@ def classify_scenes(meridians, variables, var_index):
         })
 
     classes.sort(key=lambda c: c["fingerprints"][0])
-    labels = {}
-    pool = [c for c in classes]
     # d, e: the four-term classes; c: three equations without four-term rows.
-    de = [c for c in pool if c["four_term"]]
-    cc = [c for c in pool if not c["four_term"] and c["eq_count"] == 3]
-    rest = [c for c in pool if c not in de and c not in cc]
-    if len(de) == 2 and len(cc) == 1 and len(rest) == 3:
-        order = {"a": rest[0], "b": rest[1], "c": cc[0],
-                 "d": de[0], "e": de[1], "f": rest[2]}
-    else:
-        order = {chr(ord("a") + i): c for i, c in enumerate(classes)}
-    for label, c in order.items():
-        labels[label] = c
-    return labels
+    de = [c for c in classes if c["four_term"]]
+    cc = [c for c in classes if not c["four_term"] and c["eq_count"] == 3]
+    rest = [c for c in classes if c not in de and c not in cc]
+    if not (len(de) == 2 and len(cc) == 1 and len(rest) == 3):
+        raise RuntimeError(f"expected scenes split 2/1/3, got "
+                           f"{len(de)}/{len(cc)}/{len(rest)}")
+    return {"a": rest[0], "b": rest[1], "c": cc[0],
+            "d": de[0], "e": de[1], "f": rest[2]}
 
 
 def assemble_system(tetra_rows, bystanders: bool = False,

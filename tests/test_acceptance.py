@@ -23,14 +23,12 @@ from knotcocycle.diagrams import FormalSum, GaussDiagram, pair, parse_diagram
 from knotcocycle.coboundary import coboundary, stokes_sides
 from knotcocycle.germs import (enumerate_arrow_3germs, enumerate_arrow_diagrams,
                                enumerate_partial_germs, make_germ, ti,
-                               canonical_term, triangle_relator, Germ,
-                               transpose_triple)
-from knotcocycle.moves import (MOVE_KINDS, apply_move, edge_flanks,
-                               enumerate_moves, inverse, r3_triangle,
-                               validate_r3)
+                               canonical_term, triangle_relator, Germ)
+from knotcocycle.moves import (apply_move, edge_flanks, enumerate_moves,
+                               inverse, r3_triangle, transpose, validate_r3)
 from knotcocycle.cocycles import (Loop, alpha31, evaluate_loop, rot_loop,
                                   system_dimensions, v2, verify_cocycle)
-from knotcocycle.rational_linalg import SparseMatrix, _eliminate, rank
+from knotcocycle.rational_linalg import SparseMatrix, residual, rref
 from knotcocycle.strata import (classify_scenes, collect_rows, dedupe_meridians,
                                 enumerate_cube_meridians, normalise_row,
                                 restrict_to_variables, reversal_on_rows,
@@ -86,11 +84,9 @@ def _cube_walk_states(fixtures_dir):
         for gap in gaps:
             (a, _), (b, _) = edge_flanks(d, gap)
             third = next(x for x in triple if x not in (a, b))
-            word = list(d.word)
-            word[gap - 1], word[gap] = word[gap], word[gap - 1]
             signs = dict(d.signs)
             signs[third] = -signs[third]
-            nxt = GaussDiagram(word, signs)
+            nxt = GaussDiagram(transpose(d, (gap,)).word, signs)
             if state_key(nxt) not in seen:
                 seen[state_key(nxt)] = nxt
                 frontier.append(nxt)
@@ -161,7 +157,7 @@ def _deg4_triangle_skeletons():
                     gaps4 = tuple(sorted(new_gaps))
                     if r3_triangle(d4, gaps4) is None or not validate_r3(d4, gaps4):
                         continue
-                    germ = Germ("R3", transpose_triple(d4, gaps4), d4, gaps4)
+                    germ = Germ("R3", transpose(d4, gaps4), d4, gaps4)
                     canon, _ = germ.canonical()
                     if canon not in seen:
                         seen.add(canon)
@@ -310,7 +306,7 @@ def _trivial_span_reducer(degree=3):
     cols = sorted({c for r in rows for c in r})
     col_index = {c: i for i, c in enumerate(cols)}
     reindexed = [{col_index[c]: v for c, v in r.items()} for r in rows]
-    reduced, _ = _eliminate(reindexed, len(cols))
+    reduced, _ = rref(SparseMatrix(len(reindexed), len(cols), reindexed))
 
     def is_member(fs: FormalSum) -> bool:
         work = {}
@@ -319,18 +315,7 @@ def _trivial_span_reducer(degree=3):
             if key not in col_index:
                 return not c
             work[col_index[key]] = work.get(col_index[key], Fraction(0)) + c
-        work = {c: v for c, v in work.items() if v}
-        for prow in reduced:
-            lead = min(prow)
-            f = work.get(lead)
-            if f:
-                for c, v in prow.items():
-                    nv = work.get(c, Fraction(0)) - f * v
-                    if nv == 0:
-                        work.pop(c, None)
-                    else:
-                        work[c] = nv
-        return not work
+        return not residual(reduced, {c: v for c, v in work.items() if v})
 
     return is_member
 

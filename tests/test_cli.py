@@ -142,3 +142,19 @@ def test_invariants_rejects_negative_degree(capsys):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("moves", [
+    [{"kind": "R1_birth", "data": [0, "TH", 1]}],  # does not close
+    [{"kind": "R1_death", "data": [99]}],          # no such arrow
+])
+def test_eval_loop_rejects_malformed_loops(moves, tmp_path, capsys):
+    from knotcocycle import fixtures_io as fio
+    initial = fio.load_json(FIXTURES / "knots" / "trefoil.json")
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"initial": initial, "moves": moves}))
+    assert main(["--fixtures", str(FIXTURES), "eval-loop", "--loop", str(path)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == ""

@@ -102,7 +102,9 @@ def test_embedding_count_agrees_with_s_i_route():
 
 def test_pair_bilinear_in_first_slot():
     rng = random.Random(3)
-    g = random_gauss_diagram(rng, 3, steps=8)
+    g = random_gauss_diagram(rng, 3)
+    while g.degree < 2:  # on a smaller diagram most pairings vanish
+        g = random_gauss_diagram(rng, 3)
     a1 = random_arrow_diagram(rng, 3)
     a2 = random_arrow_diagram(rng, 3)
     s = FormalSum([(a1, Fraction(2)), (a2, Fraction(-3, 2))])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from knotcocycle.rational_linalg import (SparseMatrix, in_row_span, kernel_basis,
-                                         rank, rref, solve_in_span)
+                                         rank, residual, rref, solve_in_span)
 
 
 def dense_rank_oracle(rows, ncols):
@@ -116,3 +116,69 @@ def test_in_row_span():
 def test_duplicate_triplets_rejected():
     with pytest.raises(ValueError):
         SparseMatrix.from_triplets(1, 2, [(0, 0, 1), (0, 0, 2)])
+
+
+def _random_rows(rng, nrows, ncols):
+    rows = []
+    for _ in range(nrows):
+        row = {c: Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
+               for c in range(ncols) if rng.random() < 0.5}
+        rows.append({c: v for c, v in row.items() if v})
+    return rows
+
+
+def test_residual_empty_exactly_in_span():
+    rng = random.Random(31)
+    for _ in range(40):
+        nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 7)
+        m = SparseMatrix(nrows, ncols, _random_rows(rng, nrows, ncols))
+        reduced, _ = rref(m)
+        # combinations of the rows are in the span, random rows mostly not
+        combo = {}
+        for row in m.rows:
+            for c, v in row.items():
+                combo[c] = combo.get(c, Fraction(0)) + 2 * v
+        combo = {c: v for c, v in combo.items() if v}
+        assert not residual(reduced, combo)
+        for x in (combo, *_random_rows(rng, 3, ncols)):
+            assert (not residual(reduced, x)) == in_row_span(m, x)
+
+
+def test_residual_ignores_rows_of_the_matrix():
+    rng = random.Random(37)
+    for _ in range(40):
+        nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 7)
+        m = SparseMatrix(nrows, ncols, _random_rows(rng, nrows, ncols))
+        reduced, _ = rref(m)
+        (x,) = _random_rows(rng, 1, ncols)
+        for row in m.rows:
+            shifted = dict(x)
+            for c, v in row.items():
+                shifted[c] = shifted.get(c, Fraction(0)) + v
+            shifted = {c: v for c, v in shifted.items() if v}
+            assert residual(reduced, shifted) == residual(reduced, x)
+
+
+def test_residual_misses_pivot_columns():
+    rng = random.Random(41)
+    for _ in range(40):
+        nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 7)
+        reduced, pivots = rref(SparseMatrix(nrows, ncols, _random_rows(rng, nrows, ncols)))
+        for x in _random_rows(rng, 3, ncols):
+            assert not set(residual(reduced, x)) & set(pivots)
+
+
+def test_solution_without_zero_coefficient_is_unique():
+    rng = random.Random(43)
+    for _ in range(60):
+        nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 6)
+        rows = _random_rows(rng, nrows, ncols)
+        combo = {}
+        for row in rows:
+            f = Fraction(rng.randrange(-2, 3))
+            for c, v in row.items():
+                combo[c] = combo.get(c, Fraction(0)) + f * v
+        sol = solve_in_span(rows, {c: v for c, v in combo.items() if v})
+        assert sol is not None
+        if all(sol):
+            assert rank(SparseMatrix(nrows, ncols, rows)) == nrows

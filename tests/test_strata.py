@@ -8,7 +8,7 @@ from knotcocycle.diagrams import FormalSum
 from knotcocycle.germs import KIND_P, KIND_R3
 from knotcocycle.strata import (Meridian, banned_variable, classify_scenes,
                                 dedupe_meridians, enumerate_cube_meridians,
-                                homogeneous_parts, i_meridian, meridian_without,
+                                homogeneous_parts, i_meridian, meridian_key, meridian_without,
                                 normalise_row, picture_fingerprint,
                                 restrict_to_variables, reversal_on_rows,
                                 row_of_meridian, ti_meridian, variable_basis)
@@ -21,6 +21,12 @@ def test_meridian_counts(cube_meridians):
         pictures.setdefault(picture_fingerprint(m), []).append(m)
     assert len(pictures) == 48
     assert all(len(v) == 3 for v in pictures.values())
+
+
+def test_raw_cube_meridians_are_distinct():
+    # Relabelling the two active arrows must not enumerate a scene twice.
+    keys = [meridian_key(m) for m in enumerate_cube_meridians(0)]
+    assert len(keys) == len(set(keys)) == 288
 
 
 def test_meridians_close_and_bound_zero(cube_meridians):
@@ -39,6 +45,9 @@ def test_six_scene_classes(cube_meridians):
         assert len(cls["meridians"]) == 24
     assert scenes["c"]["eq_count"] == 3 and not scenes["c"]["four_term"]
     assert scenes["d"]["four_term"] and scenes["e"]["four_term"]
+    # a subset of the meridians lacks the six scenes: no fallback labels
+    with pytest.raises(RuntimeError):
+        classify_scenes(cube_meridians[:24], variables, var_index)
 
 
 def test_row_set_closed_under_arrow_reversal(cube_meridians):
