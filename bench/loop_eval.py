@@ -1,0 +1,108 @@
+"""Rotation-loop evaluation time against the size of the knot.
+
+Usage:  python3 bench/loop_eval.py [--src DIR] [--label NAME]
+
+For the connected sums figure8^n, n = 1..5, builds the rotation loop and
+times ``evaluate_loop(alpha31, loop)`` with the ``knotcocycle`` package of
+the source tree DIR (default: this repository), each point in its own
+process.  A point that does not finish within BUDGET_S seconds is
+recorded as skipped, and so are the larger ones after it.  The run is
+stored under NAME in BENCH_loop_eval.json at the repository root, next
+to the runs already there, with the tree's git revision, whether its
+sources had uncommitted changes, the Python version and the machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+OUT = REPO / "BENCH_loop_eval.json"
+SIZES = range(1, 6)
+REPEATS = 3
+BUDGET_S = 120.0  # per point, loop building included
+
+# One point, run in a child process with argv (fixtures, n, repeats); it
+# prints the point as JSON.  Each repeat evaluates a fresh Loop, so its
+# time includes the replay of the move schedule, as in `rot-test`.
+POINT = """
+import json, statistics, sys, time
+from knotcocycle import fixtures_io as fio
+from knotcocycle.cocycles import Loop, alpha31, evaluate_loop, rot_loop
+from knotcocycle.morse import connected_sum
+fixtures, n, repeats = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+events = connected_sum(*[fio.load_morse(fio.resolve_fixtures(fixtures), "figure8")] * n)
+alpha = alpha31(fixtures)
+loop = rot_loop(events)
+times = []
+for _ in range(repeats):
+    fresh = Loop(loop.initial, loop.moves)
+    t = time.perf_counter()
+    value = evaluate_loop(alpha, fresh)
+    times.append(time.perf_counter() - t)
+print(json.dumps({"n": n, "moves": len(loop.moves),
+                  "r3_moves": sum(1 for m in loop.moves if m.kind == "R3"),
+                  "max_loop_degree": max(d.degree for d in loop.diagrams()),
+                  "value": str(value), "evaluate_loop_s": statistics.median(times),
+                  "repeats": repeats}))
+"""
+
+
+def _git(src: Path, *args) -> str | None:
+    try:
+        proc = subprocess.run(["git", "-C", str(src), *args], capture_output=True,
+                              text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def measure(src: Path) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=str(src / "src"))
+    points = []
+    for n in SIZES:
+        if points and "skipped" in points[-1]:
+            points.append({"n": n, "skipped": f"figure8^{n - 1} exceeded the budget"})
+            continue
+        cmd = [sys.executable, "-c", POINT, str(src / "fixtures"), str(n), str(REPEATS)]
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
+                                  timeout=BUDGET_S)
+        except subprocess.TimeoutExpired:
+            points.append({"n": n, "skipped": f"over the {BUDGET_S:g} s budget"})
+            continue
+        if proc.returncode != 0:
+            raise RuntimeError(f"figure8^{n} failed:\n{proc.stderr}")
+        points.append(json.loads(proc.stdout))
+        print(json.dumps(points[-1]), file=sys.stderr)
+    return points
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    ap.add_argument("--src", type=Path, default=REPO, help="source tree to measure")
+    ap.add_argument("--label", default="change", help="name of the run in the output")
+    args = ap.parse_args(argv)
+
+    src = args.src.resolve()
+    run = {"git_revision": _git(src, "rev-parse", "HEAD"),
+           "uncommitted_changes": bool(_git(src, "status", "--porcelain", "--", "src")),
+           "python": platform.python_version(), "machine": platform.machine(),
+           "nproc": os.cpu_count(), "budget_s": BUDGET_S,
+           "points": measure(src)}
+    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
+    doc.setdefault("workload", "evaluate_loop(alpha31, rot_loop(figure8^n)), n = 1..5; "
+                               f"median of {REPEATS} runs per point")
+    doc.setdefault("runs", {})[args.label] = run
+    OUT.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

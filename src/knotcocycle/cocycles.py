@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, pair
-from .germs import Germ, enumerate_arrow_diagrams, make_germ, ti
+from .germs import Germ, enumerate_arrow_diagrams, make_germ, pair_germ
 from .coboundary import coboundary
 from .moves import Move, apply_move, inverse
 from . import fixtures_io as fio
@@ -102,12 +102,18 @@ def _translate_ids(m: Move, phi: dict) -> Move:
 
 
 def evaluate_loop(alpha: FormalSum, loop: Loop) -> Fraction:
-    """Sum of the germ pairings over the R3 moves of a closed loop."""
+    """Sum of the germ pairings over the R3 moves of a closed loop.
+
+    Each R3 germ is paired through ``pair_germ``, which expands only the
+    subgerms in the degrees of alpha's terms: for alpha31 that is
+    1 + 3(n-3) subgerms per move of degree n, so a loop costs O(n) per R3
+    move instead of 2^n.
+    """
     loop.check_closed()
     total = Fraction(0)
     for germ, move in loop.germs():
         if move.kind == "R3":
-            total += alpha.dot(ti(germ))
+            total += pair_germ(alpha, germ)
     return total
 
 

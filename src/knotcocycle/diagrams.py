@@ -282,34 +282,25 @@ def pair(a: ArrowDiagram, g: GaussDiagram) -> Fraction:
 
 
 def pair_embedding_count(a: ArrowDiagram, g: GaussDiagram) -> Fraction:
+    a = a.canonical()
     ids_a = a.arrow_ids()
     ids_g = g.arrow_ids()
     if len(ids_a) > len(ids_g):
         return Fraction(0)
-    pos_a = {t: i for i, t in enumerate(a.canonical().word)}
+    pos_g = {t: j for j, t in enumerate(g.word)}
     total = Fraction(0)
     # Choose an ordered assignment of distinct arrows of g to the arrows of a.
     for chosen in itertools.permutations(ids_g, len(ids_a)):
         assign = dict(zip(ids_a, chosen))
         # Induced positions of a's tokens inside g must be order-isomorphic
         # to a's own word, with matching tail/head kinds.
-        gpos = {}
-        ok = True
-        for (aid, kind), i in pos_a.items():
-            gt = (assign[aid], kind)
-            found = None
-            for j, t in enumerate(g.word):
-                if t == gt:
-                    found = j
-                    break
-            if found is None:
-                ok = False
+        last = -1
+        for aid, kind in a.word:
+            j = pos_g[(assign[aid], kind)]
+            if j <= last:
                 break
-            gpos[i] = found
-        if not ok:
-            continue
-        order = [gpos[i] for i in range(len(pos_a))]
-        if all(order[i] < order[i + 1] for i in range(len(order) - 1)):
+            last = j
+        else:
             w = 1
             for aid in chosen:
                 w *= g.signs[aid]

@@ -253,7 +253,7 @@ def _rot_profiles(var_index):
         loop = Loop(*rot_moves(FIXTURE_MORSE[name]))
         for (germ, move), tag in zip(loop.germs(), loop.tags):
             if move.kind == "R3":
-                for key, c in ti(germ).items():
+                for key, c in ti(germ, {3}).items():
                     j = var_index.get(key)
                     if j is not None:
                         rec = profile.setdefault(j, [Fraction(0)] * 4)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .diagrams import ArrowDiagram, FormalSum, GaussDiagram
 from .germs import Germ
-from .moves import Move
+from .moves import Move, R1_BIRTH, R1_DEATH, R2_BIRTH, R2_DEATH, R3
 
 ENV_VAR = "KNOT_COCYCLE_FIXTURES"
 
@@ -28,6 +28,49 @@ def resolve_fixtures(explicit=None) -> Path:
     return Path("fixtures")
 
 
+def _int(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _list(xs, n: int | None, what: str) -> list:
+    if not isinstance(xs, list) or (n is not None and len(xs) != n):
+        size = "a list" if n is None else f"a list of {n} items"
+        raise ValueError(f"{what} must be {size}, got {xs!r}")
+    return xs
+
+
+def _ints(xs, n: int, what: str) -> tuple[int, ...]:
+    return tuple(_int(x, what) for x in _list(xs, n, what))
+
+
+def _dict(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    return obj
+
+
+# The data layout of each move kind, one ``_field`` spec per entry.
+_MOVE_DATA = {
+    R1_BIRTH: (int, ("TH", "HT"), (1, -1)),
+    R1_DEATH: (int,),
+    R2_BIRTH: (int, int, (True, False), (True, False), (1, -1)),
+    R2_DEATH: (int, int),
+    R3: (int, int, int),
+}
+
+
+def _field(x, spec, what: str):
+    """x checked against spec: int, or a tuple of the allowed values."""
+    if spec is int:
+        return _int(x, what)
+    # Compare types too: JSON true would otherwise pass as the sign 1.
+    if not any(type(x) is type(a) and x == a for a in spec):
+        raise ValueError(f"{what} must be one of {spec}, got {x!r}")
+    return x
+
+
 def diagram_to_json(d: ArrowDiagram) -> dict:
     out = {
         "degree": d.degree,
@@ -39,9 +82,14 @@ def diagram_to_json(d: ArrowDiagram) -> dict:
 
 
 def diagram_from_json(obj: dict):
-    word = [(int(t["id"]), t["kind"]) for t in obj["word"]]
+    obj = _dict(obj, "diagram")
+    word = []
+    for t in _list(obj["word"], None, "word"):
+        t = _dict(t, "token")
+        word.append((_int(t["id"], "arrow id"), t["kind"]))
     if "signs" in obj:
-        return GaussDiagram(word, {int(a): int(s) for a, s in obj["signs"].items()})
+        signs = _dict(obj["signs"], "signs")
+        return GaussDiagram(word, {int(a): _field(s, (1, -1), "sign") for a, s in signs.items()})
     return ArrowDiagram(word)
 
 
@@ -59,12 +107,17 @@ def germ_to_json(g: Germ) -> dict:
 
 
 def germ_from_json(obj: dict) -> Germ:
+    obj = _dict(obj, "germ")
     kind = obj["kind"]
     dist = obj["dist"]
-    if kind == "R2":
-        dist = frozenset(dist)
+    if kind in ("R1", "P"):
+        dist = _int(dist, f"{kind} dist")
+    elif kind == "R2":
+        dist = frozenset(_ints(dist, 2, "R2 dist"))
     elif kind == "R3":
-        dist = tuple(dist)
+        dist = _ints(dist, 3, "R3 dist")
+    else:
+        raise ValueError(f"unknown germ kind {kind!r}")
     return Germ(kind, diagram_from_json(obj["g0"]), diagram_from_json(obj["g1"]), dist)
 
 
@@ -73,7 +126,14 @@ def move_to_json(m: Move) -> dict:
 
 
 def move_from_json(obj: dict) -> Move:
-    return Move(obj["kind"], tuple(obj["data"]))
+    """A move, its data checked against the layout of its kind."""
+    obj = _dict(obj, "move")
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _MOVE_DATA:
+        raise ValueError(f"unknown move kind {kind!r}")
+    spec = _MOVE_DATA[kind]
+    data = _list(obj["data"], len(spec), f"{kind} data")
+    return Move(kind, tuple(_field(x, t, f"{kind} data") for x, t in zip(data, spec)))
 
 
 def formula_to_json(fs: FormalSum) -> list:
@@ -83,10 +143,14 @@ def formula_to_json(fs: FormalSum) -> list:
 
 
 def formula_from_json(obj: list) -> FormalSum:
+    """A formula; each coefficient is [numerator, nonzero denominator]."""
     out = FormalSum()
-    for item in obj:
+    for item in _list(obj, None, "formula"):
+        item = _dict(item, "formula term")
         g = germ_from_json(item["germ"])
-        n, d = item["coeff"]
+        n, d = _ints(item["coeff"], 2, "coeff")
+        if d == 0:
+            raise ValueError("coeff has a zero denominator")
         out.add(g, Fraction(n, d))
     return out
 

@@ -68,21 +68,25 @@ class Meridian:
                         self.bystanders)
 
 
-def i_meridian(m: Meridian, s: frozenset[int]) -> FormalSum:
-    """I(m; s): subgerms keeping the bystanders in s and losing the others."""
+def i_meridian(m: Meridian, s: frozenset[int], degrees=None) -> FormalSum:
+    """I(m; s): subgerms keeping the bystanders in s and losing the others.
+
+    ``degrees`` restricts the output to subgerms of those degrees, as in
+    ``germs.subgerms``.
+    """
     if not s <= m.bystanders:
         raise ValueError("s must be a set of bystanders")
     drop = m.bystanders - s
     out = FormalSum()
     for germ in m.germs:
-        for key, c in subgerms(germ, s, drop).items():
+        for key, c in subgerms(germ, s, drop, degrees).items():
             out.add(key, c)
     return out
 
 
-def ti_meridian(m: Meridian, s: frozenset[int]) -> FormalSum:
+def ti_meridian(m: Meridian, s: frozenset[int], degrees=None) -> FormalSum:
     """T(I(m; s)): bystanders outside s removed, those in s retained."""
-    return t_map(i_meridian(m, s))
+    return t_map(i_meridian(m, s, degrees))
 
 
 def meridian_without(m: Meridian, removed: frozenset[int]) -> Meridian:
@@ -259,7 +263,7 @@ def normalise_row(row: dict[int, Fraction]) -> tuple:
 
 def meridian_equation(m: Meridian, s: frozenset[int] = frozenset()) -> FormalSum:
     """The degree-3 equation of a meridian: the degree-3 part of T(I(m; s))."""
-    return homogeneous_parts(ti_meridian(m, s)).get(3, FormalSum())
+    return ti_meridian(m, s, {3})
 
 
 def equation_row(part: FormalSum, var_index) -> tuple:

@@ -147,6 +147,7 @@ def test_invariants_rejects_negative_degree(capsys):
 @pytest.mark.parametrize("moves", [
     [{"kind": "R1_birth", "data": [0, "TH", 1]}],  # does not close
     [{"kind": "R1_death", "data": [99]}],          # no such arrow
+    [{"kind": "R1_birth", "data": ["x", "TH", 1]}],  # gap is not an integer
 ])
 def test_eval_loop_rejects_malformed_loops(moves, tmp_path, capsys):
     from knotcocycle import fixtures_io as fio
@@ -154,6 +155,25 @@ def test_eval_loop_rejects_malformed_loops(moves, tmp_path, capsys):
     path = tmp_path / "loop.json"
     path.write_text(json.dumps({"initial": initial, "moves": moves}))
     assert main(["--fixtures", str(FIXTURES), "eval-loop", "--loop", str(path)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda t: t.update(coeff=[1, 0]),
+    lambda t: t.update(coeff=[0.1, 1]),
+    lambda t: t["germ"].update(dist=5),
+    lambda t: t["germ"]["g1"]["word"][0].update(id=1.5),
+], ids=["zero-denominator", "float-coeff", "scalar-r3-dist", "float-arrow-id"])
+def test_verify_rejects_malformed_formulas(spoil, tmp_path, capsys):
+    from knotcocycle import fixtures_io as fio
+    formula = fio.load_json(FIXTURES / "formulas" / "alpha31.json")
+    spoil(next(t for t in formula if t["germ"]["kind"] == "R3"))
+    path = tmp_path / "formula.json"
+    path.write_text(json.dumps(formula))
+    assert main(["--fixtures", str(FIXTURES), "verify", "--formula", str(path)]) == 2
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")

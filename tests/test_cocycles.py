@@ -9,6 +9,8 @@ from knotcocycle.coboundary import coboundary
 from knotcocycle.diagrams import FormalSum, GaussDiagram, parse_diagram
 from knotcocycle.germs import make_germ
 from knotcocycle.moves import MOVE_KINDS, apply_move, enumerate_moves, inverse
+from knotcocycle.morse import connected_sum, trace
+from knotcocycle import fixtures_io as fio
 from conftest import random_gauss_diagram, random_move
 
 
@@ -134,3 +136,18 @@ def test_verify_reports_coboundaries_up_to_the_degree_as_trivial(fixtures_dir, d
         rep = verify_cocycle(coboundary(a).total(), system=degree3_system,
                              fixtures=fixtures_dir)
         assert rep.passed and rep.trivial, a
+
+
+@pytest.mark.parametrize("spec", [
+    "figure8+figure8+figure8+figure8+figure8",
+    "trefoil+figure8+trefoil",
+    "trefoil+trefoil+trefoil+trefoil",
+    "unknot+trefoil+figure8+figure8",
+    "figure8+trefoil+trefoil+figure8+trefoil",
+])
+def test_rotation_identity_on_connected_sums(spec, fixtures_dir, knots):
+    names = spec.split("+")
+    events = connected_sum(*(fio.load_morse(fixtures_dir, n) for n in names))
+    value = evaluate_loop(alpha31(fixtures_dir), rot_loop(events))
+    assert value == -sum(v2(knots[n], fixtures_dir) for n in names)
+    assert value == -v2(trace(events).diagram, fixtures_dir)

@@ -100,6 +100,13 @@ def test_embedding_count_agrees_with_s_i_route():
         assert pair_embedding_count(a, g) == pair_via_completions(a, g)
 
 
+def test_pair_ignores_the_arrow_ids_of_the_formula(knots):
+    for text in ("1; T5 H5", "2; T7 T3 H7 H3", "2; T2 T1 H1 H2"):
+        a = parse_diagram(text)
+        for g in knots.values():
+            assert pair(a, g) == pair(a.canonical(), g) == pair_via_completions(a, g)
+
+
 def test_pair_bilinear_in_first_slot():
     rng = random.Random(3)
     g = random_gauss_diagram(rng, 3)

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from knotcocycle.coboundary import coboundary
+from knotcocycle.cocycles import alpha31
 from knotcocycle.diagrams import FormalSum, GaussDiagram, parse_diagram
 from knotcocycle.fixtures_io import germ_from_json, load_json
 from knotcocycle.germs import (Germ, boundary, canonical_term,
@@ -11,8 +14,9 @@ from knotcocycle.germs import (Germ, boundary, canonical_term,
                                make_germ, monotonic_reduce, pair_germ,
                                pair_germ_via_s, partial_germ_into, s_map,
                                subgerms, ti, triangle_relator)
-from knotcocycle.moves import MOVE_KINDS, apply_move, enumerate_moves, r1_birth
-from conftest import random_gauss_diagram, random_move
+from knotcocycle.moves import (MOVE_KINDS, apply_move, enumerate_moves, r1_birth,
+                               split_gaps)
+from conftest import FIXTURES, random_gauss_diagram, random_move
 
 
 def test_make_germ_r1_birth():
@@ -174,3 +178,71 @@ def test_s_map_signs():
     p = next(iter(enumerate_partial_germs(2)))
     sm = s_map(FormalSum([(p, Fraction(1))]))
     assert sum(abs(c) for _, c in sm.items()) == 4  # 2^degree completions
+
+
+def _germs_of_every_kind(rng, per_kind=4, min_degree=4, max_degree=7):
+    """Random Gauss germs with bystanders: R1, R2, R3 and partial germs."""
+    found = {"R1": [], "R2": [], "R3": [], "P": []}
+    while min(len(v) for v in found.values()) < per_kind:
+        g = random_gauss_diagram(rng, max_degree)
+        germs = [make_germ(g, rng.choice(moves)) for moves in
+                 (enumerate_moves(g, kind) for kind in MOVE_KINDS) if moves]
+        gaps = split_gaps(g)
+        if gaps:
+            germs.append(partial_germ_into(g, rng.choice(gaps)))
+        for germ in germs:
+            if germ.degree >= min_degree:
+                found[germ.kind].append(germ)
+    return [germ for kind in found.values() for germ in kind[:per_kind]]
+
+
+def _restricted(fs, degrees):
+    return [(k, c) for k, c in fs.items() if k.degree in degrees]
+
+
+def test_degree_restricted_subgerms_are_the_degree_parts_in_order():
+    germs = _germs_of_every_kind(random.Random(12))
+    for germ in germs:
+        full = subgerms(germ)
+        for k in range(germ.degree + 1):
+            assert list(subgerms(germ, degrees={k}).items()) == _restricted(full, {k})
+        both = {germ.degree, germ.degree - 1}
+        assert list(subgerms(germ, degrees=both).items()) == _restricted(full, both)
+        assert subgerms(germ, degrees=None) == full
+    chain = FormalSum((g, Fraction(i + 1)) for i, g in enumerate(germs))
+    assert list(ti(chain, {3}).items()) == _restricted(ti(chain), {3})
+
+
+def _formulas():
+    """alpha31, dA for A of degree <= 4, and alpha31 + dA for deg A = 2."""
+    a = alpha31(FIXTURES)
+    diagrams = ["0; ", "1; T1 H1", "2; T1 T2 H1 H2", "2; T1 H2 H1 T2",
+                "3; T1 T2 H1 T3 H2 H3", "3; T1 H2 T3 H1 T2 H3",
+                "4; T1 T2 H3 H1 T4 H2 T3 H4", "4; T1 H2 T3 H4 H1 T2 H3 T4"]
+    coboundaries = [coboundary(parse_diagram(d)).total() for d in diagrams]
+    mixed = [a + db for db in coboundaries[2:4]]
+    return [a] + coboundaries + mixed
+
+
+FORMULAS = _formulas()
+
+
+@given(st.randoms())
+@settings(max_examples=40, deadline=None)
+def test_pair_germ_matches_the_full_expansion(rng):
+    g = random_gauss_diagram(rng, 7)
+    germs = []
+    m = random_move(rng, g)
+    if m is not None:
+        germs.append(make_germ(g, m))
+    # random_move rarely picks an R3 move: draw diagrams until one has one.
+    for _ in range(100):
+        r3s = enumerate_moves(g, "R3")
+        if r3s:
+            germs.append(make_germ(g, rng.choice(r3s)))
+            break
+        g = random_gauss_diagram(rng, 7)
+    for germ in germs:
+        full = ti(germ)
+        for alpha in FORMULAS:
+            assert pair_germ(alpha, germ) == alpha.dot(full)

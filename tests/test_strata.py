@@ -8,8 +8,9 @@ from knotcocycle.diagrams import FormalSum
 from knotcocycle.germs import KIND_P, KIND_R3
 from knotcocycle.strata import (Meridian, banned_variable, classify_scenes,
                                 dedupe_meridians, enumerate_cube_meridians,
-                                homogeneous_parts, i_meridian, meridian_key, meridian_without,
-                                normalise_row, picture_fingerprint,
+                                homogeneous_parts, i_meridian, meridian_equation,
+                                meridian_key, meridian_without, normalise_row,
+                                picture_fingerprint,
                                 restrict_to_variables, reversal_on_rows,
                                 row_of_meridian, ti_meridian, variable_basis)
 
@@ -153,3 +154,17 @@ def test_i_meridian_splits_i_of_m():
             everything = everything + subgerms(germ)
         assert total == everything
         break
+
+
+def test_meridian_equation_is_the_degree_three_part(cube_meridians):
+    def degree_three_part(m, s):
+        return list(homogeneous_parts(ti_meridian(m, s)).get(3, FormalSum()).items())
+
+    for m in cube_meridians:
+        assert list(meridian_equation(m).items()) == degree_three_part(m, frozenset())
+    with_bystander = [m for m in itertools.islice(enumerate_cube_meridians(1), 400)
+                      if m.bystanders]
+    assert len(with_bystander) >= 40
+    for m in with_bystander[::10]:
+        for s in (frozenset(), m.bystanders):
+            assert list(meridian_equation(m, s).items()) == degree_three_part(m, s)
