@@ -1,0 +1,181 @@
+"""Stage times and work counts of `python -m knotcocycle.fixturegen`.
+
+Usage:  python3 bench/fixturegen_stages.py [--src DIR] [--label NAME] [--repeats N]
+
+Times each stage of the fixture generator with the ``knotcocycle``
+package of the source tree DIR (default: this repository), each
+measurement in its own process on fixed inputs; a stage's inputs are
+built before its clock starts.  The stages are
+
+  enumerate_cube_meridians_0  list(enumerate_cube_meridians(0))
+  enumerate_dedupe            dedupe_meridians(enumerate_cube_meridians(0))
+  classify_scenes             classify_scenes on the 144 deduplicated meridians
+  collect_rows                collect_rows on those meridians, none expanded yet
+  quadruple_meridians         quadruple_meridians()
+  derive_alpha31              derive_alpha31 on the assembled degree-3 system
+  total                       a cold `python -m knotcocycle.fixturegen` process
+
+and each is the median of N processes (default 5).  One more process
+runs the whole generator once with counting wrappers and records the
+calls of ``strata.ti_meridian``, ``Germ.canonical`` and
+``moves.r3_triangle`` and the diagram constructions
+(``ArrowDiagram.__init__``, which ``GaussDiagram`` also runs).  The run
+is stored under NAME in BENCH_fixturegen.json at the repository root,
+next to the runs already there, with the tree's git revision, whether
+its sources had uncommitted changes, the Python version and the machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+OUT = REPO / "BENCH_fixturegen.json"
+REPEATS = 5
+TIMEOUT_S = 300.0
+
+# One stage, run in a child process with argv (stage, fixtures); it
+# prints the stage's seconds.  Inputs are prepared before the clock starts.
+STAGE = """
+import sys, time
+from knotcocycle import strata
+from knotcocycle.cocycles import assemble_default_system
+from knotcocycle.fixturegen import derive_alpha31
+from knotcocycle.quadruple import quadruple_meridians
+stage, fixtures = sys.argv[1], sys.argv[2]
+
+def meridians():
+    return strata.dedupe_meridians(strata.enumerate_cube_meridians(0))
+
+if stage == "enumerate_cube_meridians_0":
+    run = lambda: list(strata.enumerate_cube_meridians(0))
+elif stage == "enumerate_dedupe":
+    run = meridians
+elif stage == "classify_scenes":
+    ms, variables = meridians(), strata.variable_basis(3)
+    var_index = {g: j for j, g in enumerate(variables)}
+    run = lambda: strata.classify_scenes(ms, variables, var_index)
+elif stage == "collect_rows":
+    ms = meridians()
+    strata.variable_basis(3)
+    run = lambda: strata.collect_rows(ms)
+elif stage == "quadruple_meridians":
+    run = quadruple_meridians
+elif stage == "derive_alpha31":
+    system = assemble_default_system(fixtures)
+    run = lambda: derive_alpha31(system)
+else:
+    raise SystemExit(f"unknown stage {stage}")
+t = time.perf_counter()
+run()
+print(time.perf_counter() - t)
+"""
+STAGES = ("enumerate_cube_meridians_0", "enumerate_dedupe", "classify_scenes",
+          "collect_rows", "quadruple_meridians", "derive_alpha31")
+
+# One full fixture generation with counting wrappers; argv (out dir).  A
+# function is replaced on every module that imported it by name.
+COUNTS = """
+import json, sys
+from knotcocycle import cocycles, coboundary, diagrams, fixturegen, germs, moves, quadruple, strata
+modules = (cocycles, coboundary, diagrams, fixturegen, germs, moves, quadruple, strata)
+counts = {}
+
+def counting(name, fn):
+    counts[name] = 0
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+for name, module in (("ti_meridian", strata), ("r3_triangle", moves)):
+    wrapper = counting(f"{module.__name__.split('.')[-1]}.{name}", getattr(module, name))
+    for m in modules:
+        if getattr(m, name, None) is getattr(module, name) and m is not module:
+            setattr(m, name, wrapper)
+    setattr(module, name, wrapper)
+germs.Germ.canonical = counting("germs.Germ.canonical", germs.Germ.canonical)
+diagrams.ArrowDiagram.__init__ = counting("diagrams.ArrowDiagram.__init__",
+                                          diagrams.ArrowDiagram.__init__)
+fixturegen.generate_all(sys.argv[1])
+print(json.dumps(counts))
+"""
+
+
+def _git(src: Path, *args) -> str | None:
+    try:
+        proc = subprocess.run(["git", "-C", str(src), *args], capture_output=True,
+                              text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _child(src: Path, cmd: list[str]) -> str:
+    env = dict(os.environ, PYTHONPATH=str(src / "src"))
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=src,
+                          timeout=TIMEOUT_S)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd[:4])} failed:\n{proc.stderr}")
+    return proc.stdout
+
+
+def measure(src: Path, repeats: int) -> tuple[dict, dict]:
+    fixtures = str(src / "fixtures")
+    times: dict[str, list[float]] = {name: [] for name in (*STAGES, "total")}
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(repeats):
+            for name in STAGES:
+                out = _child(src, [sys.executable, "-c", STAGE, name, fixtures])
+                times[name].append(float(out))
+            t = time.perf_counter()
+            _child(src, [sys.executable, "-m", "knotcocycle.fixturegen",
+                         "--out", str(Path(tmp) / "total")])
+            times["total"].append(time.perf_counter() - t)
+        counts = json.loads(_child(src, [sys.executable, "-c", COUNTS,
+                                         str(Path(tmp) / "counts")]))
+    stages = {name: {"median_s": statistics.median(ts), "runs_s": ts}
+              for name, ts in times.items()}
+    for name, rec in stages.items():
+        print(f"{name:28s} {rec['median_s']:.3f} s", file=sys.stderr)
+    print(json.dumps(counts), file=sys.stderr)
+    return stages, counts
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    ap.add_argument("--src", type=Path, default=REPO, help="source tree to measure")
+    ap.add_argument("--label", default="change", help="name of the run in the output")
+    ap.add_argument("--repeats", type=int, default=REPEATS,
+                    help="processes per stage (the median is recorded)")
+    args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+
+    src = args.src.resolve()
+    stages, counts = measure(src, args.repeats)
+    run = {"git_revision": _git(src, "rev-parse", "HEAD"),
+           "uncommitted_changes": bool(_git(src, "status", "--porcelain", "--", "src")),
+           "python": platform.python_version(), "machine": platform.machine(),
+           "nproc": os.cpu_count(), "repeats": args.repeats,
+           "stages": stages, "counts": counts}
+    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
+    doc.setdefault("workload", "python -m knotcocycle.fixturegen and its stages, "
+                               f"median of {args.repeats} processes per stage; "
+                               "counts from one run of the whole generator")
+    doc.setdefault("runs", {})[args.label] = run
+    OUT.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

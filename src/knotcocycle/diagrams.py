@@ -72,10 +72,16 @@ class ArrowDiagram:
         m = self.relabelling()
         return ArrowDiagram((m[a], k) for a, k in self.word)
 
+    def _canonical_word(self) -> tuple[Token, ...]:
+        """The word relabelled by first occurrence: the word itself if it already is."""
+        m = self.relabelling()
+        if all(a == i for a, i in m.items()):
+            return self.word
+        return tuple((m[a], k) for a, k in self.word)
+
     def canonical_key(self):
         if self._key is None:
-            m = self.relabelling()
-            self._key = tuple((m[a], k) for a, k in self.word)
+            self._key = self._canonical_word()
         return self._key
 
     def delete(self, ids: Iterable[int]) -> "ArrowDiagram":
@@ -119,10 +125,8 @@ class GaussDiagram(ArrowDiagram):
 
     def canonical_key(self):
         if self._key is None:
-            m = self.relabelling()
-            word = tuple((m[a], k) for a, k in self.word)
             signs = tuple(self.signs[a] for a in self.arrow_ids())
-            self._key = (word, signs)
+            self._key = (self._canonical_word(), signs)
         return self._key
 
     def sign_product(self) -> int:
@@ -159,6 +163,13 @@ EMPTY_GAUSS = GaussDiagram((), {})
 EMPTY_ARROW = ArrowDiagram(())
 
 
+def _exact(coeff) -> Fraction:
+    """A coefficient as a Fraction; floats are refused, as they are not exact."""
+    if isinstance(coeff, float):
+        raise TypeError(f"float coefficient {coeff!r}: use an int or a Fraction")
+    return Fraction(coeff)
+
+
 class FormalSum:
     """Finite rational linear combination of hashable basis keys.
 
@@ -175,7 +186,7 @@ class FormalSum:
             self.add(k, v)
 
     def add(self, key, coeff) -> None:
-        c = self._c.get(key, 0) + Fraction(coeff)
+        c = self._c.get(key, 0) + _exact(coeff)
         if c == 0:
             self._c.pop(key, None)
         else:
@@ -215,7 +226,7 @@ class FormalSum:
         return self.scale(-1)
 
     def scale(self, c) -> "FormalSum":
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return FormalSum()
         return FormalSum((k, v * c) for k, v in self.items())
@@ -333,6 +344,8 @@ def parse_diagram(text: str) -> GaussDiagram | ArrowDiagram:
     ids = ArrowDiagram(word).arrow_ids()
     if len(parts[2]) != n:
         raise ValueError("sign string length must equal the degree")
+    if set(parts[2]) - {"+", "-"}:
+        raise ValueError(f"sign string {parts[2]!r} may hold only '+' and '-'")
     signs = {aid: (1 if ch == "+" else -1) for aid, ch in zip(ids, parts[2])}
     return GaussDiagram(word, signs)
 

@@ -30,7 +30,7 @@ from .moves import apply_move
 from .quadruple import quadruple_meridians
 from .rational_linalg import SparseMatrix, kernel_basis, residual, rref, solve_in_span
 from .strata import (System, assemble_system, classify_scenes, dedupe_meridians,
-                     enumerate_cube_meridians, equation_row, meridian_equation,
+                     enumerate_cube_meridians, equation_row, ti_meridian,
                      variable_basis)
 from . import fixtures_io as fio
 
@@ -173,7 +173,9 @@ def gen_strata(out: Path) -> System:
     novel = []
     seen = set()
     for m in quadruple_meridians():
-        part = meridian_equation(m)
+        # Used once, so expanded without keeping it on the meridian as
+        # meridian_equation does: the 24 equations would all stay alive.
+        part = ti_meridian(m, frozenset(), {3})
         norm = equation_row(part, var_index)
         if not norm or norm in seen:
             continue

@@ -125,7 +125,9 @@ class Germ:
         otherwise.
         """
         if self._canon is not None:
-            return self._canon
+            # A normal form marks itself True rather than holding (self, 1),
+            # so it is not a reference cycle and dies with its last user.
+            return (self, 1) if self._canon is True else self._canon
         sign = 1
         g = self
         if g.kind in (KIND_R3, KIND_P):
@@ -146,7 +148,7 @@ class Germ:
         else:
             dist = g.dist
         canon = Germ(g.kind, g0, g1, dist)
-        canon._canon = (canon, 1)
+        canon._canon = True
         self._canon = (canon, sign)
         return self._canon
 
@@ -245,6 +247,26 @@ def _delete_from_germ(germ: Germ, ids: set[int]) -> Germ:
     raise ValueError("no surviving distinguished edge")
 
 
+def _subgerm_walk(germ: Germ, keep: frozenset[int], drop: frozenset[int], degrees):
+    """The arrow sets that the subgerms of ``subgerms`` remove, in expansion order."""
+    dist = germ.distinguished_ids()
+    if (keep | drop) & dist:
+        raise ValueError("keep/drop sets must consist of non-distinguished arrows")
+    rest = [a for a in germ.arrow_ids() if a not in dist and a not in keep and a not in drop]
+    removable_dist: tuple = ((),)
+    if germ.kind == KIND_R3:
+        removable_dist = ((),) + tuple((x,) for x in sorted(dist))
+    top = germ.degree - len(drop)
+    for r in range(len(rest) + 1):
+        dds = [dd for dd in removable_dist
+               if degrees is None or top - r - len(dd) in degrees]
+        if not dds:
+            continue
+        for bys in itertools.combinations(rest, r):
+            for dd in dds:
+                yield drop.union(bys, dd)
+
+
 def subgerms(germ: Germ, keep: frozenset[int] = frozenset(),
              drop: frozenset[int] = frozenset(), degrees=None) -> FormalSum:
     """The map I: formal sum of all subgerms, canonically normalised.
@@ -264,44 +286,36 @@ def subgerms(germ: Germ, keep: frozenset[int] = frozenset(),
     order of the full expansion, so the result is the restriction of the
     full expansion to those degrees, key order included.
     """
-    dist = germ.distinguished_ids()
-    if (keep | drop) & dist:
-        raise ValueError("keep/drop sets must consist of non-distinguished arrows")
-    rest = [a for a in germ.arrow_ids() if a not in dist and a not in keep and a not in drop]
     out = FormalSum()
-    removable_dist: tuple = ((),)
-    if germ.kind == KIND_R3:
-        removable_dist = ((),) + tuple((x,) for x in sorted(dist))
-    top = germ.degree - len(drop)
-    for r in range(len(rest) + 1):
-        dds = [dd for dd in removable_dist
-               if degrees is None or top - r - len(dd) in degrees]
-        if not dds:
-            continue
-        for bys in itertools.combinations(rest, r):
-            for dd in dds:
-                sub = _delete_from_germ(germ, drop.union(bys, dd))
-                key, coeff = canonical_term(sub)
-                out.add(key, coeff)
+    for removed in _subgerm_walk(germ, keep, drop, degrees):
+        key, coeff = canonical_term(_delete_from_germ(germ, removed))
+        out.add(key, coeff)
     return out
 
 
-def forget_germ_signs(germ: Germ) -> tuple[Germ, Fraction]:
-    """The map T on a single germ: skeleton weighted by its sign product."""
+def add_ti(out: FormalSum, germ: Germ, coeff=1, keep: frozenset[int] = frozenset(),
+           drop: frozenset[int] = frozenset(), degrees=None) -> None:
+    """Add ``coeff`` T(I(germ)) to ``out``, expanding the unsigned skeleton.
+
+    T forgets the signs and weights a germ by their product; it is linear
+    and respects the antisymmetry (x, y) = -(y, x) of both germ bases.
+    So T(I(germ)) sums, over the subgerms S of the skeleton that
+    ``subgerms`` walks (same ``keep``, ``drop`` and ``degrees``), the
+    product of the signs of the arrows S keeps times the normal form of
+    S.  Each term costs one canonicalisation and four diagram
+    constructions, against two and about eight through a signed subgerm.
+    """
     if not germ.signed:
         raise ValueError("T applies to signed germs")
-    prod = germ.bigger().sign_product()
+    big = germ.bigger()
+    signs, prod = big.signs, big.sign_product()
     skel = Germ(germ.kind, germ.g0.skeleton(), germ.g1.skeleton(), germ.dist)
-    key, coeff = canonical_term(skel, prod)
-    return key, coeff
-
-
-def t_map(chain: FormalSum) -> FormalSum:
-    out = FormalSum()
-    for g, c in chain.items():
-        key, coeff = forget_germ_signs(g)
-        out.add(key, c * coeff)
-    return out
+    for removed in _subgerm_walk(skel, keep, drop, degrees):
+        weight = prod
+        for a in removed:
+            weight *= signs[a]
+        key, c = canonical_term(_delete_from_germ(skel, removed), coeff * weight)
+        out.add(key, c)
 
 
 def i_map(germ_or_chain, degrees=None) -> FormalSum:
@@ -323,10 +337,17 @@ def ti(germ_or_chain, degrees=None) -> FormalSum:
     """T(I(gamma)), or its part in the given germ degrees.
 
     T keeps the degree of every term, so restricting I to ``degrees``
-    restricts TI to them; the full expansion (``degrees=None``) costs
-    4 * 2^(n-3) canonicalisations for an R3 germ of degree n.
+    restricts TI to them.  Every term is one canonicalised subgerm of the
+    unsigned skeleton (``add_ti``); the full expansion of an R3 germ of
+    degree n has 4 * 2^(n-3) terms.
     """
-    return t_map(i_map(germ_or_chain, degrees))
+    out = FormalSum()
+    if isinstance(germ_or_chain, Germ):
+        add_ti(out, germ_or_chain, degrees=degrees)
+    else:
+        for g, c in germ_or_chain.items():
+            add_ti(out, g, c, degrees=degrees)
+    return out
 
 
 def s_map(alpha: FormalSum) -> FormalSum:
@@ -356,8 +377,9 @@ def pair_germ(alpha: FormalSum, gamma) -> Fraction:
 
     Only the subgerms in the degrees of alpha's terms can meet alpha, so
     only those are expanded: a degree-k formula costs C(n-3, k-3) +
-    3 C(n-3, k-2) canonicalisations on an R3 germ of degree n (1 + 3(n-3)
-    for alpha31) instead of the 4 * 2^(n-3) of the full ``ti``.
+    3 C(n-3, k-2) terms on an R3 germ of degree n (1 + 3(n-3) for
+    alpha31) instead of the 4 * 2^(n-3) of the full ``ti``, each one
+    canonicalisation of an unsigned subgerm.
     """
     return alpha.dot(ti(gamma, {k.degree for k in alpha.keys()}))
 

@@ -18,6 +18,7 @@ the up values are pairwise different and, on Gauss diagrams, when
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -127,22 +128,24 @@ def r3_triangle(d: ArrowDiagram, gaps) -> tuple[int, ...] | None:
     must bound exactly one of the edges.
     """
     gaps = tuple(sorted(gaps))
-    if len(gaps) != 3 or any(g2 - g1 < 2 for g1, g2 in zip(gaps, gaps[1:])):
+    word = d.word
+    if len(gaps) != 3:
         return None
-    pairs = []
+    g1, g2, g3 = gaps
+    if g2 - g1 < 2 or g3 - g2 < 2 or g1 < 1 or g3 > len(word) - 1:
+        return None
+    pairs = set()
     for g in gaps:
-        if not 1 <= g <= len(d.word) - 1:
-            return None
-        (a, _), (b, _) = edge_flanks(d, g)
+        a, b = word[g - 1][0], word[g][0]
         if a == b:
             return None
-        pairs.append(frozenset((a, b)))
-    arrows = frozenset().union(*pairs)
-    if len(arrows) != 3 or len(set(pairs)) != 3:
+        pairs.add((a, b) if a < b else (b, a))
+    arrows = {x for pair in pairs for x in pair}
+    if len(arrows) != 3 or len(pairs) != 3:
         return None
     # All six flanking tokens are exactly the six ends of the triple.
-    flanked = [d.word[g - 1] for g in gaps] + [d.word[g] for g in gaps]
-    if sorted(flanked) != sorted(t for t in d.word if t[0] in arrows):
+    flanked = [word[g - 1] for g in gaps] + [word[g] for g in gaps]
+    if sorted(flanked) != sorted(t for t in word if t[0] in arrows):
         return None
     return tuple(sorted(arrows))
 
@@ -186,14 +189,35 @@ def split_gaps(d: ArrowDiagram, arrows=None) -> list[int]:
 def r3_moves(d, arrows=None) -> list[Move]:
     """All valid R3 moves of d, or only those on the arrow triple ``arrows``.
 
-    Restricting the candidate gaps to those flanked by the required arrows
-    before forming triples keeps the cube-meridian search small.
+    The split gaps are bucketed by the arrow pair that flanks them, and
+    candidate gap triples are formed only from three buckets whose pairs
+    close a triangle {a, b}, {a, c}, {b, c}; restricting the gaps to
+    those flanked by the required arrows keeps the cube-meridian search
+    small.  Candidates are checked in sorted order, so moves come out
+    sorted by their gaps.  The work is one pass over the split gaps, one
+    lookup per pair of buckets sharing an arrow, and the candidates of
+    the triangles found, against C(g, 3) triples of all g split gaps.
     """
-    out = []
-    for gaps in itertools.combinations(split_gaps(d, arrows), 3):
-        if r3_triangle(d, gaps) is not None and validate_r3(d, gaps):
-            out.append(r3(gaps))
-    return out
+    word = d.word
+    flanked: dict[tuple[int, int], list[int]] = {}
+    for g in split_gaps(d, arrows):
+        a, b = word[g - 1][0], word[g][0]
+        flanked.setdefault((a, b) if a < b else (b, a), []).append(g)
+    if len(flanked) < 3:
+        return []
+    above: dict[int, list[int]] = {}
+    for a, b in flanked:
+        above.setdefault(a, []).append(b)
+    candidates = []
+    for (a, b), ab in flanked.items():
+        for c in above.get(b, ()):
+            ac = flanked.get((a, c))
+            if ac is not None:
+                candidates.extend(tuple(sorted(gaps)) for gaps in
+                                  itertools.product(ab, ac, flanked[b, c]))
+    candidates.sort()
+    return [r3(gaps) for gaps in candidates
+            if r3_triangle(d, gaps) is not None and validate_r3(d, gaps)]
 
 
 def apply_move(d, move: Move):
@@ -304,61 +328,100 @@ def inverse(d, move: Move) -> Move:
     raise InvalidMove(f"unknown move kind {move.kind}")
 
 
-def enumerate_moves(d, kind: str) -> list[Move]:
-    """All moves of the given kind applicable to d, positions read as gaps."""
+def _r1_birth_at(signed: bool, i: int) -> Move:
+    """The i-th R1 birth in enumeration order: gap, then order, then sign."""
+    ns = 2 if signed else 1
+    gap, i = divmod(i, 2 * ns)
+    order, sign = divmod(i, ns)
+    return r1_birth(gap, ("TH", "HT")[order], (1, -1)[sign])
+
+
+def _r2_birth_at(n2: int, signed: bool, i: int) -> Move:
+    """The i-th R2 birth in enumeration order.
+
+    The order is tails gap, heads gap, block order (both orders only when
+    the two gaps agree), head order, then sign: each tails gap owns
+    n2 + 2 slots of 2 * (number of signs) births, two of them at the
+    heads gap equal to it.
+    """
+    ns = 2 if signed else 1
+    gt, i = divmod(i, (n2 + 2) * 2 * ns)
+    slot, i = divmod(i, 2 * ns)
+    gh = slot if slot <= gt else slot - 1
+    tails_first = slot != gt + 1
+    swap, sign = divmod(i, ns)
+    return r2_birth(gt, gh, tails_first, bool(swap), (1, -1)[sign])
+
+
+def _indexed_moves(d, kind: str):
+    """The number of moves of a kind applicable to d and the index -> move map.
+
+    Births are counted and built from their index alone; the other kinds
+    are listed, as there are few of them.
+    """
     n2 = len(d.word)
     signed = isinstance(d, GaussDiagram)
-    out: list[Move] = []
-
+    ns = 2 if signed else 1
     if kind == R1_BIRTH:
-        for gap in range(n2 + 1):
-            for order in ("TH", "HT"):
-                for sign in ((1, -1) if signed else (1,)):
-                    out.append(r1_birth(gap, order, sign))
+        return (n2 + 1) * 2 * ns, functools.partial(_r1_birth_at, signed)
+    if kind == R2_BIRTH:
+        return (n2 + 1) * (n2 + 2) * 2 * ns, functools.partial(_r2_birth_at, n2, signed)
+    moves = enumerate_moves(d, kind)
+    return len(moves), moves.__getitem__
 
-    elif kind == R1_DEATH:
+
+def enumerate_moves(d, kind: str) -> list[Move]:
+    """All moves of the given kind applicable to d, positions read as gaps."""
+    signed = isinstance(d, GaussDiagram)
+
+    if kind in (R1_BIRTH, R2_BIRTH):
+        count, at = _indexed_moves(d, kind)
+        return [at(i) for i in range(count)]
+
+    if kind == R1_DEATH:
         pos = arrow_positions(d)
-        out = [r1_death(aid) for aid in pos if isolated(pos, aid)]
+        return [r1_death(aid) for aid in pos if isolated(pos, aid)]
 
-    elif kind == R2_BIRTH:
-        for gt in range(n2 + 1):
-            for gh in range(n2 + 1):
-                orders = (True, False) if gt == gh else (True,)
-                for tails_first in orders:
-                    for swap in (False, True):
-                        for s1 in ((1, -1) if signed else (1,)):
-                            out.append(r2_birth(gt, gh, tails_first, swap, s1))
-
-    elif kind == R2_DEATH:
+    if kind == R2_DEATH:
         pos = arrow_positions(d)
-        out = [r2_death(a, b) for a, b in itertools.combinations(sorted(pos), 2)
-               if killable(pos, a, b) and not (signed and d.signs[a] == d.signs[b])]
+        return [r2_death(a, b) for a, b in itertools.combinations(sorted(pos), 2)
+                if killable(pos, a, b) and not (signed and d.signs[a] == d.signs[b])]
 
-    elif kind == R3:
-        out = r3_moves(d)
+    if kind == R3:
+        return r3_moves(d)
 
-    else:
-        raise InvalidMove(f"unknown move kind {kind}")
-    return out
+    raise InvalidMove(f"unknown move kind {kind}")
 
 
 # -- Random samples for the randomized checks ---------------------------------
 
 def random_move(rng, d):
-    """A uniformly chosen move of any kind applicable to d, or None."""
-    moves = [m for kind in MOVE_KINDS for m in enumerate_moves(d, kind)]
-    return rng.choice(moves) if moves else None
+    """A uniformly chosen move of any kind applicable to d, or None.
+
+    The index is drawn over all kinds in ``MOVE_KINDS`` order and only
+    the chosen move is built; ``rng.randrange(n)`` draws what
+    ``rng.choice`` of an n-element list draws.
+    """
+    indexed = [_indexed_moves(d, kind) for kind in MOVE_KINDS]
+    total = sum(count for count, _ in indexed)
+    if not total:
+        return None
+    i = rng.randrange(total)
+    for count, at in indexed:
+        if i < count:
+            return at(i)
+        i -= count
+    raise AssertionError("index beyond the move count")
 
 
 def random_gauss_diagram(rng, max_degree: int) -> GaussDiagram:
     """A random diagram reached from the empty one by random R-moves."""
     g = GaussDiagram((), {})
     for _ in range(rng.randrange(0, 3 * max_degree + 2)):
-        kind = rng.choice(MOVE_KINDS)
-        moves = enumerate_moves(g, kind)
-        if not moves:
+        count, at = _indexed_moves(g, rng.choice(MOVE_KINDS))
+        if not count:
             continue
-        nxt = apply_move(g, rng.choice(moves))
+        nxt = apply_move(g, at(rng.randrange(count)))
         if nxt.degree <= max_degree:
             g = nxt
     return g

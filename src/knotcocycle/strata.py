@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagrams import FormalSum, GaussDiagram, HEAD, TAIL
-from .germs import (Germ, KIND_P, boundary, enumerate_arrow_3germs,
-                    enumerate_partial_germs, make_germ, subgerms, t_map, _delete_from_germ)
+from .germs import (Germ, KIND_P, add_ti, boundary, enumerate_arrow_3germs,
+                    enumerate_partial_germs, make_germ, _delete_from_germ)
 from .moves import (R2_BIRTH, apply_move, arrow_positions, enumerate_moves,
                     isolated, killable, r2_death, r3_moves)
 from .rational_linalg import SparseMatrix, rank
@@ -48,6 +48,8 @@ class Meridian:
     tag: str
     germs: list[Germ]
     bystanders: frozenset[int] = frozenset()
+    # meridian_equation's results by s, computed once per meridian.
+    equations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def base(self) -> GaussDiagram:
         return self.germs[0].g0
@@ -68,25 +70,20 @@ class Meridian:
                         self.bystanders)
 
 
-def i_meridian(m: Meridian, s: frozenset[int], degrees=None) -> FormalSum:
-    """I(m; s): subgerms keeping the bystanders in s and losing the others.
+def ti_meridian(m: Meridian, s: frozenset[int], degrees=None) -> FormalSum:
+    """T(I(m; s)): subgerms keeping the bystanders in s and losing the others.
 
     ``degrees`` restricts the output to subgerms of those degrees, as in
-    ``germs.subgerms``.
+    ``germs.subgerms``.  Each germ is expanded on its unsigned skeleton
+    (``germs.add_ti``), one canonicalisation per term.
     """
     if not s <= m.bystanders:
         raise ValueError("s must be a set of bystanders")
     drop = m.bystanders - s
     out = FormalSum()
     for germ in m.germs:
-        for key, c in subgerms(germ, s, drop, degrees).items():
-            out.add(key, c)
+        add_ti(out, germ, 1, s, drop, degrees)
     return out
-
-
-def ti_meridian(m: Meridian, s: frozenset[int], degrees=None) -> FormalSum:
-    """T(I(m; s)): bystanders outside s removed, those in s retained."""
-    return t_map(i_meridian(m, s, degrees))
 
 
 def meridian_without(m: Meridian, removed: frozenset[int]) -> Meridian:
@@ -262,8 +259,16 @@ def normalise_row(row: dict[int, Fraction]) -> tuple:
 
 
 def meridian_equation(m: Meridian, s: frozenset[int] = frozenset()) -> FormalSum:
-    """The degree-3 equation of a meridian: the degree-3 part of T(I(m; s))."""
-    return ti_meridian(m, s, {3})
+    """The degree-3 equation of a meridian: the degree-3 part of T(I(m; s)).
+
+    Computed once per meridian and s and kept on the meridian, so
+    ``classify_scenes`` and ``collect_rows`` share it; callers must not
+    mutate it.
+    """
+    part = m.equations.get(s)
+    if part is None:
+        part = m.equations[s] = ti_meridian(m, s, {3})
+    return part
 
 
 def equation_row(part: FormalSum, var_index) -> tuple:

@@ -1,0 +1,110 @@
+"""Second routes kept as independent oracles for the package's fast paths.
+
+Each function here is the straightforward form of something the package
+computes another way: T applied after the signed expansion I, the R3
+search over every triple of split gaps with the triangle test written
+over frozensets, the births listed by nested loops, and the samplers
+that list every applicable move before choosing one.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+from knotcocycle.diagrams import FormalSum, GaussDiagram
+from knotcocycle.germs import Germ, canonical_term, subgerms
+from knotcocycle.moves import (MOVE_KINDS, R1_BIRTH, R2_BIRTH, apply_move,
+                               edge_flanks, enumerate_moves, r1_birth, r2_birth,
+                               r3, split_gaps, validate_r3)
+
+
+def forget_germ_signs(germ: Germ) -> tuple[Germ, Fraction]:
+    """The map T on a single germ: skeleton weighted by its sign product."""
+    if not germ.signed:
+        raise ValueError("T applies to signed germs")
+    prod = germ.bigger().sign_product()
+    skel = Germ(germ.kind, germ.g0.skeleton(), germ.g1.skeleton(), germ.dist)
+    return canonical_term(skel, prod)
+
+
+def t_map(chain: FormalSum) -> FormalSum:
+    out = FormalSum()
+    for g, c in chain.items():
+        key, coeff = forget_germ_signs(g)
+        out.add(key, c * coeff)
+    return out
+
+
+def i_meridian(m, s: frozenset[int], degrees=None) -> FormalSum:
+    """I(m; s): signed subgerms keeping the bystanders in s and losing the others."""
+    if not s <= m.bystanders:
+        raise ValueError("s must be a set of bystanders")
+    drop = m.bystanders - s
+    out = FormalSum()
+    for germ in m.germs:
+        for key, c in subgerms(germ, s, drop, degrees).items():
+            out.add(key, c)
+    return out
+
+
+def frozenset_r3_triangle(d, gaps):
+    """``moves.r3_triangle`` with the edges' arrow pairs as frozensets."""
+    gaps = tuple(sorted(gaps))
+    if len(gaps) != 3 or any(g2 - g1 < 2 for g1, g2 in zip(gaps, gaps[1:])):
+        return None
+    pairs = []
+    for g in gaps:
+        if not 1 <= g <= len(d.word) - 1:
+            return None
+        (a, _), (b, _) = edge_flanks(d, g)
+        if a == b:
+            return None
+        pairs.append(frozenset((a, b)))
+    arrows = frozenset().union(*pairs)
+    if len(arrows) != 3 or len(set(pairs)) != 3:
+        return None
+    flanked = [d.word[g - 1] for g in gaps] + [d.word[g] for g in gaps]
+    if sorted(flanked) != sorted(t for t in d.word if t[0] in arrows):
+        return None
+    return tuple(sorted(arrows))
+
+
+def brute_r3_moves(d, arrows=None) -> list:
+    """Every valid R3 move, testing all triples of split gaps."""
+    return [r3(gaps) for gaps in itertools.combinations(split_gaps(d, arrows), 3)
+            if frozenset_r3_triangle(d, gaps) is not None and validate_r3(d, gaps)]
+
+
+def looped_births(d, kind: str) -> list:
+    """The R1 or R2 births of d, listed by nested loops."""
+    n2 = len(d.word)
+    signs = (1, -1) if isinstance(d, GaussDiagram) else (1,)
+    if kind == R1_BIRTH:
+        return [r1_birth(gap, order, sign) for gap in range(n2 + 1)
+                for order in ("TH", "HT") for sign in signs]
+    assert kind == R2_BIRTH
+    return [r2_birth(gt, gh, tails_first, swap, s1)
+            for gt in range(n2 + 1) for gh in range(n2 + 1)
+            for tails_first in ((True, False) if gt == gh else (True,))
+            for swap in (False, True) for s1 in signs]
+
+
+def listed_random_move(rng, d):
+    """``random_move`` by listing every applicable move of every kind."""
+    moves = [m for kind in MOVE_KINDS for m in enumerate_moves(d, kind)]
+    return rng.choice(moves) if moves else None
+
+
+def listed_random_gauss_diagram(rng, max_degree: int) -> GaussDiagram:
+    """``random_gauss_diagram`` by listing the moves of each drawn kind."""
+    g = GaussDiagram((), {})
+    for _ in range(rng.randrange(0, 3 * max_degree + 2)):
+        kind = rng.choice(MOVE_KINDS)
+        moves = enumerate_moves(g, kind)
+        if not moves:
+            continue
+        nxt = apply_move(g, rng.choice(moves))
+        if nxt.degree <= max_degree:
+            g = nxt
+    return g

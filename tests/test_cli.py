@@ -144,6 +144,18 @@ def test_invariants_rejects_negative_degree(capsys):
     assert captured.out == ""
 
 
+def test_pair_rejects_a_sign_string_with_other_characters(tmp_path, capsys):
+    gauss = tmp_path / "gauss.txt"
+    gauss.write_text("2; T1 T2 H1 H2; +x\n")
+    arrow = tmp_path / "arrow.txt"
+    arrow.write_text("2; T1 T2 H1 H2\n")
+    assert main(["pair", "--arrow", str(arrow), "--gauss", str(gauss)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("moves", [
     [{"kind": "R1_birth", "data": [0, "TH", 1]}],  # does not close
     [{"kind": "R1_death", "data": [99]}],          # no such arrow

@@ -37,6 +37,13 @@ def test_malformed_words_rejected():
         GaussDiagram([(1, "T"), (1, "H")], {})
 
 
+@pytest.mark.parametrize("signs", ["+x", "x+", "+*", "+0", "+−"])
+def test_sign_strings_hold_only_plus_and_minus(signs):
+    with pytest.raises(ValueError):
+        parse_diagram(f"2; T1 T2 H1 H2; {signs}")
+    assert parse_diagram("2; T1 T2 H1 H2; +-").signs == {1: 1, 2: -1}
+
+
 def test_subdiagram_counts():
     assert len(subdiagrams(EMPTY_GAUSS)) == 1
     one = parse_diagram("1; T1 H1; +")
@@ -144,3 +151,19 @@ def test_formal_sum_algebra():
     assert (t.scale(0)) == FormalSum()
     with pytest.raises(TypeError):
         hash(s)
+
+
+def test_formal_sums_refuse_float_coefficients():
+    a = parse_diagram("1; T1 H1")
+    s = FormalSum()
+    for bad in (0.1, 1.0):
+        with pytest.raises(TypeError):
+            s.add(a, bad)
+        with pytest.raises(TypeError):
+            FormalSum([(a, bad)])
+        with pytest.raises(TypeError):
+            FormalSum([(a, 1)]).scale(bad)
+    assert not s
+    s.add(a, Fraction(1, 10))
+    s.add(a, 2)
+    assert s[a] == Fraction(21, 10)

@@ -11,12 +11,13 @@ from knotcocycle.diagrams import FormalSum, GaussDiagram, parse_diagram
 from knotcocycle.fixtures_io import germ_from_json, load_json
 from knotcocycle.germs import (Germ, boundary, canonical_term,
                                enumerate_arrow_3germs, enumerate_partial_germs,
-                               make_germ, monotonic_reduce, pair_germ,
+                               i_map, make_germ, monotonic_reduce, pair_germ,
                                pair_germ_via_s, partial_germ_into, s_map,
                                subgerms, ti, triangle_relator)
 from knotcocycle.moves import (MOVE_KINDS, apply_move, enumerate_moves, r1_birth,
                                split_gaps)
 from conftest import FIXTURES, random_gauss_diagram, random_move
+from oracles import t_map
 
 
 def test_make_germ_r1_birth():
@@ -211,6 +212,23 @@ def test_degree_restricted_subgerms_are_the_degree_parts_in_order():
         assert subgerms(germ, degrees=None) == full
     chain = FormalSum((g, Fraction(i + 1)) for i, g in enumerate(germs))
     assert list(ti(chain, {3}).items()) == _restricted(ti(chain), {3})
+
+
+def test_ti_is_t_after_i():
+    rng = random.Random(31)
+    germs = _germs_of_every_kind(rng, per_kind=12, min_degree=2, max_degree=7)
+    assert {g.kind for g in germs} == {"R1", "R2", "R3", "P"}
+    assert {g.degree for g in germs} >= set(range(2, 8))
+    for germ in germs:
+        for degrees in (None, {3}, {1, 2}):
+            assert ti(germ, degrees) == t_map(i_map(germ, degrees))
+    chain = FormalSum((g, Fraction(i + 1, 2)) for i, g in enumerate(germs))
+    assert ti(chain) == t_map(i_map(chain))
+
+
+def test_ti_refuses_unsigned_germs():
+    with pytest.raises(ValueError):
+        ti(next(iter(enumerate_arrow_3germs(3))))
 
 
 def _formulas():

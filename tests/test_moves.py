@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,8 +6,11 @@ import pytest
 from knotcocycle.diagrams import EMPTY_GAUSS, GaussDiagram, parse_diagram
 from knotcocycle.fixtures_io import diagram_from_json, load_json
 from knotcocycle.moves import (InvalidMove, MOVE_KINDS, apply_move, edge_data,
-                               enumerate_moves, inverse, r3, validate_r3)
-from conftest import random_gauss_diagram
+                               R1_BIRTH, R2_BIRTH, enumerate_moves, inverse, r3,
+                               r3_moves, r3_triangle, validate_r3)
+from conftest import random_arrow_diagram, random_gauss_diagram, random_move
+from oracles import (brute_r3_moves, frozenset_r3_triangle,
+                     listed_random_gauss_diagram, listed_random_move, looped_births)
 
 
 def test_edge_data_formula_cases():
@@ -119,3 +123,51 @@ def test_r3_up_values_are_0_1_2():
             ups = sorted(edge_data(g, gap)[1] for gap in m.data)
             assert ups == [0, 1, 2]
             seen += 1
+
+
+def test_r3_search_matches_every_gap_triple():
+    rng = random.Random(17)
+    found = restricted = 0
+    for i in range(400):
+        d = random_arrow_diagram(rng, 7) if i % 2 else random_gauss_diagram(rng, 7)
+        moves = r3_moves(d)
+        assert moves == brute_r3_moves(d)
+        found += len(moves)
+        ids = d.arrow_ids()
+        for size in (3, len(ids) // 2 + 1):
+            arrows = frozenset(rng.sample(ids, min(size, len(ids))))
+            sub = r3_moves(d, arrows)
+            assert sub == brute_r3_moves(d, arrows)
+            restricted += len(sub)
+    assert found > 100 and restricted > 20
+
+
+def test_births_are_indexed_in_loop_order():
+    rng = random.Random(3)
+    for i in range(60):
+        d = random_arrow_diagram(rng, 5) if i % 2 else random_gauss_diagram(rng, 5)
+        for kind in (R1_BIRTH, R2_BIRTH):
+            assert enumerate_moves(d, kind) == looped_births(d, kind)
+
+
+def test_samplers_draw_what_the_listed_samplers_draw():
+    for seed in range(600):
+        fast, listed = random.Random(seed), random.Random(seed)
+        g = random_gauss_diagram(fast, 1 + seed % 6)
+        h = listed_random_gauss_diagram(listed, 1 + seed % 6)
+        assert (g.word, g.signs) == (h.word, h.signs)
+        assert random_move(fast, g) == listed_random_move(listed, g)
+        assert fast.random() == listed.random()
+
+
+def test_triangle_test_matches_the_frozenset_form():
+    rng = random.Random(23)
+    hits = 0
+    for i in range(300):
+        d = random_arrow_diagram(rng, 6) if i % 2 else random_gauss_diagram(rng, 6)
+        gaps = range(len(d.word) + 1)
+        for triple in itertools.islice(itertools.combinations(gaps, 3), 200):
+            expected = frozenset_r3_triangle(d, triple)
+            assert r3_triangle(d, triple) == expected
+            hits += expected is not None
+    assert hits > 50

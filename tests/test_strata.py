@@ -8,11 +8,12 @@ from knotcocycle.diagrams import FormalSum
 from knotcocycle.germs import KIND_P, KIND_R3
 from knotcocycle.strata import (Meridian, banned_variable, classify_scenes,
                                 dedupe_meridians, enumerate_cube_meridians,
-                                homogeneous_parts, i_meridian, meridian_equation,
+                                homogeneous_parts, meridian_equation,
                                 meridian_key, meridian_without, normalise_row,
                                 picture_fingerprint,
                                 restrict_to_variables, reversal_on_rows,
                                 row_of_meridian, ti_meridian, variable_basis)
+from oracles import i_meridian, t_map
 
 
 def test_meridian_counts(cube_meridians):
@@ -168,3 +169,35 @@ def test_meridian_equation_is_the_degree_three_part(cube_meridians):
     for m in with_bystander[::10]:
         for s in (frozenset(), m.bystanders):
             assert list(meridian_equation(m, s).items()) == degree_three_part(m, s)
+
+
+def test_ti_meridian_matches_t_after_i(cube_meridians):
+    with_bystander = [m for m in itertools.islice(enumerate_cube_meridians(1), 400)
+                      if m.bystanders]
+    assert len(with_bystander) >= 40
+    cases = [(m, frozenset()) for m in cube_meridians]
+    for m in with_bystander[::10]:
+        cases += [(m, frozenset()), (m, m.bystanders)]
+    for m, s in cases:
+        for degrees in (None, {3}):
+            assert ti_meridian(m, s, degrees) == t_map(i_meridian(m, s, degrees))
+
+
+def test_meridian_equation_is_computed_once_per_meridian_and_s(cube_meridians):
+    m = Meridian(cube_meridians[0].tag, cube_meridians[0].germs)
+    assert meridian_equation(m) is meridian_equation(m)
+    assert list(m.equations) == [frozenset()]
+
+
+def test_scene_classification_and_rows_share_each_equation(monkeypatch):
+    import knotcocycle.strata as strata
+    calls = []
+    expand = strata.ti_meridian
+    monkeypatch.setattr(strata, "ti_meridian",
+                        lambda m, s, degrees=None: calls.append(m) or expand(m, s, degrees))
+    meridians = dedupe_meridians(enumerate_cube_meridians(0))
+    variables = variable_basis(3)
+    var_index = {g: j for j, g in enumerate(variables)}
+    classify_scenes(meridians, variables, var_index)
+    strata.collect_rows(meridians)
+    assert len(calls) == len(meridians) == 144
