@@ -9,19 +9,18 @@ rotation loop of a long knot.
 """
 
 from .diagrams import (ArrowDiagram, EMPTY_ARROW, EMPTY_GAUSS, FormalSum,
-                       GaussDiagram, completions, forget_signs, pair,
-                       parse_diagram, subdiagrams)
+                       GaussDiagram, pair, parse_diagram)
 from .moves import Move, apply_move, edge_data, enumerate_moves, inverse, validate_r3
 from .germs import (Germ, boundary, make_germ, monotonic_reduce, pair_germ,
                     subgerms)
-from .coboundary import CoboundaryValue, coboundary, stokes_check
+from .coboundary import CoboundaryValue, coboundary, stokes_sides
 
 __all__ = [
     "ArrowDiagram", "GaussDiagram", "FormalSum", "EMPTY_ARROW", "EMPTY_GAUSS",
-    "completions", "forget_signs", "pair", "parse_diagram", "subdiagrams",
+    "pair", "parse_diagram",
     "Move", "apply_move", "edge_data", "enumerate_moves", "inverse", "validate_r3",
     "Germ", "boundary", "make_germ", "monotonic_reduce", "pair_germ", "subgerms",
-    "CoboundaryValue", "coboundary", "stokes_check",
+    "CoboundaryValue", "coboundary", "stokes_sides",
 ]
 
 __version__ = "0.1.0"

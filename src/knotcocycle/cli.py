@@ -21,13 +21,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import fixtures_io as fio
-from .diagrams import FormalSum, GaussDiagram, pair, parse_diagram
+from .diagrams import FormalSum, GaussDiagram, format_diagram, pair, parse_diagram
 from .coboundary import coboundary, stokes_sides
-from .germs import make_germ
+from .germs import enumerate_arrow_diagrams, make_germ
 from .moves import random_arrow_diagram, random_gauss_diagram, random_move
 from .cocycles import (Loop, alpha31, assemble_default_system, evaluate_loop,
-                       rot_loop, v2, verify_cocycle)
-from .rational_linalg import kernel_basis
+                       rot_loop, system_dimensions, v2, verify_cocycle)
+from .rational_linalg import SparseMatrix, kernel_basis
+from .strata import restrict_to_variables
 
 
 class InputError(Exception):
@@ -162,8 +163,6 @@ def cmd_equations(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    from .cocycles import system_dimensions
-    from .strata import restrict_to_variables
     system = assemble_default_system(args.fixtures, bystanders=args.bystanders)
     kdim, tdim, qdim = system_dimensions(system)
     a = alpha31(args.fixtures)
@@ -229,9 +228,6 @@ def cmd_invariants(args) -> int:
         raise InputError(f"--max-degree must be at least 0, got {args.max_degree}")
     if args.max_degree > 4:
         raise InputError("degree cap is 4; the basis enumeration blows up beyond")
-    from .germs import enumerate_arrow_diagrams
-    from .coboundary import coboundary
-    from .rational_linalg import SparseMatrix, kernel_basis
     diagrams = []
     for deg in range(args.max_degree + 1):
         diagrams.extend(enumerate_arrow_diagrams(deg))
@@ -249,7 +245,6 @@ def cmd_invariants(args) -> int:
         for j, v in row.items():
             cols[j][i] = v
     basis = kernel_basis(SparseMatrix(len(keys), len(diagrams), cols))
-    from .diagrams import format_diagram
     out = {
         "max_degree": args.max_degree,
         "diagrams": len(diagrams),

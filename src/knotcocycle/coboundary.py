@@ -1,4 +1,4 @@
-"""The coboundary of arrow diagrams and the Stokes-formula verifier.
+"""The coboundary of arrow diagrams and the two sides of the Stokes formula.
 
 ``d`` sends an arrow diagram A to the formal sum of all arrow germs and
 partial arrow germs whose larger side equals A, split by move kind into
@@ -76,9 +76,3 @@ def stokes_sides(a: ArrowDiagram, gamma: Germ) -> tuple[Fraction, Fraction]:
     canon = a.canonical()
     rhs = sum((c * pair(canon, g) for g, c in boundary(gamma).items()), Fraction(0))
     return lhs, rhs
-
-
-def stokes_check(a: ArrowDiagram, gamma: Germ) -> bool:
-    """Whether <dA, gamma> equals <A, boundary(gamma)> exactly."""
-    lhs, rhs = stokes_sides(a, gamma)
-    return lhs == rhs

@@ -10,9 +10,10 @@ ids are normalised by first occurrence.
 
 The pairing ``pair(A, G)`` counts order- and direction-preserving
 embeddings of an arrow diagram A into a Gauss diagram G, each weighted by
-the product of the signs of the arrows hit.  It factors as
+the product of the signs of the arrows hit.  It equals
 ``<completions(A), subdiagrams(G)>`` for the orthonormal product on the
-basis of Gauss diagrams; both routes are implemented and must agree.
+basis of Gauss diagrams; the tests keep that second route as an oracle
+(``pair_via_completions`` in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -68,9 +69,12 @@ class ArrowDiagram:
         """Map of old ids to 1..n in order of first occurrence."""
         return {aid: i + 1 for i, aid in enumerate(self.arrow_ids())}
 
-    def canonical(self) -> "ArrowDiagram":
-        m = self.relabelling()
+    def relabel(self, m: Mapping[int, int]) -> "ArrowDiagram":
+        """The diagram with every arrow id a renamed to m[a]."""
         return ArrowDiagram((m[a], k) for a, k in self.word)
+
+    def canonical(self) -> "ArrowDiagram":
+        return self.relabel(self.relabelling())
 
     def _canonical_word(self) -> tuple[Token, ...]:
         """The word relabelled by first occurrence: the word itself if it already is."""
@@ -112,14 +116,13 @@ class GaussDiagram(ArrowDiagram):
     def __init__(self, word: Iterable[Token], signs: Mapping[int, int]):
         super().__init__(word)
         ids = set(a for a, _ in self.word)
-        self.signs: dict[int, int] = {int(a): int(s) for a, s in signs.items() if int(a) in ids}
+        self.signs: dict[int, int] = {int(a): int(s) for a, s in signs.items()}
         if set(self.signs) != ids:
             raise ValueError("signs must be given for exactly the arrows present")
         if any(s not in (1, -1) for s in self.signs.values()):
             raise ValueError("signs must be +1 or -1")
 
-    def canonical(self) -> "GaussDiagram":
-        m = self.relabelling()
+    def relabel(self, m: Mapping[int, int]) -> "GaussDiagram":
         return GaussDiagram(((m[a], k) for a, k in self.word),
                             {m[a]: s for a, s in self.signs.items()})
 
@@ -254,45 +257,15 @@ class FormalSum:
         return "FormalSum(" + " + ".join(parts) + ")"
 
 
-def subdiagrams(g: GaussDiagram) -> FormalSum:
-    """Formal sum of the 2^deg subdiagrams of g, with multiplicity."""
-    ids = g.arrow_ids()
-    out = FormalSum()
-    for r in range(len(ids) + 1):
-        for subset in itertools.combinations(ids, r):
-            out.add(g.delete(set(ids) - set(subset)).canonical(), 1)
-    return out
-
-
-def completions(a: ArrowDiagram) -> FormalSum:
-    """Alternating sum of the 2^deg sign-completions of a."""
-    ids = a.arrow_ids()
-    out = FormalSum()
-    for signs in itertools.product((1, -1), repeat=len(ids)):
-        coeff = 1
-        for s in signs:
-            coeff *= s
-        out.add(GaussDiagram(a.word, dict(zip(ids, signs))).canonical(), coeff)
-    return out
-
-
-def forget_signs(g: GaussDiagram) -> FormalSum:
-    """Underlying arrow diagram weighted by the product of the signs."""
-    out = FormalSum()
-    out.add(g.skeleton().canonical(), g.sign_product())
-    return out
-
-
 def pair(a: ArrowDiagram, g: GaussDiagram) -> Fraction:
     """Polyak-Viro pairing <A, G> = <completions(A), subdiagrams(G)>.
 
-    Computed by direct embedding count; ``pair_via_completions`` gives the
-    independent evaluation through the S and I maps.
+    Computed by direct embedding count: every ordered assignment of
+    distinct arrows of g to the arrows of a whose induced token order is
+    a's word contributes the product of the signs of the arrows hit.
+    ``pair_via_completions`` in ``tests/oracles.py`` is the independent
+    evaluation through the two formal sums.
     """
-    return pair_embedding_count(a, g)
-
-
-def pair_embedding_count(a: ArrowDiagram, g: GaussDiagram) -> Fraction:
     a = a.canonical()
     ids_a = a.arrow_ids()
     ids_g = g.arrow_ids()
@@ -300,7 +273,6 @@ def pair_embedding_count(a: ArrowDiagram, g: GaussDiagram) -> Fraction:
         return Fraction(0)
     pos_g = {t: j for j, t in enumerate(g.word)}
     total = Fraction(0)
-    # Choose an ordered assignment of distinct arrows of g to the arrows of a.
     for chosen in itertools.permutations(ids_g, len(ids_a)):
         assign = dict(zip(ids_a, chosen))
         # Induced positions of a's tokens inside g must be order-isomorphic
@@ -317,10 +289,6 @@ def pair_embedding_count(a: ArrowDiagram, g: GaussDiagram) -> Fraction:
                 w *= g.signs[aid]
             total += w
     return total
-
-
-def pair_via_completions(a: ArrowDiagram, g: GaussDiagram) -> Fraction:
-    return completions(a).dot(subdiagrams(g))
 
 
 def parse_diagram(text: str) -> GaussDiagram | ArrowDiagram:

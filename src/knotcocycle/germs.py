@@ -35,8 +35,8 @@ from fractions import Fraction
 
 from .diagrams import (ArrowDiagram, FormalSum, GaussDiagram, HEAD, TAIL)
 from .moves import (InvalidMove, Move, R1_BIRTH, R1_DEATH, R2_BIRTH, R2_DEATH,
-                    R3, apply_move, arrow_positions, edge_data, edge_flanks,
-                    r3_moves, r3_triangle, split_gaps, transpose, validate_r3)
+                    R3, apply_move, edge_data, edge_flanks, r3_moves,
+                    split_gaps, transpose, validate_r3)
 
 KIND_R1 = "R1"
 KIND_R2 = "R2"
@@ -139,8 +139,8 @@ class Germ:
             sign = -1
         ref = g.bigger()
         m = ref.relabelling()
-        g0 = _relabel(g.g0, m)
-        g1 = _relabel(g.g1, m)
+        g0 = g.g0.relabel(m)
+        g1 = g.g1.relabel(m)
         if g.kind == KIND_R1:
             dist = m[g.dist]
         elif g.kind == KIND_R2:
@@ -173,13 +173,6 @@ def _dist_key(g: Germ):
     if g.kind == KIND_R2:
         return tuple(sorted(g.dist))
     return g.dist
-
-
-def _relabel(d, m):
-    if isinstance(d, GaussDiagram):
-        return GaussDiagram(((m[a], k) for a, k in d.word),
-                            {m[a]: s for a, s in d.signs.items()})
-    return ArrowDiagram((m[a], k) for a, k in d.word)
 
 
 def canonical_term(germ: Germ, coeff=1) -> tuple[Germ, Fraction]:
@@ -318,21 +311,6 @@ def add_ti(out: FormalSum, germ: Germ, coeff=1, keep: frozenset[int] = frozenset
         out.add(key, c)
 
 
-def i_map(germ_or_chain, degrees=None) -> FormalSum:
-    """The map I on a germ, extended linearly to chains of germs.
-
-    ``degrees`` restricts the output to subgerms of those degrees, as in
-    ``subgerms``.
-    """
-    if isinstance(germ_or_chain, Germ):
-        return subgerms(germ_or_chain, degrees=degrees)
-    out = FormalSum()
-    for g, c in germ_or_chain.items():
-        for key, coeff in subgerms(g, degrees=degrees).items():
-            out.add(key, c * coeff)
-    return out
-
-
 def ti(germ_or_chain, degrees=None) -> FormalSum:
     """T(I(gamma)), or its part in the given germ degrees.
 
@@ -350,28 +328,6 @@ def ti(germ_or_chain, degrees=None) -> FormalSum:
     return out
 
 
-def s_map(alpha: FormalSum) -> FormalSum:
-    """Sign enhancement of unsigned germs, with the product as coefficient."""
-    out = FormalSum()
-    for germ, c in alpha.items():
-        ids = germ.arrow_ids()
-        for signs in itertools.product((1, -1), repeat=len(ids)):
-            table = dict(zip(ids, signs))
-            prod = 1
-            for s in signs:
-                prod *= s
-            enhanced = Germ(germ.kind,
-                            _sign_up(germ.g0, table), _sign_up(germ.g1, table),
-                            germ.dist)
-            key, coeff = canonical_term(enhanced, c * prod)
-            out.add(key, coeff)
-    return out
-
-
-def _sign_up(d: ArrowDiagram, table) -> GaussDiagram:
-    return GaussDiagram(d.word, {a: table[a] for a in d.arrow_ids()})
-
-
 def pair_germ(alpha: FormalSum, gamma) -> Fraction:
     """<alpha, gamma> = <alpha, TI(gamma)> for a germ or chain gamma.
 
@@ -379,14 +335,10 @@ def pair_germ(alpha: FormalSum, gamma) -> Fraction:
     only those are expanded: a degree-k formula costs C(n-3, k-3) +
     3 C(n-3, k-2) terms on an R3 germ of degree n (1 + 3(n-3) for
     alpha31) instead of the 4 * 2^(n-3) of the full ``ti``, each one
-    canonicalisation of an unsigned subgerm.
+    canonicalisation of an unsigned subgerm.  ``pair_germ_via_s`` in
+    ``tests/oracles.py`` is the independent evaluation <S(alpha), I(gamma)>.
     """
     return alpha.dot(ti(gamma, {k.degree for k in alpha.keys()}))
-
-
-def pair_germ_via_s(alpha: FormalSum, gamma) -> Fraction:
-    """Independent evaluation <S(alpha), I(gamma)>."""
-    return s_map(alpha).dot(i_map(gamma))
 
 
 def partial_germ_into(d, gap: int) -> Germ:
@@ -410,7 +362,6 @@ def triangle_completions(p: Germ) -> list[Germ]:
         raise ValueError("completion is defined for partial arrow germs")
     d = p.g1
     (a, ka), (b, kb) = edge_flanks(d, p.dist)
-    pos = arrow_positions(d)
     other = {TAIL: HEAD, HEAD: TAIL}
     free_a = (a, other[ka])
     free_b = (b, other[kb])
@@ -435,7 +386,6 @@ def triangle_completions(p: Germ) -> list[Germ]:
         gap_b = word.index((rid, kind_at_b))
         gap_ab = _locate_edge(comp, (a, ka), (b, kb))
         triple_gaps = tuple(sorted((gap_ab, gap_a, gap_b)))
-        assert r3_triangle(comp, triple_gaps) is not None
         assert validate_r3(comp, triple_gaps)
         out.append(r3_germ_into(comp, triple_gaps))
     if p.is_monotonic():

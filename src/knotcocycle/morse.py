@@ -38,9 +38,6 @@ CUP = "cup"
 CAP = "cap"
 X = "x"
 
-MorseEvent = tuple
-
-
 class MorseError(ValueError):
     pass
 

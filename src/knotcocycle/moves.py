@@ -154,6 +154,11 @@ def validate_r3(d: ArrowDiagram, gaps) -> bool:
     """Both R3 validity conditions (condition 1 only applies with signs)."""
     if r3_triangle(d, gaps) is None:
         raise InvalidMove(f"gaps {tuple(gaps)} do not form a triangle configuration")
+    return _r3_conditions(d, gaps)
+
+
+def _r3_conditions(d: ArrowDiagram, gaps) -> bool:
+    """The R3 conditions on a triangle's edges: three up values, one w * eps."""
     ups = set()
     wes = set()
     for g in sorted(gaps):
@@ -217,7 +222,7 @@ def r3_moves(d, arrows=None) -> list[Move]:
                                   itertools.product(ab, ac, flanked[b, c]))
     candidates.sort()
     return [r3(gaps) for gaps in candidates
-            if r3_triangle(d, gaps) is not None and validate_r3(d, gaps)]
+            if r3_triangle(d, gaps) is not None and _r3_conditions(d, gaps)]
 
 
 def apply_move(d, move: Move):

@@ -20,8 +20,8 @@ import itertools
 import math
 
 from .diagrams import GaussDiagram, HEAD, TAIL
-from .germs import make_germ
-from .moves import Move, apply_move, enumerate_moves
+from .germs import Germ, make_germ
+from .moves import enumerate_moves
 from .strata import Meridian, QUADRUPLE
 
 SLOPES = (1.0, 2.0, 3.0, 5.0)
@@ -88,11 +88,12 @@ def _word_for(orders, visit: tuple[int, ...]) -> GaussDiagram:
     return GaussDiagram(tokens, {aid: 1 for aid in _LABEL.values()})
 
 
-def _connecting_r3(d: GaussDiagram, target: GaussDiagram) -> Move | None:
+def _connecting_r3(d: GaussDiagram, target: GaussDiagram) -> Germ | None:
+    """The germ of the R3 move taking d to target literally, if there is one."""
     for move in enumerate_moves(d, "R3"):
-        res = apply_move(d, move)
-        if list(res.word) == list(target.word) and res.signs == target.signs:
-            return move
+        germ = make_germ(d, move)
+        if list(germ.g1.word) == list(target.word) and germ.g1.signs == target.signs:
+            return germ
     return None
 
 
@@ -105,10 +106,10 @@ def quadruple_meridians() -> list[Meridian]:
         germs = []
         for i, d in enumerate(diagrams):
             nxt = diagrams[(i + 1) % len(diagrams)]
-            move = _connecting_r3(d, nxt)
-            if move is None:
+            germ = _connecting_r3(d, nxt)
+            if germ is None:
                 raise RuntimeError(f"movie for visit {visit} is not an R3 sequence")
-            germs.append(make_germ(d, move))
+            germs.append(germ)
         m = Meridian(QUADRUPLE, germs, frozenset())
         m.check_closed()
         out.append(m)

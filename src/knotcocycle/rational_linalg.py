@@ -19,18 +19,6 @@ class SparseMatrix:
     ncols: int
     rows: list[dict[int, Fraction]] = field(default_factory=list)
 
-    @classmethod
-    def from_triplets(cls, nrows: int, ncols: int, triplets) -> "SparseMatrix":
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(nrows)]
-        for r, c, v in triplets:
-            v = Fraction(v)
-            if v == 0:
-                continue
-            if c in rows[r]:
-                raise ValueError(f"duplicate entry at ({r}, {c})")
-            rows[r][c] = v
-        return cls(nrows, ncols, rows)
-
     def triplets(self):
         for r, row in enumerate(self.rows):
             for c in sorted(row):

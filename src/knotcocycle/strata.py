@@ -34,8 +34,8 @@ from fractions import Fraction
 
 from .diagrams import FormalSum, GaussDiagram, HEAD, TAIL
 from .germs import (Germ, KIND_P, add_ti, boundary, enumerate_arrow_3germs,
-                    enumerate_partial_germs, make_germ, _delete_from_germ)
-from .moves import (R2_BIRTH, apply_move, arrow_positions, enumerate_moves,
+                    enumerate_partial_germs, make_germ)
+from .moves import (R2_BIRTH, InvalidMove, arrow_positions, enumerate_moves,
                     isolated, killable, r2_death, r3_moves)
 from .rational_linalg import SparseMatrix, rank
 
@@ -84,12 +84,6 @@ def ti_meridian(m: Meridian, s: frozenset[int], degrees=None) -> FormalSum:
     for germ in m.germs:
         add_ti(out, germ, 1, s, drop, degrees)
     return out
-
-
-def meridian_without(m: Meridian, removed: frozenset[int]) -> Meridian:
-    """The meridian with some bystander arrows deleted throughout."""
-    germs = [_delete_from_germ(g, set(removed)) for g in m.germs]
-    return Meridian(m.tag, germs, m.bystanders - removed)
 
 
 def homogeneous_parts(fs: FormalSum) -> dict[int, FormalSum]:
@@ -183,25 +177,22 @@ def enumerate_cube_meridians(bystanders: int = 0):
     for g0 in _scene_diagrams(bystanders):
         byst = frozenset(a for a in g0.arrow_ids() if a not in (1, 2))
         for birth in _pruned_births(g0):
-            g1 = apply_move(g0, birth)
-            pair = sorted(set(g1.arrow_ids()) - set(g0.arrow_ids()))
-            c1, c2 = pair
+            born = make_germ(g0, birth)
+            g1 = born.g1
+            c1, c2 = sorted(born.dist)
             for first, second in ((c1, c2), (c2, c1)):
                 for m1 in r3_moves(g1, frozenset((1, 2, first))):
-                    g2 = apply_move(g1, m1)
-                    for m2 in r3_moves(g2, frozenset((1, 2, second))):
-                        g3 = apply_move(g2, m2)
-                        death = r2_death(c1, c2)
+                    slide1 = make_germ(g1, m1)
+                    for m2 in r3_moves(slide1.g1, frozenset((1, 2, second))):
+                        slide2 = make_germ(slide1.g1, m2)
                         try:
-                            g4 = apply_move(g3, death)
-                        except Exception:
+                            dies = make_germ(slide2.g1, r2_death(c1, c2))
+                        except InvalidMove:
                             continue
+                        g4 = dies.g1
                         if list(g4.word) != list(g0.word) or g4.signs != g0.signs:
                             continue
-                        m = Meridian(CUBE, [make_germ(g0, birth),
-                                            make_germ(g1, m1),
-                                            make_germ(g2, m2),
-                                            make_germ(g3, death)], byst)
+                        m = Meridian(CUBE, [born, slide1, slide2, dies], byst)
                         m.check_closed()
                         yield m
 

@@ -1,10 +1,23 @@
 """Second routes kept as independent oracles for the package's fast paths.
 
 Each function here is the straightforward form of something the package
-computes another way: T applied after the signed expansion I, the R3
-search over every triple of split gaps with the triangle test written
-over frozensets, the births listed by nested loops, and the samplers
-that list every applicable move before choosing one.
+computes another way:
+
+- ``pair_via_completions``: the pairing <completions(A), subdiagrams(G)>
+  over the two 2^deg formal sums, against the embedding count of
+  ``diagrams.pair``; ``forget_signs`` is the adjoint of ``completions``;
+- ``pair_germ_via_s``: the germ pairing <S(alpha), I(gamma)> through the
+  sign enhancement ``s_map`` and the signed subgerm map ``i_map``,
+  against ``germs.pair_germ``;
+- ``t_map`` after ``i_map``: T applied after the signed expansion I,
+  against ``germs.ti`` on the unsigned skeleton; ``i_meridian`` is I on
+  a meridian, and ``meridian_without`` deletes bystanders from one;
+- ``brute_r3_moves``: the R3 search over every triple of split gaps with
+  the triangle test written over frozensets, against ``moves.r3_moves``;
+- ``looped_births``: the births listed by nested loops, against the
+  indexed births of ``moves.enumerate_moves``;
+- ``listed_random_move`` and ``listed_random_gauss_diagram``: the
+  samplers that list every applicable move before choosing one.
 """
 
 from __future__ import annotations
@@ -12,11 +25,93 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from knotcocycle.diagrams import FormalSum, GaussDiagram
-from knotcocycle.germs import Germ, canonical_term, subgerms
+from knotcocycle.diagrams import ArrowDiagram, FormalSum, GaussDiagram
+from knotcocycle.germs import Germ, _delete_from_germ, canonical_term, subgerms
 from knotcocycle.moves import (MOVE_KINDS, R1_BIRTH, R2_BIRTH, apply_move,
                                edge_flanks, enumerate_moves, r1_birth, r2_birth,
                                r3, split_gaps, validate_r3)
+from knotcocycle.strata import Meridian
+
+
+def subdiagrams(g: GaussDiagram) -> FormalSum:
+    """Formal sum of the 2^deg subdiagrams of g, with multiplicity."""
+    ids = g.arrow_ids()
+    out = FormalSum()
+    for r in range(len(ids) + 1):
+        for subset in itertools.combinations(ids, r):
+            out.add(g.delete(set(ids) - set(subset)).canonical(), 1)
+    return out
+
+
+def completions(a: ArrowDiagram) -> FormalSum:
+    """Alternating sum of the 2^deg sign-completions of a."""
+    ids = a.arrow_ids()
+    out = FormalSum()
+    for signs in itertools.product((1, -1), repeat=len(ids)):
+        coeff = 1
+        for s in signs:
+            coeff *= s
+        out.add(GaussDiagram(a.word, dict(zip(ids, signs))).canonical(), coeff)
+    return out
+
+
+def forget_signs(g: GaussDiagram) -> FormalSum:
+    """Underlying arrow diagram weighted by the product of the signs."""
+    out = FormalSum()
+    out.add(g.skeleton().canonical(), g.sign_product())
+    return out
+
+
+def pair_via_completions(a: ArrowDiagram, g: GaussDiagram) -> Fraction:
+    return completions(a).dot(subdiagrams(g))
+
+
+def i_map(germ_or_chain, degrees=None) -> FormalSum:
+    """The map I on a germ, extended linearly to chains of germs.
+
+    ``degrees`` restricts the output to subgerms of those degrees, as in
+    ``subgerms``.
+    """
+    if isinstance(germ_or_chain, Germ):
+        return subgerms(germ_or_chain, degrees=degrees)
+    out = FormalSum()
+    for g, c in germ_or_chain.items():
+        for key, coeff in subgerms(g, degrees=degrees).items():
+            out.add(key, c * coeff)
+    return out
+
+
+def s_map(alpha: FormalSum) -> FormalSum:
+    """Sign enhancement of unsigned germs, with the product as coefficient."""
+    out = FormalSum()
+    for germ, c in alpha.items():
+        ids = germ.arrow_ids()
+        for signs in itertools.product((1, -1), repeat=len(ids)):
+            table = dict(zip(ids, signs))
+            prod = 1
+            for s in signs:
+                prod *= s
+            enhanced = Germ(germ.kind,
+                            _sign_up(germ.g0, table), _sign_up(germ.g1, table),
+                            germ.dist)
+            key, coeff = canonical_term(enhanced, c * prod)
+            out.add(key, coeff)
+    return out
+
+
+def _sign_up(d: ArrowDiagram, table) -> GaussDiagram:
+    return GaussDiagram(d.word, {a: table[a] for a in d.arrow_ids()})
+
+
+def pair_germ_via_s(alpha: FormalSum, gamma) -> Fraction:
+    """Independent evaluation <S(alpha), I(gamma)>."""
+    return s_map(alpha).dot(i_map(gamma))
+
+
+def meridian_without(m: Meridian, removed: frozenset[int]) -> Meridian:
+    """The meridian with some bystander arrows deleted throughout."""
+    germs = [_delete_from_germ(g, set(removed)) for g in m.germs]
+    return Meridian(m.tag, germs, m.bystanders - removed)
 
 
 def forget_germ_signs(germ: Germ) -> tuple[Germ, Fraction]:

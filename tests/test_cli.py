@@ -156,6 +156,20 @@ def test_pair_rejects_a_sign_string_with_other_characters(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_pair_rejects_a_sign_for_an_absent_arrow(tmp_path, capsys):
+    from knotcocycle import fixtures_io as fio
+    gauss = fio.load_json(FIXTURES / "knots" / "trefoil.json")
+    gauss["signs"]["7"] = -1
+    path = tmp_path / "gauss.json"
+    path.write_text(json.dumps(gauss))
+    arrow = str(FIXTURES / "formulas" / "v2_diagram.json")
+    assert main(["pair", "--arrow", arrow, "--gauss", str(path)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("moves", [
     [{"kind": "R1_birth", "data": [0, "TH", 1]}],  # does not close
     [{"kind": "R1_death", "data": [99]}],          # no such arrow

@@ -9,15 +9,12 @@ from knotcocycle.coboundary import coboundary
 from knotcocycle.cocycles import alpha31
 from knotcocycle.diagrams import FormalSum, GaussDiagram, parse_diagram
 from knotcocycle.fixtures_io import germ_from_json, load_json
-from knotcocycle.germs import (Germ, boundary, canonical_term,
-                               enumerate_arrow_3germs, enumerate_partial_germs,
-                               i_map, make_germ, monotonic_reduce, pair_germ,
-                               pair_germ_via_s, partial_germ_into, s_map,
-                               subgerms, ti, triangle_relator)
-from knotcocycle.moves import (MOVE_KINDS, apply_move, enumerate_moves, r1_birth,
-                               split_gaps)
+from knotcocycle.germs import (boundary, enumerate_arrow_3germs, enumerate_partial_germs,
+                               make_germ, monotonic_reduce, pair_germ,
+                               partial_germ_into, subgerms, ti, triangle_relator)
+from knotcocycle.moves import MOVE_KINDS, enumerate_moves, r1_birth, split_gaps
 from conftest import FIXTURES, random_gauss_diagram, random_move
-from oracles import t_map
+from oracles import i_map, pair_germ_via_s, s_map, t_map
 
 
 def test_make_germ_r1_birth():

@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from knotcocycle.rational_linalg import (SparseMatrix, in_row_span, kernel_basis,
                                          rank, residual, rref, solve_in_span)
 
@@ -111,11 +109,6 @@ def test_in_row_span():
                             {1: Fraction(1)}])
     assert in_row_span(m, {0: Fraction(2), 1: Fraction(-1), 2: Fraction(2)})
     assert not in_row_span(m, {2: Fraction(1)})
-
-
-def test_duplicate_triplets_rejected():
-    with pytest.raises(ValueError):
-        SparseMatrix.from_triplets(1, 2, [(0, 0, 1), (0, 0, 2)])
 
 
 def _random_rows(rng, nrows, ncols):

@@ -1,6 +1,4 @@
 import itertools
-import random
-from fractions import Fraction
 
 import pytest
 
@@ -9,11 +7,9 @@ from knotcocycle.germs import KIND_P, KIND_R3
 from knotcocycle.strata import (Meridian, banned_variable, classify_scenes,
                                 dedupe_meridians, enumerate_cube_meridians,
                                 homogeneous_parts, meridian_equation,
-                                meridian_key, meridian_without, normalise_row,
-                                picture_fingerprint,
-                                restrict_to_variables, reversal_on_rows,
+                                meridian_key, picture_fingerprint, reversal_on_rows,
                                 row_of_meridian, ti_meridian, variable_basis)
-from oracles import i_meridian, t_map
+from oracles import i_meridian, meridian_without, t_map
 
 
 def test_meridian_counts(cube_meridians):
