@@ -26,7 +26,6 @@ from .germs import enumerate_arrow_diagrams, enumerate_partial_germs, ti, _monot
 from .coboundary import coboundary
 from .cocycles import Loop, evaluate_loop, trivial_variable_vectors
 from .morse import FIXTURE_MORSE, rot_moves, trace
-from .moves import apply_move
 from .quadruple import quadruple_meridians
 from .rational_linalg import SparseMatrix, kernel_basis, residual, rref, solve_in_span
 from .strata import (System, assemble_system, classify_scenes, dedupe_meridians,
@@ -90,21 +89,14 @@ def gen_v2(out: Path, knots) -> ArrowDiagram:
 
 def gen_seed_r3(out: Path) -> None:
     """A planar-certified R3 move: the first bottom move of rot(trefoil)."""
-    initial, moves, tags = rot_moves(FIXTURE_MORSE["trefoil"])
-    cur = initial
-    for move, tag in zip(moves, tags):
-        if move.kind == "R3" and tag == "bottom":
-            target = apply_move(cur, move)
-            obj = {
-                "source": fio.diagram_to_json(cur),
-                "gaps": list(move.data),
-                "target": fio.diagram_to_json(target),
-                "provenance": "first under-pass R3 of the trefoil rotation loop",
-            }
-            fio.save_json(out / "moves" / "seed_r3.json", obj)
-            return
-        cur = apply_move(cur, move)
-    raise RuntimeError("no bottom R3 move found")
+    loop = Loop(*rot_moves(FIXTURE_MORSE["trefoil"]))
+    germ, move = next(gm for gm, tag in zip(loop.germs(), loop.tags) if tag == "bottom")
+    fio.save_json(out / "moves" / "seed_r3.json", {
+        "source": fio.diagram_to_json(germ.g0),
+        "gaps": list(move.data),
+        "target": fio.diagram_to_json(germ.g1),
+        "provenance": "first under-pass R3 of the trefoil rotation loop",
+    })
 
 
 def gen_triangle_relations(out: Path) -> None:

@@ -24,6 +24,11 @@ and leaves the strand wrapped once around the knot; the over-pass starts
 from the identical wrapped diagram and ends in a curl at the right end
 (an R1 death).  The two wrap states coincide verbatim, so the schedule
 closes up into a loop based at the original diagram.
+
+Each pass is built as its expected diagrams, one per gap between
+columns, and every move of the loop is read off two consecutive
+diagrams by ``moves.move_between``; a column the riser cannot reach in
+one move raises ``LoopBuildError``.
 """
 
 from __future__ import annotations
@@ -31,8 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagrams import GaussDiagram, HEAD, TAIL
-from .moves import (Move, _fresh_ids, apply_move, r1_birth, r1_death, r2_birth,
-                    r2_death, r3)
+from .moves import InvalidMove, Move, _fresh_ids, _literally_equal, move_between
 
 CUP = "cup"
 CAP = "cap"
@@ -45,8 +49,9 @@ class MorseError(ValueError):
 def validate_events(events) -> None:
     height = 1
     for ev in events:
-        kind = ev[0]
-        p = ev[1]
+        if not isinstance(ev, (list, tuple)) or len(ev) < 2 or not isinstance(ev[1], int):
+            raise MorseError(f"an event is a kind and a position, got {ev!r}")
+        kind, p = ev[0], ev[1]
         if kind == CUP:
             if not 1 <= p <= height + 1:
                 raise MorseError(f"cup position {p} out of range at height {height}")
@@ -58,8 +63,8 @@ def validate_events(events) -> None:
         elif kind == X:
             if not 1 <= p <= height - 1:
                 raise MorseError(f"crossing position {p} out of range at height {height}")
-            if ev[2] not in ("asc", "desc"):
-                raise MorseError(f"crossing over-tag must be 'asc' or 'desc', got {ev[2]!r}")
+            if len(ev) != 3 or ev[2] not in ("asc", "desc"):
+                raise MorseError(f"crossing needs an over-tag 'asc' or 'desc', got {ev!r}")
         else:
             raise MorseError(f"unknown event {ev!r}")
     if height != 1:
@@ -77,19 +82,17 @@ def connected_sum(*event_lists):
 
 @dataclass
 class Trace:
-    """The traced diagram together with the sweep tables.
+    """The traced diagram together with the knot's passages per gap.
 
     ``transits[g]`` lists, in traversal order, the triples
     ``(tokens_before, height, east_going)`` of the knot's passages
-    through the vertical line at gap g (gap g lies west of column g).
-    ``xcolumns`` maps a crossing column to (position, over, arrow id).
+    through the vertical line at gap g (gap g lies west of column g);
+    ``tokens_before`` never decreases along the list.
     """
 
     events: list
     diagram: GaussDiagram
     transits: list
-    xcolumns: dict
-    stacks: list
 
 
 def trace(events) -> Trace:
@@ -171,6 +174,8 @@ def trace(events) -> Trace:
                 tokens.append((col, TAIL if over else HEAD))
                 directions[(col, role)] = False
             g -= 1
+    if any(len(transits[g]) != len(stacks[g]) for g in range(ncol + 1)):
+        raise MorseError("presentation has a closed component; only long knots are traced")
 
     # Crossing signs: sign of the 2D cross product under_dir x over_dir.
     def slope_vec(role: str, east_going: bool):
@@ -195,11 +200,7 @@ def trace(events) -> Trace:
             order[col] = len(order) + 1
     word = [(order[col], kind) for col, kind in tokens]
     signs = {order[col]: s for col, s in signs_by_col.items()}
-    diagram = GaussDiagram(word, signs)
-
-    xcolumns = {col: (events[col][1], events[col][2], order[col])
-                for col in signs_by_col}
-    return Trace(list(events), diagram, transits, xcolumns, stacks)
+    return Trace(list(events), GaussDiagram(word, signs), transits)
 
 
 class LoopBuildError(RuntimeError):
@@ -208,21 +209,9 @@ class LoopBuildError(RuntimeError):
 
 def _region_tokens(tr: Trace, gap: int, riser_ids, kind: str):
     """K's word with one riser token of the given kind per transit at gap."""
-    inserts = sorted(range(len(tr.transits[gap])),
-                     key=lambda i: (tr.transits[gap][i][0], i))
-    region = []
-    idx = 0
-    kword = tr.diagram.word
-    for pos in range(len(kword) + 1):
-        while idx < len(inserts):
-            t, h, _ = tr.transits[gap][inserts[idx]]
-            if t == pos:
-                region.append((riser_ids[h], kind))
-                idx += 1
-            else:
-                break
-        if pos < len(kword):
-            region.append(kword[pos])
+    region = list(tr.diagram.word)
+    for t, h, _ in reversed(tr.transits[gap]):
+        region.insert(t, (riser_ids[h], kind))
     return region
 
 
@@ -240,114 +229,66 @@ def _wire_sign(east_going: bool) -> int:
     return -1 if east_going else 1
 
 
-def _sweep(tr: Trace, diagram: GaussDiagram, under: bool):
-    """Generate the moves of one full riser pass, left to right.
+def _expected(tr: Trace, gap: int, riser_ids, under: bool) -> GaussDiagram:
+    """The diagram with the riser at gap, riser_ids[h] crossing the wire at height h."""
+    signs = dict(tr.diagram.signs)
+    signs.update((riser_ids[h], _wire_sign(east)) for _, h, east in tr.transits[gap])
+    return GaussDiagram(_expected_word(tr, gap, riser_ids, under), signs)
 
-    Returns (moves, final diagram, final riser id).  The riser is
-    assumed to already cross the single wire at gap 0 with the arrow of
-    largest id in ``diagram``.
+
+def _sweep(tr: Trace, riser_id: int, under: bool):
+    """The expected diagrams of one riser pass at gaps 0..ncol, and the last riser id.
+
+    The riser starts as the arrow ``riser_id`` across the single wire at
+    gap 0.  Across a crossing the riser arrows of the two wires swap
+    heights; a cup adds two fresh arrows, the first-transited wire
+    taking the first fresh id (its tail comes first along the knot); a
+    cap removes the two arrows of its wires.
     """
-    ncol = len(tr.events)
-    moves: list[Move] = []
-    riser_ids = [max(diagram.arrow_ids())]
-    cur = diagram
-    assert list(cur.word) == _expected_word(tr, 0, riser_ids, under), "bad sweep start"
-
-    for col in range(ncol):
-        ev = tr.events[col]
+    riser_ids = [riser_id]
+    diagrams = [_expected(tr, 0, riser_ids, under)]
+    for col, ev in enumerate(tr.events):
         kind, p = ev[0], ev[1]
         if kind == X:
-            _, _, cid = tr.xcolumns[col]
-            pos = {t: i for i, t in enumerate(cur.word)}
-            lo, up = riser_ids[p - 1], riser_ids[p]
-            rk = HEAD if under else TAIL
-            gap_cluster = max(pos[(lo, rk)], pos[(up, rk)])
-            assert abs(pos[(lo, rk)] - pos[(up, rk)]) == 1
-            over_asc = ev[2] == "asc"
-            wk = TAIL if under else HEAD
-            tok_low = (cid, TAIL if over_asc else HEAD)
-            tok_up = (cid, HEAD if over_asc else TAIL)
-            gap_low = max(pos[(lo, wk)], pos[tok_low])
-            gap_up = max(pos[(up, wk)], pos[tok_up])
-            assert abs(pos[(lo, wk)] - pos[tok_low]) == 1
-            assert abs(pos[(up, wk)] - pos[tok_up]) == 1
-            move = r3((gap_cluster, gap_low, gap_up))
             riser_ids[p - 1], riser_ids[p] = riser_ids[p], riser_ids[p - 1]
         elif kind == CUP:
-            a, b = _fresh_ids(cur, 2)
-            nxt_ids = list(riser_ids)
-            # Heights p, p+1 are 1-based; the first-transited branch gets
-            # the first fresh id (its tail comes first along the knot).
-            new_transits = [(t, h, e) for (t, h, e) in tr.transits[col + 1]
-                            if h in (p - 1, p)]
-            new_transits.sort(key=lambda rec: rec[0])
-            first_h = new_transits[0][1]
-            second_h = new_transits[1][1]
-            ids_by_height = {first_h: a, second_h: b}
-            nxt_ids[p - 1:p - 1] = [ids_by_height[p - 1], ids_by_height[p]]
-            nxt_word = _expected_word(tr, col + 1, nxt_ids, under)
-            npos = {t: i for i, t in enumerate(nxt_word)}
-            q = min(npos[(a, TAIL)], npos[(b, TAIL)])
-            assert abs(npos[(a, TAIL)] - npos[(b, TAIL)]) == 1
-            assert npos[(a, TAIL)] == q, "first fresh id must carry the first tail"
-            hq = min(npos[(a, HEAD)], npos[(b, HEAD)])
-            assert abs(npos[(a, HEAD)] - npos[(b, HEAD)]) == 1
-            swap_heads = npos[(b, HEAD)] == hq
-            if hq < q:
-                gh, gt = hq, q - 2
-            else:
-                gh, gt = hq - 2, q
-            sign_first = _wire_sign(new_transits[0][2])
-            move = r2_birth(gt, gh, False, swap_heads, sign_first)
-            riser_ids = nxt_ids
+            a, b = _fresh_ids(diagrams[-1], 2)
+            first = next(h for _, h, _ in tr.transits[col + 1] if h in (p - 1, p))
+            riser_ids[p - 1:p - 1] = [a, b] if first == p - 1 else [b, a]
         else:  # CAP
-            a, b = riser_ids[p - 1], riser_ids[p]
-            move = r2_death(a, b)
-            riser_ids = riser_ids[:p - 1] + riser_ids[p + 1:]
-        cur = apply_move(cur, move)
-        expected = _expected_word(tr, col + 1, riser_ids, under)
-        if list(cur.word) != expected:
-            raise LoopBuildError(
-                f"sweep mismatch after column {col} ({ev}): {list(cur.word)} != {expected}")
-        moves.append(move)
-    return moves, cur, riser_ids[0]
+            del riser_ids[p - 1:p + 1]
+        diagrams.append(_expected(tr, col + 1, riser_ids, under))
+    return diagrams, riser_ids[0]
 
 
 def rot_moves(events) -> tuple[GaussDiagram, list[Move], list[str]]:
     """The rotation loop: initial diagram, move list, and segment tags.
 
-    Tags mark each move as 'bottom' (under-pass), 'top' (over-pass) or
-    'cusp' (the curl births/deaths at the two ends).
+    The loop runs through the expected diagrams of the left curl, the
+    under-pass, the over-pass and back to the knot; each move is the one
+    ``move_between`` consecutive diagrams.  Tags mark each move as
+    'bottom' (an R3 of the under-pass), 'top' (an R3 of the over-pass),
+    'slide' (a cup or cap of either pass) or 'cusp' (the curl birth and
+    death at the two ends).
     """
     tr = trace(events)
     K = tr.diagram
-    tags: list[str] = []
-    moves: list[Move] = []
-
-    r0 = max(K.arrow_ids(), default=0) + 1
-    entry_sign = _wire_sign(tr.transits[0][0][2])
-    birth = r1_birth(0, "HT", entry_sign)
-    cur = apply_move(K, birth)
-    moves.append(birth)
-    tags.append("cusp")
-    assert list(cur.word) == _expected_word(tr, 0, [r0], True)
-
-    under_moves, cur, wrap_id = _sweep(tr, cur, under=True)
-    moves.extend(under_moves)
-    tags.extend("bottom" if m.kind == "R3" else "slide" for m in under_moves)
-
-    # The wrapped state read as the start of the over-pass, verbatim.
-    assert list(cur.word) == _expected_word(tr, 0, [wrap_id], False)
-    over_moves, cur, end_id = _sweep(tr, cur, under=False)
-    moves.extend(over_moves)
-    tags.extend("top" if m.kind == "R3" else "slide" for m in over_moves)
-
-    death = r1_death(end_id)
-    cur = apply_move(cur, death)
-    moves.append(death)
-    tags.append("cusp")
-    if cur != K or list(cur.word) != list(K.word):
-        raise LoopBuildError("rotation loop failed to close")
+    under, wrap_id = _sweep(tr, max(K.arrow_ids(), default=0) + 1, under=True)
+    over, _ = _sweep(tr, wrap_id, under=False)
+    if not _literally_equal(under[-1], over[0]):
+        raise LoopBuildError("the wrapped states of the two passes differ")
+    path = [K, *under, *over[1:], K]
+    ncol = len(tr.events)
+    moves = []
+    for step, (d, target) in enumerate(zip(path, path[1:])):
+        try:
+            moves.append(move_between(d, target))
+        except InvalidMove as exc:
+            where = "a curl" if step in (0, 2 * ncol + 1) else \
+                f"column {(step - 1) % ncol} {tr.events[(step - 1) % ncol]}"
+            raise LoopBuildError(f"the riser cannot reach {where} in one move: {exc}") from exc
+    tags = ["cusp"] + [("bottom" if i < ncol else "top") if m.kind == "R3" else "slide"
+                       for i, m in enumerate(moves[1:-1])] + ["cusp"]
     return K, moves, tags
 
 

@@ -57,9 +57,9 @@ def killable(pos, a: int, b: int) -> bool:
 
 def interleave(d: ArrowDiagram, a: int, b: int) -> bool:
     """Whether arrows a and b cross (their spans alternate along the line)."""
-    pos = arrow_positions(d)
-    p1, p2 = sorted(pos[a].values())
-    q1, q2 = sorted(pos[b].values())
+    index = d.word.index
+    p1, p2 = sorted((index((a, TAIL)), index((a, HEAD))))
+    q1, q2 = sorted((index((b, TAIL)), index((b, HEAD))))
     return (p1 < q1 < p2 < q2) or (q1 < p1 < q2 < p2)
 
 
@@ -228,8 +228,8 @@ def r3_moves(d, arrows=None) -> list[Move]:
 def apply_move(d, move: Move):
     """Apply a move, returning a new diagram with stable arrow ids.
 
-    Newly born arrows receive the smallest unused ids.  The result is not
-    relabelled; diagram equality is canonical anyway.
+    Newly born arrows receive the ids just above the largest one present.
+    The result is not relabelled; diagram equality is canonical anyway.
     """
     word = list(d.word)
     signed = isinstance(d, GaussDiagram)
@@ -250,10 +250,7 @@ def apply_move(d, move: Move):
         pos = arrow_positions(d)
         if aid not in pos or not isolated(pos, aid):
             raise InvalidMove(f"arrow {aid} is not isolated")
-        first = min(pos[aid].values())
-        del word[first:first + 2]
-        if signed:
-            del signs[aid]
+        return d.delete((aid,))
 
     elif move.kind == R2_BIRTH:
         gt, gh, tails_first, swap_heads, s1 = move.data
@@ -284,10 +281,7 @@ def apply_move(d, move: Move):
             raise InvalidMove("pair is not in killing position")
         if signed and signs[a] * signs[b] != -1:
             raise InvalidMove("pair must have opposite signs")
-        word = [t for t in word if t[0] not in (a, b)]
-        if signed:
-            del signs[a]
-            del signs[b]
+        return d.delete((a, b))
 
     elif move.kind == R3:
         gaps = move.data
@@ -331,6 +325,41 @@ def inverse(d, move: Move) -> Move:
     if move.kind == R3:
         return move
     raise InvalidMove(f"unknown move kind {move.kind}")
+
+
+def _literally_equal(a, b) -> bool:
+    return a.word == b.word and getattr(a, "signs", None) == getattr(b, "signs", None)
+
+
+def move_between(d, target) -> Move:
+    """The one move taking d to target literally: same word, same signs.
+
+    Born arrows are read off target and the birth is the inverse of
+    their death there; dead arrows name the death; otherwise the three
+    arrows whose ends moved name the R3 move, which is compared after
+    ``transpose``.  Raises ``InvalidMove`` when no single move does it.
+    """
+    ids = {a for a, _ in d.word}
+    target_ids = {a for a, _ in target.word}
+    born, dead = sorted(target_ids - ids), sorted(ids - target_ids)
+    if born or dead:
+        ends = born or dead
+        if born and dead or len(ends) > 2:
+            raise InvalidMove(f"arrows {born} are born and {dead} die: not one move")
+        death = r1_death(*ends) if len(ends) == 1 else r2_death(*ends)
+        move = inverse(target, death) if born else death
+        try:
+            if _literally_equal(apply_move(d, move), target):
+                return move
+        except InvalidMove:
+            pass
+    else:
+        moved = {t[0] for t, u in zip(d.word, target.word) if t != u}
+        if len(moved) == 3:
+            for move in r3_moves(d, moved):
+                if _literally_equal(transpose(d, move.data), target):
+                    return move
+    raise InvalidMove(f"no single move takes {d!r} to {target!r}")
 
 
 def _r1_birth_at(signed: bool, i: int) -> Move:

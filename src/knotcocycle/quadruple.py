@@ -10,8 +10,9 @@ twice around the circle, a closed loop of eight R3 moves.
 A global type threads the four local strands into one long knot; with
 the basepoint choice it is a visiting order, and all 24 orders are
 enumerated.  The geometry below only ever produces orderings; every
-sector-to-sector step is re-derived and validated as a Gauss-diagram
-R3 move, so float genericity failures cannot pass silently.
+sector-to-sector step is re-derived by ``moves.move_between`` and
+validated as a Gauss-diagram move (an R3 move, as every sector carries
+the same six arrows), so float genericity failures cannot pass silently.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import itertools
 import math
 
 from .diagrams import GaussDiagram, HEAD, TAIL
-from .germs import Germ, make_germ
-from .moves import enumerate_moves
+from .germs import make_germ
+from .moves import move_between
 from .strata import Meridian, QUADRUPLE
 
 SLOPES = (1.0, 2.0, 3.0, 5.0)
@@ -88,28 +89,14 @@ def _word_for(orders, visit: tuple[int, ...]) -> GaussDiagram:
     return GaussDiagram(tokens, {aid: 1 for aid in _LABEL.values()})
 
 
-def _connecting_r3(d: GaussDiagram, target: GaussDiagram) -> Germ | None:
-    """The germ of the R3 move taking d to target literally, if there is one."""
-    for move in enumerate_moves(d, "R3"):
-        germ = make_germ(d, move)
-        if list(germ.g1.word) == list(target.word) and germ.g1.signs == target.signs:
-            return germ
-    return None
-
-
 def quadruple_meridians() -> list[Meridian]:
     """One eight-germ meridian per linear visiting order of the strands."""
     sectors = sector_orders()
     out = []
     for visit in itertools.permutations(range(4)):
         diagrams = [_word_for(orders, visit) for orders, _ in sectors]
-        germs = []
-        for i, d in enumerate(diagrams):
-            nxt = diagrams[(i + 1) % len(diagrams)]
-            germ = _connecting_r3(d, nxt)
-            if germ is None:
-                raise RuntimeError(f"movie for visit {visit} is not an R3 sequence")
-            germs.append(germ)
+        germs = [make_germ(d, move_between(d, nxt))
+                 for d, nxt in zip(diagrams, diagrams[1:] + diagrams[:1])]
         m = Meridian(QUADRUPLE, germs, frozenset())
         m.check_closed()
         out.append(m)

@@ -65,10 +65,6 @@ class Meridian:
     def boundary(self) -> FormalSum:
         return sum((boundary(g) for g in self.germs), FormalSum())
 
-    def reverse_arrows(self) -> "Meridian":
-        return Meridian(self.tag, [g.reverse_arrows() for g in self.germs],
-                        self.bystanders)
-
 
 def ti_meridian(m: Meridian, s: frozenset[int], degrees=None) -> FormalSum:
     """T(I(m; s)): subgerms keeping the bystanders in s and losing the others.

@@ -17,7 +17,9 @@ computes another way:
 - ``looped_births``: the births listed by nested loops, against the
   indexed births of ``moves.enumerate_moves``;
 - ``listed_random_move`` and ``listed_random_gauss_diagram``: the
-  samplers that list every applicable move before choosing one.
+  samplers that list every applicable move before choosing one;
+- ``table_interleave``: the crossing test read from the whole
+  ``arrow_positions`` table, against ``moves.interleave``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from knotcocycle.diagrams import ArrowDiagram, FormalSum, GaussDiagram
 from knotcocycle.germs import Germ, _delete_from_germ, canonical_term, subgerms
 from knotcocycle.moves import (MOVE_KINDS, R1_BIRTH, R2_BIRTH, apply_move,
-                               edge_flanks, enumerate_moves, r1_birth, r2_birth,
+                               arrow_positions, edge_flanks, enumerate_moves, r1_birth, r2_birth,
                                r3, split_gaps, validate_r3)
 from knotcocycle.strata import Meridian
 
@@ -203,3 +205,11 @@ def listed_random_gauss_diagram(rng, max_degree: int) -> GaussDiagram:
         if nxt.degree <= max_degree:
             g = nxt
     return g
+
+
+def table_interleave(d, a: int, b: int) -> bool:
+    """Whether arrows a and b cross, read from the ``arrow_positions`` table."""
+    pos = arrow_positions(d)
+    p1, p2 = sorted(pos[a].values())
+    q1, q2 = sorted(pos[b].values())
+    return (p1 < q1 < p2 < q2) or (q1 < p1 < q2 < p2)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -76,6 +77,25 @@ def test_unknown_input_exits_two(tmp_path):
     run_cli("pair", "--arrow", str(bad),
             "--gauss", str(FIXTURES / "knots" / "trefoil.json"), expect=2)
     run_cli("rot-test", "--knot", "not-a-knot", expect=2)
+
+
+@pytest.mark.parametrize("events", [
+    [["cup", 2], ["cap", 2]],
+    [["cup", 2], ["cup", 3], ["x", 2, "asc"], ["cap", 3], ["cap", 2]],
+])
+def test_rot_test_rejects_a_closed_component(tmp_path, events):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, fixtures)
+    template = fixtures / "loops" / "rot_template.json"
+    obj = json.loads(template.read_text())
+    obj["knots"]["trefoil"] = events
+    template.write_text(json.dumps(obj))
+    cmd = [sys.executable, "-m", "knotcocycle", "--fixtures", str(fixtures),
+           "rot-test", "--knot", "trefoil"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=REPO)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
 def test_determinism_byte_identical():

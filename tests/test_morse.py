@@ -1,9 +1,19 @@
+import json
+
 import pytest
 
+from conftest import REPO
+from knotcocycle import fixtures_io as fio
+from knotcocycle import morse
 from knotcocycle.diagrams import pair, parse_diagram
 from knotcocycle.morse import (FIXTURE_MORSE, LoopBuildError, MorseError,
                                connected_sum, rot_moves, trace, validate_events)
 from knotcocycle.moves import apply_move
+
+# Presentations with a closed component: a free circle, and a circle
+# crossing the long strand.
+LINKS = ([("cup", 2), ("cap", 2)],
+         [("cup", 2), ("cup", 3), ("x", 2, "asc"), ("cap", 3), ("cap", 2)])
 
 
 def test_traces_match_fixture_knots(knots):
@@ -23,6 +33,38 @@ def test_invalid_presentations_rejected():
         validate_events([("x", 1, "asc")])     # no second wire to cross
     with pytest.raises(MorseError):
         validate_events([("cap", 1)])          # nothing to cap
+    with pytest.raises(MorseError):
+        validate_events([("cup", 2), ("x", 1), ("cap", 2)])  # no over tag
+    with pytest.raises(MorseError):
+        validate_events([("cup",), ("cap", 2)])  # no position
+
+
+@pytest.mark.parametrize("events", LINKS)
+def test_links_rejected(events):
+    with pytest.raises(MorseError, match="closed component"):
+        trace(events)
+    with pytest.raises(MorseError, match="closed component"):
+        rot_moves(events)
+
+
+def test_rot_moves_match_the_recorded_loops():
+    # Loops recorded before the sweep took its moves from move_between:
+    # the five benchmark knots, T(2,5), T(2,7), T(2,9) and figure8^3.
+    recorded = json.loads((REPO / "tests" / "data" / "rot_moves.json").read_text())
+    assert len(recorded) == 9
+    for name, rec in recorded.items():
+        initial, moves, tags = rot_moves([tuple(ev) for ev in rec["events"]])
+        assert fio.diagram_to_json(initial) == rec["initial"], name
+        assert [fio.move_to_json(m) for m in moves] == rec["moves"], name
+        assert tags == rec["tags"], name
+
+
+def test_unreachable_column_raises_loop_build_error(monkeypatch):
+    # With every riser arrow positive, the two arrows a cup gives birth
+    # to have equal signs, so no R2 birth reaches that column.
+    monkeypatch.setattr(morse, "_wire_sign", lambda east_going: 1)
+    with pytest.raises(LoopBuildError):
+        rot_moves(FIXTURE_MORSE["trefoil"])
 
 
 def test_rot_loop_closes_for_fixtures():

@@ -6,11 +6,13 @@ import pytest
 from knotcocycle.diagrams import EMPTY_GAUSS, GaussDiagram, parse_diagram
 from knotcocycle.fixtures_io import diagram_from_json, load_json
 from knotcocycle.moves import (InvalidMove, MOVE_KINDS, apply_move, edge_data,
-                               R1_BIRTH, R2_BIRTH, enumerate_moves, inverse, r3,
-                               r3_moves, r3_triangle, validate_r3)
+                               R1_BIRTH, R2_BIRTH, enumerate_moves, interleave, inverse,
+                               move_between, r1_birth, r2_birth, r3, r3_moves,
+                               r3_triangle, validate_r3)
 from conftest import random_arrow_diagram, random_gauss_diagram, random_move
 from oracles import (brute_r3_moves, frozenset_r3_triangle,
-                     listed_random_gauss_diagram, listed_random_move, looped_births)
+                     listed_random_gauss_diagram, listed_random_move, looped_births,
+                     table_interleave)
 
 
 def test_edge_data_formula_cases():
@@ -173,3 +175,58 @@ def test_triangle_test_matches_the_frozenset_form():
             assert r3_triangle(d, triple) == expected
             hits += expected is not None
     assert hits > 50
+
+
+def test_interleave_matches_the_position_table():
+    rng = random.Random(31)
+    pairs = 0
+    for i in range(200):
+        d = random_arrow_diagram(rng, 6) if i % 2 else random_gauss_diagram(rng, 6)
+        for a, b in itertools.permutations(d.arrow_ids(), 2):
+            assert interleave(d, a, b) == table_interleave(d, a, b)
+            pairs += 1
+    assert pairs > 500
+
+
+def _literal(d):
+    return d.word, d.signs
+
+
+def test_move_between_finds_every_move():
+    rng = random.Random(11)
+    found = dict.fromkeys(MOVE_KINDS, 0)
+    for i in range(400):
+        # Random diagrams seldom admit R3 moves; larger ones are searched for those only.
+        d = random_gauss_diagram(rng, 4 if i < 40 else 7)
+        for kind in MOVE_KINDS if i < 40 else ("R3",):
+            for m in enumerate_moves(d, kind):
+                target = apply_move(d, m)
+                move = move_between(d, target)
+                assert move.kind == m.kind
+                assert _literal(apply_move(d, move)) == _literal(target)
+                found[kind] += 1
+    assert all(n > 10 for n in found.values()), found
+
+
+def test_move_between_rejects_a_flipped_sign_and_two_moves():
+    rng = random.Random(12)
+    flipped = 0
+    for _ in range(40):
+        d = random_gauss_diagram(rng, 4)
+        for kind in MOVE_KINDS:
+            for m in enumerate_moves(d, kind)[:6]:
+                target = apply_move(d, m)
+                kept = sorted(set(d.arrow_ids()) & set(target.arrow_ids()))
+                if kept:
+                    signs = dict(target.signs)
+                    signs[kept[0]] = -signs[kept[0]]
+                    with pytest.raises(InvalidMove):
+                        move_between(d, GaussDiagram(target.word, signs))
+                    flipped += 1
+        once = apply_move(d, r1_birth(0, "TH", 1))
+        for second in (r1_birth(len(once.word), "HT", -1), r2_birth(1, 1, True, False, 1)):
+            with pytest.raises(InvalidMove):
+                move_between(d, apply_move(once, second))
+        with pytest.raises(InvalidMove):
+            move_between(d, d)  # no move at all
+    assert flipped > 100
