@@ -5,11 +5,12 @@ Usage:  python3 bench/fixturegen_stages.py [--src DIR] [--label NAME] [--repeats
 Times each stage of the fixture generator with the ``knotcocycle``
 package of the source tree DIR (default: this repository), each
 measurement in its own process on fixed inputs; a stage's inputs are
-built before its clock starts.  The stages are
+built before its clock starts (the meridians as
+``dedupe_meridians(enumerate_cube_meridians(0))``, which gives the same
+144 in a tree whose walk yields both orientations).  The stages are
 
-  enumerate_cube_meridians_0  list(enumerate_cube_meridians(0))
-  enumerate_dedupe            dedupe_meridians(enumerate_cube_meridians(0))
-  classify_scenes             classify_scenes on the 144 deduplicated meridians
+  enumerate_cube_meridians_0  list(enumerate_cube_meridians(0)), the walk alone
+  classify_scenes             classify_scenes on the 144 unoriented meridians
   collect_rows                collect_rows on those meridians, none expanded yet
   quadruple_meridians         quadruple_meridians()
   derive_alpha31              derive_alpha31 on the assembled degree-3 system
@@ -58,8 +59,6 @@ def meridians():
 
 if stage == "enumerate_cube_meridians_0":
     run = lambda: list(strata.enumerate_cube_meridians(0))
-elif stage == "enumerate_dedupe":
-    run = meridians
 elif stage == "classify_scenes":
     ms, variables = meridians(), strata.variable_basis(3)
     var_index = {g: j for j, g in enumerate(variables)}
@@ -79,8 +78,8 @@ t = time.perf_counter()
 run()
 print(time.perf_counter() - t)
 """
-STAGES = ("enumerate_cube_meridians_0", "enumerate_dedupe", "classify_scenes",
-          "collect_rows", "quadruple_meridians", "derive_alpha31")
+STAGES = ("enumerate_cube_meridians_0", "classify_scenes", "collect_rows",
+          "quadruple_meridians", "derive_alpha31")
 
 # One full fixture generation with counting wrappers; argv (out dir).  A
 # function is replaced on every module that imported it by name.

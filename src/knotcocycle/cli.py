@@ -339,7 +339,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv, argparse.Namespace(fixtures=None, format="json"))
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, fio.FixtureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

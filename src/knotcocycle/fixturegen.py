@@ -28,9 +28,8 @@ from .cocycles import Loop, evaluate_loop, trivial_variable_vectors
 from .morse import FIXTURE_MORSE, rot_moves, trace
 from .quadruple import quadruple_meridians
 from .rational_linalg import SparseMatrix, kernel_basis, residual, rref, solve_in_span
-from .strata import (System, assemble_system, classify_scenes, dedupe_meridians,
-                     enumerate_cube_meridians, equation_row, ti_meridian,
-                     variable_basis)
+from .strata import (System, assemble_system, classify_scenes, enumerate_cube_meridians,
+                     equation_row, ti_meridian, variable_basis)
 from . import fixtures_io as fio
 
 
@@ -127,7 +126,7 @@ def gen_strata(out: Path) -> System:
     """Write the scene and tetrahedron fixtures; return the degree-3 system."""
     variables = variable_basis(3)
     var_index = {g: j for j, g in enumerate(variables)}
-    meridians = dedupe_meridians(enumerate_cube_meridians(0))
+    meridians = list(enumerate_cube_meridians(0))
     scenes = classify_scenes(meridians, variables, var_index)
 
     scene_objs = []

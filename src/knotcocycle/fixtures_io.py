@@ -19,6 +19,10 @@ from .moves import Move, R1_BIRTH, R1_DEATH, R2_BIRTH, R2_DEATH, R3
 ENV_VAR = "KNOT_COCYCLE_FIXTURES"
 
 
+class FixtureError(ValueError):
+    """A fixture file that cannot be read or parsed, or lacks an entry."""
+
+
 def resolve_fixtures(explicit=None) -> Path:
     if explicit is not None:
         return Path(explicit)
@@ -156,8 +160,13 @@ def formula_from_json(obj: list) -> FormalSum:
 
 
 def load_json(path: Path):
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise FixtureError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise FixtureError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def save_json(path: Path, obj) -> None:
@@ -172,6 +181,9 @@ def load_knot(fixtures: Path, name: str) -> GaussDiagram:
 
 
 def load_morse(fixtures: Path, name: str) -> list:
-    obj = load_json(fixtures / "loops" / "rot_template.json")
-    events = obj["knots"][name]
-    return [tuple(ev) for ev in events]
+    path = fixtures / "loops" / "rot_template.json"
+    obj = load_json(path)
+    knots = obj.get("knots") if isinstance(obj, dict) else None
+    if not isinstance(knots, dict) or name not in knots:
+        raise FixtureError(f"{path} has no Morse presentation of {name!r}")
+    return [tuple(ev) for ev in knots[name]]

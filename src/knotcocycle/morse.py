@@ -10,10 +10,14 @@ from the bottom, 1-based):
                       if the strand climbing from p to p+1 is the
                       over-strand, "desc" otherwise
 
-Tracing the presentation yields the Gauss diagram (a crossing is
-positive exactly when its over-strand is the ascending one, for two
-east-going strands, and in general when the under-to-over frame is
-positively oriented).
+Tracing the presentation walks the knot from its left end and keeps
+only the gap, the wire's height there and the direction of travel; the
+number of wires at each gap follows from the events.  A cap met going
+east, or a cup met going west, at one of its two heights turns the walk
+back on the partner wire; any other cup or cap moves the wire up or down
+two heights.  Each crossing passed gives a token of the Gauss diagram.
+A crossing is positive exactly when its over-strand is the ascending one
+for two east-going strands; reversing either strand flips the sign.
 
 The rotation loop of the knot around its long axis is compiled from the
 same data.  A vertical riser sweeps across the columns twice: first
@@ -82,12 +86,13 @@ def connected_sum(*event_lists):
 
 @dataclass
 class Trace:
-    """The traced diagram together with the knot's passages per gap.
+    """The traced diagram together with the walk's passages per gap.
 
     ``transits[g]`` lists, in traversal order, the triples
     ``(tokens_before, height, east_going)`` of the knot's passages
-    through the vertical line at gap g (gap g lies west of column g);
-    ``tokens_before`` never decreases along the list.
+    through the vertical line at gap g (gap g lies west of column g;
+    heights count from 0 at the bottom); ``tokens_before`` never
+    decreases along the list.
     """
 
     events: list
@@ -96,110 +101,47 @@ class Trace:
 
 
 def trace(events) -> Trace:
+    """The height walk of the module docstring, as (gap, height, east)."""
     validate_events(events)
     ncol = len(events)
-
-    # Static structure: stacks of segment ids per gap, joints, passages.
-    fresh = iter(range(1, 10 ** 9))
-    entry = next(fresh)
-    stack = [entry]
-    stacks = [list(stack)]
-    cup_partner: dict[int, int] = {}
-    cap_partner: dict[int, int] = {}
-    passages: dict[int, list] = {entry: []}
-    for col, ev in enumerate(events):
-        kind, p = ev[0], ev[1]
-        if kind == CUP:
-            s1, s2 = next(fresh), next(fresh)
-            cup_partner[s1] = s2
-            cup_partner[s2] = s1
-            passages[s1] = []
-            passages[s2] = []
-            stack[p - 1:p - 1] = [s1, s2]
-        elif kind == CAP:
-            a, b = stack[p - 1], stack[p]
-            cap_partner[a] = b
-            cap_partner[b] = a
-            del stack[p - 1:p + 1]
-        else:
-            over = ev[2]
-            low, up = stack[p - 1], stack[p]
-            passages[low].append((col, "asc", over == "asc"))
-            passages[up].append((col, "desc", over == "desc"))
-            stack[p - 1], stack[p] = stack[p], stack[p - 1]
-        stacks.append(list(stack))
-    if len(stacks[-1]) != 1:
-        raise MorseError("presentation must end on a single wire")
-    exit_seg = stacks[-1][0]
-
-    # Parameter walk from the left end.
+    wires = [1]
+    for ev in events:
+        wires.append(wires[-1] + {CUP: 2, CAP: -2}.get(ev[0], 0))
     transits: list[list] = [[] for _ in range(ncol + 1)]
     tokens: list[tuple[int, str]] = []
-    directions: dict[tuple[int, str], bool] = {}
-    seg, east, g = entry, True, 0
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10 ** 6:
-            raise MorseError("walk does not terminate; presentation is inconsistent")
-        height = stacks[g].index(seg)
-        transits[g].append((len(tokens), height, east))
-        if east:
-            if g == ncol:
-                if seg != exit_seg:
-                    raise MorseError("walked off the right end on a wrong wire")
-                break
-            ev = events[g]
-            if ev[0] == CAP and seg in (stacks[g][ev[1] - 1], stacks[g][ev[1]]):
-                seg, east = cap_partner[seg], False
-                continue
-            if ev[0] == X and seg in (stacks[g][ev[1] - 1], stacks[g][ev[1]]):
-                col = g
-                role = "asc" if seg == stacks[g][ev[1] - 1] else "desc"
-                over = (ev[2] == role)
-                tokens.append((col, TAIL if over else HEAD))
-                directions[(col, role)] = True
-            g += 1
-        else:
-            if g == 0:
-                raise MorseError("walked off the left end going west")
-            ev = events[g - 1]
-            if ev[0] == CUP and seg in cup_partner and seg not in stacks[g - 1]:
-                seg, east = cup_partner[seg], True
-                continue
-            if ev[0] == X and seg in (stacks[g - 1][ev[1] - 1], stacks[g - 1][ev[1]]):
-                col = g - 1
-                role = "asc" if seg == stacks[g - 1][ev[1] - 1] else "desc"
-                over = (ev[2] == role)
-                tokens.append((col, TAIL if over else HEAD))
-                directions[(col, role)] = False
-            g -= 1
-    if any(len(transits[g]) != len(stacks[g]) for g in range(ncol + 1)):
+    direction: dict[tuple[int, str], int] = {}
+    g, h, east = 0, 0, True
+    for _ in range(10 ** 6):
+        transits[g].append((len(tokens), h, east))
+        if east and g == ncol:
+            break
+        col = g if east else g - 1
+        kind, p = events[col][0], events[col][1]
+        turn = CAP if east else CUP
+        if kind == turn and h in (p - 1, p):
+            h, east = 2 * p - 1 - h, not east
+            continue
+        if kind == X and h in (p - 1, p):
+            role = "asc" if (h == p - 1) == east else "desc"
+            tokens.append((col, TAIL if events[col][2] == role else HEAD))
+            direction[col, role] = 1 if east else -1
+            h = 2 * p - 1 - h
+        elif kind == turn:
+            h -= 2 * (h > p)
+        elif kind != X:
+            h += 2 * (h >= p - 1)
+        g += 1 if east else -1
+    else:
+        raise MorseError("walk does not terminate; presentation is inconsistent")
+    if any(len(transits[g]) != wires[g] for g in range(ncol + 1)):
         raise MorseError("presentation has a closed component; only long knots are traced")
 
-    # Crossing signs: sign of the 2D cross product under_dir x over_dir.
-    def slope_vec(role: str, east_going: bool):
-        v = (1, 1) if role == "asc" else (1, -1)
-        return v if east_going else (-v[0], -v[1])
-
-    signs_by_col: dict[int, int] = {}
-    for col, ev in enumerate(events):
-        if ev[0] != X:
-            continue
-        over_role = ev[2]
-        under_role = "desc" if over_role == "asc" else "asc"
-        o = slope_vec(over_role, directions[(col, over_role)])
-        u = slope_vec(under_role, directions[(col, under_role)])
-        cross = u[0] * o[1] - u[1] * o[0]
-        signs_by_col[col] = 1 if cross > 0 else -1
-
-    # Relabel crossings 1..n by first appearance along the knot.
     order: dict[int, int] = {}
     for col, _ in tokens:
-        if col not in order:
-            order[col] = len(order) + 1
+        order.setdefault(col, len(order) + 1)
     word = [(order[col], kind) for col, kind in tokens]
-    signs = {order[col]: s for col, s in signs_by_col.items()}
+    signs = {n: (1 if events[col][2] == "asc" else -1) * direction[col, "asc"]
+             * direction[col, "desc"] for col, n in sorted(order.items())}
     return Trace(list(events), GaussDiagram(word, signs), transits)
 
 

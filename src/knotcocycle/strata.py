@@ -167,8 +167,9 @@ def enumerate_cube_meridians(bystanders: int = 0):
     """All cube meridians over the given number of bystander arrows.
 
     Yields closed 4-germ loops: R2 birth, two R3 moves relating the pair
-    to the two active arrows, R2 death.  Both traversal orientations are
-    produced; meridians come out with the scene as base diagram.
+    to the two active arrows, R2 death.  Each unoriented meridian comes
+    out once, in the orientation that slides the later-born pair arrow
+    first, with the scene as base diagram.
     """
     for g0 in _scene_diagrams(bystanders):
         byst = frozenset(a for a in g0.arrow_ids() if a not in (1, 2))
@@ -176,21 +177,20 @@ def enumerate_cube_meridians(bystanders: int = 0):
             born = make_germ(g0, birth)
             g1 = born.g1
             c1, c2 = sorted(born.dist)
-            for first, second in ((c1, c2), (c2, c1)):
-                for m1 in r3_moves(g1, frozenset((1, 2, first))):
-                    slide1 = make_germ(g1, m1)
-                    for m2 in r3_moves(slide1.g1, frozenset((1, 2, second))):
-                        slide2 = make_germ(slide1.g1, m2)
-                        try:
-                            dies = make_germ(slide2.g1, r2_death(c1, c2))
-                        except InvalidMove:
-                            continue
-                        g4 = dies.g1
-                        if list(g4.word) != list(g0.word) or g4.signs != g0.signs:
-                            continue
-                        m = Meridian(CUBE, [born, slide1, slide2, dies], byst)
-                        m.check_closed()
-                        yield m
+            for m1 in r3_moves(g1, frozenset((1, 2, c2))):
+                slide1 = make_germ(g1, m1)
+                for m2 in r3_moves(slide1.g1, frozenset((1, 2, c1))):
+                    slide2 = make_germ(slide1.g1, m2)
+                    try:
+                        dies = make_germ(slide2.g1, r2_death(c1, c2))
+                    except InvalidMove:
+                        continue
+                    g4 = dies.g1
+                    if list(g4.word) != list(g0.word) or g4.signs != g0.signs:
+                        continue
+                    m = Meridian(CUBE, [born, slide1, slide2, dies], byst)
+                    m.check_closed()
+                    yield m
 
 
 def meridian_key(m: Meridian):
@@ -431,7 +431,7 @@ def assemble_system(tetra_rows, bystanders: bool = False,
     ``tetra_rows`` are the two quadruple-point equations as FormalSums
     over germs (loaded from the fixture or regenerated); the double-R3
     stratum only contributes from degree 4 on and is omitted.
-    ``meridians`` are the deduplicated bystander-free cube meridians,
+    ``meridians`` are the bystander-free cube meridians,
     enumerated here when not given.
 
     One pass: the cube equations, those of the one-bystander meridians
@@ -445,10 +445,10 @@ def assemble_system(tetra_rows, bystanders: bool = False,
     variables = variable_basis(3)
     var_index = {g: j for j, g in enumerate(variables)}
     if meridians is None:
-        meridians = dedupe_meridians(enumerate_cube_meridians(0))
+        meridians = list(enumerate_cube_meridians(0))
     equations = collect_rows(meridians)
     if bystanders:
-        equations += collect_rows(dedupe_meridians(enumerate_cube_meridians(1)))
+        equations += collect_rows(enumerate_cube_meridians(1))
     for fs in tetra_rows:
         part = homogeneous_parts(fs).get(3)
         if part:

@@ -25,8 +25,8 @@ def knots(fixtures_dir):
 
 @pytest.fixture(scope="session")
 def cube_meridians():
-    from knotcocycle.strata import dedupe_meridians, enumerate_cube_meridians
-    return dedupe_meridians(enumerate_cube_meridians(0))
+    from knotcocycle.strata import enumerate_cube_meridians
+    return list(enumerate_cube_meridians(0))
 
 
 @pytest.fixture(scope="session")

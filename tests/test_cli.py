@@ -98,6 +98,37 @@ def test_rot_test_rejects_a_closed_component(tmp_path, events):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["solve"], ["verify"], ["equations"],
+    ["eval-loop", "--loop", str(FIXTURES / "knots" / "trefoil.json")],
+    ["rot-test", "--knot", "trefoil"],
+])
+@pytest.mark.parametrize("where", ["empty", "missing"])
+def test_unreadable_fixtures_exit_2(command, where, tmp_path, capsys):
+    fixtures = tmp_path / where
+    if where == "empty":
+        fixtures.mkdir()
+    assert main(["--fixtures", str(fixtures), *command]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read"), captured.err
+    assert captured.out == ""
+
+
+def test_rot_test_without_a_template_entry_exits_2(tmp_path, capsys):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, fixtures)
+    template = fixtures / "loops" / "rot_template.json"
+    obj = json.loads(template.read_text())
+    del obj["knots"]["trefoil"]
+    template.write_text(json.dumps(obj))
+    assert main(["--fixtures", str(fixtures), "rot-test", "--knot", "trefoil"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'trefoil'" in err[0]
+    assert captured.out == ""
+
+
 def test_determinism_byte_identical():
     one = run_cli("equations")
     two = run_cli("equations")

@@ -59,6 +59,25 @@ def test_rot_moves_match_the_recorded_loops():
         assert tags == rec["tags"], name
 
 
+def test_traces_match_the_recorded_traces():
+    # Traces recorded before the walk followed wire heights: the fixture
+    # knots and their sums, T(2,q) for q <= 15, seeded 3- and 4-strand
+    # braid closures and seeded Morse words, knots and links alike.
+    recorded = json.loads((REPO / "tests" / "data" / "traces.json").read_text())
+    assert len(recorded) == 61
+    assert sum("error" in rec for rec in recorded.values()) == 23
+    for name, rec in recorded.items():
+        events = [tuple(ev) for ev in rec["events"]]
+        if "error" in rec:
+            with pytest.raises(MorseError) as err:
+                trace(events)
+            assert str(err.value) == rec["error"], name
+            continue
+        tr = trace(events)
+        assert fio.diagram_to_json(tr.diagram) == rec["diagram"], name
+        assert [[list(t) for t in ts] for ts in tr.transits] == rec["transits"], name
+
+
 def test_unreachable_column_raises_loop_build_error(monkeypatch):
     # With every riser arrow positive, the two arrows a cup gives birth
     # to have equal signs, so no R2 birth reaches that column.
