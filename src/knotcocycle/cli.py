@@ -5,16 +5,15 @@ eval-loop, rot-test, invariants.  Results are printed as JSON by default
 or as aligned text with --format text; identical invocations produce
 byte-identical output.  The common options --fixtures and --format may
 be given before or after the subcommand; when given in both places the
-one after it wins.  --seed and --jobs are options of stokes-check, the
-only randomized, parallel command.  Exit status: 0 on success, 1 on
-verification failure, 2 on input errors.
+one after it wins.  --seed is an option of stokes-check, the only
+randomized command.  Exit status: 0 on success, 1 on verification
+failure, 2 on input errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -98,13 +97,17 @@ def cmd_coboundary(args) -> int:
     return 0
 
 
-def _stokes_chunk(seed: int, trials: int, max_degree: int):
-    rng = random.Random(seed)
+def cmd_stokes_check(args) -> int:
+    if args.trials < 0:
+        raise InputError(f"--trials must be at least 0, got {args.trials}")
+    if args.max_degree < 0:
+        raise InputError(f"--max-degree must be at least 0, got {args.max_degree}")
+    rng = random.Random(args.seed)
     failures = []
     done = 0
-    while done < trials:
-        a = random_arrow_diagram(rng, max_degree)
-        g = random_gauss_diagram(rng, max_degree)
+    while done < args.trials:
+        a = random_arrow_diagram(rng, args.max_degree)
+        g = random_gauss_diagram(rng, args.max_degree)
         move = random_move(rng, g)
         if move is None:
             continue
@@ -114,28 +117,6 @@ def _stokes_chunk(seed: int, trials: int, max_degree: int):
                              "gauss": fio.diagram_to_json(g),
                              "lhs": str(lhs), "rhs": str(rhs)})
         done += 1
-    return done, failures
-
-
-def cmd_stokes_check(args) -> int:
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.jobs <= cpus:
-        raise InputError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
-    if args.trials < 0:
-        raise InputError(f"--trials must be at least 0, got {args.trials}")
-    if args.max_degree < 0:
-        raise InputError(f"--max-degree must be at least 0, got {args.max_degree}")
-    per = [args.trials // args.jobs] * args.jobs
-    per[0] += args.trials - sum(per)
-    chunks = [(args.seed + i, n, args.max_degree) for i, n in enumerate(per) if n]
-    if args.jobs > 1:
-        import multiprocessing
-        with multiprocessing.Pool(args.jobs) as pool:
-            results = pool.starmap(_stokes_chunk, chunks)
-    else:
-        results = [_stokes_chunk(*c) for c in chunks]
-    done = sum(r[0] for r in results)
-    failures = [f for r in results for f in r[1]]
     _emit({"trials": done, "failures": failures, "max_degree": args.max_degree},
           args.format)
     return 1 if failures else 0
@@ -304,8 +285,6 @@ def main(argv=None) -> int:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument("--seed", type=int, default=0, help="seed of the random suite")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at most the CPU count")
     p.set_defaults(fn=cmd_stokes_check)
 
     p = sub.add_parser("equations", parents=[common], help="assemble and export the degree-3 system")

@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .diagrams import ArrowDiagram, FormalSum, format_diagram, pair
-from .germs import enumerate_arrow_diagrams, enumerate_partial_germs, ti, _monotonic_partners
+from .germs import enumerate_arrow_diagrams, enumerate_partial_germs, monotonic_partners, ti
 from .coboundary import coboundary
 from .cocycles import Loop, evaluate_loop, trivial_variable_vectors
 from .morse import FIXTURE_MORSE, rot_moves, trace
@@ -103,7 +103,7 @@ def gen_triangle_relations(out: Path) -> None:
     for p in enumerate_partial_germs(2):
         if p.is_monotonic():
             continue
-        partners = _monotonic_partners(p)
+        partners = monotonic_partners(p)
         relators.append({
             "top": fio.germ_to_json(p),
             "bottom": [fio.germ_to_json(m) for m in partners],

@@ -111,6 +111,7 @@ def germ_to_json(g: Germ) -> dict:
 
 
 def germ_from_json(obj: dict) -> Germ:
+    """A germ whose sides differ by the move its kind and ``dist`` name."""
     obj = _dict(obj, "germ")
     kind = obj["kind"]
     dist = obj["dist"]
@@ -122,7 +123,9 @@ def germ_from_json(obj: dict) -> Germ:
         dist = _ints(dist, 3, "R3 dist")
     else:
         raise ValueError(f"unknown germ kind {kind!r}")
-    return Germ(kind, diagram_from_json(obj["g0"]), diagram_from_json(obj["g1"]), dist)
+    germ = Germ(kind, diagram_from_json(obj["g0"]), diagram_from_json(obj["g1"]), dist)
+    germ.validate()
+    return germ
 
 
 def move_to_json(m: Move) -> dict:

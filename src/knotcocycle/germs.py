@@ -14,18 +14,20 @@ Since exactly one end swap flips eps of its own edge and fixes the other
 data, every unordered germ has exactly one normalised side, and a germ
 presented the other way round carries a factor -1.
 
-The triangle relations are derived rather than transcribed: every
-non-monotonic partial arrow germ P (its edge bounds two tails or two
-heads) has exactly two completions to an arrow triangle, obtained by
-adding a third arrow next to the free ends of the distinguished pair,
-one for each direction of the added arrow.  Deleting the right arrow of
-each completion leaves a monotonic partial germ, and
+The triangle relations are built by one rule.  A non-monotonic partial
+arrow germ P has an edge bounding the ends (a, k) and (b, k) of one
+kind k, two tails or two heads.  Moving one of those ends, keeping its
+kind, to just after the free end of the other arrow gives a monotonic
+partial germ switched at the new edge; with two tails b moves first,
+with two heads a does, and
 
     P  =  M_first + M_second   (mod triangle relations),
 
-all three written in normalised orientation.  The two relator families
-of the theory are the two cases up = 0 and up = 2, images of each other
-under reversing every arrow.
+all three written in normalised orientation.  The rule is what deleting
+a distinguished arrow of the two completions of P to an arrow triangle
+leaves; that derivation is kept as an oracle in ``tests/oracles.py``.
+The two relator families of the theory are the two cases up = 0 and
+up = 2, images of each other under reversing every arrow.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from fractions import Fraction
 
 from .diagrams import (ArrowDiagram, FormalSum, GaussDiagram, HEAD, TAIL)
 from .moves import (InvalidMove, Move, R1_BIRTH, R1_DEATH, R2_BIRTH, R2_DEATH,
-                    R3, apply_move, edge_data, edge_flanks, r3_moves,
-                    split_gaps, transpose, validate_r3)
+                    R3, _literally_equal, apply_move, edge_data, edge_flanks, r1_death,
+                    r2_death, r3, r3_moves, split_gaps, transpose)
 
 KIND_R1 = "R1"
 KIND_R2 = "R2"
@@ -51,7 +53,7 @@ class Germ:
     a sorted tuple of three gap indices (synchronised between the two
     sides) for R3, and a single gap index for partial germs.  Validity of
     the underlying move is not enforced, so formal germs (arbitrary sign
-    decorations of a skeleton) can be represented.
+    decorations of a skeleton) can be represented; ``validate`` checks it.
     """
 
     __slots__ = ("kind", "g0", "g1", "dist", "_canon")
@@ -109,6 +111,29 @@ class Germ:
             raise ValueError("monotonicity is a partial-germ notion")
         _, up, _, _ = edge_data(self.g1, self.dist)
         return up == 1
+
+    def validate(self) -> None:
+        """Raise ``ValueError`` unless g0 -> g1 is the named move at ``dist``.
+
+        The sides are compared literally, same word and same signs.  An
+        R3 germ switches the three gaps of a valid triangle; a partial
+        germ switches the ends of two distinct arrows at its gap; an R1
+        or R2 germ loses its isolated arrow, or its killable pair (of
+        opposite signs on Gauss diagrams), from the larger side.
+        """
+        if self.kind == KIND_P:
+            edge_data(self.g1, self.dist)  # raises unless two arrows bound the gap
+            undone, other = transpose(self.g1, (self.dist,)), self.g0
+        elif self.kind == KIND_R3:
+            undone, other = apply_move(self.g1, r3(self.dist)), self.g0
+        else:
+            if self.kind == KIND_R2 and len(self.dist) != 2:
+                raise InvalidMove(f"an R2 germ needs two distinct arrows, got {sorted(self.dist)}")
+            big = self.bigger()
+            death = r1_death(self.dist) if self.kind == KIND_R1 else r2_death(*self.dist)
+            undone, other = apply_move(big, death), self.g0 if big is self.g1 else self.g1
+        if not _literally_equal(undone, other):
+            raise InvalidMove(f"g0 -> g1 is not the {self.kind} move at {_dist_key(self)}")
 
     def swapped(self) -> "Germ":
         return Germ(self.kind, self.g1, self.g0, self.dist)
@@ -351,61 +376,26 @@ def r3_germ_into(d, gaps) -> Germ:
     return Germ(KIND_R3, transpose(d, gaps), d, gaps)
 
 
-def triangle_completions(p: Germ) -> list[Germ]:
-    """The completions of a partial germ to an arrow triangle.
+def monotonic_partners(p: Germ) -> list[Germ]:
+    """The monotonic germs M1, M2 of the triangle relation p = M1 + M2.
 
-    A monotonic germ has one completion, a non-monotonic one has two;
-    intra-block orders do not matter for the resulting subgerm triple, so
-    the returned 3-germs are one representative per completion.
+    p is a non-monotonic partial arrow germ: its edge bounds the ends
+    (a, k) and (b, k) of one kind k.  Each partner moves one of these
+    ends, keeping its kind, to just after the free end of the other
+    arrow, and switches the pair at that new edge.  With two tails b
+    moves first, with two heads a does.
     """
-    if p.kind != KIND_P or p.signed:
-        raise ValueError("completion is defined for partial arrow germs")
+    if p.kind != KIND_P or p.signed or p.is_monotonic():
+        raise ValueError("triangle relations are indexed by non-monotonic partial arrow germs")
     d = p.g1
-    (a, ka), (b, kb) = edge_flanks(d, p.dist)
-    other = {TAIL: HEAD, HEAD: TAIL}
-    free_a = (a, other[ka])
-    free_b = (b, other[kb])
-    up_edge = (ka == HEAD) + (kb == HEAD)
-    need = sorted({0, 1, 2} - {up_edge})
-    out = []
-    for kind_at_a, kind_at_b in ((TAIL, HEAD), (HEAD, TAIL)):
-        ups = sorted(((free_a[1] == HEAD) + (kind_at_a == HEAD),
-                      (free_b[1] == HEAD) + (kind_at_b == HEAD)))
-        if ups != need:
-            continue
-        rid = max(d.arrow_ids()) + 1
-        word = []
-        for tok in d.word:
-            word.append(tok)
-            if tok == free_a:
-                word.append((rid, kind_at_a))
-            elif tok == free_b:
-                word.append((rid, kind_at_b))
-        comp = ArrowDiagram(word)
-        gap_a = word.index((rid, kind_at_a))
-        gap_b = word.index((rid, kind_at_b))
-        gap_ab = _locate_edge(comp, (a, ka), (b, kb))
-        triple_gaps = tuple(sorted((gap_ab, gap_a, gap_b)))
-        assert validate_r3(comp, triple_gaps)
-        out.append(r3_germ_into(comp, triple_gaps))
-    if p.is_monotonic():
-        assert len(out) == 1
-    else:
-        assert len(out) == 2
-    return out
-
-
-def _monotonic_partners(p: Germ) -> list[Germ]:
-    """The two monotonic germs appearing with p in a triangle relation."""
+    (a, k), (b, _) = edge_flanks(d, p.dist)
+    free = HEAD if k == TAIL else TAIL
     partners = []
-    for tri in triangle_completions(p):
-        rid = max(tri.g1.arrow_ids())
-        for victim in sorted(tri.distinguished_ids() - {rid}):
-            sub = _delete_from_germ(tri, {victim})
-            if sub.kind == KIND_P:
-                canon, _ = sub.canonical()
-                if canon.is_monotonic():
-                    partners.append(canon)
+    for moved, other in (((b, a), (a, b)) if k == TAIL else ((a, b), (b, a))):
+        word = [t for t in d.word if t != (moved, k)]
+        gap = word.index((other, free)) + 1
+        word.insert(gap, (moved, k))
+        partners.append(partial_germ_into(ArrowDiagram(word), gap).canonical()[0])
     return partners
 
 
@@ -424,8 +414,8 @@ def monotonic_reduce(alpha: FormalSum) -> FormalSum:
         if canon.is_monotonic():
             out.add(canon, c * s)
             continue
-        partners = _monotonic_partners(canon)
-        assert len(partners) == 2
+        partners = monotonic_partners(canon)
+        assert len(partners) == 2 and all(m.is_monotonic() for m in partners)
         for m in partners:
             out.add(m, c * s)
     return out
@@ -438,23 +428,31 @@ def triangle_relator(p: Germ) -> FormalSum:
         raise ValueError("relators are indexed by non-monotonic partial germs")
     out = FormalSum()
     out.add(canon, 1)
-    for m in _monotonic_partners(canon):
+    for m in monotonic_partners(canon):
         out.add(m, -1)
     return out
 
 
 def enumerate_arrow_diagrams(degree: int):
-    """All canonical arrow diagrams of the given degree, generated once."""
-    tokens = []
-    for i in range(1, degree + 1):
-        tokens.extend([(i, TAIL), (i, HEAD)])
-    seen = set()
-    for perm in itertools.permutations(tokens):
-        d = ArrowDiagram(perm)
-        key = d.canonical_key()
-        if key not in seen:
-            seen.add(key)
-            yield d.canonical()
+    """All canonical arrow diagrams of the given degree, each once.
+
+    A word is canonical when its arrows first occur in the order 1..n,
+    so the words are grown one token at a time: each step closes a
+    pending arrow (lowest id first) or opens the next id, tail before
+    head.  That is lexicographic order in the token index 2(id - 1) +
+    (0 for a tail, 1 for a head), and (2n)!/n! words in all.
+    """
+    def grow(word, pending):
+        if len(word) == 2 * degree:
+            yield ArrowDiagram(word)
+            return
+        for i, end in enumerate(pending):
+            yield from grow(word + (end,), pending[:i] + pending[i + 1:])
+        n = (len(word) + len(pending)) // 2  # arrows opened so far
+        if n < degree:
+            yield from grow(word + ((n + 1, TAIL),), pending + ((n + 1, HEAD),))
+            yield from grow(word + ((n + 1, HEAD),), pending + ((n + 1, TAIL),))
+    yield from grow((), ())
 
 
 def enumerate_partial_germs(degree: int):

@@ -35,8 +35,8 @@ from fractions import Fraction
 from .diagrams import FormalSum, GaussDiagram, HEAD, TAIL
 from .germs import (Germ, KIND_P, add_ti, boundary, enumerate_arrow_3germs,
                     enumerate_partial_germs, make_germ)
-from .moves import (R2_BIRTH, InvalidMove, arrow_positions, enumerate_moves,
-                    isolated, killable, r2_death, r3_moves)
+from .moves import (R2_BIRTH, InvalidMove, _literally_equal, arrow_positions,
+                    enumerate_moves, isolated, killable, r2_death, r3_moves)
 from .rational_linalg import SparseMatrix, rank
 
 CUBE = "cube"
@@ -56,10 +56,9 @@ class Meridian:
 
     def check_closed(self) -> None:
         for a, b in zip(self.germs, self.germs[1:]):
-            if list(a.g1.word) != list(b.g0.word) or a.g1.signs != b.g0.signs:
+            if not _literally_equal(a.g1, b.g0):
                 raise ValueError("consecutive germs do not share a diagram")
-        last, first = self.germs[-1], self.germs[0]
-        if list(last.g1.word) != list(first.g0.word) or last.g1.signs != first.g0.signs:
+        if not _literally_equal(self.germs[-1].g1, self.germs[0].g0):
             raise ValueError("meridian does not close up")
 
     def boundary(self) -> FormalSum:
@@ -185,8 +184,7 @@ def enumerate_cube_meridians(bystanders: int = 0):
                         dies = make_germ(slide2.g1, r2_death(c1, c2))
                     except InvalidMove:
                         continue
-                    g4 = dies.g1
-                    if list(g4.word) != list(g0.word) or g4.signs != g0.signs:
+                    if not _literally_equal(dies.g1, g0):
                         continue
                     m = Meridian(CUBE, [born, slide1, slide2, dies], byst)
                     m.check_closed()

@@ -19,7 +19,14 @@ computes another way:
 - ``listed_random_move`` and ``listed_random_gauss_diagram``: the
   samplers that list every applicable move before choosing one;
 - ``table_interleave``: the crossing test read from the whole
-  ``arrow_positions`` table, against ``moves.interleave``.
+  ``arrow_positions`` table, against ``moves.interleave``;
+- ``triangle_completions`` and ``derived_monotonic_partners``: the
+  triangle relation derived by completing a partial germ to an arrow
+  triangle and deleting each distinguished arrow in turn, against
+  ``germs.monotonic_partners``;
+- ``permuted_arrow_diagrams``: the canonical arrow diagrams found by
+  permuting all (2n)! token orders and discarding repeats, against
+  ``germs.enumerate_arrow_diagrams``.
 """
 
 from __future__ import annotations
@@ -27,8 +34,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from knotcocycle.diagrams import ArrowDiagram, FormalSum, GaussDiagram
-from knotcocycle.germs import Germ, _delete_from_germ, canonical_term, subgerms
+from knotcocycle.diagrams import HEAD, TAIL, ArrowDiagram, FormalSum, GaussDiagram
+from knotcocycle.germs import (KIND_P, Germ, _delete_from_germ, _locate_edge, canonical_term,
+                               r3_germ_into, subgerms)
 from knotcocycle.moves import (MOVE_KINDS, R1_BIRTH, R2_BIRTH, apply_move,
                                arrow_positions, edge_flanks, enumerate_moves, r1_birth, r2_birth,
                                r3, split_gaps, validate_r3)
@@ -213,3 +221,73 @@ def table_interleave(d, a: int, b: int) -> bool:
     p1, p2 = sorted(pos[a].values())
     q1, q2 = sorted(pos[b].values())
     return (p1 < q1 < p2 < q2) or (q1 < p1 < q2 < p2)
+
+
+def triangle_completions(p: Germ) -> list[Germ]:
+    """The completions of a partial arrow germ to an arrow triangle.
+
+    A third arrow is added next to the free ends of the distinguished
+    pair, one for each direction of the added arrow; the directions
+    that give a valid R3 triangle are kept.  A monotonic germ has one
+    completion, a non-monotonic one has two.
+    """
+    if p.kind != KIND_P or p.signed:
+        raise ValueError("completion is defined for partial arrow germs")
+    d = p.g1
+    (a, ka), (b, kb) = edge_flanks(d, p.dist)
+    other = {TAIL: HEAD, HEAD: TAIL}
+    free_a = (a, other[ka])
+    free_b = (b, other[kb])
+    up_edge = (ka == HEAD) + (kb == HEAD)
+    need = sorted({0, 1, 2} - {up_edge})
+    out = []
+    for kind_at_a, kind_at_b in ((TAIL, HEAD), (HEAD, TAIL)):
+        ups = sorted(((free_a[1] == HEAD) + (kind_at_a == HEAD),
+                      (free_b[1] == HEAD) + (kind_at_b == HEAD)))
+        if ups != need:
+            continue
+        rid = max(d.arrow_ids()) + 1
+        word = []
+        for tok in d.word:
+            word.append(tok)
+            if tok == free_a:
+                word.append((rid, kind_at_a))
+            elif tok == free_b:
+                word.append((rid, kind_at_b))
+        comp = ArrowDiagram(word)
+        gap_a = word.index((rid, kind_at_a))
+        gap_b = word.index((rid, kind_at_b))
+        gap_ab = _locate_edge(comp, (a, ka), (b, kb))
+        triple_gaps = tuple(sorted((gap_ab, gap_a, gap_b)))
+        assert validate_r3(comp, triple_gaps)
+        out.append(r3_germ_into(comp, triple_gaps))
+    assert len(out) == (1 if p.is_monotonic() else 2)
+    return out
+
+
+def derived_monotonic_partners(p: Germ) -> list[Germ]:
+    """The monotonic partial germs left by deleting a distinguished arrow of a completion."""
+    partners = []
+    for tri in triangle_completions(p):
+        rid = max(tri.g1.arrow_ids())
+        for victim in sorted(tri.distinguished_ids() - {rid}):
+            sub = _delete_from_germ(tri, {victim})
+            if sub.kind == KIND_P:
+                canon, _ = sub.canonical()
+                if canon.is_monotonic():
+                    partners.append(canon)
+    return partners
+
+
+def permuted_arrow_diagrams(degree: int):
+    """The canonical arrow diagrams in order of first occurrence among all token orders."""
+    tokens = []
+    for i in range(1, degree + 1):
+        tokens.extend([(i, TAIL), (i, HEAD)])
+    seen = set()
+    for perm in itertools.permutations(tokens):
+        d = ArrowDiagram(perm)
+        key = d.canonical_key()
+        if key not in seen:
+            seen.add(key)
+            yield d.canonical()

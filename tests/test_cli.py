@@ -170,18 +170,10 @@ def test_common_option_after_subcommand_wins(capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--jobs", "0"],
-    ["--jobs", str((os.cpu_count() or 1) + 1)],
     ["--trials", "-5"],
     ["--max-degree", "-1"],
 ])
-def test_stokes_check_rejects_out_of_range_inputs(flags, capsys, monkeypatch):
-    import multiprocessing
-
-    def no_pool(*_args, **_kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+def test_stokes_check_rejects_out_of_range_inputs(flags, capsys):
     assert main(["stokes-check", *flags]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
@@ -251,6 +243,31 @@ def test_verify_rejects_malformed_formulas(spoil, tmp_path, capsys):
     path = tmp_path / "formula.json"
     path.write_text(json.dumps(formula))
     assert main(["--fixtures", str(FIXTURES), "verify", "--formula", str(path)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == ""
+
+
+def _rot_loop_file(tmp_path, name: str) -> str:
+    from knotcocycle import fixtures_io as fio
+    from knotcocycle.cocycles import rot_loop
+    loop = rot_loop(name, FIXTURES)
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"initial": fio.diagram_to_json(loop.initial),
+                                "moves": [fio.move_to_json(m) for m in loop.moves]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["verify", "eval-loop"])
+def test_formula_whose_germ_is_not_its_move_exits_2(command, tmp_path, capsys):
+    from knotcocycle import fixtures_io as fio
+    formula = fio.load_json(FIXTURES / "formulas" / "alpha31.json")
+    formula[0]["germ"]["g0"] = formula[0]["germ"]["g1"]
+    path = tmp_path / "formula.json"
+    path.write_text(json.dumps(formula))
+    extra = ["--loop", _rot_loop_file(tmp_path, "trefoil")] if command == "eval-loop" else []
+    assert main(["--fixtures", str(FIXTURES), command, "--formula", str(path), *extra]) == 2
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")

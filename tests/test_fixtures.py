@@ -84,3 +84,29 @@ def test_full_regeneration_reproduces_fixtures(fixtures_dir, tmp_path):
     assert sorted(regenerated) == sorted(stored)
     for path, data in stored.items():
         assert regenerated[path] == data, path
+
+
+def _spoilt_germs():
+    """One germ of each kind whose sides are not the move its data name."""
+    from knotcocycle.diagrams import parse_diagram
+    from knotcocycle.germs import make_germ, partial_germ_into
+    from knotcocycle.moves import r1_birth, r2_birth, r3_moves
+    d = parse_diagram("2; T1 T2 H1 H2; +-")
+    r1 = fio.germ_to_json(make_germ(d, r1_birth(0, "TH", 1)))
+    r1["dist"] = 1  # arrow 1 is not isolated in g1
+    r2 = fio.germ_to_json(make_germ(d, r2_birth(0, 4, True, False, 1)))
+    r2["g1"]["signs"].update({str(a): 1 for a in r2["dist"]})  # the pair has equal signs
+    tri = parse_diagram("3; T1 T2 H1 T3 H2 H3")
+    r3 = fio.germ_to_json(make_germ(tri, r3_moves(tri)[0]))
+    r3["g0"] = r3["g1"]  # g0 -> g1 switches nothing
+    p = fio.germ_to_json(partial_germ_into(parse_diagram("2; T1 T2 H1 H2"), 2))
+    p["g0"] = p["g1"]
+    return {"R1": r1, "R2": r2, "R3": r3, "P": p}
+
+
+@pytest.mark.parametrize("kind", ["R1", "R2", "R3", "P"])
+def test_germ_loader_rejects_a_germ_that_is_not_its_move(kind):
+    bad = json.loads(json.dumps(_spoilt_germs()[kind]))
+    assert bad["kind"] == kind
+    with pytest.raises(ValueError):
+        fio.germ_from_json(bad)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,12 +10,14 @@ from knotcocycle.coboundary import coboundary
 from knotcocycle.cocycles import alpha31
 from knotcocycle.diagrams import FormalSum, GaussDiagram, parse_diagram
 from knotcocycle.fixtures_io import germ_from_json, load_json
-from knotcocycle.germs import (boundary, enumerate_arrow_3germs, enumerate_partial_germs,
-                               make_germ, monotonic_reduce, pair_germ,
-                               partial_germ_into, subgerms, ti, triangle_relator)
+from knotcocycle.germs import (boundary, enumerate_arrow_3germs, enumerate_arrow_diagrams,
+                               enumerate_partial_germs, make_germ, monotonic_partners,
+                               monotonic_reduce, pair_germ, partial_germ_into, subgerms, ti,
+                               triangle_relator)
 from knotcocycle.moves import MOVE_KINDS, enumerate_moves, r1_birth, split_gaps
 from conftest import FIXTURES, random_gauss_diagram, random_move
-from oracles import i_map, pair_germ_via_s, s_map, t_map
+from oracles import (derived_monotonic_partners, i_map, pair_germ_via_s,
+                     permuted_arrow_diagrams, s_map, t_map)
 
 
 def test_make_germ_r1_birth():
@@ -91,6 +94,40 @@ def test_triangle_relators_match_fixture(fixtures_dir):
         assert len(tops) == 1
         regenerated[tops[0].key()] = bots
     assert stored == regenerated
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_monotonic_partners_match_the_triangle_derivation(degree):
+    checked = 0
+    for p in enumerate_partial_germs(degree):
+        if p.is_monotonic():
+            continue
+        built = monotonic_partners(p)
+        derived = derived_monotonic_partners(p)
+        assert [m.key() for m in built] == [m.key() for m in derived]
+        checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("gap", [1, 2])  # two tails, then a tail and a head
+def test_triangle_relator_refuses_a_signed_partial_germ(gap):
+    signed = partial_germ_into(parse_diagram("2; T1 T2 H1 H2; +-"), gap)
+    with pytest.raises(ValueError):
+        triangle_relator(signed)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_arrow_diagrams_match_the_permutation_enumeration(degree):
+    assert [d.word for d in enumerate_arrow_diagrams(degree)] == \
+        [d.word for d in permuted_arrow_diagrams(degree)]
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 5])
+def test_arrow_diagrams_are_distinct_canonical_words(degree):
+    diagrams = list(enumerate_arrow_diagrams(degree))
+    assert all(d.canonical_key() == d.word for d in diagrams)
+    assert len({d.word for d in diagrams}) == len(diagrams) == \
+        math.prod(range(1, 2 * degree, 2)) * 2 ** degree
 
 
 def test_relator_families_closed_under_reversal():
