@@ -170,6 +170,8 @@ def test_common_option_after_subcommand_wins(capsys):
 
 
 @pytest.mark.parametrize("flags", [
+    ["--trials", "-1"],
+    ["--max-degree", "-4"],
     ["--trials", "-5"],
     ["--max-degree", "-1"],
 ])
