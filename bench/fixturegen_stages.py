@@ -1,29 +1,34 @@
 """Stage times and work counts of `python -m knotcocycle.fixturegen`.
 
-Usage:  python3 bench/fixturegen_stages.py [--src DIR] [--label NAME] [--repeats N]
+Usage:  python3 bench/fixturegen_stages.py [--src DIR --label NAME]... [--repeats N]
 
 Times each stage of the fixture generator with the ``knotcocycle``
-package of the source tree DIR (default: this repository), each
+package of each source tree DIR (default: this repository), each
 measurement in its own process on fixed inputs; a stage's inputs are
 built before its clock starts (the meridians as
 ``dedupe_meridians(enumerate_cube_meridians(0))``, which gives the same
 144 in a tree whose walk yields both orientations).  The stages are
 
   enumerate_cube_meridians_0  list(enumerate_cube_meridians(0)), the walk alone
+  enumerate_cube_meridians_1  list(enumerate_cube_meridians(1)), the 5,760
+                              one-bystander meridians (not part of fixturegen)
   classify_scenes             classify_scenes on the 144 unoriented meridians
   collect_rows                collect_rows on those meridians, none expanded yet
   quadruple_meridians         quadruple_meridians()
   derive_alpha31              derive_alpha31 on the assembled degree-3 system
   total                       a cold `python -m knotcocycle.fixturegen` process
 
-and each is the median of N processes (default 5).  One more process
-runs the whole generator once with counting wrappers and records the
-calls of ``strata.ti_meridian``, ``Germ.canonical`` and
-``moves.r3_triangle`` and the diagram constructions
-(``ArrowDiagram.__init__``, which ``GaussDiagram`` also runs).  The run
-is stored under NAME in BENCH_fixturegen.json at the repository root,
-next to the runs already there, with the tree's git revision, whether
-its sources had uncommitted changes, the Python version and the machine.
+and each is the median of N processes (default 5).  With several trees
+the trees take turns on every stage, the first tree leading in odd
+rounds and the last in even ones, so drift on the machine falls on all
+of them alike.  One more process per tree runs the whole generator once
+with counting wrappers and records the calls of ``strata.ti_meridian``,
+``Germ.canonical`` and ``moves.r3_triangle`` and the diagram
+constructions (``ArrowDiagram.__init__``, which ``GaussDiagram`` also
+runs).  Each tree's run is stored under its NAME in BENCH_fixturegen.json
+at the repository root, next to the runs already there, with the tree's
+git revision, whether its sources had uncommitted changes, the Python
+version and the machine.
 """
 
 from __future__ import annotations
@@ -59,6 +64,8 @@ def meridians():
 
 if stage == "enumerate_cube_meridians_0":
     run = lambda: list(strata.enumerate_cube_meridians(0))
+elif stage == "enumerate_cube_meridians_1":
+    run = lambda: list(strata.enumerate_cube_meridians(1))
 elif stage == "classify_scenes":
     ms, variables = meridians(), strata.variable_basis(3)
     var_index = {g: j for j, g in enumerate(variables)}
@@ -78,8 +85,8 @@ t = time.perf_counter()
 run()
 print(time.perf_counter() - t)
 """
-STAGES = ("enumerate_cube_meridians_0", "classify_scenes", "collect_rows",
-          "quadruple_meridians", "derive_alpha31")
+STAGES = ("enumerate_cube_meridians_0", "enumerate_cube_meridians_1", "classify_scenes",
+          "collect_rows", "quadruple_meridians", "derive_alpha31")
 
 # One full fixture generation with counting wrappers; argv (out dir).  A
 # function is replaced on every module that imported it by name.
@@ -128,50 +135,67 @@ def _child(src: Path, cmd: list[str]) -> str:
     return proc.stdout
 
 
-def measure(src: Path, repeats: int) -> tuple[dict, dict]:
-    fixtures = str(src / "fixtures")
-    times: dict[str, list[float]] = {name: [] for name in (*STAGES, "total")}
+def _seconds(src: Path, name: str, tmp: str) -> float:
+    """One process of the stage, or of the whole generator for ``total``."""
+    if name != "total":
+        return float(_child(src, [sys.executable, "-c", STAGE, name, str(src / "fixtures")]))
+    t = time.perf_counter()
+    _child(src, [sys.executable, "-m", "knotcocycle.fixturegen", "--out", str(Path(tmp) / "total")])
+    return time.perf_counter() - t
+
+
+def measure(trees: dict[str, Path], repeats: int) -> dict[str, tuple[dict, dict]]:
+    """(stages, counts) per label; the trees take turns on every stage."""
+    names = (*STAGES, "total")
+    times = {label: {name: [] for name in names} for label in trees}
     with tempfile.TemporaryDirectory() as tmp:
-        for _ in range(repeats):
-            for name in STAGES:
-                out = _child(src, [sys.executable, "-c", STAGE, name, fixtures])
-                times[name].append(float(out))
-            t = time.perf_counter()
-            _child(src, [sys.executable, "-m", "knotcocycle.fixturegen",
-                         "--out", str(Path(tmp) / "total")])
-            times["total"].append(time.perf_counter() - t)
-        counts = json.loads(_child(src, [sys.executable, "-c", COUNTS,
-                                         str(Path(tmp) / "counts")]))
-    stages = {name: {"median_s": statistics.median(ts), "runs_s": ts}
-              for name, ts in times.items()}
-    for name, rec in stages.items():
-        print(f"{name:28s} {rec['median_s']:.3f} s", file=sys.stderr)
-    print(json.dumps(counts), file=sys.stderr)
-    return stages, counts
+        for i in range(repeats):
+            order = list(trees.items())[::-1 if i % 2 else 1]
+            for name in names:
+                for label, src in order:
+                    times[label][name].append(_seconds(src, name, tmp))
+        counts = {label: json.loads(_child(src, [sys.executable, "-c", COUNTS,
+                                                 str(Path(tmp) / label)]))
+                  for label, src in trees.items()}
+    out = {}
+    for label in trees:
+        stages = {name: {"median_s": statistics.median(ts), "runs_s": ts}
+                  for name, ts in times[label].items()}
+        for name, rec in stages.items():
+            print(f"{label:12s} {name:28s} {rec['median_s']:.3f} s", file=sys.stderr)
+        print(label, json.dumps(counts[label]), file=sys.stderr)
+        out[label] = stages, counts[label]
+    return out
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
-    ap.add_argument("--src", type=Path, default=REPO, help="source tree to measure")
-    ap.add_argument("--label", default="change", help="name of the run in the output")
+    ap.add_argument("--src", type=Path, action="append",
+                    help="source tree to measure (repeatable; default: this repository)")
+    ap.add_argument("--label", action="append",
+                    help="name of the run in the output, one per --src (default: change)")
     ap.add_argument("--repeats", type=int, default=REPEATS,
                     help="processes per stage (the median is recorded)")
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
+    srcs, labels = args.src or [REPO], args.label or ["change"]
+    if len(srcs) != len(labels) or len(set(labels)) != len(labels):
+        ap.error("give one distinct --label per --src")
 
-    src = args.src.resolve()
-    stages, counts = measure(src, args.repeats)
-    run = {"git_revision": _git(src, "rev-parse", "HEAD"),
-           "uncommitted_changes": bool(_git(src, "status", "--porcelain", "--", "src")),
-           "python": platform.python_version(), "machine": platform.machine(),
-           "nproc": os.cpu_count(), "repeats": args.repeats,
-           "stages": stages, "counts": counts}
+    trees = {label: src.resolve() for label, src in zip(labels, srcs)}
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
     doc.setdefault("workload", "python -m knotcocycle.fixturegen and its stages, "
                                f"median of {args.repeats} processes per stage; "
                                "counts from one run of the whole generator")
-    doc.setdefault("runs", {})[args.label] = run
+    for label, (stages, counts) in measure(trees, args.repeats).items():
+        src = trees[label]
+        doc.setdefault("runs", {})[label] = {
+            "git_revision": _git(src, "rev-parse", "HEAD"),
+            "uncommitted_changes": bool(_git(src, "status", "--porcelain", "--", "src")),
+            "python": platform.python_version(), "machine": platform.machine(),
+            "nproc": os.cpu_count(), "repeats": args.repeats,
+            "stages": stages, "counts": counts}
     OUT.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 

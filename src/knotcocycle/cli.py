@@ -135,9 +135,12 @@ def cmd_equations(args) -> int:
         "triplets": triplets,
     }
     if args.matrix_out:
-        Path(args.matrix_out).write_text(
-            "\n".join(f"{r} {c} {v.numerator}/{v.denominator}"
-                      for r, c, v in mat.triplets()) + "\n")
+        try:
+            Path(args.matrix_out).write_text(
+                "\n".join(f"{r} {c} {v.numerator}/{v.denominator}"
+                          for r, c, v in mat.triplets()) + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.matrix_out}: {exc}") from exc
         out["matrix_out"] = args.matrix_out
     _emit(out, args.format)
     return 0
@@ -186,9 +189,9 @@ def cmd_verify(args) -> int:
 
 def _load_loop(path: str) -> Loop:
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = fio._dict(json.loads(Path(path).read_text()), "loop")
         loop = Loop(fio.diagram_from_json(obj["initial"]),
-                    [fio.move_from_json(m) for m in obj["moves"]])
+                    [fio.move_from_json(m) for m in fio._list(obj["moves"], None, "moves")])
         loop.check_closed()  # an open loop or an inapplicable move is a ValueError
     except (OSError, ValueError, KeyError) as exc:
         raise InputError(f"malformed loop file {path}: {exc}") from exc
@@ -208,7 +211,8 @@ def cmd_invariants(args) -> int:
     if args.max_degree < 0:
         raise InputError(f"--max-degree must be at least 0, got {args.max_degree}")
     if args.max_degree > 4:
-        raise InputError("degree cap is 4; the basis enumeration blows up beyond")
+        raise InputError("degree cap is 4; degree 5 needs the coboundary of 30,240 diagrams "
+                         "and the exact kernel of that matrix")
     diagrams = []
     for deg in range(args.max_degree + 1):
         diagrams.extend(enumerate_arrow_diagrams(deg))

@@ -230,38 +230,27 @@ def boundary(germ: Germ) -> FormalSum:
     return out
 
 
-def _locate_edge(d, flank_left, flank_right) -> int:
-    word = d.word
-    for i in range(1, len(word)):
-        if word[i - 1] == flank_left and word[i] == flank_right:
-            return i
-    raise ValueError(f"edge {flank_left},{flank_right} not found")
-
-
 def _delete_from_germ(germ: Germ, ids: set[int]) -> Germ:
     """Remove matched arrows from both sides, keeping distinguished data."""
     g0 = germ.g0.delete(ids)
     g1 = germ.g1.delete(ids)
     if germ.kind in (KIND_R1, KIND_R2):
         return Germ(germ.kind, g0, g1, germ.dist)
+    word = germ.g1.word
+
+    def kept(gap):  # a kept edge's gap, less the deleted tokens before it
+        return gap - sum(1 for a, _ in word[:gap] if a in ids)
+
     if germ.kind == KIND_P:
-        left, right = edge_flanks(germ.g1, germ.dist)
-        return Germ(KIND_P, g0, g1, _locate_edge(g1, left, right))
+        return Germ(KIND_P, g0, g1, kept(germ.dist))
     # R3: removed ids may include one distinguished arrow.
-    dist_ids = germ.distinguished_ids()
-    gone = ids & dist_ids
+    gone = ids & germ.distinguished_ids()
     if not gone:
-        gaps = []
-        for g in germ.dist:
-            left, right = edge_flanks(germ.g1, g)
-            gaps.append(_locate_edge(g1, left, right))
-        return Germ(KIND_R3, g0, g1, tuple(sorted(gaps)))
+        return Germ(KIND_R3, g0, g1, tuple(kept(g) for g in germ.dist))
     (x,) = gone
     for g in germ.dist:
-        (a, _), (b, _) = edge_flanks(germ.g1, g)
-        if x not in (a, b):
-            left, right = edge_flanks(germ.g1, g)
-            return Germ(KIND_P, g0, g1, _locate_edge(g1, left, right))
+        if x not in (word[g - 1][0], word[g][0]):
+            return Germ(KIND_P, g0, g1, kept(g))
     raise ValueError("no surviving distinguished edge")
 
 

@@ -11,9 +11,11 @@ Cube meridians are enumerated combinatorially: a scene is a small Gauss
 diagram with two active arrows, a pair is born next to them by an R2
 move, slides across the two triangles it forms with the active arrows
 (two R3 moves) and dies again.  Every decoration (signs, positions,
-basepoint, optional bystander arrow) is enumerated once, up to swapping
-the labels of the two active arrows, and the loop-closure requirement
-prunes the invalid ones.
+basepoint) is enumerated once, up to swapping the labels of the two
+active arrows, and the loop-closure requirement prunes the invalid
+ones.  A meridian with one bystander deletes to one without, so it is
+built from that one by inserting the bystander's ends into gaps that
+no move of the loop touches.
 
 An equation is the degree-3 part of T(I(m; s)) where s selects the
 surviving bystanders; for the degree-3 system only s of size at most
@@ -36,7 +38,7 @@ from .diagrams import FormalSum, GaussDiagram, HEAD, TAIL
 from .germs import (Germ, KIND_P, add_ti, boundary, enumerate_arrow_3germs,
                     enumerate_partial_germs, make_germ)
 from .moves import (R2_BIRTH, InvalidMove, _literally_equal, arrow_positions,
-                    enumerate_moves, isolated, killable, r2_death, r3_moves)
+                    enumerate_moves, isolated, killable, move_between, r2_death, r3_moves)
 from .rational_linalg import SparseMatrix, rank
 
 CUBE = "cube"
@@ -123,56 +125,59 @@ def variable_basis(degree: int) -> tuple[Germ, ...]:
 
 # -- Cube meridian enumeration ----------------------------------------------
 
-def _scene_diagrams(extra_bystanders: int):
-    """Scene diagrams: two active arrows plus optional bystanders.
+def _scene_diagrams():
+    """Scene diagrams: the two active arrows 1 and 2 with their signs.
 
-    Words are generated literally (not up to relabelling), with ids 1 and
-    2 for the active arrows.  Swapping those two labels gives the same
-    scene, so only words whose first active token belongs to arrow 1 are
-    kept; each basepoint placement of the local picture then occurs
-    exactly once.  Permutations come in lexicographic order, so every kept
-    word precedes its relabelled twin.
+    Words are generated literally (not up to relabelling).  Swapping the
+    two labels gives the same scene, so only words starting with arrow 1
+    are kept, in lexicographic order; each basepoint placement of the
+    local picture then occurs exactly once.
     """
     tokens = [(1, TAIL), (1, HEAD), (2, TAIL), (2, HEAD)]
-    for b in range(extra_bystanders):
-        tokens.extend([(3 + b, TAIL), (3 + b, HEAD)])
-    ids = sorted({a for a, _ in tokens})
     for perm in itertools.permutations(tokens):
-        if next(a for a, _ in perm if a in (1, 2)) != 1:
-            continue
-        for signs in itertools.product((1, -1), repeat=len(ids)):
-            yield GaussDiagram(perm, dict(zip(ids, signs)))
+        if perm[0][0] == 1:
+            for s1, s2 in itertools.product((1, -1), repeat=2):
+                yield GaussDiagram(perm, {1: s1, 2: s2})
 
 
-def _pruned_births(g0: GaussDiagram):
-    """R2 births whose blocks can touch the active arrows' ends.
+def _bystander_meridians(m: Meridian):
+    """The 40 one-bystander meridians that delete to the bystander-free m.
 
-    The first R3 move needs the slid arrow adjacent to an end of each
-    active arrow, which forces both birth blocks next to a token of
-    arrow 1 or 2; other births can never close up into a cube meridian.
+    The bystander's ends go into the same gaps of the three diagrams
+    after the birth: gaps that no R3 germ switches and that no pair of
+    ends of the two born arrows flanks in the first or the third.  The
+    scene is the first without the pair.  The bystander is arrow 0,
+    below every other id, so the birth keeps the born ids of m.
     """
-    good_gaps = set()
-    for i, (aid, _) in enumerate(g0.word):
-        if aid in (1, 2):
-            good_gaps.add(i)
-            good_gaps.add(i + 1)
-    for m in enumerate_moves(g0, R2_BIRTH):
-        gt, gh = m.data[0], m.data[1]
-        if gt in good_gaps and gh in good_gaps:
-            yield m
+    born = m.germs[0].dist
+    after = [g.g0 for g in m.germs[1:]]
+    blocked = {*m.germs[1].dist, *m.germs[2].dist}  # switched by an R3 germ
+    blocked.update(g for d in after[::2] for g in range(1, len(d.word))
+                   if {d.word[g - 1][0], d.word[g][0]} == born)  # one end of each born arrow
+    gaps = [g for g in range(len(after[0].word) + 1) if g not in blocked]
+    for t, h in itertools.combinations_with_replacement(gaps, 2):
+        for (e1, e2), sign in itertools.product(((TAIL, HEAD), (HEAD, TAIL)), (1, -1)):
+            walk = [GaussDiagram(d.word[:t] + ((0, e1),) + d.word[t:h] + ((0, e2),) + d.word[h:],
+                                 {**d.signs, 0: sign}) for d in after]
+            walk.insert(0, walk[0].delete(born))
+            germs = [make_germ(d, move_between(d, nxt)) for d, nxt in zip(walk, walk[1:] + walk[:1])]
+            yield Meridian(CUBE, germs, frozenset((0,)))
 
 
 def enumerate_cube_meridians(bystanders: int = 0):
-    """All cube meridians over the given number of bystander arrows.
+    """All cube meridians over no or one bystander arrow.
 
     Yields closed 4-germ loops: R2 birth, two R3 moves relating the pair
     to the two active arrows, R2 death.  Each unoriented meridian comes
     out once, in the orientation that slides the later-born pair arrow
-    first, with the scene as base diagram.
+    first, with the scene as base diagram.  The bystander-free ones are
+    walked over every birth on every scene; the others are built from
+    them by ``_bystander_meridians``, none discarded.
     """
-    for g0 in _scene_diagrams(bystanders):
-        byst = frozenset(a for a in g0.arrow_ids() if a not in (1, 2))
-        for birth in _pruned_births(g0):
+    if bystanders not in (0, 1):
+        raise ValueError(f"cube meridians have 0 or 1 bystanders, not {bystanders}")
+    for g0 in _scene_diagrams():
+        for birth in enumerate_moves(g0, R2_BIRTH):
             born = make_germ(g0, birth)
             g1 = born.g1
             c1, c2 = sorted(born.dist)
@@ -186,9 +191,9 @@ def enumerate_cube_meridians(bystanders: int = 0):
                         continue
                     if not _literally_equal(dies.g1, g0):
                         continue
-                    m = Meridian(CUBE, [born, slide1, slide2, dies], byst)
+                    m = Meridian(CUBE, [born, slide1, slide2, dies])
                     m.check_closed()
-                    yield m
+                    yield from _bystander_meridians(m) if bystanders else (m,)
 
 
 def meridian_key(m: Meridian):

@@ -26,7 +26,13 @@ computes another way:
   ``germs.monotonic_partners``;
 - ``permuted_arrow_diagrams``: the canonical arrow diagrams found by
   permuting all (2n)! token orders and discarding repeats, against
-  ``germs.enumerate_arrow_diagrams``.
+  ``germs.enumerate_arrow_diagrams``;
+- ``walked_cube_meridians`` over ``walked_scenes``: the cube meridians
+  found by trying every R2 birth next to the active arrows of every
+  scene with k bystanders, against the bystander insertion of
+  ``strata.enumerate_cube_meridians``;
+- ``locate_edge``: an edge found by scanning for its two flanking
+  tokens, against the gap shift of ``germs._delete_from_germ``.
 """
 
 from __future__ import annotations
@@ -35,12 +41,13 @@ import itertools
 from fractions import Fraction
 
 from knotcocycle.diagrams import HEAD, TAIL, ArrowDiagram, FormalSum, GaussDiagram
-from knotcocycle.germs import (KIND_P, Germ, _delete_from_germ, _locate_edge, canonical_term,
+from knotcocycle.germs import (KIND_P, Germ, _delete_from_germ, canonical_term, make_germ,
                                r3_germ_into, subgerms)
-from knotcocycle.moves import (MOVE_KINDS, R1_BIRTH, R2_BIRTH, apply_move,
-                               arrow_positions, edge_flanks, enumerate_moves, r1_birth, r2_birth,
-                               r3, split_gaps, validate_r3)
-from knotcocycle.strata import Meridian
+from knotcocycle.moves import (MOVE_KINDS, R1_BIRTH, R2_BIRTH, InvalidMove, _literally_equal,
+                               apply_move, arrow_positions, edge_flanks, enumerate_moves,
+                               r1_birth, r2_birth, r2_death, r3, r3_moves, split_gaps,
+                               validate_r3)
+from knotcocycle.strata import CUBE, Meridian
 
 
 def subdiagrams(g: GaussDiagram) -> FormalSum:
@@ -257,7 +264,7 @@ def triangle_completions(p: Germ) -> list[Germ]:
         comp = ArrowDiagram(word)
         gap_a = word.index((rid, kind_at_a))
         gap_b = word.index((rid, kind_at_b))
-        gap_ab = _locate_edge(comp, (a, ka), (b, kb))
+        gap_ab = locate_edge(comp, (a, ka), (b, kb))
         triple_gaps = tuple(sorted((gap_ab, gap_a, gap_b)))
         assert validate_r3(comp, triple_gaps)
         out.append(r3_germ_into(comp, triple_gaps))
@@ -291,3 +298,71 @@ def permuted_arrow_diagrams(degree: int):
         if key not in seen:
             seen.add(key)
             yield d.canonical()
+
+
+def locate_edge(d, flank_left, flank_right) -> int:
+    """The gap of d between the two given tokens."""
+    word = d.word
+    for i in range(1, len(word)):
+        if word[i - 1] == flank_left and word[i] == flank_right:
+            return i
+    raise ValueError(f"edge {flank_left},{flank_right} not found")
+
+
+def walked_scenes(bystanders: int):
+    """Scene diagrams: active arrows 1 and 2 plus bystanders 3, 4, ...
+
+    Words are generated literally, and only those whose first active
+    token belongs to arrow 1 are kept, one per basepoint placement of
+    the local picture.
+    """
+    tokens = [(1, TAIL), (1, HEAD), (2, TAIL), (2, HEAD)]
+    for b in range(bystanders):
+        tokens.extend([(3 + b, TAIL), (3 + b, HEAD)])
+    ids = sorted({a for a, _ in tokens})
+    for perm in itertools.permutations(tokens):
+        if next(a for a, _ in perm if a in (1, 2)) != 1:
+            continue
+        for signs in itertools.product((1, -1), repeat=len(ids)):
+            yield GaussDiagram(perm, dict(zip(ids, signs)))
+
+
+def pruned_births(g0: GaussDiagram):
+    """R2 births whose two blocks both touch an end of an active arrow.
+
+    The first R3 move needs the slid arrow next to an end of each active
+    arrow; other births never close up into a cube meridian.
+    """
+    good_gaps = set()
+    for i, (aid, _) in enumerate(g0.word):
+        if aid in (1, 2):
+            good_gaps.update((i, i + 1))
+    for m in enumerate_moves(g0, R2_BIRTH):
+        if m.data[0] in good_gaps and m.data[1] in good_gaps:
+            yield m
+
+
+def walked_cube_meridians(scenes):
+    """The cube meridians over the given scenes, by trying every pruned birth.
+
+    Each unoriented meridian comes out once, sliding the later-born pair
+    arrow first, with the scene as base diagram.
+    """
+    for g0 in scenes:
+        byst = frozenset(a for a in g0.arrow_ids() if a not in (1, 2))
+        for birth in pruned_births(g0):
+            born = make_germ(g0, birth)
+            g1 = born.g1
+            c1, c2 = sorted(born.dist)
+            for m1 in r3_moves(g1, frozenset((1, 2, c2))):
+                slide1 = make_germ(g1, m1)
+                for m2 in r3_moves(slide1.g1, frozenset((1, 2, c1))):
+                    slide2 = make_germ(slide1.g1, m2)
+                    try:
+                        dies = make_germ(slide2.g1, r2_death(c1, c2))
+                    except InvalidMove:
+                        continue
+                    if _literally_equal(dies.g1, g0):
+                        m = Meridian(CUBE, [born, slide1, slide2, dies], byst)
+                        m.check_closed()
+                        yield m

@@ -147,7 +147,7 @@ def _deg4_triangle_skeletons():
                     for g in tri.dist:
                         left, right = edge_flanks(tri.g1, g)
                         try:
-                            from knotcocycle.germs import _locate_edge
+                            from oracles import locate_edge as _locate_edge
                             new_gaps.append(_locate_edge(d4, left, right))
                         except ValueError:
                             ok = False

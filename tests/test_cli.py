@@ -182,11 +182,12 @@ def test_stokes_check_rejects_out_of_range_inputs(flags, capsys):
 
 
 def test_invariants_rejects_negative_degree(capsys):
-    assert main(["invariants", "--max-degree", "-3"]) == 2
-    captured = capsys.readouterr()
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:")
-    assert captured.out == ""
+    for degree in ("-3", "5"):  # 5 is above the degree cap
+        assert main(["invariants", "--max-degree", degree]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert captured.out == ""
 
 
 def test_pair_rejects_a_sign_string_with_other_characters(tmp_path, capsys):
@@ -219,6 +220,7 @@ def test_pair_rejects_a_sign_for_an_absent_arrow(tmp_path, capsys):
     [{"kind": "R1_birth", "data": [0, "TH", 1]}],  # does not close
     [{"kind": "R1_death", "data": [99]}],          # no such arrow
     [{"kind": "R1_birth", "data": ["x", "TH", 1]}],  # gap is not an integer
+    7,                                             # not a list of moves
 ])
 def test_eval_loop_rejects_malformed_loops(moves, tmp_path, capsys):
     from knotcocycle import fixtures_io as fio
@@ -230,6 +232,26 @@ def test_eval_loop_rejects_malformed_loops(moves, tmp_path, capsys):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("loop", [[1, 2, 3], "loop"], ids=["list", "string"])
+def test_eval_loop_rejects_a_loop_that_is_not_an_object(loop, tmp_path, capsys):
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(loop))
+    assert main(["--fixtures", str(FIXTURES), "eval-loop", "--loop", str(path)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == ""
+
+
+def test_equations_rejects_an_unwritable_matrix_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "m.txt"
+    assert main(["--fixtures", str(FIXTURES), "equations", "--matrix-out", str(target)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == "" and not target.exists()
 
 
 @pytest.mark.parametrize("spoil", [

@@ -10,13 +10,14 @@ from knotcocycle.coboundary import coboundary
 from knotcocycle.cocycles import alpha31
 from knotcocycle.diagrams import FormalSum, GaussDiagram, parse_diagram
 from knotcocycle.fixtures_io import germ_from_json, load_json
-from knotcocycle.germs import (boundary, enumerate_arrow_3germs, enumerate_arrow_diagrams,
+from knotcocycle.germs import (KIND_R3, _delete_from_germ, _subgerm_walk, boundary,
+                               enumerate_arrow_3germs, enumerate_arrow_diagrams,
                                enumerate_partial_germs, make_germ, monotonic_partners,
                                monotonic_reduce, pair_germ, partial_germ_into, subgerms, ti,
                                triangle_relator)
-from knotcocycle.moves import MOVE_KINDS, enumerate_moves, r1_birth, split_gaps
+from knotcocycle.moves import MOVE_KINDS, edge_flanks, enumerate_moves, r1_birth, split_gaps
 from conftest import FIXTURES, random_gauss_diagram, random_move
-from oracles import (derived_monotonic_partners, i_map, pair_germ_via_s,
+from oracles import (derived_monotonic_partners, i_map, locate_edge, pair_germ_via_s,
                      permuted_arrow_diagrams, s_map, t_map)
 
 
@@ -63,6 +64,22 @@ def test_subgerm_counts():
             total = sum(abs(c) for _, c in subgerms(germ).items())
             assert total == 2 ** k * 4
             break
+
+
+def test_deleting_arrows_keeps_each_surviving_edge_between_its_flanks():
+    # Every subgerm of the degree-4 3-germs and degree-3 partial germs:
+    # the shifted gaps are where the flanks of the surviving edges meet.
+    cases = 0
+    for germ in [*enumerate_arrow_3germs(4), *enumerate_partial_germs(3)]:
+        edges = germ.dist if germ.kind == KIND_R3 else (germ.dist,)
+        for removed in _subgerm_walk(germ, frozenset(), frozenset(), None):
+            sub = _delete_from_germ(germ, removed)
+            flanks = [edge_flanks(germ.g1, g) for g in edges]
+            found = sorted(locate_edge(sub.g1, *f) for f in flanks
+                           if not {f[0][0], f[1][0]} & removed)
+            assert list(sub.dist if sub.kind == KIND_R3 else (sub.dist,)) == found
+            cases += 1
+    assert cases > 4000
 
 
 def test_monotonic_reduce_trivial_and_idempotent():

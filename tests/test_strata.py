@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -9,7 +10,16 @@ from knotcocycle.strata import (Meridian, banned_variable, classify_scenes,
                                 homogeneous_parts, meridian_equation,
                                 meridian_key, picture_fingerprint, reversal_on_rows,
                                 row_of_meridian, ti_meridian, variable_basis)
-from oracles import i_meridian, meridian_without, t_map
+from oracles import i_meridian, meridian_without, t_map, walked_cube_meridians, walked_scenes
+
+# sha256 of repr(sorted(meridian keys)) of the 5,760 one-bystander cube
+# meridians, as the walk over every scene and pruned birth found them.
+BYSTANDER_MERIDIANS_SHA256 = "368a3472589a3a41f6ce9aab79d49021358e6663fdcc853bbc24ebc0aec179f3"
+
+
+@pytest.fixture(scope="module")
+def bystander_meridians():
+    return list(enumerate_cube_meridians(1))
 
 
 def test_meridian_counts(cube_meridians):
@@ -32,6 +42,44 @@ def test_cube_meridians_come_out_once_each(cube_meridians):
     assert keys(dedupe_meridians(cube_meridians)) == keys(cube_meridians)
     with_bystander = list(itertools.islice(enumerate_cube_meridians(1), 400))
     assert keys(dedupe_meridians(with_bystander)) == keys(with_bystander)
+
+
+def test_bystander_meridians_are_those_of_the_walk(bystander_meridians):
+    keys = [meridian_key(m) for m in bystander_meridians]
+    assert len(keys) == len(set(keys)) == 5760
+    assert hashlib.sha256(repr(sorted(keys)).encode()).hexdigest() == BYSTANDER_MERIDIANS_SHA256
+
+
+def test_bystander_meridians_match_the_walk_on_every_tenth_scene(bystander_meridians):
+    # The walk names the bystander 3, the construction 0; the active
+    # arrows are 1 and 2 in both.
+    def literal(d):
+        return d.word, tuple(sorted(d.signs.items()))
+
+    built = {}
+    for m in bystander_meridians:
+        scene = literal(m.base().relabel({0: 3, 1: 1, 2: 2}))
+        built.setdefault(scene, set()).add(meridian_key(m))
+    scenes = list(itertools.islice(walked_scenes(1), 0, None, 10))
+    assert len(scenes) == 288
+    for scene in scenes:
+        walked = {meridian_key(m) for m in walked_cube_meridians([scene])}
+        assert walked == built.get(literal(scene), set())
+
+
+def test_bystander_meridians_close_and_delete_to_a_bare_one(bystander_meridians,
+                                                           cube_meridians):
+    bare = {meridian_key(m) for m in cube_meridians}
+    for m in bystander_meridians[::97]:
+        m.check_closed()
+        assert not m.boundary()
+        assert m.bystanders == frozenset((0,))
+        assert meridian_key(meridian_without(m, m.bystanders)) in bare
+
+
+def test_more_than_one_bystander_is_refused():
+    with pytest.raises(ValueError):
+        next(enumerate_cube_meridians(2))
 
 
 def test_meridians_close_and_bound_zero(cube_meridians):
