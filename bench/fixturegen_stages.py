@@ -21,11 +21,14 @@ built before its clock starts (the meridians as
 and each is the median of N processes (default 5).  With several trees
 the trees take turns on every stage, the first tree leading in odd
 rounds and the last in even ones, so drift on the machine falls on all
-of them alike.  One more process per tree runs the whole generator once
-with counting wrappers and records the calls of ``strata.ti_meridian``,
-``Germ.canonical`` and ``moves.r3_triangle`` and the diagram
-constructions (``ArrowDiagram.__init__``, which ``GaussDiagram`` also
-runs).  Each tree's run is stored under its NAME in BENCH_fixturegen.json
+of them alike.  Two more processes per tree run, with counting
+wrappers, the whole generator (``counts``) and
+``list(enumerate_cube_meridians(1))`` (``counts_enumerate_cube_meridians_1``)
+once each, and record the calls of ``strata.ti_meridian``,
+``Germ.canonical``, ``moves.apply_move``, ``moves.r3_moves`` and
+``moves.r3_triangle`` and the diagram constructions
+(``ArrowDiagram.__init__``, which ``GaussDiagram`` also runs).  Each
+tree's run is stored under its NAME in BENCH_fixturegen.json
 at the repository root, next to the runs already there, with the tree's
 git revision, whether its sources had uncommitted changes, the Python
 version and the machine.
@@ -88,8 +91,9 @@ print(time.perf_counter() - t)
 STAGES = ("enumerate_cube_meridians_0", "enumerate_cube_meridians_1", "classify_scenes",
           "collect_rows", "quadruple_meridians", "derive_alpha31")
 
-# One full fixture generation with counting wrappers; argv (out dir).  A
-# function is replaced on every module that imported it by name.
+# One full fixture generation, or with argv[1] "-" the one-bystander
+# meridians, with counting wrappers; argv (out dir).  A function is
+# replaced on every module that imported it by name.
 COUNTS = """
 import json, sys
 from knotcocycle import cocycles, coboundary, diagrams, fixturegen, germs, moves, quadruple, strata
@@ -103,7 +107,8 @@ def counting(name, fn):
         return fn(*args, **kwargs)
     return wrapper
 
-for name, module in (("ti_meridian", strata), ("r3_triangle", moves)):
+for name, module in (("ti_meridian", strata), ("apply_move", moves), ("r3_moves", moves),
+                     ("r3_triangle", moves)):
     wrapper = counting(f"{module.__name__.split('.')[-1]}.{name}", getattr(module, name))
     for m in modules:
         if getattr(m, name, None) is getattr(module, name) and m is not module:
@@ -112,7 +117,10 @@ for name, module in (("ti_meridian", strata), ("r3_triangle", moves)):
 germs.Germ.canonical = counting("germs.Germ.canonical", germs.Germ.canonical)
 diagrams.ArrowDiagram.__init__ = counting("diagrams.ArrowDiagram.__init__",
                                           diagrams.ArrowDiagram.__init__)
-fixturegen.generate_all(sys.argv[1])
+if sys.argv[1] == "-":
+    list(strata.enumerate_cube_meridians(1))
+else:
+    fixturegen.generate_all(sys.argv[1])
 print(json.dumps(counts))
 """
 
@@ -154,8 +162,9 @@ def measure(trees: dict[str, Path], repeats: int) -> dict[str, tuple[dict, dict]
             for name in names:
                 for label, src in order:
                     times[label][name].append(_seconds(src, name, tmp))
-        counts = {label: json.loads(_child(src, [sys.executable, "-c", COUNTS,
-                                                 str(Path(tmp) / label)]))
+        counts = {label: {target: json.loads(_child(src, [sys.executable, "-c", COUNTS, arg]))
+                          for target, arg in (("counts", str(Path(tmp) / label)),
+                                              ("counts_enumerate_cube_meridians_1", "-"))}
                   for label, src in trees.items()}
     out = {}
     for label in trees:
@@ -195,7 +204,7 @@ def main(argv=None) -> int:
             "uncommitted_changes": bool(_git(src, "status", "--porcelain", "--", "src")),
             "python": platform.python_version(), "machine": platform.machine(),
             "nproc": os.cpu_count(), "repeats": args.repeats,
-            "stages": stages, "counts": counts}
+            "stages": stages, **counts}
     OUT.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 

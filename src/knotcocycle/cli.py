@@ -102,6 +102,9 @@ def cmd_stokes_check(args) -> int:
         raise InputError(f"--trials must be at least 0, got {args.trials}")
     if args.max_degree < 0:
         raise InputError(f"--max-degree must be at least 0, got {args.max_degree}")
+    if args.max_degree > 8:
+        raise InputError("degree cap is 8; each trial pairs diagrams by trying every assignment "
+                         "of arrows, a count that grows factorially with the degree")
     rng = random.Random(args.seed)
     failures = []
     done = 0

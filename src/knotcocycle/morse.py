@@ -53,7 +53,8 @@ class MorseError(ValueError):
 def validate_events(events) -> None:
     height = 1
     for ev in events:
-        if not isinstance(ev, (list, tuple)) or len(ev) < 2 or not isinstance(ev[1], int):
+        if (not isinstance(ev, (list, tuple)) or len(ev) < 2
+                or isinstance(ev[1], bool) or not isinstance(ev[1], int)):
             raise MorseError(f"an event is a kind and a position, got {ev!r}")
         kind, p = ev[0], ev[1]
         if kind == CUP:

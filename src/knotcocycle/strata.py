@@ -15,7 +15,8 @@ basepoint) is enumerated once, up to swapping the labels of the two
 active arrows, and the loop-closure requirement prunes the invalid
 ones.  A meridian with one bystander deletes to one without, so it is
 built from that one by inserting the bystander's ends into gaps that
-no move of the loop touches.
+no move of the loop touches; its germs are that one's germs with the
+bystander inserted and the R3 gaps shifted past its ends.
 
 An equation is the degree-3 part of T(I(m; s)) where s selects the
 surviving bystanders; for the degree-3 system only s of size at most
@@ -35,10 +36,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagrams import FormalSum, GaussDiagram, HEAD, TAIL
-from .germs import (Germ, KIND_P, add_ti, boundary, enumerate_arrow_3germs,
+from .germs import (Germ, KIND_P, KIND_R2, add_ti, boundary, enumerate_arrow_3germs,
                     enumerate_partial_germs, make_germ)
 from .moves import (R2_BIRTH, InvalidMove, _literally_equal, arrow_positions,
-                    enumerate_moves, isolated, killable, move_between, r2_death, r3_moves)
+                    enumerate_moves, isolated, killable, r2_death, r3_moves)
 from .rational_linalg import SparseMatrix, rank
 
 CUBE = "cube"
@@ -143,11 +144,14 @@ def _scene_diagrams():
 def _bystander_meridians(m: Meridian):
     """The 40 one-bystander meridians that delete to the bystander-free m.
 
-    The bystander's ends go into the same gaps of the three diagrams
-    after the birth: gaps that no R3 germ switches and that no pair of
-    ends of the two born arrows flanks in the first or the third.  The
-    scene is the first without the pair.  The bystander is arrow 0,
-    below every other id, so the birth keeps the born ids of m.
+    The bystander's ends go into the same gaps t <= h of the three
+    diagrams after the birth: gaps that no R3 germ switches and that no
+    pair of ends of the two born arrows flanks in the first or the
+    third.  The scene is the first without the pair.  No move of the
+    loop touches those gaps, so each germ is m's germ between the
+    diagrams with the bystander inserted: an R2 germ keeps its arrows
+    (the bystander is arrow 0, below every other id, so the birth keeps
+    the born ids of m), and an R3 gap x becomes x + (x > t) + (x > h).
     """
     born = m.germs[0].dist
     after = [g.g0 for g in m.germs[1:]]
@@ -160,7 +164,9 @@ def _bystander_meridians(m: Meridian):
             walk = [GaussDiagram(d.word[:t] + ((0, e1),) + d.word[t:h] + ((0, e2),) + d.word[h:],
                                  {**d.signs, 0: sign}) for d in after]
             walk.insert(0, walk[0].delete(born))
-            germs = [make_germ(d, move_between(d, nxt)) for d, nxt in zip(walk, walk[1:] + walk[:1])]
+            germs = [Germ(g.kind, a, b, g.dist if g.kind == KIND_R2
+                          else [x + (x > t) + (x > h) for x in g.dist])
+                     for g, a, b in zip(m.germs, walk, walk[1:] + walk[:1])]
             yield Meridian(CUBE, germs, frozenset((0,)))
 
 

@@ -174,6 +174,7 @@ def test_common_option_after_subcommand_wins(capsys):
     ["--max-degree", "-4"],
     ["--trials", "-5"],
     ["--max-degree", "-1"],
+    ["--max-degree", "9"],  # above the degree cap
 ])
 def test_stokes_check_rejects_out_of_range_inputs(flags, capsys):
     assert main(["stokes-check", *flags]) == 2

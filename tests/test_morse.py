@@ -37,6 +37,8 @@ def test_invalid_presentations_rejected():
         validate_events([("cup", 2), ("x", 1), ("cap", 2)])  # no over tag
     with pytest.raises(MorseError):
         validate_events([("cup",), ("cap", 2)])  # no position
+    with pytest.raises(MorseError):
+        validate_events([("cup", True), ("cap", 1)])  # a bool is no position
 
 
 @pytest.mark.parametrize("events", LINKS)

@@ -75,6 +75,8 @@ def test_bystander_meridians_close_and_delete_to_a_bare_one(bystander_meridians,
         assert not m.boundary()
         assert m.bystanders == frozenset((0,))
         assert meridian_key(meridian_without(m, m.bystanders)) in bare
+        for g in m.germs:
+            g.validate()  # each germ is the move it names
 
 
 def test_more_than_one_bystander_is_refused():
