@@ -25,9 +25,10 @@ of them alike.  Two more processes per tree run, with counting
 wrappers, the whole generator (``counts``) and
 ``list(enumerate_cube_meridians(1))`` (``counts_enumerate_cube_meridians_1``)
 once each, and record the calls of ``strata.ti_meridian``,
-``Germ.canonical``, ``moves.apply_move``, ``moves.r3_moves`` and
-``moves.r3_triangle`` and the diagram constructions
-(``ArrowDiagram.__init__``, which ``GaussDiagram`` also runs).  Each
+``Germ.canonical``, ``moves.apply_move``, ``moves.r3_moves``,
+``moves.r3_triangle``, ``moves.validate_r3`` and ``ArrowDiagram.arrow_ids``
+and the diagram constructions (``ArrowDiagram.__init__``, which
+``GaussDiagram`` also runs).  Each
 tree's run is stored under its NAME in BENCH_fixturegen.json
 at the repository root, next to the runs already there, with the tree's
 git revision, whether its sources had uncommitted changes, the Python
@@ -108,15 +109,16 @@ def counting(name, fn):
     return wrapper
 
 for name, module in (("ti_meridian", strata), ("apply_move", moves), ("r3_moves", moves),
-                     ("r3_triangle", moves)):
+                     ("r3_triangle", moves), ("validate_r3", moves)):
     wrapper = counting(f"{module.__name__.split('.')[-1]}.{name}", getattr(module, name))
     for m in modules:
         if getattr(m, name, None) is getattr(module, name) and m is not module:
             setattr(m, name, wrapper)
     setattr(module, name, wrapper)
 germs.Germ.canonical = counting("germs.Germ.canonical", germs.Germ.canonical)
-diagrams.ArrowDiagram.__init__ = counting("diagrams.ArrowDiagram.__init__",
-                                          diagrams.ArrowDiagram.__init__)
+for method in ("__init__", "arrow_ids"):
+    setattr(diagrams.ArrowDiagram, method, counting(f"diagrams.ArrowDiagram.{method}",
+                                                    getattr(diagrams.ArrowDiagram, method)))
 if sys.argv[1] == "-":
     list(strata.enumerate_cube_meridians(1))
 else:

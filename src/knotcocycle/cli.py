@@ -195,6 +195,8 @@ def _load_loop(path: str) -> Loop:
         obj = fio._dict(json.loads(Path(path).read_text()), "loop")
         loop = Loop(fio.diagram_from_json(obj["initial"]),
                     [fio.move_from_json(m) for m in fio._list(obj["moves"], None, "moves")])
+        if not isinstance(loop.initial, GaussDiagram):  # R3 germs are paired through T
+            raise ValueError("the initial diagram has no signs")
         loop.check_closed()  # an open loop or an inapplicable move is a ValueError
     except (OSError, ValueError, KeyError) as exc:
         raise InputError(f"malformed loop file {path}: {exc}") from exc

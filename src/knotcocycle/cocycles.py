@@ -149,8 +149,7 @@ def _resolve_morse(knot, fixtures=None):
 
 
 def v2_diagram(fixtures=None) -> ArrowDiagram:
-    fixdir = fio.resolve_fixtures(fixtures)
-    return fio.diagram_from_json(fio.load_json(fixdir / "formulas" / "v2_diagram.json"))
+    return fio.load_fixture(fixtures, "formulas/v2_diagram.json", fio.diagram_from_json)
 
 
 def v2(k: GaussDiagram, fixtures=None) -> Fraction:
@@ -160,17 +159,16 @@ def v2(k: GaussDiagram, fixtures=None) -> Fraction:
 
 def alpha31(fixtures=None) -> FormalSum:
     """The degree-3 formula normalised by alpha31(rot K) = -v2(K)."""
-    fixdir = fio.resolve_fixtures(fixtures)
-    return fio.formula_from_json(fio.load_json(fixdir / "formulas" / "alpha31.json"))
+    return fio.load_fixture(fixtures, "formulas/alpha31.json", fio.formula_from_json)
 
 
 def load_tetra_rows(fixtures=None) -> list[FormalSum]:
-    fixdir = fio.resolve_fixtures(fixtures)
-    obj = fio.load_json(fixdir / "strata" / "fig9_tetra.json")
-    rows = [fio.formula_from_json(item) for item in obj["equations"]]
-    if len(rows) != 2:
-        raise ValueError("expected exactly two tetrahedron equations")
-    return rows
+    def parse(obj):
+        rows = [fio.formula_from_json(item) for item in obj["equations"]]
+        if len(rows) != 2:
+            raise ValueError("expected exactly two tetrahedron equations")
+        return rows
+    return fio.load_fixture(fixtures, "strata/fig9_tetra.json", parse)
 
 
 @functools.cache

@@ -28,30 +28,19 @@ HEAD = "H"
 Token = tuple[int, str]  # (arrow id, TAIL or HEAD)
 
 
-def _check_word(word: tuple[Token, ...]) -> dict[int, dict[str, int]]:
-    """Validate a token word and return {id: {kind: position}}."""
-    ends: dict[int, dict[str, int]] = {}
-    for pos, (aid, kind) in enumerate(word):
-        if kind not in (TAIL, HEAD):
-            raise ValueError(f"bad token kind {kind!r} at position {pos}")
-        slot = ends.setdefault(aid, {})
-        if kind in slot:
-            raise ValueError(f"arrow {aid} has two {kind} ends")
-        slot[kind] = pos
-    for aid, slot in ends.items():
-        if len(slot) != 2:
-            raise ValueError(f"arrow {aid} is missing an end")
-    return ends
-
-
 class ArrowDiagram:
     """A based arrow diagram: directed chords on a line, no signs."""
 
     __slots__ = ("word", "_key")
 
     def __init__(self, word: Iterable[Token]):
-        self.word: tuple[Token, ...] = tuple((int(a), k) for a, k in word)
-        _check_word(self.word)
+        # Distinct tokens of two kinds, two per id: one tail and one head each.
+        self.word: tuple[Token, ...] = tuple(word)
+        ids = {a for a, _ in self.word}
+        if not (len(set(self.word)) == len(self.word) == 2 * len(ids)
+                and {k for _, k in self.word} <= {TAIL, HEAD} and set(map(type, ids)) <= {int}):
+            raise ValueError(f"malformed word {self.word!r}: every arrow needs one tail "
+                             "and one head, and an int id")
         self._key = None
 
     @property
@@ -115,12 +104,12 @@ class GaussDiagram(ArrowDiagram):
 
     def __init__(self, word: Iterable[Token], signs: Mapping[int, int]):
         super().__init__(word)
-        ids = set(a for a, _ in self.word)
-        self.signs: dict[int, int] = {int(a): int(s) for a, s in signs.items()}
-        if set(self.signs) != ids:
+        self.signs: dict[int, int] = dict(signs)
+        if self.signs.keys() != {a for a, _ in self.word}:
             raise ValueError("signs must be given for exactly the arrows present")
-        if any(s not in (1, -1) for s in self.signs.values()):
-            raise ValueError("signs must be +1 or -1")
+        if not (set(self.signs.values()) <= {1, -1}
+                and {*map(type, self.signs), *map(type, self.signs.values())} <= {int}):
+            raise ValueError(f"signs must map int ids to the ints 1 or -1, got {self.signs!r}")
 
     def relabel(self, m: Mapping[int, int]) -> "GaussDiagram":
         return GaussDiagram(((m[a], k) for a, k in self.word),

@@ -12,7 +12,7 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
-from .diagrams import ArrowDiagram, FormalSum, GaussDiagram
+from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, HEAD, TAIL
 from .germs import Germ
 from .moves import Move, R1_BIRTH, R1_DEATH, R2_BIRTH, R2_DEATH, R3
 
@@ -90,7 +90,7 @@ def diagram_from_json(obj: dict):
     word = []
     for t in _list(obj["word"], None, "word"):
         t = _dict(t, "token")
-        word.append((_int(t["id"], "arrow id"), t["kind"]))
+        word.append((_int(t["id"], "arrow id"), _field(t["kind"], (TAIL, HEAD), "token kind")))
     if "signs" in obj:
         signs = _dict(obj["signs"], "signs")
         return GaussDiagram(word, {int(a): _field(s, (1, -1), "sign") for a, s in signs.items()})
@@ -179,8 +179,19 @@ def save_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
+def load_fixture(fixtures, name: str, parse):
+    """``parse`` of a fixture file; a malformed one raises ``FixtureError``."""
+    path = resolve_fixtures(fixtures) / name
+    obj = load_json(path)
+    try:
+        return parse(obj)
+    except (ValueError, KeyError, TypeError) as exc:
+        what = f"no entry {exc}" if isinstance(exc, KeyError) else exc
+        raise FixtureError(f"malformed fixture {path}: {what}") from exc
+
+
 def load_knot(fixtures: Path, name: str) -> GaussDiagram:
-    return diagram_from_json(load_json(fixtures / "knots" / f"{name}.json"))
+    return load_fixture(fixtures, f"knots/{name}.json", diagram_from_json)
 
 
 def load_morse(fixtures: Path, name: str) -> list:

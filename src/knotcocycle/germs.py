@@ -37,8 +37,8 @@ from fractions import Fraction
 
 from .diagrams import (ArrowDiagram, FormalSum, GaussDiagram, HEAD, TAIL)
 from .moves import (InvalidMove, Move, R1_BIRTH, R1_DEATH, R2_BIRTH, R2_DEATH,
-                    R3, _literally_equal, apply_move, edge_data, edge_flanks, r1_death,
-                    r2_death, r3, r3_moves, split_gaps, transpose)
+                    R3, _fresh_ids, _literally_equal, apply_move, edge_data, edge_flanks,
+                    r1_death, r2_death, r3, r3_moves, split_gaps, transpose)
 
 KIND_R1 = "R1"
 KIND_R2 = "R2"
@@ -206,16 +206,14 @@ def canonical_term(germ: Germ, coeff=1) -> tuple[Germ, Fraction]:
 
 
 def make_germ(g0, move: Move) -> Germ:
-    """The germ of a move applied at g0, oriented g0 -> result."""
+    """The germ of a move applied at g0, oriented g0 -> result; born ids are ``_fresh_ids``."""
     g1 = apply_move(g0, move)
     if move.kind == R1_BIRTH:
-        born = set(g1.arrow_ids()) - set(g0.arrow_ids())
-        return Germ(KIND_R1, g0, g1, born.pop())
+        return Germ(KIND_R1, g0, g1, _fresh_ids(g0, 1)[0])
     if move.kind == R1_DEATH:
         return Germ(KIND_R1, g0, g1, move.data[0])
     if move.kind == R2_BIRTH:
-        born = set(g1.arrow_ids()) - set(g0.arrow_ids())
-        return Germ(KIND_R2, g0, g1, frozenset(born))
+        return Germ(KIND_R2, g0, g1, _fresh_ids(g0, 2))
     if move.kind == R2_DEATH:
         return Germ(KIND_R2, g0, g1, frozenset(move.data))
     if move.kind == R3:
@@ -445,22 +443,23 @@ def enumerate_arrow_diagrams(degree: int):
 
 
 def enumerate_partial_germs(degree: int):
-    """All canonical partial arrow germs of the given degree."""
-    seen = set()
+    """All canonical partial arrow germs of the degree, each once.
+
+    Each germ is reached from its one side whose distinguished edge has
+    co-orientation value -1.  The +1 side gives the same germs, but writes
+    the degree-2 triangle relations in another order.
+    """
     for d in enumerate_arrow_diagrams(degree):
         for gap in split_gaps(d):
-            germ, _ = partial_germ_into(d, gap).canonical()
-            if germ not in seen:
-                seen.add(germ)
-                yield germ
+            germ = partial_germ_into(d, gap)
+            if germ.orientation_value(d) == -1:
+                yield germ.canonical()[0]
 
 
 def enumerate_arrow_3germs(degree: int):
-    """All canonical arrow 3-germs of the given degree."""
-    seen = set()
+    """All canonical arrow 3-germs of the degree, each once, from its side of value -1."""
     for d in enumerate_arrow_diagrams(degree):
         for move in r3_moves(d):
-            germ, _ = r3_germ_into(d, move.data).canonical()
-            if germ not in seen:
-                seen.add(germ)
-                yield germ
+            germ = r3_germ_into(d, move.data)
+            if germ.orientation_value(d) == -1:
+                yield germ.canonical()[0]

@@ -27,6 +27,10 @@ computes another way:
 - ``permuted_arrow_diagrams``: the canonical arrow diagrams found by
   permuting all (2n)! token orders and discarding repeats, against
   ``germs.enumerate_arrow_diagrams``;
+- ``seen_partial_germs`` and ``seen_arrow_3germs``: the germs reached
+  from both of their sides, the second dropped through a set, against
+  the one-sided ``germs.enumerate_partial_germs`` and
+  ``germs.enumerate_arrow_3germs``;
 - ``walked_cube_meridians`` over ``walked_scenes``: the cube meridians
   found by trying every R2 birth next to the active arrows of every
   scene with k bystanders, against the bystander insertion of
@@ -41,7 +45,8 @@ import itertools
 from fractions import Fraction
 
 from knotcocycle.diagrams import HEAD, TAIL, ArrowDiagram, FormalSum, GaussDiagram
-from knotcocycle.germs import (KIND_P, Germ, _delete_from_germ, canonical_term, make_germ,
+from knotcocycle.germs import (KIND_P, Germ, _delete_from_germ, canonical_term,
+                               enumerate_arrow_diagrams, make_germ, partial_germ_into,
                                r3_germ_into, subgerms)
 from knotcocycle.moves import (MOVE_KINDS, R1_BIRTH, R2_BIRTH, InvalidMove, _literally_equal,
                                apply_move, arrow_positions, edge_flanks, enumerate_moves,
@@ -298,6 +303,28 @@ def permuted_arrow_diagrams(degree: int):
         if key not in seen:
             seen.add(key)
             yield d.canonical()
+
+
+def seen_partial_germs(degree: int):
+    """The canonical partial arrow germs, in order of first occurrence from either side."""
+    seen = set()
+    for d in enumerate_arrow_diagrams(degree):
+        for gap in split_gaps(d):
+            germ, _ = partial_germ_into(d, gap).canonical()
+            if germ not in seen:
+                seen.add(germ)
+                yield germ
+
+
+def seen_arrow_3germs(degree: int):
+    """The canonical arrow 3-germs, in order of first occurrence from either side."""
+    seen = set()
+    for d in enumerate_arrow_diagrams(degree):
+        for move in r3_moves(d):
+            germ, _ = r3_germ_into(d, move.data).canonical()
+            if germ not in seen:
+                seen.add(germ)
+                yield germ
 
 
 def locate_edge(d, flank_left, flank_right) -> int:

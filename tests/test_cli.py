@@ -115,6 +115,23 @@ def test_unreadable_fixtures_exit_2(command, where, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("fixture, content, command", [
+    ("formulas/alpha31.json", {}, ["verify"]),
+    ("strata/fig9_tetra.json", {}, ["solve"]),
+    ("formulas/v2_diagram.json", [], ["rot-test", "--knot", "trefoil"]),
+], ids=["alpha31", "fig9_tetra", "v2_diagram"])
+def test_malformed_fixtures_exit_2(fixture, content, command, tmp_path, capsys):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, fixtures)
+    (fixtures / fixture).write_text(json.dumps(content))
+    assert main(["--fixtures", str(fixtures), *command]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: malformed fixture"), captured.err
+    assert fixture.split("/")[-1] in err[0]
+    assert captured.out == ""
+
+
 def test_rot_test_without_a_template_entry_exits_2(tmp_path, capsys):
     fixtures = tmp_path / "fixtures"
     shutil.copytree(FIXTURES, fixtures)
@@ -235,6 +252,20 @@ def test_eval_loop_rejects_malformed_loops(moves, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_eval_loop_rejects_an_initial_diagram_without_signs(tmp_path, capsys):
+    from knotcocycle import fixtures_io as fio
+    from knotcocycle.germs import enumerate_arrow_3germs
+    germ = next(iter(enumerate_arrow_3germs(3)))  # an arrow diagram and its R3 move
+    moves = [{"kind": "R3", "data": list(germ.dist)}] * 2
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"initial": fio.diagram_to_json(germ.g1), "moves": moves}))
+    assert main(["--fixtures", str(FIXTURES), "eval-loop", "--loop", str(path)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("loop", [[1, 2, 3], "loop"], ids=["list", "string"])
 def test_eval_loop_rejects_a_loop_that_is_not_an_object(loop, tmp_path, capsys):
     path = tmp_path / "loop.json"
@@ -260,7 +291,8 @@ def test_equations_rejects_an_unwritable_matrix_path(tmp_path, capsys):
     lambda t: t.update(coeff=[0.1, 1]),
     lambda t: t["germ"].update(dist=5),
     lambda t: t["germ"]["g1"]["word"][0].update(id=1.5),
-], ids=["zero-denominator", "float-coeff", "scalar-r3-dist", "float-arrow-id"])
+    lambda t: t["germ"]["g1"]["word"][0].update(kind=["T"]),
+], ids=["zero-denominator", "float-coeff", "scalar-r3-dist", "float-arrow-id", "list-token-kind"])
 def test_verify_rejects_malformed_formulas(spoil, tmp_path, capsys):
     from knotcocycle import fixtures_io as fio
     formula = fio.load_json(FIXTURES / "formulas" / "alpha31.json")

@@ -36,6 +36,14 @@ def test_malformed_words_rejected():
         GaussDiagram([(1, "T"), (1, "H")], {})
     with pytest.raises(ValueError):  # a sign for the absent arrow 7
         GaussDiagram([(1, "T"), (1, "H")], {1: 1, 7: -1})
+    with pytest.raises(ValueError):  # a bool id would pass for 1
+        ArrowDiagram([(True, "T"), (True, "H")])
+    with pytest.raises(ValueError):
+        ArrowDiagram([("1", "T"), ("1", "H")])
+    with pytest.raises(ValueError):  # a bool sign would be written as true
+        GaussDiagram([(1, "T"), (1, "H")], {1: True})
+    with pytest.raises(ValueError):
+        GaussDiagram([(1, "T"), (1, "H")], {1: 2})
 
 
 @pytest.mark.parametrize("signs", ["+x", "x+", "+*", "+0", "+−"])

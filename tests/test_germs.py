@@ -18,7 +18,8 @@ from knotcocycle.germs import (KIND_R3, _delete_from_germ, _subgerm_walk, bounda
 from knotcocycle.moves import MOVE_KINDS, edge_flanks, enumerate_moves, r1_birth, split_gaps
 from conftest import FIXTURES, random_gauss_diagram, random_move
 from oracles import (derived_monotonic_partners, i_map, locate_edge, pair_germ_via_s,
-                     permuted_arrow_diagrams, s_map, t_map)
+                     permuted_arrow_diagrams, s_map, seen_arrow_3germs, seen_partial_germs,
+                     t_map)
 
 
 def test_make_germ_r1_birth():
@@ -137,6 +138,18 @@ def test_triangle_relator_refuses_a_signed_partial_germ(gap):
 def test_arrow_diagrams_match_the_permutation_enumeration(degree):
     assert [d.word for d in enumerate_arrow_diagrams(degree)] == \
         [d.word for d in permuted_arrow_diagrams(degree)]
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_one_sided_germ_enumerations_match_the_seen_set_oracles(degree):
+    for enumerate_germs, oracle in ((enumerate_partial_germs, seen_partial_germs),
+                                    (enumerate_arrow_3germs, seen_arrow_3germs)):
+        keys = [g.key() for g in enumerate_germs(degree)]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == {g.key() for g in oracle(degree)}
+    if degree == 2:  # the order that relations/triangle_deg2.json records
+        assert [p.key() for p in enumerate_partial_germs(2) if not p.is_monotonic()] == \
+            [p.key() for p in seen_partial_germs(2) if not p.is_monotonic()]
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 5])
