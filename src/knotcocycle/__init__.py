@@ -13,14 +13,14 @@ from .diagrams import (ArrowDiagram, EMPTY_ARROW, EMPTY_GAUSS, FormalSum,
 from .moves import Move, apply_move, edge_data, enumerate_moves, inverse, validate_r3
 from .germs import (Germ, boundary, make_germ, monotonic_reduce, pair_germ,
                     subgerms)
-from .coboundary import CoboundaryValue, coboundary, stokes_sides
+from .coboundary import coboundary, stokes_sides
 
 __all__ = [
     "ArrowDiagram", "GaussDiagram", "FormalSum", "EMPTY_ARROW", "EMPTY_GAUSS",
     "pair", "parse_diagram",
     "Move", "apply_move", "edge_data", "enumerate_moves", "inverse", "validate_r3",
     "Germ", "boundary", "make_germ", "monotonic_reduce", "pair_germ", "subgerms",
-    "CoboundaryValue", "coboundary", "stokes_sides",
+    "coboundary", "stokes_sides",
 ]
 
 __version__ = "0.1.0"

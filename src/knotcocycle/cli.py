@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -32,6 +33,10 @@ from .strata import restrict_to_variables
 
 class InputError(Exception):
     pass
+
+
+# pair tries each assignment of Gauss arrows to arrows, about 2 microseconds each.
+PAIR_ASSIGNMENT_CAP = 10**7
 
 
 def _load_diagram(path: str):
@@ -80,6 +85,10 @@ def cmd_pair(args) -> int:
     g = _load_diagram(args.gauss)
     if isinstance(a, GaussDiagram) or not isinstance(g, GaussDiagram):
         raise InputError("pair expects an arrow diagram and a Gauss diagram")
+    count = math.perm(g.degree, a.degree)
+    if count > PAIR_ASSIGNMENT_CAP:
+        raise InputError(f"pair would try {count:,} assignments of arrows; "
+                         f"the cap is {PAIR_ASSIGNMENT_CAP:,}")
     print(_frac(pair(a, g)))
     return 0
 
@@ -88,11 +97,10 @@ def cmd_coboundary(args) -> int:
     d = _load_diagram(args.diagram)
     if isinstance(d, GaussDiagram):
         raise InputError("the coboundary acts on arrow diagrams (no signs)")
-    db = coboundary(d)
-    out = {}
-    for name, comp in db.components().items():
-        out[name] = [{"coeff": _frac(c), "germ": fio.germ_to_json(g)}
-                     for g, c in sorted(comp.items(), key=lambda kv: kv[0].key())]
+    component = {"R1": "I", "R2": "II", "R3": "Delta", "P": "Lambda"}
+    out = {name: [] for name in component.values()}
+    for g, c in sorted(coboundary(d).items(), key=lambda kv: kv[0].key()):
+        out[component[g.kind]].append({"coeff": _frac(c), "germ": fio.germ_to_json(g)})
     _emit(out, args.format)
     return 0
 
@@ -225,7 +233,7 @@ def cmd_invariants(args) -> int:
     rows = []
     for a in diagrams:
         row = {}
-        for germ, c in coboundary(a).total().items():
+        for germ, c in coboundary(a).items():
             j = keys.setdefault(germ.key(), len(keys))
             row[j] = row.get(j, Fraction(0)) + c
         rows.append(row)

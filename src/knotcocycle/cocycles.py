@@ -20,13 +20,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, pair
-from .germs import Germ, enumerate_arrow_diagrams, make_germ, pair_germ
+from .germs import Germ, KIND_R3, enumerate_arrow_diagrams, make_germ, pair_germ
 from .coboundary import coboundary
 from .moves import Move, apply_move, inverse
 from . import fixtures_io as fio
 from .morse import rot_moves, trace
 from .rational_linalg import SparseMatrix, rank, solve_in_span
 from .strata import System, assemble_system, restrict_to_variables
+
+
+TRIVIAL_DEGREES = range(4)  # the degrees of the A whose dA span the trivial cochains
 
 
 class OpenLoopError(ValueError):
@@ -60,8 +63,9 @@ class Loop:
         if self.diagrams()[-1] != self.initial:
             raise OpenLoopError("loop does not return to its initial diagram")
 
-    def germs(self):
-        return zip(self._germs, self.moves)
+    def germs(self) -> list[Germ]:
+        """The germ of each move in schedule order; an R3 germ's dist is its move's gaps, sorted."""
+        return self._germs
 
     def reversed(self) -> "Loop":
         """The loop traversed backwards.
@@ -111,8 +115,8 @@ def evaluate_loop(alpha: FormalSum, loop: Loop) -> Fraction:
     """
     loop.check_closed()
     total = Fraction(0)
-    for germ, move in loop.germs():
-        if move.kind == "R3":
+    for germ in loop.germs():
+        if germ.kind == KIND_R3:
             total += pair_germ(alpha, germ)
     return total
 
@@ -139,8 +143,7 @@ def _resolve_morse(knot, fixtures=None):
             raise ValueError(f"no Morse presentation on file for {knot!r}")
         return fio.load_morse(fixdir, knot)
     if isinstance(knot, GaussDiagram):
-        for name in names:
-            events = fio.load_morse(fixdir, name)
+        for events in fio.load_morses(fixdir, names):
             if trace(events).diagram == knot:
                 return events
         raise ValueError("no Morse presentation on file for this diagram; "
@@ -172,33 +175,32 @@ def load_tetra_rows(fixtures=None) -> list[FormalSum]:
 
 
 @functools.cache
-def trivial_cocycle_vectors(degree: int = 3) -> tuple:
-    """Coboundaries dA of all arrow diagrams of the given degree.
+def trivial_cocycle_vectors(degree: int = 3) -> tuple[FormalSum, ...]:
+    """The nonzero coboundaries dA of the arrow diagrams A of a degree.
 
-    Returned as (A, dA) pairs; these span the trivial cocycles at this
-    degree.  Computed once per process, so callers must not mutate them.
+    In arrow-diagram order; they span the trivial cocycles at this degree.
+    Computed once per process, so callers must not mutate them.
     """
     out = []
     for a in enumerate_arrow_diagrams(degree):
         db = coboundary(a)
-        if not db.is_zero():
-            out.append((a, db))
+        if db:
+            out.append(db)
     return tuple(out)
 
 
 def trivial_variable_vectors(var_index) -> list[dict[int, Fraction]]:
     """The degree-3 coboundaries that live on the given variables.
 
-    Coboundaries with an R1 or R2 component, or with support outside the
-    variables, are not vectors of this coordinate space and are skipped;
-    the rest come in arrow-diagram enumeration order.
+    Coboundaries with support outside the variables (among them every
+    one with an R1 or R2 term) are not vectors of this coordinate space
+    and are skipped; the rest come in arrow-diagram enumeration order.
     """
     out = []
-    for _, db in trivial_cocycle_vectors(3):
-        full = db.r3 + db.partial
-        if db.r1 or db.r2 or any(k not in var_index for k in full.keys()):
+    for db in trivial_cocycle_vectors(3):
+        if any(k not in var_index for k in db.keys()):
             continue
-        vec = restrict_to_variables(full, var_index)
+        vec = restrict_to_variables(db, var_index)
         if vec:
             out.append(vec)
     return out
@@ -231,22 +233,22 @@ def system_dimensions(system: System):
     return kdim, tdim, kdim - tdim
 
 
-def verify_cocycle(alpha: FormalSum, degree: int = 3, system: System | None = None,
+def verify_cocycle(alpha: FormalSum, system: System | None = None,
                    fixtures=None) -> CocycleReport:
     """Check a cochain against every stored meridian functional.
 
     Violations are computed with the full pairing (all germ kinds), so
     coboundaries dA pass by the Stokes formula even though they carry
-    R1 and R2 components.  ``alpha`` is reported trivial when it lies in
-    the span of the coboundaries dA of the arrow diagrams A of every
-    degree from 0 to ``degree``.  The dimensions are those of the system.
+    R1 and R2 terms.  ``alpha`` is reported trivial when it lies in the
+    span of the coboundaries dA with deg A in ``TRIVIAL_DEGREES``, 0 to 3.
+    The dimensions are those of the system.
     """
     if system is None:
         system = assemble_default_system(fixtures)
     violated = [i for i, fs in enumerate(system.full_rows) if alpha.dot(fs) != 0]
 
-    rows = [{g.key(): c for g, c in db.total().items()}
-            for deg in range(degree + 1) for _, db in trivial_cocycle_vectors(deg)]
+    rows = [{g.key(): c for g, c in db.items()}
+            for deg in TRIVIAL_DEGREES for db in trivial_cocycle_vectors(deg)]
     target = {g.key(): c for g, c in alpha.items()}
     trivial = solve_in_span(rows, target) is not None
 

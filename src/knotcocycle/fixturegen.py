@@ -22,10 +22,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from .diagrams import ArrowDiagram, FormalSum, format_diagram, pair
-from .germs import enumerate_arrow_diagrams, enumerate_partial_germs, monotonic_partners, ti
+from .germs import (KIND_R3, enumerate_arrow_diagrams, enumerate_partial_germs,
+                    monotonic_partners, ti)
 from .coboundary import coboundary
-from .cocycles import Loop, evaluate_loop, trivial_variable_vectors
-from .morse import FIXTURE_MORSE, rot_moves, trace
+from .cocycles import evaluate_loop, rot_loop, trivial_variable_vectors
+from .morse import FIXTURE_MORSE, trace
 from .quadruple import quadruple_meridians
 from .rational_linalg import SparseMatrix, kernel_basis, residual, rref, solve_in_span
 from .strata import (System, assemble_system, classify_scenes, enumerate_cube_meridians,
@@ -71,7 +72,7 @@ def derive_v2_diagram(knots) -> ArrowDiagram:
     for cand in enumerate_arrow_diagrams(2):
         if pair(cand, knots["trefoil"]) == 1 and pair(cand, knots["figure8"]) == -1 \
                 and pair(cand, knots["unknot"]) == 0 \
-                and coboundary(cand).is_zero():
+                and not coboundary(cand):
             winners.append(cand)
     if not winners:
         raise RuntimeError("v2 screening found no candidate")
@@ -88,11 +89,11 @@ def gen_v2(out: Path, knots) -> ArrowDiagram:
 
 def gen_seed_r3(out: Path) -> None:
     """A planar-certified R3 move: the first bottom move of rot(trefoil)."""
-    loop = Loop(*rot_moves(FIXTURE_MORSE["trefoil"]))
-    germ, move = next(gm for gm, tag in zip(loop.germs(), loop.tags) if tag == "bottom")
+    loop = rot_loop(FIXTURE_MORSE["trefoil"])
+    germ = next(g for g, tag in zip(loop.germs(), loop.tags) if tag == "bottom")
     fio.save_json(out / "moves" / "seed_r3.json", {
         "source": fio.diagram_to_json(germ.g0),
-        "gaps": list(move.data),
+        "gaps": list(germ.dist),
         "target": fio.diagram_to_json(germ.g1),
         "provenance": "first under-pass R3 of the trefoil rotation loop",
     })
@@ -243,9 +244,9 @@ def _rot_profiles(var_index):
     """
     profile: dict = {}
     for pos, name in enumerate(("trefoil", "figure8")):
-        loop = Loop(*rot_moves(FIXTURE_MORSE[name]))
-        for (germ, move), tag in zip(loop.germs(), loop.tags):
-            if move.kind == "R3":
+        loop = rot_loop(FIXTURE_MORSE[name])
+        for germ, tag in zip(loop.germs(), loop.tags):
+            if germ.kind == KIND_R3:
                 for key, c in ti(germ, {3}).items():
                     j = var_index.get(key)
                     if j is not None:
@@ -259,7 +260,7 @@ def gen_alpha31(out: Path, system: System) -> FormalSum:
     # Hard validation before freezing: the rotation identity on all three
     # fixture knots, with the advertised sign.
     for name, events in FIXTURE_MORSE.items():
-        total = evaluate_loop(fs, Loop(*rot_moves(events)))
+        total = evaluate_loop(fs, rot_loop(events))
         expected = {"unknot": 0, "trefoil": -1, "figure8": 1}[name]
         if total != expected:
             raise RuntimeError(f"alpha31 candidate fails rot({name}): {total}")

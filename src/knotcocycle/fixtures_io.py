@@ -195,9 +195,15 @@ def load_knot(fixtures: Path, name: str) -> GaussDiagram:
 
 
 def load_morse(fixtures: Path, name: str) -> list:
+    return next(load_morses(fixtures, (name,)))
+
+
+def load_morses(fixtures: Path, names):
+    """The Morse presentation of each name in turn, from one read of the template."""
     path = fixtures / "loops" / "rot_template.json"
     obj = load_json(path)
     knots = obj.get("knots") if isinstance(obj, dict) else None
-    if not isinstance(knots, dict) or name not in knots:
-        raise FixtureError(f"{path} has no Morse presentation of {name!r}")
-    return [tuple(ev) for ev in knots[name]]
+    for name in names:
+        if not isinstance(knots, dict) or name not in knots:
+            raise FixtureError(f"{path} has no Morse presentation of {name!r}")
+        yield [tuple(ev) for ev in knots[name]]

@@ -61,6 +61,24 @@ def test_coboundary_subcommand():
     assert all(v == [] for v in out.values())
 
 
+# Together these have terms in each of I, II, Delta and Lambda.
+COBOUNDARY_WORDS = {
+    "deg2": "2; T1 T2 H1 H2",
+    "deg3": "3; T1 T2 H1 T3 H2 H3",
+    "deg4": "4; T1 T2 H1 T3 H2 T4 H3 H4",
+    "deg4_all_kinds": "4; T1 H1 T2 T3 T4 H2 H4 H3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COBOUNDARY_WORDS))
+def test_coboundary_output_matches_the_recorded_json(name, tmp_path, capsys):
+    diagram = tmp_path / "diagram.txt"
+    diagram.write_text(COBOUNDARY_WORDS[name] + "\n")
+    assert main(["coboundary", "--diagram", str(diagram)]) == 0
+    expected = (REPO / "tests" / "data" / "coboundary" / f"{name}.json").read_text()
+    assert capsys.readouterr().out == expected
+
+
 def test_stokes_check_small():
     out = json.loads(run_cli("stokes-check", "--trials", "25", "--max-degree", "3"))
     assert out["trials"] == 25 and out["failures"] == []
@@ -146,6 +164,22 @@ def test_rot_test_without_a_template_entry_exits_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_rot_test_on_a_diagram_file_reads_the_template_once(monkeypatch, capsys):
+    from knotcocycle import fixtures_io as fio
+    reads = []
+    load_json = fio.load_json
+
+    def counting_load_json(path):
+        reads.append(path)
+        return load_json(path)
+
+    monkeypatch.setattr(fio, "load_json", counting_load_json)
+    knot = str(FIXTURES / "knots" / "figure8.json")
+    assert main(["--fixtures", str(FIXTURES), "rot-test", "--knot", knot]) == 0
+    assert "identity holds" in capsys.readouterr().out
+    assert sum(1 for path in reads if path.name == "rot_template.json") == 1
+
+
 def test_determinism_byte_identical():
     one = run_cli("equations")
     two = run_cli("equations")
@@ -217,6 +251,19 @@ def test_pair_rejects_a_sign_string_with_other_characters(tmp_path, capsys):
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == ""
+
+
+def test_pair_rejects_more_assignments_than_the_cap_before_any_work(tmp_path, capsys):
+    # P(20, 10) = 670,442,572,800 assignments: hours of work if attempted.
+    arrow = tmp_path / "arrow.txt"
+    arrow.write_text("10; " + " ".join(f"T{i} H{i}" for i in range(1, 11)) + "\n")
+    gauss = tmp_path / "gauss.txt"
+    gauss.write_text("20; " + " ".join(f"T{i} H{i}" for i in range(1, 21)) + "; " + "+" * 20 + "\n")
+    assert main(["pair", "--arrow", str(arrow), "--gauss", str(gauss)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "670,442,572,800" in err[0]
     assert captured.out == ""
 
 

@@ -11,14 +11,20 @@ from knotcocycle.rational_linalg import SparseMatrix, kernel_basis
 from conftest import random_arrow_diagram, random_gauss_diagram, random_move
 
 
+def _terms(db, kind):
+    """The terms of dA whose germs have the given kind."""
+    return FormalSum((g, c) for g, c in db.items() if g.kind == kind)
+
+
 def test_d_of_empty_is_zero():
-    assert coboundary(EMPTY_ARROW).is_zero()
+    assert not coboundary(EMPTY_ARROW)
 
 
 def test_d_of_single_arrow():
     db = coboundary(parse_diagram("1; T1 H1"))
-    assert len(db.r1) == 1 and not db.r2 and not db.r3 and not db.partial
-    (germ, coeff), = db.r1.items()
+    assert (len(_terms(db, "R1")) == 1 and not _terms(db, "R2") and not _terms(db, "R3")
+            and not _terms(db, "P"))
+    (germ, coeff), = _terms(db, "R1").items()
     assert coeff == 1 and germ.g0.degree == 0 and germ.g1.degree == 1
 
 
@@ -29,7 +35,7 @@ def test_d_rejects_gauss_diagrams():
 
 def test_d_of_v2_diagram_vanishes(fixtures_dir):
     from knotcocycle.cocycles import v2_diagram
-    assert coboundary(v2_diagram(fixtures_dir)).is_zero()
+    assert not coboundary(v2_diagram(fixtures_dir))
 
 
 def test_stokes_simple_cases():
@@ -64,7 +70,7 @@ def _kernel_low_degree(max_degree):
     rows = []
     for a in diagrams:
         row = {}
-        for germ, c in coboundary(a).total().items():
+        for germ, c in coboundary(a).items():
             j = keys.setdefault(germ.key(), len(keys))
             row[j] = row.get(j, Fraction(0)) + c
         rows.append(row)
@@ -117,10 +123,10 @@ def test_component_kernels_are_genuinely_independent():
     """
     flat = parse_diagram("3; T1 H1 T2 H2 T3 H3")
     db = coboundary(flat)
-    assert not db.r3
-    assert db.partial and len(db.partial) == 2
-    assert all(k.is_monotonic() for k, _ in db.partial.items())
+    assert not _terms(db, "R3")
+    assert _terms(db, "P") and len(_terms(db, "P")) == 2
+    assert all(k.is_monotonic() for k, _ in _terms(db, "P").items())
 
     kink = parse_diagram("1; T1 H1")
     dk = coboundary(kink)
-    assert dk.r1 and not dk.partial and not dk.r3
+    assert _terms(dk, "R1") and not _terms(dk, "P") and not _terms(dk, "R3")

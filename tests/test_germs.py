@@ -301,7 +301,7 @@ def _formulas():
     diagrams = ["0; ", "1; T1 H1", "2; T1 T2 H1 H2", "2; T1 H2 H1 T2",
                 "3; T1 T2 H1 T3 H2 H3", "3; T1 H2 T3 H1 T2 H3",
                 "4; T1 T2 H3 H1 T4 H2 T3 H4", "4; T1 H2 T3 H4 H1 T2 H3 T4"]
-    coboundaries = [coboundary(parse_diagram(d)).total() for d in diagrams]
+    coboundaries = [coboundary(parse_diagram(d)) for d in diagrams]
     mixed = [a + db for db in coboundaries[2:4]]
     return [a] + coboundaries + mixed
 
