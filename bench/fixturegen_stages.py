@@ -26,7 +26,8 @@ wrappers, the whole generator (``counts``) and
 ``list(enumerate_cube_meridians(1))`` (``counts_enumerate_cube_meridians_1``)
 once each, and record the calls of ``strata.ti_meridian``,
 ``Germ.canonical``, ``moves.apply_move``, ``moves.r3_moves``,
-``moves.r3_triangle``, ``moves.validate_r3`` and ``ArrowDiagram.arrow_ids``
+``moves.r3_triangle``, ``moves.validate_r3``,
+``rational_linalg.solve_in_span`` and ``ArrowDiagram.arrow_ids``
 and the diagram constructions (``ArrowDiagram.__init__``, which
 ``GaussDiagram`` also runs).  Each
 tree's run is stored under its NAME in BENCH_fixturegen.json
@@ -97,8 +98,10 @@ STAGES = ("enumerate_cube_meridians_0", "enumerate_cube_meridians_1", "classify_
 # replaced on every module that imported it by name.
 COUNTS = """
 import json, sys
-from knotcocycle import cocycles, coboundary, diagrams, fixturegen, germs, moves, quadruple, strata
-modules = (cocycles, coboundary, diagrams, fixturegen, germs, moves, quadruple, strata)
+from knotcocycle import (cocycles, coboundary, diagrams, fixturegen, germs, moves, quadruple,
+                         rational_linalg, strata)
+modules = (cocycles, coboundary, diagrams, fixturegen, germs, moves, quadruple, rational_linalg,
+           strata)
 counts = {}
 
 def counting(name, fn):
@@ -109,7 +112,8 @@ def counting(name, fn):
     return wrapper
 
 for name, module in (("ti_meridian", strata), ("apply_move", moves), ("r3_moves", moves),
-                     ("r3_triangle", moves), ("validate_r3", moves)):
+                     ("r3_triangle", moves), ("validate_r3", moves),
+                     ("solve_in_span", rational_linalg)):
     wrapper = counting(f"{module.__name__.split('.')[-1]}.{name}", getattr(module, name))
     for m in modules:
         if getattr(m, name, None) is getattr(module, name) and m is not module:

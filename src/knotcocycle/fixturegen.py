@@ -17,7 +17,7 @@ the test suite regenerates them all and compares byte for byte.
 from __future__ import annotations
 
 import argparse
-import itertools
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +28,8 @@ from .coboundary import coboundary
 from .cocycles import evaluate_loop, rot_loop, trivial_variable_vectors
 from .morse import FIXTURE_MORSE, trace
 from .quadruple import quadruple_meridians
-from .rational_linalg import SparseMatrix, kernel_basis, residual, rref, solve_in_span
+from .rational_linalg import (SparseMatrix, extend_reduced, kernel_basis, residual, rref,
+                              solve_in_span)
 from .strata import (System, assemble_system, classify_scenes, enumerate_cube_meridians,
                      equation_row, ti_meridian, variable_basis)
 from . import fixtures_io as fio
@@ -196,10 +197,9 @@ def derive_alpha31(system: System) -> FormalSum:
 
     Vectors are reduced modulo the trivial span, eliminated once; the
     class is that of the first kernel vector v0 with a nonzero residual.
-    A support of the first germ and three invisible variables is kept
-    when sum_j x_j res(e_j) = res(v0) has a unique solution x without
-    zero entries; scaled to x_first = 1, unit solutions compete and the
-    smallest sorted germ keys win.
+    ``_unit_candidates`` finds the supports of the first germ and three
+    invisible variables that express res(v0) with unit coefficients,
+    and the smallest sorted germ keys win.
     """
     variables, var_index = system.variables, system.var_index
     trivials = trivial_variable_vectors(var_index)
@@ -218,21 +218,62 @@ def derive_alpha31(system: System) -> FormalSum:
     invisible = [j for j in range(len(variables)) if j not in profile]
     res = {j: residual(trivial_span, {j: Fraction(1)}) for j in (fg, *invisible)}
 
-    candidates = []
-    for s3 in itertools.combinations(invisible, 3):
-        support = (fg, *s3)
-        # solve_in_span gives non-pivot rows coefficient 0, so a solution
-        # without a zero coefficient is unique.
-        sol = solve_in_span([res[j] for j in support], target)
-        if sol is None or not all(sol):
-            continue
-        cand = {j: x / sol[0] for j, x in zip(support, sol)}
-        if all(abs(c) == 1 for c in cand.values()):
-            candidates.append(cand)
+    candidates = _unit_candidates(fg, invisible, res, target, len(variables))
     if not candidates:
         raise RuntimeError("no unit-coefficient four-term representative found")
     chosen = min(candidates, key=lambda cand: sorted(variables[j].key() for j in cand))
     return FormalSum((variables[j], c) for j, c in chosen.items())
+
+
+def _unit_candidates(fg, others, res, target, ncols) -> list[dict]:
+    """The unit-coefficient solutions over the supports (fg, a, b, c), in order.
+
+    A support of fg and three of ``others`` (in ``itertools.combinations``
+    order) is kept when sum_j x_j res[j] = target has a unique solution
+    x without zero entries; scaled to x_fg = 1, a unit solution is a
+    candidate.  The supports are walked depth-first with one reduced
+    basis per prefix (fg), (fg, a) and (fg, a, b), each its parent's
+    extended by one row:
+
+    - a prefix whose new row reduces to zero is dependent, so every
+      support through it has a zero coefficient;
+    - when the target reduces to zero against (fg, a, b), c gets 0;
+    - otherwise c completes the support only when its reduced row is a
+      nonzero multiple of the reduced target.
+
+    Those survivors alone are solved with ``solve_in_span``.  That is
+    len(others) + C(len(others), 2) one-row extensions and one reduction
+    per support, against an elimination per support.
+    """
+    candidates = []
+    base = extend_reduced(SparseMatrix(0, ncols), res[fg])
+    if base is None:
+        return candidates
+    for i, a in enumerate(others):
+        with_a = extend_reduced(base, res[a])
+        if with_a is None:
+            continue
+        for k, b in enumerate(others[i + 1:], i + 1):
+            with_ab = extend_reduced(with_a, res[b])
+            if with_ab is None:
+                continue
+            rest = residual(with_ab, target)
+            if not rest:
+                continue
+            for c in others[k + 1:]:
+                rc = residual(with_ab, res[c])  # empty when c is dependent
+                if rc.keys() != rest.keys() or len({rest[j] / rc[j] for j in rc}) != 1:
+                    continue
+                support = (fg, a, b, c)
+                # solve_in_span gives non-pivot rows coefficient 0, so a
+                # solution without a zero coefficient is unique.
+                sol = solve_in_span([res[j] for j in support], target)
+                if sol is None or not all(sol):
+                    continue
+                cand = {j: x / sol[0] for j, x in zip(support, sol)}
+                if all(abs(x) == 1 for x in cand.values()):
+                    candidates.append(cand)
+    return candidates
 
 
 def _rot_profiles(var_index):
@@ -282,7 +323,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="fixtures", help="output directory")
     args = ap.parse_args(argv)
-    generate_all(args.out)
+    try:
+        generate_all(args.out)
+    except OSError as exc:
+        print(f"error: cannot write fixtures to {args.out}: {exc}", file=sys.stderr)
+        return 2
     print(f"fixtures written to {args.out}")
     return 0
 

@@ -120,6 +120,26 @@ def _fresh_ids(d: ArrowDiagram, n: int) -> list[int]:
     return [top + i + 1 for i in range(n)]
 
 
+def r2_birth_word(word, data, a: int, b: int) -> list:
+    """The word after the R2 birth with ``data`` of arrows a and b, a born first.
+
+    The tails go into gap ``data[0]`` and the heads into gap ``data[1]``.
+    """
+    gt, gh, tails_first, swap_heads, _ = data
+    word = list(word)
+    tails = [(a, TAIL), (b, TAIL)]
+    heads = [(b, HEAD), (a, HEAD)] if swap_heads else [(a, HEAD), (b, HEAD)]
+    if gt < gh:
+        word[gh:gh] = heads
+        word[gt:gt] = tails
+    elif gh < gt:
+        word[gt:gt] = tails
+        word[gh:gh] = heads
+    else:
+        word[gt:gt] = tails + heads if tails_first else heads + tails
+    return word
+
+
 def r3_triangle(d: ArrowDiagram, gaps) -> tuple[int, ...] | None:
     """The arrow triple of an R3 edge candidate, or None if malformed.
 
@@ -253,21 +273,11 @@ def apply_move(d, move: Move):
         return d.delete((aid,))
 
     elif move.kind == R2_BIRTH:
-        gt, gh, tails_first, swap_heads, s1 = move.data
+        gt, gh, _, _, s1 = move.data
         if not (0 <= gt <= len(word) and 0 <= gh <= len(word)):
             raise InvalidMove("birth gap out of range")
         a, b = _fresh_ids(d, 2)
-        tails = [(a, TAIL), (b, TAIL)]
-        heads = [(b, HEAD), (a, HEAD)] if swap_heads else [(a, HEAD), (b, HEAD)]
-        if gt < gh:
-            word[gh:gh] = heads
-            word[gt:gt] = tails
-        elif gh < gt:
-            word[gt:gt] = tails
-            word[gh:gh] = heads
-        else:
-            block = tails + heads if tails_first else heads + tails
-            word[gt:gt] = block
+        word = r2_birth_word(word, move.data, a, b)
         if signed:
             signs[a] = s1
             signs[b] = -s1

@@ -119,6 +119,22 @@ def residual(reduced: SparseMatrix, row: dict[int, Fraction]) -> dict[int, Fract
     return work
 
 
+def extend_reduced(reduced: SparseMatrix, row: dict[int, Fraction]) -> SparseMatrix | None:
+    """``reduced`` with one more row, or None when the row lies in its span.
+
+    The new row is the residual of ``row``, scaled to 1 at its least
+    column.  It is 0 at the leading columns of the rows before it, so
+    ``residual`` against the result is again a normal form modulo the
+    span, one that rows differing by a member of the span share.
+    """
+    work = residual(reduced, row)
+    if not work:
+        return None
+    inv = 1 / work[min(work)]
+    return SparseMatrix(reduced.nrows + 1, reduced.ncols,
+                        [*reduced.rows, {c: v * inv for c, v in work.items()}])
+
+
 def in_row_span(m: SparseMatrix, row: dict[int, Fraction]) -> bool:
     """Whether the row lies in the span of the matrix rows."""
     return not residual(rref(m)[0], row)

@@ -12,12 +12,13 @@ diagram with two active arrows, a pair is born next to them by an R2
 move, slides across the two triangles it forms with the active arrows
 (two R3 moves) and dies again.  Every decoration (signs, positions,
 basepoint) is enumerated once, up to swapping the labels of the two
-active arrows; the search for the first slide is the only filter, as
-every birth with one slides on once and dies back to the scene.  A
-meridian with one bystander deletes to one without, so it is
-built from that one by inserting the bystander's ends into gaps that
-no move of the loop touches; its germs are that one's germs with the
-bystander inserted and the R3 gaps shifted past its ends.
+active arrows.  A birth is built only when the word after it has the
+three sides of the first slide's triangle, and the search for that
+slide filters the rest, as every birth with one slides on once and
+dies back to the scene.  A meridian with one bystander deletes to one
+without, so it is built from that one by inserting the bystander's ends
+into gaps that no move of the loop touches; its germs are that one's
+germs with the bystander inserted and the R3 gaps shifted past its ends.
 
 An equation is the degree-3 part of T(I(m; s)) where s selects the
 surviving bystanders; for the degree-3 system only s of size at most
@@ -39,8 +40,8 @@ from fractions import Fraction
 from .diagrams import FormalSum, GaussDiagram, HEAD, TAIL
 from .germs import (Germ, KIND_P, KIND_R2, add_ti, boundary, enumerate_arrow_3germs,
                     enumerate_partial_germs, make_germ)
-from .moves import (R2_BIRTH, _literally_equal, arrow_positions, enumerate_moves,
-                    isolated, killable, r2_death, r3_moves)
+from .moves import (R2_BIRTH, _fresh_ids, _literally_equal, arrow_positions, enumerate_moves,
+                    isolated, killable, r2_birth_word, r2_death, r3_moves)
 from .rational_linalg import SparseMatrix, rank
 
 CUBE = "cube"
@@ -128,7 +129,7 @@ def variable_basis(degree: int) -> tuple[Germ, ...]:
 # -- Cube meridian enumeration ----------------------------------------------
 
 def _scene_diagrams():
-    """Scene diagrams: the two active arrows 1 and 2 with their signs.
+    """Scene diagrams: the two active arrows 1 and 2, one list of signings per word.
 
     Words are generated literally (not up to relabelling).  Swapping the
     two labels gives the same scene, so only words starting with arrow 1
@@ -138,8 +139,26 @@ def _scene_diagrams():
     tokens = [(1, TAIL), (1, HEAD), (2, TAIL), (2, HEAD)]
     for perm in itertools.permutations(tokens):
         if perm[0][0] == 1:
-            for s1, s2 in itertools.product((1, -1), repeat=2):
-                yield GaussDiagram(perm, {1: s1, 2: s2})
+            yield [GaussDiagram(perm, {1: s1, 2: s2})
+                   for s1, s2 in itertools.product((1, -1), repeat=2)]
+
+
+def _sliding_births(g0: GaussDiagram) -> list:
+    """The R2 births at a scene after which the later-born arrow c2 can slide.
+
+    The first slide moves c2 across the triangle it forms with the
+    active arrows 1 and 2, so the word after the birth needs a gap
+    flanked by 1 and 2, one by 1 and c2 and one by 2 and c2.  Signs play
+    no part, so the births serve every signing of the scene's word.
+    """
+    c1, c2 = _fresh_ids(g0, 2)
+    sides = {frozenset((1, 2)), frozenset((1, c2)), frozenset((2, c2))}
+    out = []
+    for birth in enumerate_moves(g0, R2_BIRTH):
+        word = r2_birth_word(g0.word, birth.data, c1, c2)
+        if sides <= {frozenset((x, y)) for (x, _), (y, _) in zip(word, word[1:])}:
+            out.append(birth)
+    return out
 
 
 def _bystander_meridians(m: Meridian):
@@ -178,25 +197,29 @@ def enumerate_cube_meridians(bystanders: int = 0):
     to the two active arrows, R2 death.  Each unoriented meridian comes
     out once, in the orientation that slides the later-born pair arrow
     first, with the scene as base diagram.  The bystander-free ones are
-    walked over every birth on every scene; each of the 144 births with a
-    first slide has one second slide and closes up, so a failing step
-    raises.  The others are built from them by ``_bystander_meridians``.
+    walked over the births of ``_sliding_births`` on every scene, found
+    once per scene word; the walk still searches each for its first
+    slide, and each of the 144 births with one has one second slide and
+    closes up, so a failing step raises.  The others are built from them
+    by ``_bystander_meridians``.
     """
     if bystanders not in (0, 1):
         raise ValueError(f"cube meridians have 0 or 1 bystanders, not {bystanders}")
-    for g0 in _scene_diagrams():
-        for birth in enumerate_moves(g0, R2_BIRTH):
-            born = make_germ(g0, birth)
-            g1 = born.g1
-            c1, c2 = sorted(born.dist)
-            for m1 in r3_moves(g1, frozenset((1, 2, c2))):
-                slide1 = make_germ(g1, m1)
-                for m2 in r3_moves(slide1.g1, frozenset((1, 2, c1))):
-                    slide2 = make_germ(slide1.g1, m2)
-                    dies = make_germ(slide2.g1, r2_death(c1, c2))
-                    m = Meridian(CUBE, [born, slide1, slide2, dies])
-                    m.check_closed()
-                    yield from _bystander_meridians(m) if bystanders else (m,)
+    for scenes in _scene_diagrams():
+        births = _sliding_births(scenes[0])
+        for g0 in scenes:
+            for birth in births:
+                born = make_germ(g0, birth)
+                g1 = born.g1
+                c1, c2 = sorted(born.dist)
+                for m1 in r3_moves(g1, frozenset((1, 2, c2))):
+                    slide1 = make_germ(g1, m1)
+                    for m2 in r3_moves(slide1.g1, frozenset((1, 2, c1))):
+                        slide2 = make_germ(slide1.g1, m2)
+                        dies = make_germ(slide2.g1, r2_death(c1, c2))
+                        m = Meridian(CUBE, [born, slide1, slide2, dies])
+                        m.check_closed()
+                        yield from _bystander_meridians(m) if bystanders else (m,)
 
 
 def meridian_key(m: Meridian):

@@ -36,7 +36,10 @@ computes another way:
   scene with k bystanders, against the bystander insertion of
   ``strata.enumerate_cube_meridians``;
 - ``locate_edge``: an edge found by scanning for its two flanking
-  tokens, against the gap shift of ``germs._delete_from_germ``.
+  tokens, against the gap shift of ``germs._delete_from_germ``;
+- ``subset_unit_candidates``: alpha31's unit-coefficient supports found
+  by one ``solve_in_span`` per support, against the prefix elimination
+  of ``fixturegen._unit_candidates``.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from knotcocycle.moves import (MOVE_KINDS, R1_BIRTH, R2_BIRTH, InvalidMove, _lit
                                apply_move, arrow_positions, edge_flanks, enumerate_moves,
                                r1_birth, r2_birth, r2_death, r3, r3_moves, split_gaps,
                                validate_r3)
+from knotcocycle.rational_linalg import solve_in_span
 from knotcocycle.strata import CUBE, Meridian
 
 
@@ -393,3 +397,17 @@ def walked_cube_meridians(scenes):
                         m = Meridian(CUBE, [born, slide1, slide2, dies], byst)
                         m.check_closed()
                         yield m
+
+
+def subset_unit_candidates(fg, others, res, target) -> list[dict]:
+    """The unit-coefficient solutions over the supports (fg, a, b, c), one elimination each."""
+    candidates = []
+    for s3 in itertools.combinations(others, 3):
+        support = (fg, *s3)
+        sol = solve_in_span([res[j] for j in support], target)
+        if sol is None or not all(sol):
+            continue
+        cand = {j: x / sol[0] for j, x in zip(support, sol)}
+        if all(abs(c) == 1 for c in cand.values()):
+            candidates.append(cand)
+    return candidates

@@ -1,6 +1,7 @@
 """Fixture files stay in sync with their generators."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,8 @@ from knotcocycle import fixtures_io as fio
 from knotcocycle.diagrams import format_diagram
 from knotcocycle.fixturegen import derive_v2_diagram
 from knotcocycle.morse import FIXTURE_MORSE, trace
+from knotcocycle.rational_linalg import solve_in_span
+from oracles import subset_unit_candidates
 
 
 def test_knot_fixtures_match_morse_traces(fixtures_dir, knots):
@@ -110,3 +113,81 @@ def test_germ_loader_rejects_a_germ_that_is_not_its_move(kind):
     assert bad["kind"] == kind
     with pytest.raises(ValueError):
         fio.germ_from_json(bad)
+
+
+def test_fixturegen_refuses_an_output_under_a_file(tmp_path, capsys):
+    from knotcocycle.fixturegen import main
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    assert main(["--out", str(blocker / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _counting_solves(monkeypatch):
+    """The row lists that fixturegen passes to solve_in_span, recorded."""
+    from knotcocycle import fixturegen
+    calls = []
+
+    def solve(rows, target):
+        calls.append(rows)
+        return solve_in_span(rows, target)
+
+    monkeypatch.setattr(fixturegen, "solve_in_span", solve)
+    return calls
+
+
+def test_alpha31_search_matches_one_solve_per_support(monkeypatch, degree3_system):
+    from knotcocycle import fixturegen
+    seen = []
+    search = fixturegen._unit_candidates
+
+    def recording(*args):
+        seen.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(fixturegen, "_unit_candidates", recording)
+    calls = _counting_solves(monkeypatch)
+    fixturegen.derive_alpha31(degree3_system)
+    (fg, others, res, target, ncols), = seen
+    assert len(others) == 23 and len(calls) == 68
+    found = search(fg, others, res, target, ncols)
+    expected = subset_unit_candidates(fg, others, res, target)
+    assert expected and found == expected
+    assert all(type(x) is Fraction for cand in found for x in cand.values())
+
+
+def _e(*cols, x=1):
+    return {c: Fraction(x) for c in cols}
+
+
+def test_alpha31_search_exits_early_on_hand_made_residuals(monkeypatch):
+    from knotcocycle.fixturegen import _unit_candidates
+    res = {
+        0: _e(0),     # the first germ
+        1: {},        # a zero column: (0, 1) is dependent
+        2: _e(1),
+        3: _e(0, 1),  # (0, 2, 3) is dependent
+        4: _e(2, 3),  # the target lies in the span of (0, 2, 4) and of (0, 3, 4)
+        5: _e(2),
+        6: _e(3, x=2),  # (0, 2, 5, 6) survives with coefficient 1/2
+        7: _e(3),
+    }
+    target = _e(0, 1, 2, 3)
+    others = list(range(1, 8))
+    calls = _counting_solves(monkeypatch)
+    found = _unit_candidates(0, others, res, target, 4)
+    assert found == subset_unit_candidates(0, others, res, target)
+    assert found == [{0: 1, 2: 1, 5: 1, 7: 1}]
+    # Only these reach solve_in_span; (0, 3, 5, c) gets a zero first coefficient.
+    solved = [tuple(next(j for j in res if res[j] is row) for row in rows) for rows in calls]
+    assert solved == [(0, 2, 5, 6), (0, 2, 5, 7), (0, 3, 5, 6), (0, 3, 5, 7)]
+
+
+def test_alpha31_search_without_a_first_germ_row(monkeypatch):
+    from knotcocycle.fixturegen import _unit_candidates
+    calls = _counting_solves(monkeypatch)
+    res = {0: {}, 1: _e(0), 2: _e(1), 3: _e(2)}
+    assert _unit_candidates(0, [1, 2, 3], res, _e(0), 3) == []
+    assert calls == []

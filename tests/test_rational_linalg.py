@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction
 
-from knotcocycle.rational_linalg import (SparseMatrix, in_row_span, kernel_basis,
-                                         rank, residual, rref, solve_in_span)
+from knotcocycle.rational_linalg import (SparseMatrix, extend_reduced, in_row_span,
+                                         kernel_basis, rank, residual, rref, solve_in_span)
 
 
 def dense_rank_oracle(rows, ncols):
@@ -175,3 +175,32 @@ def test_solution_without_zero_coefficient_is_unique():
         assert sol is not None
         if all(sol):
             assert rank(SparseMatrix(nrows, ncols, rows)) == nrows
+
+
+def test_extended_basis_reduces_like_an_elimination():
+    rng = random.Random(7)
+    ncols = 6
+
+    def vec():
+        return {c: Fraction(x) for c in rng.sample(range(ncols), 3) if (x := rng.randint(-2, 2))}
+
+    for _ in range(30):
+        rows, basis = [], SparseMatrix(0, ncols)
+        for _ in range(5):
+            row = vec()
+            grown = extend_reduced(basis, row)
+            assert (grown is None) == in_row_span(SparseMatrix(len(rows), ncols, rows), row)
+            if grown is not None:
+                rows.append(row)
+                basis = grown
+        assert basis.nrows == rank(SparseMatrix(len(rows), ncols, rows)) == len(rows)
+        for _ in range(5):
+            v = vec()
+            red = residual(basis, v)
+            assert (not red) == in_row_span(SparseMatrix(len(rows), ncols, rows), v)
+            shifted = dict(v)
+            for row in rows:
+                f = Fraction(rng.randint(-2, 2))
+                for c, x in row.items():
+                    shifted[c] = shifted.get(c, 0) + f * x
+            assert residual(basis, {c: x for c, x in shifted.items() if x}) == red

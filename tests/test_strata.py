@@ -44,6 +44,17 @@ def test_cube_meridians_come_out_once_each(cube_meridians):
     assert keys(dedupe_meridians(with_bystander)) == keys(with_bystander)
 
 
+def test_cube_meridians_are_the_walk_over_every_birth(cube_meridians):
+    # Literally: same order, words, signs and distinguished data, so the
+    # births skipped for lack of a first slide's triangle yield nothing.
+    def literal(m):
+        return m.tag, m.bystanders, [(g.kind, g.g0.word, g.g0.signs, g.g1.word, g.g1.signs, g.dist)
+                                     for g in m.germs]
+
+    walked = list(walked_cube_meridians(walked_scenes(0)))
+    assert [literal(m) for m in cube_meridians] == [literal(m) for m in walked]
+
+
 def test_bystander_meridians_are_those_of_the_walk(bystander_meridians):
     keys = [meridian_key(m) for m in bystander_meridians]
     assert len(keys) == len(set(keys)) == 5760
