@@ -44,9 +44,10 @@ def test_cube_meridians_come_out_once_each(cube_meridians):
     assert keys(dedupe_meridians(with_bystander)) == keys(with_bystander)
 
 
-def test_cube_meridians_are_the_walk_over_every_birth(cube_meridians):
+def test_cube_meridians_are_those_of_the_walk(cube_meridians):
     # Literally: same order, words, signs and distinguished data, so the
-    # births skipped for lack of a first slide's triangle yield nothing.
+    # births that the walk tries and the construction skips for lack of a
+    # first slide's triangle yield nothing.
     def literal(m):
         return m.tag, m.bystanders, [(g.kind, g.g0.word, g.g0.signs, g.g1.word, g.g1.signs, g.dist)
                                      for g in m.germs]
