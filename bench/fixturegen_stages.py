@@ -27,7 +27,8 @@ wrappers, the whole generator (``counts``) and
 once each, and record the calls of ``strata.ti_meridian``,
 ``Germ.canonical``, ``moves.apply_move``, ``moves.r3_moves``,
 ``moves.r3_triangle``, ``moves.validate_r3``,
-``rational_linalg.solve_in_span`` and ``ArrowDiagram.arrow_ids``
+``rational_linalg.solve_in_span``, ``coboundary.coboundary`` and
+``ArrowDiagram.arrow_ids``
 and the diagram constructions (``ArrowDiagram.__init__``, which
 ``GaussDiagram`` also runs).  Each
 tree's run is stored under its NAME in BENCH_fixturegen.json
@@ -98,8 +99,9 @@ STAGES = ("enumerate_cube_meridians_0", "enumerate_cube_meridians_1", "classify_
 # replaced on every module that imported it by name.
 COUNTS = """
 import json, sys
-from knotcocycle import (cocycles, coboundary, diagrams, fixturegen, germs, moves, quadruple,
+from knotcocycle import (cocycles, diagrams, fixturegen, germs, moves, quadruple,
                          rational_linalg, strata)
+coboundary = sys.modules["knotcocycle.coboundary"]  # the package's `coboundary` is the function
 modules = (cocycles, coboundary, diagrams, fixturegen, germs, moves, quadruple, rational_linalg,
            strata)
 counts = {}
@@ -113,7 +115,7 @@ def counting(name, fn):
 
 for name, module in (("ti_meridian", strata), ("apply_move", moves), ("r3_moves", moves),
                      ("r3_triangle", moves), ("validate_r3", moves),
-                     ("solve_in_span", rational_linalg)):
+                     ("solve_in_span", rational_linalg), ("coboundary", coboundary)):
     wrapper = counting(f"{module.__name__.split('.')[-1]}.{name}", getattr(module, name))
     for m in modules:
         if getattr(m, name, None) is getattr(module, name) and m is not module:

@@ -2,8 +2,9 @@
 
 Usage:  python3 bench/loop_eval.py [--src DIR] [--label NAME]
 
-For the connected sums figure8^n, n = 1..5, builds the rotation loop and
-times ``evaluate_loop(alpha31, loop)`` with the ``knotcocycle`` package of
+For the connected sums figure8^n, n = 1..5, 10, 20, 30, 40 and 50 (up to
+about 200 crossings), builds the rotation loop and times
+``evaluate_loop(alpha31, loop)`` with the ``knotcocycle`` package of
 the source tree DIR (default: this repository), each point in its own
 process.  A point that does not finish within BUDGET_S seconds is
 recorded as skipped, and so are the larger ones after it.  The run is
@@ -24,7 +25,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 OUT = REPO / "BENCH_loop_eval.json"
-SIZES = range(1, 6)
+SIZES = (1, 2, 3, 4, 5, 10, 20, 30, 40, 50)
 REPEATS = 3
 BUDGET_S = 120.0  # per point, loop building included
 
@@ -97,8 +98,8 @@ def main(argv=None) -> int:
            "nproc": os.cpu_count(), "budget_s": BUDGET_S,
            "points": measure(src)}
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
-    doc.setdefault("workload", "evaluate_loop(alpha31, rot_loop(figure8^n)), n = 1..5; "
-                               f"median of {REPEATS} runs per point")
+    doc["workload"] = ("evaluate_loop(alpha31, rot_loop(figure8^n)), n as listed in each "
+                       f"run's points; median of {REPEATS} runs per point")
     doc.setdefault("runs", {})[args.label] = run
     OUT.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0

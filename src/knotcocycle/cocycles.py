@@ -16,13 +16,14 @@ that its value on the rotation loop of a long knot K is -v2(K).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, pair
 from .germs import Germ, KIND_R3, enumerate_arrow_diagrams, make_germ, pair_germ
 from .coboundary import coboundary
-from .moves import Move, apply_move, inverse
+from .moves import Move, apply_move, arrow_positions, inverse, isolated, killable
 from . import fixtures_io as fio
 from .morse import rot_moves, trace
 from .rational_linalg import SparseMatrix, rank, solve_in_span
@@ -192,12 +193,19 @@ def trivial_cocycle_vectors(degree: int = 3) -> tuple[FormalSum, ...]:
 def trivial_variable_vectors(var_index) -> list[dict[int, Fraction]]:
     """The degree-3 coboundaries that live on the given variables.
 
-    Coboundaries with support outside the variables (among them every
-    one with an R1 or R2 term) are not vectors of this coordinate space
-    and are skipped; the rest come in arrow-diagram enumeration order.
+    Coboundaries with support outside the variables are not vectors of
+    this coordinate space and are skipped; the rest come in
+    arrow-diagram enumeration order.  An A with an isolated arrow or a
+    killable pair is skipped before its dA is computed: each gives dA an
+    R1 or R2 term with coefficient +1, and such terms cannot cancel.
     """
     out = []
-    for db in trivial_cocycle_vectors(3):
+    for a in enumerate_arrow_diagrams(3):
+        pos = arrow_positions(a)
+        if any(isolated(pos, x) for x in pos) or any(
+                killable(pos, x, y) for x, y in itertools.combinations(sorted(pos), 2)):
+            continue
+        db = coboundary(a)
         if any(k not in var_index for k in db.keys()):
             continue
         vec = restrict_to_variables(db, var_index)

@@ -48,11 +48,8 @@ class ArrowDiagram:
         return len(self.word) // 2
 
     def arrow_ids(self) -> list[int]:
-        seen: list[int] = []
-        for aid, _ in self.word:
-            if aid not in seen:
-                seen.append(aid)
-        return seen
+        """The arrow ids in order of first occurrence."""
+        return list(dict.fromkeys(a for a, _ in self.word))
 
     def relabelling(self) -> dict[int, int]:
         """Map of old ids to 1..n in order of first occurrence."""

@@ -28,6 +28,15 @@ a distinguished arrow of the two completions of P to an arrow triangle
 leaves; that derivation is kept as an oracle in ``tests/oracles.py``.
 The two relator families of the theory are the two cases up = 0 and
 up = 2, images of each other under reversing every arrow.
+
+T(I(germ)) is summed over the subgerms of the unsigned skeleton.  A
+subgerm that keeps at most one arrow b besides the distinguished ones,
+less at most one of those, is all that a degree-3 formula reads; its
+normal form depends only on where the distinguished arrows' ends lie on
+the two sides and on where b's ends fall among them.  ``add_ti`` reads
+those from the placement table ``_PLACEMENTS``, one dict per process,
+filled on a miss by deleting and canonicalising as for every other
+subgerm.  Normal forms keep their ``key()`` and hash once computed.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ class Germ:
     decorations of a skeleton) can be represented; ``validate`` checks it.
     """
 
-    __slots__ = ("kind", "g0", "g1", "dist", "_canon")
+    __slots__ = ("kind", "g0", "g1", "dist", "_canon", "_key", "_hash")
 
     def __init__(self, kind, g0, g1, dist):
         self.kind = kind
@@ -68,6 +77,7 @@ class Germ:
             dist = tuple(sorted(dist))
         self.dist = dist
         self._canon = None
+        self._key = self._hash = None  # set on normal forms only, by key() and hash()
 
     @property
     def signed(self) -> bool:
@@ -177,15 +187,24 @@ class Germ:
         self._canon = (canon, sign)
         return self._canon
 
+    def _normal_form(self) -> "Germ":
+        return self if self._canon is True else self.canonical()[0]
+
     def key(self):
-        c, _ = self.canonical()
-        return (c.kind, c.g0.canonical_key(), c.g1.canonical_key(), _dist_key(c))
+        """The normal form's identity, computed once on the normal form and kept there."""
+        c = self._normal_form()
+        if c._key is None:
+            c._key = (c.kind, c.g0.canonical_key(), c.g1.canonical_key(), _dist_key(c))
+        return c._key
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Germ) and self.key() == other.key()
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        c = self._normal_form()
+        if c._hash is None:
+            c._hash = hash(c.key())
+        return c._hash
 
     def reverse_arrows(self) -> "Germ":
         return Germ(self.kind, self.g0.reverse_arrows(), self.g1.reverse_arrows(), self.dist)
@@ -252,8 +271,13 @@ def _delete_from_germ(germ: Germ, ids: set[int]) -> Germ:
     raise ValueError("no surviving distinguished edge")
 
 
-def _subgerm_walk(germ: Germ, keep: frozenset[int], drop: frozenset[int], degrees):
-    """The arrow sets that the subgerms of ``subgerms`` remove, in expansion order."""
+def _subgerm_levels(germ: Germ, keep: frozenset[int], drop: frozenset[int], degrees):
+    """The distinguished arrows, the free bystanders, and the levels of the expansion.
+
+    A level is a number r of free bystanders to remove with the tuples
+    dd of distinguished arrows that may go with them, those that leave a
+    subgerm of a kept degree; levels without any are left out.
+    """
     dist = germ.distinguished_ids()
     if (keep | drop) & dist:
         raise ValueError("keep/drop sets must consist of non-distinguished arrows")
@@ -262,11 +286,19 @@ def _subgerm_walk(germ: Germ, keep: frozenset[int], drop: frozenset[int], degree
     if germ.kind == KIND_R3:
         removable_dist = ((),) + tuple((x,) for x in sorted(dist))
     top = germ.degree - len(drop)
+    levels = []
     for r in range(len(rest) + 1):
         dds = [dd for dd in removable_dist
                if degrees is None or top - r - len(dd) in degrees]
-        if not dds:
-            continue
+        if dds:
+            levels.append((r, dds))
+    return dist, rest, levels
+
+
+def _subgerm_walk(germ: Germ, keep: frozenset[int], drop: frozenset[int], degrees):
+    """The arrow sets that the subgerms of ``subgerms`` remove, in expansion order."""
+    _, rest, levels = _subgerm_levels(germ, keep, drop, degrees)
+    for r, dds in levels:
         for bys in itertools.combinations(rest, r):
             for dd in dds:
                 yield drop.union(bys, dd)
@@ -307,29 +339,114 @@ def add_ti(out: FormalSum, germ: Germ, coeff=1, keep: frozenset[int] = frozenset
     So T(I(germ)) sums, over the subgerms S of the skeleton that
     ``subgerms`` walks (same ``keep``, ``drop`` and ``degrees``), the
     product of the signs of the arrows S keeps times the normal form of
-    S.  Each term costs one canonicalisation and four diagram
-    constructions, against two and about eight through a signed subgerm.
+    S, added in the walk's order.
+
+    A subgerm that keeps at most one non-distinguished arrow b is read
+    from the placement table ``_PLACEMENTS`` (see ``_placement``): one
+    pass over the words records every bystander's slots, and each such
+    subgerm is one lookup of (placement, dropped distinguished arrow,
+    b's slots on g0, b's slots on g1), with no walk over the others.  A
+    miss deletes and canonicalises as below and stores the result.
+    Every other subgerm is deleted from the skeleton and canonicalised,
+    one canonicalisation and four diagram constructions per term.  An R3
+    germ of degree n read in degree 3 (alpha31, the cube equations) so
+    costs O(n) instead of O(n^2).
     """
     if not germ.signed:
         raise ValueError("T applies to signed germs")
     big = germ.bigger()
     signs, prod = big.signs, big.sign_product()
-    skel = Germ(germ.kind, germ.g0.skeleton(), germ.g1.skeleton(), germ.dist)
-    for removed in _subgerm_walk(skel, keep, drop, degrees):
-        weight = prod
-        for a in removed:
-            weight *= signs[a]
-        key, c = canonical_term(_delete_from_germ(skel, removed), coeff * weight)
-        out.add(key, c)
+    # The signed germ has its skeleton's words and distinguished arrows;
+    # the skeleton itself is built only for subgerms that are deleted.
+    dist, rest, levels = _subgerm_levels(germ, keep, drop, degrees)
+    wide = len(rest) + len(keep) - 2  # the levels up to this one keep two or more
+    placed = _placement(germ, dist) if levels and levels[-1][0] > wide else None
+    skel = None
+    for r, dds in levels:
+        if r <= wide or placed is None:
+            skel = skel or _skeleton(germ)
+            for bys in itertools.combinations(rest, r):
+                for dd in dds:
+                    removed = drop.union(bys, dd)
+                    weight = prod
+                    for a in removed:
+                        weight *= signs[a]
+                    key, c = canonical_term(_delete_from_germ(skel, removed), coeff * weight)
+                    out.add(key, c)
+            continue
+        base, label, (slots0, slots1) = placed
+        bare = prod  # the weight with every free bystander removed
+        for a in itertools.chain(drop, rest):
+            bare *= signs[a]
+        # combinations(rest, len(rest) - 1) leaves out the last arrow first.
+        for b in reversed(rest) if r < len(rest) else keep or (None,):
+            weight = bare * signs[b] if r < len(rest) else bare
+            for dd in dds:
+                key = (base, label[dd[0]] if dd else 0, slots0.get(b, ()), slots1.get(b, ()))
+                hit = _PLACEMENTS.get(key)
+                if hit is None:
+                    skel = skel or _skeleton(germ)
+                    removed = drop.union((a for a in rest if a != b), dd)
+                    hit = _PLACEMENTS[key] = _delete_from_germ(skel, removed).canonical()
+                canon, s = hit
+                out.add(canon, coeff * (weight * signs[dd[0]] if dd else weight) * s)
+
+
+def _skeleton(germ: Germ) -> Germ:
+    return Germ(germ.kind, germ.g0.skeleton(), germ.g1.skeleton(), germ.dist)
+
+
+# Subgerm normal forms by unsigned placement, one table per process,
+# filled on a miss by ``add_ti``; nothing is built up front.
+_PLACEMENTS: dict = {}
+
+
+def _placement(germ: Germ, dist: frozenset[int]):
+    """A germ's unsigned placement, its relabelling, and the other arrows' slots.
+
+    The distinguished arrows are relabelled 1, 2, ... by first
+    occurrence on the bigger side.  The placement is the kind, their
+    relabelled tokens on g0 and on g1, and for a 3-germ or a partial
+    germ the number of those tokens before each distinguished gap of g1.
+    A non-distinguished arrow's slots on a side are its ends in word
+    order, each as (number of distinguished tokens before it, end).  A
+    subgerm keeping at most that arrow and the distinguished ones, less
+    at most one, is fixed by the placement, the dropped arrow and the
+    slots on both sides, so the key stays sound for formal germs with
+    arbitrary sides.  None when a distinguished gap lies outside the
+    interior of g1, whose flanks would then not be distinguished tokens;
+    such germs are expanded by deletion.
+    """
+    gaps = () if germ.kind in (KIND_R1, KIND_R2) else (
+        germ.dist if germ.kind == KIND_R3 else (germ.dist,))
+    word = germ.g1.word
+    if not all(0 < g < len(word) for g in gaps):
+        return None
+    pictures, slots = [], []
+    for side in (germ.g0, germ.g1):
+        picture, where = [], {}
+        for a, k in side.word:
+            if a in dist:
+                picture.append((a, k))
+            else:
+                where[a] = where.get(a, ()) + ((len(picture), k),)
+        pictures.append(picture)
+        slots.append(where)
+    first = pictures[::-1] if germ.bigger() is germ.g1 else pictures
+    label = {a: i + 1 for i, a in enumerate(dict.fromkeys(a for p in first for a, _ in p))}
+    edges = tuple(sum(1 for a, _ in word[:g] if a in dist) for g in gaps)
+    base = (germ.kind, *(tuple((label[a], k) for a, k in p) for p in pictures), edges)
+    return base, label, slots
 
 
 def ti(germ_or_chain, degrees=None) -> FormalSum:
     """T(I(gamma)), or its part in the given germ degrees.
 
     T keeps the degree of every term, so restricting I to ``degrees``
-    restricts TI to them.  Every term is one canonicalised subgerm of the
-    unsigned skeleton (``add_ti``); the full expansion of an R3 germ of
-    degree n has 4 * 2^(n-3) terms.
+    restricts TI to them.  Every term is one subgerm of the unsigned
+    skeleton in normal form (``add_ti``), read from the placement table
+    when it keeps at most one non-distinguished arrow; the full expansion
+    of an R3 germ of degree n has 4 * 2^(n-3) terms.
     """
     out = FormalSum()
     if isinstance(germ_or_chain, Germ):
@@ -346,9 +463,12 @@ def pair_germ(alpha: FormalSum, gamma) -> Fraction:
     Only the subgerms in the degrees of alpha's terms can meet alpha, so
     only those are expanded: a degree-k formula costs C(n-3, k-3) +
     3 C(n-3, k-2) terms on an R3 germ of degree n (1 + 3(n-3) for
-    alpha31) instead of the 4 * 2^(n-3) of the full ``ti``, each one
-    canonicalisation of an unsigned subgerm.  ``pair_germ_via_s`` in
-    ``tests/oracles.py`` is the independent evaluation <S(alpha), I(gamma)>.
+    alpha31) instead of the 4 * 2^(n-3) of the full ``ti``.  A degree-3
+    formula reads only subgerms with at most one bystander, so each term
+    is one lookup in the placement table after one O(n) pass over the
+    germ (``add_ti``): O(n) per R3 germ, and O(n^2) for a rotation loop
+    on n crossings.  ``pair_germ_via_s`` in ``tests/oracles.py`` is the
+    independent evaluation <S(alpha), I(gamma)>.
     """
     return alpha.dot(ti(gamma, {k.degree for k in alpha.keys()}))
 

@@ -12,6 +12,10 @@ computes another way:
 - ``t_map`` after ``i_map``: T applied after the signed expansion I,
   against ``germs.ti`` on the unsigned skeleton; ``i_meridian`` is I on
   a meridian, and ``meridian_without`` deletes bystanders from one;
+- ``expanded_add_ti``: T(I(germ)) by deleting and canonicalising every
+  subgerm of the skeleton, against the placement table of
+  ``germs.add_ti``; ``expanded_ti`` and ``expanded_ti_meridian`` apply
+  it to a germ and to a meridian;
 - ``brute_r3_moves``: the R3 search over every triple of split gaps with
   the triangle test written over frozensets, against ``moves.r3_moves``;
 - ``looped_births``: the births listed by nested loops, against the
@@ -39,7 +43,10 @@ computes another way:
   tokens, against the gap shift of ``germs._delete_from_germ``;
 - ``subset_unit_candidates``: alpha31's unit-coefficient supports found
   by one ``solve_in_span`` per support, against the prefix elimination
-  of ``fixturegen._unit_candidates``.
+  of ``fixturegen._unit_candidates``;
+- ``filtered_trivial_variable_vectors``: the trivial variable vectors
+  kept after computing every degree-3 coboundary, against the R1/R2
+  filter before the coboundary in ``cocycles.trivial_variable_vectors``.
 """
 
 from __future__ import annotations
@@ -47,8 +54,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from knotcocycle.cocycles import trivial_cocycle_vectors
 from knotcocycle.diagrams import HEAD, TAIL, ArrowDiagram, FormalSum, GaussDiagram
-from knotcocycle.germs import (KIND_P, Germ, _delete_from_germ, canonical_term,
+from knotcocycle.germs import (KIND_P, Germ, _delete_from_germ, _subgerm_walk, canonical_term,
                                enumerate_arrow_diagrams, make_germ, partial_germ_into,
                                r3_germ_into, subgerms)
 from knotcocycle.moves import (MOVE_KINDS, R1_BIRTH, R2_BIRTH, InvalidMove, _literally_equal,
@@ -56,7 +64,7 @@ from knotcocycle.moves import (MOVE_KINDS, R1_BIRTH, R2_BIRTH, InvalidMove, _lit
                                r1_birth, r2_birth, r2_death, r3, r3_moves, split_gaps,
                                validate_r3)
 from knotcocycle.rational_linalg import solve_in_span
-from knotcocycle.strata import CUBE, Meridian
+from knotcocycle.strata import CUBE, Meridian, restrict_to_variables
 
 
 def subdiagrams(g: GaussDiagram) -> FormalSum:
@@ -166,6 +174,49 @@ def i_meridian(m, s: frozenset[int], degrees=None) -> FormalSum:
     for germ in m.germs:
         for key, c in subgerms(germ, s, drop, degrees).items():
             out.add(key, c)
+    return out
+
+
+def expanded_add_ti(out: FormalSum, germ: Germ, coeff=1, keep: frozenset[int] = frozenset(),
+                    drop: frozenset[int] = frozenset(), degrees=None, memo=None) -> None:
+    """``germs.add_ti`` with every subgerm deleted from the skeleton and canonicalised.
+
+    ``memo``, a dict, keeps the normal form of each subgerm by its
+    literal skeleton and removed arrows, for callers that expand the
+    signings of one skeleton.
+    """
+    if not germ.signed:
+        raise ValueError("T applies to signed germs")
+    big = germ.bigger()
+    signs, prod = big.signs, big.sign_product()
+    skel = Germ(germ.kind, germ.g0.skeleton(), germ.g1.skeleton(), germ.dist)
+    literal = (skel.kind, skel.g0.word, skel.g1.word, skel.dist)
+    for removed in _subgerm_walk(skel, keep, drop, degrees):
+        weight = prod
+        for a in removed:
+            weight *= signs[a]
+        if memo is None:
+            key, c = canonical_term(_delete_from_germ(skel, removed), coeff * weight)
+        else:
+            if (literal, removed) not in memo:
+                memo[literal, removed] = _delete_from_germ(skel, removed).canonical()
+            key, s = memo[literal, removed]
+            c = coeff * weight * s
+        out.add(key, c)
+
+
+def expanded_ti(germ: Germ, degrees=None, memo=None) -> FormalSum:
+    """``germs.ti`` of one germ through ``expanded_add_ti``."""
+    out = FormalSum()
+    expanded_add_ti(out, germ, degrees=degrees, memo=memo)
+    return out
+
+
+def expanded_ti_meridian(m: Meridian, s: frozenset[int], degrees=None) -> FormalSum:
+    """``strata.ti_meridian`` through ``expanded_add_ti``."""
+    out = FormalSum()
+    for germ in m.germs:
+        expanded_add_ti(out, germ, 1, s, m.bystanders - s, degrees)
     return out
 
 
@@ -411,3 +462,15 @@ def subset_unit_candidates(fg, others, res, target) -> list[dict]:
         if all(abs(c) == 1 for c in cand.values()):
             candidates.append(cand)
     return candidates
+
+
+def filtered_trivial_variable_vectors(var_index) -> list[dict]:
+    """The degree-3 coboundaries on the variables, each dA computed before it is filtered."""
+    out = []
+    for db in trivial_cocycle_vectors(3):
+        if any(k not in var_index for k in db.keys()):
+            continue
+        vec = restrict_to_variables(db, var_index)
+        if vec:
+            out.append(vec)
+    return out

@@ -151,3 +151,18 @@ def test_rotation_identity_on_connected_sums(spec, fixtures_dir, knots):
     value = evaluate_loop(alpha31(fixtures_dir), rot_loop(events))
     assert value == -sum(v2(knots[n], fixtures_dir) for n in names)
     assert value == -v2(trace(events).diagram, fixtures_dir)
+
+
+def test_trivial_variable_vectors_skip_r1_and_r2_before_the_coboundary(monkeypatch):
+    # The filter keeps exactly the vectors of the compute-then-filter
+    # route, in the same order, and computes 22 coboundaries instead of 120.
+    import knotcocycle.cocycles as cocycles
+    from knotcocycle.strata import variable_basis
+    from oracles import filtered_trivial_variable_vectors
+    var_index = {g: j for j, g in enumerate(variable_basis(3))}
+    expected = filtered_trivial_variable_vectors(var_index)
+    calls = []
+    d = cocycles.coboundary
+    monkeypatch.setattr(cocycles, "coboundary", lambda a: calls.append(a) or d(a))
+    assert cocycles.trivial_variable_vectors(var_index) == expected
+    assert len(calls) == 22 and len(expected) > 0

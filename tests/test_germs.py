@@ -168,6 +168,17 @@ def test_relator_families_closed_under_reversal():
         assert rev.key() in keys
 
 
+def test_keys_and_hashes_are_kept_on_normal_forms_only():
+    rng = random.Random(5)
+    g = random_gauss_diagram(rng, 4)
+    germ = make_germ(g, enumerate_moves(g, "R3")[0] if enumerate_moves(g, "R3")
+                     else random_move(rng, g))
+    canon, _ = germ.canonical()
+    assert hash(germ) == hash(canon) and germ.key() == canon.key()
+    assert germ._key is None and germ._hash is None
+    assert canon._key == canon.key() and canon._hash == hash(canon.key())
+
+
 def test_pair_germ_zero_formula():
     rng = random.Random(2)
     g = random_gauss_diagram(rng, 3)

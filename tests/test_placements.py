@@ -1,0 +1,160 @@
+"""The placement table of ``germs.add_ti`` against the full subgerm expansion.
+
+``expanded_add_ti`` in ``tests/oracles.py`` deletes and canonicalises
+every subgerm of the skeleton; ``t_map(i_map(.))`` is the signed route.
+The table must give the same terms, in the same order.
+"""
+
+import itertools
+import os
+import random
+import subprocess
+import sys
+
+import pytest
+
+from knotcocycle import fixtures_io as fio
+from knotcocycle.cocycles import alpha31, rot_loop
+from knotcocycle.diagrams import FormalSum, GaussDiagram
+from knotcocycle.germs import (Germ, _subgerm_levels, add_ti, enumerate_arrow_3germs, make_germ,
+                               pair_germ, ti)
+from knotcocycle.morse import connected_sum
+from knotcocycle.strata import enumerate_cube_meridians, ti_meridian
+from conftest import FIXTURES, REPO, random_arrow_diagram, random_gauss_diagram, random_move
+from oracles import (expanded_add_ti, expanded_ti, expanded_ti_meridian, i_map, i_meridian,
+                     t_map)
+from test_acceptance import _deg4_triangle_skeletons
+
+
+def _same_terms(a, b):
+    return list(a.items()) == list(b.items())
+
+
+def _rotation_r3_germs():
+    """The R3 germs of the fixture rotation loops and of figure8^1..5."""
+    fixdir = fio.resolve_fixtures(FIXTURES)
+    morse = {k: fio.load_morse(fixdir, k) for k in ("unknot", "trefoil", "figure8")}
+    knots = [morse["unknot"], morse["trefoil"], morse["figure8"],
+             connected_sum(morse["trefoil"], morse["trefoil"]),
+             connected_sum(morse["trefoil"], morse["figure8"])]
+    knots += [connected_sum(*[morse["figure8"]] * n) for n in range(1, 6)]
+    return [g for events in knots for g in rot_loop(events).germs() if g.kind == "R3"]
+
+
+def test_table_matches_the_expansion_on_the_cube_meridians(cube_meridians):
+    for m in cube_meridians:
+        for degrees in ({3}, None):
+            assert _same_terms(ti_meridian(m, frozenset(), degrees),
+                               expanded_ti_meridian(m, frozenset(), degrees))
+        assert ti_meridian(m, frozenset(), {3}) == t_map(i_meridian(m, frozenset(), {3}))
+
+
+def test_table_matches_the_expansion_on_the_bystander_meridians():
+    """Every germ of the 5,760 meridians with s = {} and s = {bystander}, in degree 3.
+
+    Each skeleton is compared in the first signing that carries it: the
+    table and the oracle weight a term by the same sign product, which
+    the signings of the other tests cover.  ``test_ti_meridian_matches_t_after_i``
+    compares a sample of these meridians with T(I).
+    """
+    seen = set()
+    compared = 0
+    for i, m in enumerate(enumerate_cube_meridians(1)):
+        for s in (frozenset(), m.bystanders):
+            drop = m.bystanders - s
+            for g in m.germs:
+                skel = (g.kind, g.g0.word, g.g1.word, str(g.dist), s)
+                if skel in seen:
+                    continue
+                seen.add(skel)
+                table, full = FormalSum(), FormalSum()
+                add_ti(table, g, 1, s, drop, {3})
+                expanded_add_ti(full, g, 1, s, drop, {3})
+                assert _same_terms(table, full)
+                compared += 1
+    assert i + 1 == 5760 and compared == 2 * 5760
+
+
+def test_table_matches_the_expansion_on_rotation_loops():
+    alpha = alpha31(FIXTURES)
+    germs = _rotation_r3_germs()
+    assert max(g.degree for g in germs) >= 25
+    for g in germs:
+        assert _same_terms(ti(g, {3}), expanded_ti(g, {3}))
+        assert ti(g, {3}) == t_map(i_map(g, {3}))
+        assert pair_germ(alpha, g) == alpha.dot(expanded_ti(g, {3}))
+
+
+def _triangle_signings():
+    """The formal germs of criterion 3: every signing of its triangle skeletons of degree 3 and 4."""
+    skeletons = [*enumerate_arrow_3germs(3), *_deg4_triangle_skeletons()]
+    for skel in skeletons:
+        ids = skel.arrow_ids()
+        for signs in itertools.product((1, -1), repeat=len(ids)):
+            table = dict(zip(ids, signs))
+            yield Germ("R3", GaussDiagram(skel.g0.word, table), GaussDiagram(skel.g1.word, table),
+                       skel.dist)
+
+
+def test_table_matches_the_expansion_on_formal_triangle_signings():
+    """Every signing against the expansion; every eleventh also against T(I)."""
+    memo = {}
+    for i, g in enumerate(_triangle_signings()):
+        got = ti(g)
+        assert _same_terms(got, expanded_ti(g, memo=memo))
+        if i % 11 == 0:
+            assert got == t_map(i_map(g))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_table_and_deletion_agree_on_stokes_check_germs(seed):
+    """The germs of ``stokes-check --max-degree 6``, paired in deg A and expanded in full.
+
+    With every degree, a germ with two or more bystanders expands its
+    wider subgerms by deletion and the rest from the table.
+    """
+    rng = random.Random(seed)
+    wide = 0
+    for _ in range(40):
+        a = random_arrow_diagram(rng, 6)
+        g = random_gauss_diagram(rng, 6)
+        move = random_move(rng, g)
+        if move is None:
+            continue
+        germ = make_germ(g, move)
+        for degrees in ({a.degree}, None):
+            assert _same_terms(ti(germ, degrees), expanded_ti(germ, degrees))
+        dist, rest, levels = _subgerm_levels(germ, frozenset(), frozenset(), None)
+        wide += any(r <= len(rest) - 2 for r, _ in levels)
+    assert wide >= 5
+
+
+def test_canonicalisations_per_alpha31_pairing_do_not_grow_with_the_loop(monkeypatch):
+    alpha = alpha31(FIXTURES)
+    fixdir = fio.resolve_fixtures(FIXTURES)
+    figure8 = fio.load_morse(fixdir, "figure8")
+    loops = {n: [g for g in rot_loop(connected_sum(*[figure8] * n)).germs() if g.kind == "R3"]
+             for n in (1, 8)}
+    for germs in loops.values():  # warm-up: every placement of these germs is in the table
+        for g in germs:
+            pair_germ(alpha, g)
+    calls = []
+    canonical = Germ.canonical
+    monkeypatch.setattr(Germ, "canonical", lambda self: calls.append(1) or canonical(self))
+    most = {}
+    for n, germs in loops.items():
+        for g in germs:
+            calls.clear()
+            pair_germ(alpha, g)
+            most[n] = max(most.get(n, 0), len(calls))
+    assert max(g.degree for g in loops[8]) >= 30  # 1 + 3 * 27 subgerms by deletion
+    assert most[8] == most[1] <= len(alpha) + 1
+
+
+def test_importing_the_cli_leaves_the_table_empty():
+    code = ("import knotcocycle.cli\n"
+            "from knotcocycle import germs\n"
+            "print(len(germs._PLACEMENTS))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=REPO, env=dict(os.environ, PYTHONPATH=str(REPO / "src")), check=True)
+    assert out.stdout.strip() == "0"

@@ -56,6 +56,17 @@ def test_cube_meridians_are_those_of_the_walk(cube_meridians):
     assert [literal(m) for m in cube_meridians] == [literal(m) for m in walked]
 
 
+def test_only_births_with_an_unsigned_first_slide_are_built():
+    # Over the 12 scene words: 1,440 births, 312 with the three sides of
+    # the first slide's triangle, 144 whose unsigned word can slide.
+    from knotcocycle.moves import R2_BIRTH, enumerate_moves
+    from knotcocycle.strata import _scene_diagrams, _sliding_births
+    words = [scenes[0] for scenes in _scene_diagrams()]
+    assert len(words) == 12
+    assert sum(len(enumerate_moves(g0, R2_BIRTH)) for g0 in words) == 1440
+    assert sum(len(_sliding_births(g0)) for g0 in words) == 144
+
+
 def test_bystander_meridians_are_those_of_the_walk(bystander_meridians):
     keys = [meridian_key(m) for m in bystander_meridians]
     assert len(keys) == len(set(keys)) == 5760
