@@ -6,11 +6,13 @@ For the connected sums figure8^n, n = 1..5, 10, 20, 30, 40 and 50 (up to
 about 200 crossings), builds the rotation loop and times
 ``evaluate_loop(alpha31, loop)`` with the ``knotcocycle`` package of
 the source tree DIR (default: this repository), each point in its own
-process.  A point that does not finish within BUDGET_S seconds is
-recorded as skipped, and so are the larger ones after it.  The run is
-stored under NAME in BENCH_loop_eval.json at the repository root, next
-to the runs already there, with the tree's git revision, whether its
-sources had uncommitted changes, the Python version and the machine.
+process; DIR's ``Loop`` must have ``replay``, so an older tree is
+measured with its own copy of this script.  A point that does not finish
+within BUDGET_S seconds is recorded as skipped, and so are the larger
+ones after it.  The run is stored under NAME in BENCH_loop_eval.json at
+the repository root, next to the runs already there, with the tree's git
+revision, whether its sources had uncommitted changes, the Python
+version and the machine.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ REPEATS = 3
 BUDGET_S = 120.0  # per point, loop building included
 
 # One point, run in a child process with argv (fixtures, n, repeats); it
-# prints the point as JSON.  Each repeat evaluates a fresh Loop, so its
-# time includes the replay of the move schedule, as in `rot-test`.
+# prints the point as JSON.  Each repeat replays the loop's move list with
+# the checked replay of `eval-loop --loop` and evaluates the result, so its
+# time is replay plus evaluation, as in the earlier records (`rot-test`
+# builds its germs directly and replays nothing).
 POINT = """
 import json, statistics, sys, time
 from knotcocycle import fixtures_io as fio
@@ -41,15 +45,15 @@ fixtures, n, repeats = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 events = connected_sum(*[fio.load_morse(fio.resolve_fixtures(fixtures), "figure8")] * n)
 alpha = alpha31(fixtures)
 loop = rot_loop(events)
+initial, moves = loop.initial, loop.moves
 times = []
 for _ in range(repeats):
-    fresh = Loop(loop.initial, loop.moves)
     t = time.perf_counter()
-    value = evaluate_loop(alpha, fresh)
+    value = evaluate_loop(alpha, Loop.replay(initial, moves))
     times.append(time.perf_counter() - t)
-print(json.dumps({"n": n, "moves": len(loop.moves),
-                  "r3_moves": sum(1 for m in loop.moves if m.kind == "R3"),
-                  "max_loop_degree": max(d.degree for d in loop.diagrams()),
+print(json.dumps({"n": n, "moves": len(moves),
+                  "r3_moves": sum(1 for m in moves if m.kind == "R3"),
+                  "max_loop_degree": max(g.g1.degree for g in loop.germs),
                   "value": str(value), "evaluate_loop_s": statistics.median(times),
                   "repeats": repeats}))
 """

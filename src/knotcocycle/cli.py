@@ -23,7 +23,7 @@ from pathlib import Path
 from . import fixtures_io as fio
 from .diagrams import FormalSum, GaussDiagram, format_diagram, pair, parse_diagram
 from .coboundary import coboundary, stokes_sides
-from .germs import enumerate_arrow_diagrams, make_germ
+from .germs import check_closed, enumerate_arrow_diagrams, make_germ
 from .moves import random_arrow_diagram, random_gauss_diagram, random_move
 from .cocycles import (Loop, alpha31, assemble_default_system, evaluate_loop,
                        rot_loop, system_dimensions, v2, verify_cocycle)
@@ -201,11 +201,12 @@ def cmd_verify(args) -> int:
 def _load_loop(path: str) -> Loop:
     try:
         obj = fio._dict(json.loads(Path(path).read_text()), "loop")
-        loop = Loop(fio.diagram_from_json(obj["initial"]),
-                    [fio.move_from_json(m) for m in fio._list(obj["moves"], None, "moves")])
-        if not isinstance(loop.initial, GaussDiagram):  # R3 germs are paired through T
+        initial = fio.diagram_from_json(obj["initial"])
+        moves = [fio.move_from_json(m) for m in fio._list(obj["moves"], None, "moves")]
+        if not isinstance(initial, GaussDiagram):  # R3 germs are paired through T
             raise ValueError("the initial diagram has no signs")
-        loop.check_closed()  # an open loop or an inapplicable move is a ValueError
+        loop = Loop.replay(initial, moves)  # an inapplicable move is a ValueError
+        check_closed(loop.germs)  # and so is an open loop
     except (OSError, ValueError, KeyError) as exc:
         raise InputError(f"malformed loop file {path}: {exc}") from exc
     return loop

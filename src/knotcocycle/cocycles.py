@@ -8,6 +8,10 @@ moves never contribute.  Trivial cocycles (coboundaries of arrow
 diagram combinations) vanish on every closed loop, so loop values are
 class invariants.
 
+A loop is a closed chain of germs, like a meridian.  The rotation loop
+takes its germs from ``morse.rot_moves``; only a move list read from
+outside the package is replayed, through the checked ``make_germ``.
+
 The distinguished formula alpha31 spans, modulo trivial cocycles, the
 one-dimensional solution space of the degree-3 system, normalised so
 that its value on the rotation loop of a long knot K is -v2(K).
@@ -21,9 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, pair
-from .germs import Germ, KIND_R3, enumerate_arrow_diagrams, make_germ, pair_germ
+from .germs import (Germ, KIND_R3, OpenLoopError, check_closed, enumerate_arrow_diagrams,
+                    make_germ, pair_germ, reversed_chain)
 from .coboundary import coboundary
-from .moves import Move, apply_move, arrow_positions, inverse, isolated, killable
+from .moves import Move, arrow_positions, isolated, killable, move_between
 from . import fixtures_io as fio
 from .morse import rot_moves, trace
 from .rational_linalg import SparseMatrix, rank, solve_in_span
@@ -33,77 +38,31 @@ from .strata import System, assemble_system, restrict_to_variables
 TRIVIAL_DEGREES = range(4)  # the degrees of the A whose dA span the trivial cochains
 
 
-class OpenLoopError(ValueError):
-    pass
-
-
 @dataclass
 class Loop:
-    """A closed move path: an initial diagram plus a move schedule.
+    """A closed germ chain with optional segment tags; ``initial`` and ``moves`` are read off it."""
 
-    The schedule is replayed once, on first use; treat a loop as immutable.
-    """
-
-    initial: GaussDiagram
-    moves: list[Move]
+    germs: list[Germ]
     tags: list[str] | None = None
 
-    @functools.cached_property
-    def _germs(self) -> list[Germ]:
-        out = []
-        cur = self.initial
-        for m in self.moves:
-            out.append(make_germ(cur, m))
-            cur = out[-1].g1
-        return out
+    @classmethod
+    def replay(cls, initial: GaussDiagram, moves) -> "Loop":
+        """The chain of a move list applied at ``initial``, each move checked by ``make_germ``."""
+        germs = []
+        for m in moves:
+            germs.append(make_germ(germs[-1].g1 if germs else initial, m))
+        return cls(germs)
 
-    def diagrams(self) -> list[GaussDiagram]:
-        return [self.initial] + [g.g1 for g in self._germs]
+    @property
+    def initial(self) -> GaussDiagram:
+        return self.germs[0].g0
 
-    def check_closed(self) -> None:
-        if self.diagrams()[-1] != self.initial:
-            raise OpenLoopError("loop does not return to its initial diagram")
-
-    def germs(self) -> list[Germ]:
-        """The germ of each move in schedule order; an R3 germ's dist is its move's gaps, sorted."""
-        return self._germs
+    @property
+    def moves(self) -> list[Move]:
+        return [move_between(g.g0, g.g1) for g in self.germs]
 
     def reversed(self) -> "Loop":
-        """The loop traversed backwards.
-
-        Undo moves are recomputed against the backward replay: rebirths
-        take fresh ids there, so id-carrying move data is translated
-        through the position-wise correspondence of the two words.
-        """
-        diagrams = self.diagrams()
-        cur = diagrams[-1]
-        moves = []
-        steps = list(zip(diagrams, self.moves, diagrams[1:]))
-        for before, m, after in reversed(steps):
-            undo = inverse(before, m)
-            phi = {a: b for (a, _), (b, _) in zip(after.word, cur.word)}
-            undo = _translate_ids(undo, phi)
-            cur = apply_move(cur, undo)
-            moves.append(undo)
-        tags = list(reversed(self.tags)) if self.tags else None
-        return Loop(diagrams[-1], moves, tags)
-
-    def concatenate(self, other: "Loop") -> "Loop":
-        if self.diagrams()[-1] != other.initial:
-            raise OpenLoopError("loops are not composable")
-        tags = None
-        if self.tags is not None and other.tags is not None:
-            tags = self.tags + other.tags
-        return Loop(self.initial, self.moves + list(other.moves), tags)
-
-
-def _translate_ids(m: Move, phi: dict) -> Move:
-    if m.kind in ("R1_death",):
-        return Move(m.kind, (phi[m.data[0]],))
-    if m.kind == "R2_death":
-        a, b = m.data
-        return Move(m.kind, tuple(sorted((phi[a], phi[b]))))
-    return m  # births and R3 moves are positional
+        return Loop(reversed_chain(self.germs), self.tags[::-1] if self.tags else None)
 
 
 def evaluate_loop(alpha: FormalSum, loop: Loop) -> Fraction:
@@ -114,9 +73,9 @@ def evaluate_loop(alpha: FormalSum, loop: Loop) -> Fraction:
     1 + 3(n-3) subgerms per move of degree n, so a loop costs O(n) per R3
     move instead of 2^n.
     """
-    loop.check_closed()
+    check_closed(loop.germs)
     total = Fraction(0)
-    for germ in loop.germs():
+    for germ in loop.germs:
         if germ.kind == KIND_R3:
             total += pair_germ(alpha, germ)
     return total
@@ -129,7 +88,7 @@ def rot_loop(knot, fixtures=None) -> Loop:
     of a fixture knot, or a Gauss diagram canonically equal to one of
     the fixture knots.  Loops for other diagrams need an explicit Morse
     presentation: the loop structure lives in the plane, not in the
-    Gauss word alone.  ``rot_moves`` checks that the schedule closes.
+    Gauss word alone.  ``rot_moves`` builds the closed germ chain.
     """
     return Loop(*rot_moves(_resolve_morse(knot, fixtures)))
 

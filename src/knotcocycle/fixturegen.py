@@ -91,7 +91,7 @@ def gen_v2(out: Path, knots) -> ArrowDiagram:
 def gen_seed_r3(out: Path) -> None:
     """A planar-certified R3 move: the first bottom move of rot(trefoil)."""
     loop = rot_loop(FIXTURE_MORSE["trefoil"])
-    germ = next(g for g, tag in zip(loop.germs(), loop.tags) if tag == "bottom")
+    germ = next(g for g, tag in zip(loop.germs, loop.tags) if tag == "bottom")
     fio.save_json(out / "moves" / "seed_r3.json", {
         "source": fio.diagram_to_json(germ.g0),
         "gaps": list(germ.dist),
@@ -286,7 +286,7 @@ def _rot_profiles(var_index):
     profile: dict = {}
     for pos, name in enumerate(("trefoil", "figure8")):
         loop = rot_loop(FIXTURE_MORSE[name])
-        for germ, tag in zip(loop.germs(), loop.tags):
+        for germ, tag in zip(loop.germs, loop.tags):
             if germ.kind == KIND_R3:
                 for key, c in ti(germ, {3}).items():
                     j = var_index.get(key)

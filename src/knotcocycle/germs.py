@@ -47,7 +47,7 @@ from fractions import Fraction
 from .diagrams import (ArrowDiagram, FormalSum, GaussDiagram, HEAD, TAIL)
 from .moves import (InvalidMove, Move, R1_BIRTH, R1_DEATH, R2_BIRTH, R2_DEATH,
                     R3, _fresh_ids, _literally_equal, apply_move, edge_data, edge_flanks,
-                    r1_death, r2_death, r3, r3_moves, split_gaps, transpose)
+                    move_between, r1_death, r2_death, r3, r3_moves, split_gaps, transpose)
 
 KIND_R1 = "R1"
 KIND_R2 = "R2"
@@ -224,20 +224,54 @@ def canonical_term(germ: Germ, coeff=1) -> tuple[Germ, Fraction]:
     return c, Fraction(coeff) * s
 
 
-def make_germ(g0, move: Move) -> Germ:
-    """The germ of a move applied at g0, oriented g0 -> result; born ids are ``_fresh_ids``."""
-    g1 = apply_move(g0, move)
+def _germ_data(g0, move: Move):
+    """The germ kind and distinguished data of a move at g0; born ids are ``_fresh_ids``."""
     if move.kind == R1_BIRTH:
-        return Germ(KIND_R1, g0, g1, _fresh_ids(g0, 1)[0])
+        return KIND_R1, _fresh_ids(g0, 1)[0]
     if move.kind == R1_DEATH:
-        return Germ(KIND_R1, g0, g1, move.data[0])
+        return KIND_R1, move.data[0]
     if move.kind == R2_BIRTH:
-        return Germ(KIND_R2, g0, g1, _fresh_ids(g0, 2))
+        return KIND_R2, _fresh_ids(g0, 2)
     if move.kind == R2_DEATH:
-        return Germ(KIND_R2, g0, g1, frozenset(move.data))
+        return KIND_R2, move.data
     if move.kind == R3:
-        return Germ(KIND_R3, g0, g1, move.data)
+        return KIND_R3, move.data
     raise InvalidMove(f"unknown move kind {move.kind}")
+
+
+def make_germ(g0, move: Move) -> Germ:
+    """The germ of a move applied at g0, oriented g0 -> result; ``apply_move`` checks the move."""
+    kind, dist = _germ_data(g0, move)
+    return Germ(kind, g0, apply_move(g0, move), dist)
+
+
+def germ_between(d, target) -> Germ:
+    """The germ of the one move ``move_between`` finds from d to target; its g1 is target."""
+    kind, dist = _germ_data(d, move_between(d, target))
+    return Germ(kind, d, target, dist)
+
+
+class OpenLoopError(ValueError):
+    pass
+
+
+def check_closed(germs) -> None:
+    """Raise ``OpenLoopError`` unless the germs form a closed chain.
+
+    Consecutive germs share a diagram literally; the last one ends on the
+    first one's g0 up to relabelling, as a death undone by a rebirth with
+    fresh ids does.  An empty chain is closed.
+    """
+    for a, b in zip(germs, germs[1:]):
+        if not _literally_equal(a.g1, b.g0):
+            raise OpenLoopError("consecutive germs do not share a diagram")
+    if germs and germs[-1].g1 != germs[0].g0:
+        raise OpenLoopError("the chain does not return to its base diagram")
+
+
+def reversed_chain(germs) -> list[Germ]:
+    """The chain traversed backwards: each germ swapped, in reverse order."""
+    return [g.swapped() for g in reversed(germs)]
 
 
 def boundary(germ: Germ) -> FormalSum:

@@ -30,9 +30,11 @@ from the identical wrapped diagram and ends in a curl at the right end
 closes up into a loop based at the original diagram.
 
 Each pass is built as its expected diagrams, one per gap between
-columns, and every move of the loop is read off two consecutive
-diagrams by ``moves.move_between``; a column the riser cannot reach in
-one move raises ``LoopBuildError``.
+columns, and every germ of the loop is read off two consecutive
+diagrams by ``germs.germ_between``: the one move ``moves.move_between``
+finds, ending on the expected diagram itself, so no move is applied or
+validated twice.  A column the riser cannot reach in one move raises
+``LoopBuildError``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagrams import GaussDiagram, HEAD, TAIL
-from .moves import InvalidMove, Move, _fresh_ids, _literally_equal, move_between
+from .germs import Germ, KIND_R3, germ_between
+from .moves import InvalidMove, _fresh_ids, _literally_equal
 
 CUP = "cup"
 CAP = "cap"
@@ -204,15 +207,15 @@ def _sweep(tr: Trace, riser_id: int, under: bool):
     return diagrams, riser_ids[0]
 
 
-def rot_moves(events) -> tuple[GaussDiagram, list[Move], list[str]]:
-    """The rotation loop: initial diagram, move list, and segment tags.
+def rot_moves(events) -> tuple[list[Germ], list[str]]:
+    """The rotation loop as a germ chain based at the knot, and its segment tags.
 
     The loop runs through the expected diagrams of the left curl, the
-    under-pass, the over-pass and back to the knot; each move is the one
-    ``move_between`` consecutive diagrams.  Tags mark each move as
-    'bottom' (an R3 of the under-pass), 'top' (an R3 of the over-pass),
-    'slide' (a cup or cap of either pass) or 'cusp' (the curl birth and
-    death at the two ends).
+    under-pass, the over-pass and back to the knot; each germ is the
+    ``germ_between`` consecutive diagrams, so the chain closes literally.
+    Tags mark each germ as 'bottom' (an R3 of the under-pass), 'top' (an
+    R3 of the over-pass), 'slide' (a cup or cap of either pass) or 'cusp'
+    (the curl birth and death at the two ends).
     """
     tr = trace(events)
     K = tr.diagram
@@ -222,17 +225,17 @@ def rot_moves(events) -> tuple[GaussDiagram, list[Move], list[str]]:
         raise LoopBuildError("the wrapped states of the two passes differ")
     path = [K, *under, *over[1:], K]
     ncol = len(tr.events)
-    moves = []
+    germs = []
     for step, (d, target) in enumerate(zip(path, path[1:])):
         try:
-            moves.append(move_between(d, target))
+            germs.append(germ_between(d, target))
         except InvalidMove as exc:
             where = "a curl" if step in (0, 2 * ncol + 1) else \
                 f"column {(step - 1) % ncol} {tr.events[(step - 1) % ncol]}"
             raise LoopBuildError(f"the riser cannot reach {where} in one move: {exc}") from exc
-    tags = ["cusp"] + [("bottom" if i < ncol else "top") if m.kind == "R3" else "slide"
-                       for i, m in enumerate(moves[1:-1])] + ["cusp"]
-    return K, moves, tags
+    tags = ["cusp"] + [("bottom" if i < ncol else "top") if g.kind == KIND_R3 else "slide"
+                       for i, g in enumerate(germs[1:-1])] + ["cusp"]
+    return germs, tags
 
 
 # Morse presentations of the fixture knots.  The trefoil is the plat

@@ -10,10 +10,10 @@ twice around the circle, a closed loop of eight R3 moves.
 A global type threads the four local strands into one long knot; with
 the basepoint choice it is a visiting order, and all 24 orders are
 enumerated.  The geometry below only ever produces orderings; every
-sector-to-sector step is the valid R3 move that ``moves.move_between``
-finds (every sector carries the same six arrows) or raises on, so float
-genericity failures cannot pass silently.  The last step returns to the
-first sector, which closes the meridian.
+sector-to-sector step is the germ of the valid R3 move that
+``moves.move_between`` finds (every sector carries the same six arrows)
+or raises on, so float genericity failures cannot pass silently.  The
+last step returns to the first sector, which closes the meridian.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ import itertools
 import math
 
 from .diagrams import GaussDiagram, HEAD, TAIL
-from .germs import Germ, KIND_R3
-from .moves import move_between
+from .germs import germ_between
 from .strata import Meridian, QUADRUPLE
 
 SLOPES = (1.0, 2.0, 3.0, 5.0)
@@ -96,7 +95,6 @@ def quadruple_meridians() -> list[Meridian]:
     out = []
     for visit in itertools.permutations(range(4)):
         diagrams = [_word_for(orders, visit) for orders, _ in sectors]
-        germs = [Germ(KIND_R3, d, nxt, move_between(d, nxt).data)
-                 for d, nxt in zip(diagrams, diagrams[1:] + diagrams[:1])]
+        germs = [germ_between(d, nxt) for d, nxt in zip(diagrams, diagrams[1:] + diagrams[:1])]
         out.append(Meridian(QUADRUPLE, germs, frozenset()))
     return out

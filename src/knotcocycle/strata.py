@@ -1,11 +1,12 @@
 """Codimension-2 strata, their meridians, and the degree-3 system.
 
-A meridian is a closed chain of germs: consecutive germs share a
-diagram and the telescoping boundary vanishes.  The only strata whose
-equations are assembled as rows are the tangency-with-transverse-branch
-("cube") family and the quadruple-point ("tetrahedron") family; every
-other stratum acts through the variable filter below, and the
-double-R3 stratum starts contributing only in degree 4.
+A meridian is a closed chain of germs, like a loop: consecutive germs
+share a diagram (``germs.check_closed``) and the telescoping boundary
+vanishes.  The only strata whose equations are assembled as rows are
+the tangency-with-transverse-branch ("cube") family and the
+quadruple-point ("tetrahedron") family; every other stratum acts
+through the variable filter below, and the double-R3 stratum starts
+contributing only in degree 4.
 
 Cube meridians are enumerated combinatorially: a scene is a small Gauss
 diagram with two active arrows, a pair is born next to them by an R2
@@ -39,10 +40,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, HEAD, TAIL
-from .germs import (Germ, KIND_P, KIND_R2, add_ti, boundary, enumerate_arrow_3germs,
-                    enumerate_partial_germs, make_germ)
-from .moves import (R2_BIRTH, _fresh_ids, _literally_equal, arrow_positions, enumerate_moves,
-                    isolated, killable, r2_birth_word, r2_death, r3_moves)
+from .germs import (Germ, KIND_P, KIND_R2, KIND_R3, add_ti, boundary, check_closed,
+                    enumerate_arrow_3germs, enumerate_partial_germs, germ_between, make_germ,
+                    reversed_chain)
+from .moves import (R2_BIRTH, _fresh_ids, arrow_positions, enumerate_moves, isolated, killable,
+                    r2_birth_word, r3_moves, transpose)
 from .rational_linalg import SparseMatrix, rank
 
 CUBE = "cube"
@@ -61,11 +63,7 @@ class Meridian:
         return self.germs[0].g0
 
     def check_closed(self) -> None:
-        for a, b in zip(self.germs, self.germs[1:]):
-            if not _literally_equal(a.g1, b.g0):
-                raise ValueError("consecutive germs do not share a diagram")
-        if not _literally_equal(self.germs[-1].g1, self.germs[0].g0):
-            raise ValueError("meridian does not close up")
+        check_closed(self.germs)
 
     def boundary(self) -> FormalSum:
         return sum((boundary(g) for g in self.germs), FormalSum())
@@ -206,8 +204,9 @@ def enumerate_cube_meridians(bystanders: int = 0):
     walked over the births of ``_sliding_births`` on every scene, found
     once per scene word; the walk still searches each of the 576 signed
     births for its first slide, and each of the 144 with one has one
-    second slide and closes up, so a failing step raises.  The others
-    are built from them by ``_bystander_meridians``.
+    second slide, the transposition of a move ``r3_moves`` accepted; the
+    death's ``germ_between`` raises unless the pair dies back to the
+    scene.  The others are built from them by ``_bystander_meridians``.
     """
     if bystanders not in (0, 1):
         raise ValueError(f"cube meridians have 0 or 1 bystanders, not {bystanders}")
@@ -219,12 +218,10 @@ def enumerate_cube_meridians(bystanders: int = 0):
                 g1 = born.g1
                 c1, c2 = sorted(born.dist)
                 for m1 in r3_moves(g1, frozenset((1, 2, c2))):
-                    slide1 = make_germ(g1, m1)
+                    slide1 = Germ(KIND_R3, g1, transpose(g1, m1.data), m1.data)
                     for m2 in r3_moves(slide1.g1, frozenset((1, 2, c1))):
-                        slide2 = make_germ(slide1.g1, m2)
-                        dies = make_germ(slide2.g1, r2_death(c1, c2))
-                        m = Meridian(CUBE, [born, slide1, slide2, dies])
-                        m.check_closed()
+                        slide2 = Germ(KIND_R3, slide1.g1, transpose(slide1.g1, m2.data), m2.data)
+                        m = Meridian(CUBE, [born, slide1, slide2, germ_between(slide2.g1, g0)])
                         yield from _bystander_meridians(m) if bystanders else (m,)
 
 
@@ -233,7 +230,7 @@ def meridian_key(m: Meridian):
 
 
 def meridian_reversed(m: Meridian) -> Meridian:
-    return Meridian(m.tag, [g.swapped() for g in reversed(m.germs)], m.bystanders)
+    return Meridian(m.tag, reversed_chain(m.germs), m.bystanders)
 
 
 def dedupe_meridians(meridians):

@@ -55,6 +55,23 @@ def test_eval_loop(tmp_path):
     assert out["value"] == -1
 
 
+# An R2 death undone by a birth closes up to relabelling only: the birth
+# takes H2 H1 T1 T2 T3 H3 to H5 H4 T4 T5 T3 H3.
+RELABELLED_CLOSURE = [{"kind": "R2_death", "data": [1, 2]},
+                      {"kind": "R2_birth", "data": [0, 0, False, True, -1]}]
+
+
+@pytest.mark.parametrize("moves", [[], RELABELLED_CLOSURE], ids=["empty", "relabelled"])
+def test_eval_loop_accepts_a_loop_closed_up_to_relabelling(moves, tmp_path, capsys):
+    from knotcocycle import fixtures_io as fio
+    from knotcocycle.diagrams import parse_diagram
+    initial = fio.diagram_to_json(parse_diagram("3; H2 H1 T1 T2 T3 H3; +-+"))
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"initial": initial, "moves": moves}))
+    assert main(["--fixtures", str(FIXTURES), "eval-loop", "--loop", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"value": 0}
+
+
 def test_coboundary_subcommand():
     out = json.loads(run_cli("coboundary",
                              "--diagram", str(FIXTURES / "formulas" / "v2_diagram.json")))

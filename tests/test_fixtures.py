@@ -46,6 +46,7 @@ def test_germ_json_roundtrip(fixtures_dir):
 
 
 def test_scene_fixture_meridians_are_closed(fixtures_dir):
+    from knotcocycle.moves import _literally_equal
     from knotcocycle.strata import Meridian
     obj = fio.load_json(fixtures_dir / "strata" / "fig7_scenes.json")
     assert [s["label"] for s in obj["scenes"]] == list("abcdef")
@@ -53,6 +54,7 @@ def test_scene_fixture_meridians_are_closed(fixtures_dir):
         germs = [fio.germ_from_json(g) for g in scene["germs"]]
         m = Meridian("cube", germs)
         m.check_closed()
+        assert _literally_equal(germs[-1].g1, germs[0].g0)
         assert not m.boundary()
         assert scene["pictures"] == 8
         assert scene["meridians"] == 24

@@ -8,12 +8,19 @@ from knotcocycle import morse
 from knotcocycle.diagrams import pair, parse_diagram
 from knotcocycle.morse import (FIXTURE_MORSE, LoopBuildError, MorseError,
                                connected_sum, rot_moves, trace, validate_events)
+from knotcocycle.cocycles import Loop
 from knotcocycle.moves import apply_move
 
 # Presentations with a closed component: a free circle, and a circle
 # crossing the long strand.
 LINKS = ([("cup", 2), ("cap", 2)],
          [("cup", 2), ("cup", 3), ("x", 2, "asc"), ("cap", 3), ("cap", 2)])
+
+
+def _schedule(events):
+    """The rotation loop's initial diagram, move list and tags."""
+    loop = Loop(*rot_moves(events))
+    return loop.initial, loop.moves, loop.tags
 
 
 def test_traces_match_fixture_knots(knots):
@@ -55,7 +62,7 @@ def test_rot_moves_match_the_recorded_loops():
     recorded = json.loads((REPO / "tests" / "data" / "rot_moves.json").read_text())
     assert len(recorded) == 9
     for name, rec in recorded.items():
-        initial, moves, tags = rot_moves([tuple(ev) for ev in rec["events"]])
+        initial, moves, tags = _schedule([tuple(ev) for ev in rec["events"]])
         assert fio.diagram_to_json(initial) == rec["initial"], name
         assert [fio.move_to_json(m) for m in moves] == rec["moves"], name
         assert tags == rec["tags"], name
@@ -90,7 +97,7 @@ def test_unreachable_column_raises_loop_build_error(monkeypatch):
 
 def test_rot_loop_closes_for_fixtures():
     for name, events in FIXTURE_MORSE.items():
-        initial, moves, tags = rot_moves(events)
+        initial, moves, tags = _schedule(events)
         cur = initial
         for m in moves:
             cur = apply_move(cur, m)
@@ -100,7 +107,7 @@ def test_rot_loop_closes_for_fixtures():
 
 def test_rot_bottom_segment_has_one_r3_per_crossing():
     for name, events in FIXTURE_MORSE.items():
-        initial, moves, tags = rot_moves(events)
+        initial, moves, tags = _schedule(events)
         bottom = sum(1 for t in tags if t == "bottom")
         top = sum(1 for t in tags if t == "top")
         assert bottom == initial.degree
@@ -120,7 +127,7 @@ def test_connected_sum_traces_to_composite(fixtures_dir):
 
 def test_connected_sum_rot_closes():
     events = connected_sum(FIXTURE_MORSE["trefoil"], FIXTURE_MORSE["trefoil"])
-    initial, moves, tags = rot_moves(events)
+    initial, moves, tags = _schedule(events)
     cur = initial
     for m in moves:
         cur = apply_move(cur, m)

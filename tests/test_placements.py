@@ -38,7 +38,7 @@ def _rotation_r3_germs():
              connected_sum(morse["trefoil"], morse["trefoil"]),
              connected_sum(morse["trefoil"], morse["figure8"])]
     knots += [connected_sum(*[morse["figure8"]] * n) for n in range(1, 6)]
-    return [g for events in knots for g in rot_loop(events).germs() if g.kind == "R3"]
+    return [g for events in knots for g in rot_loop(events).germs if g.kind == "R3"]
 
 
 def test_table_matches_the_expansion_on_the_cube_meridians(cube_meridians):
@@ -133,7 +133,7 @@ def test_canonicalisations_per_alpha31_pairing_do_not_grow_with_the_loop(monkeyp
     alpha = alpha31(FIXTURES)
     fixdir = fio.resolve_fixtures(FIXTURES)
     figure8 = fio.load_morse(fixdir, "figure8")
-    loops = {n: [g for g in rot_loop(connected_sum(*[figure8] * n)).germs() if g.kind == "R3"]
+    loops = {n: [g for g in rot_loop(connected_sum(*[figure8] * n)).germs if g.kind == "R3"]
              for n in (1, 8)}
     for germs in loops.values():  # warm-up: every placement of these germs is in the table
         for g in germs:

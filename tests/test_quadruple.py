@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from knotcocycle.moves import _literally_equal
 from knotcocycle.quadruple import quadruple_meridians
 from knotcocycle.rational_linalg import SparseMatrix, in_row_span
 from knotcocycle.strata import (homogeneous_parts, normalise_row,
@@ -14,6 +15,7 @@ def test_quadruple_movie_structure():
         assert len(m.germs) == 8
         assert all(g.kind == "R3" for g in m.germs)
         m.check_closed()
+        assert _literally_equal(m.germs[-1].g1, m.base())
         assert not m.boundary()
         # positive braid-like: every crossing positive throughout
         for g in m.germs:

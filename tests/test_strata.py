@@ -4,7 +4,12 @@ import itertools
 import pytest
 
 from knotcocycle.diagrams import FormalSum
+from knotcocycle import germs, moves
+from knotcocycle.cocycles import rot_loop
 from knotcocycle.germs import KIND_P, KIND_R3
+from knotcocycle.morse import FIXTURE_MORSE, connected_sum
+from knotcocycle.moves import _literally_equal
+from knotcocycle.quadruple import quadruple_meridians
 from knotcocycle.strata import (Meridian, banned_variable, classify_scenes,
                                 dedupe_meridians, enumerate_cube_meridians,
                                 homogeneous_parts, meridian_equation,
@@ -95,6 +100,7 @@ def test_bystander_meridians_close_and_delete_to_a_bare_one(bystander_meridians,
     bare = {meridian_key(m) for m in cube_meridians}
     for m in bystander_meridians[::97]:
         m.check_closed()
+        assert _literally_equal(m.germs[-1].g1, m.base())
         assert not m.boundary()
         assert m.bystanders == frozenset((0,))
         assert meridian_key(meridian_without(m, m.bystanders)) in bare
@@ -110,7 +116,36 @@ def test_more_than_one_bystander_is_refused():
 def test_meridians_close_and_bound_zero(cube_meridians):
     for m in cube_meridians[:20]:
         m.check_closed()
+        assert _literally_equal(m.germs[-1].g1, m.base())
         assert not m.boundary()
+
+
+def test_package_built_chains_validate_no_r3_move_again(monkeypatch):
+    # r3_moves and move_between have accepted every R3 move of these
+    # chains; a rotation loop applies only its births and deaths, once
+    # each (move_between compares a birth or death after applying it).
+    calls = {"validate_r3": 0, "apply_move": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(moves, "validate_r3")
+    counted(moves, "apply_move")
+    monkeypatch.setattr(germs, "apply_move", moves.apply_move)
+    assert len(list(enumerate_cube_meridians(0))) == 144
+    assert len(quadruple_meridians()) == 24
+    assert calls["validate_r3"] == 0
+    figure8 = FIXTURE_MORSE["figure8"]
+    for events in [*FIXTURE_MORSE.values(), connected_sum(figure8, figure8, figure8)]:
+        calls["apply_move"] = 0
+        loop = rot_loop(events)
+        assert calls == {"validate_r3": 0,
+                         "apply_move": sum(g.kind != KIND_R3 for g in loop.germs)}
 
 
 def test_six_scene_classes(cube_meridians):

@@ -1,14 +1,16 @@
-"""The per-layer benchmark launcher must keep working as the package changes."""
+"""The benchmark's launcher and setup step must keep working as the package changes."""
 
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 
 from conftest import FIXTURES, REPO
 
 TRACED = REPO / "perfbench" / "traced.py"
+LOOPS = REPO / "perfbench" / "loops.py"
 
 
 def _load_traced():
@@ -38,3 +40,16 @@ def test_traced_run_writes_a_trace(tmp_path):
     assert proc.returncode == 0, proc.stderr + proc.stdout
     trace = json.loads(out.read_text())
     assert trace["names"]
+
+
+def test_loop_files_match_the_recorded_bytes(tmp_path):
+    # The rot workload's setup writes these files; recorded from the
+    # move-list Loop that replayed its moves, before loops held germs.
+    specs = ["trefoil+trefoil", "trefoil+figure8"]
+    cmd = [sys.executable, str(LOOPS), str(FIXTURES), str(tmp_path), *specs]
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=REPO, env=env)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    for spec in specs:
+        recorded = REPO / "tests" / "data" / "rot_loops" / f"{spec}.json"
+        assert (tmp_path / f"{spec}.json").read_bytes() == recorded.read_bytes(), spec
