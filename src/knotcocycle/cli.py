@@ -230,20 +230,11 @@ def cmd_invariants(args) -> int:
     diagrams = []
     for deg in range(args.max_degree + 1):
         diagrams.extend(enumerate_arrow_diagrams(deg))
-    keys: dict = {}
-    rows = []
-    for a in diagrams:
-        row = {}
+    rows: dict = {}  # d maps the diagram space into the germ space: one row per germ key
+    for i, a in enumerate(diagrams):
         for germ, c in coboundary(a).items():
-            j = keys.setdefault(germ.key(), len(keys))
-            row[j] = row.get(j, Fraction(0)) + c
-        rows.append(row)
-    # transpose: d maps the diagram space into the germ space
-    cols = [dict() for _ in range(len(keys))]
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            cols[j][i] = v
-    basis = kernel_basis(SparseMatrix(len(keys), len(diagrams), cols))
+            rows.setdefault(germ.key(), {})[i] = c
+    basis = kernel_basis(SparseMatrix(len(rows), len(diagrams), list(rows.values())))
     out = {
         "max_degree": args.max_degree,
         "diagrams": len(diagrams),

@@ -12,30 +12,28 @@ the defining contract of this module is the Stokes formula
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, pair
-from .germs import (Germ, KIND_R1, KIND_R2, boundary, canonical_term,
-                    monotonic_reduce, pair_germ, partial_germ_into, r3_germ_into)
-from .moves import arrow_positions, isolated, killable, r3_moves, split_gaps
+from .germs import (Germ, _germ_data, boundary, canonical_term, monotonic_reduce, pair_germ,
+                    partial_germ_into, r3_germ_into)
+from .moves import R1_DEATH, R2_DEATH, enumerate_moves, r3_moves, split_gaps
 
 
 def coboundary(a: ArrowDiagram) -> FormalSum:
-    """dA by insertion into A: the R1, R2 and R3 terms, then the reduced partial ones."""
+    """dA by insertion into A: the R1, R2 and R3 terms, then the reduced partial ones.
+
+    The R1 and R2 terms are A's deaths read as births: each R1 death
+    (in word order) and each R2 death (in sorted-pair order) gives the
+    germ from A without the dead arrows to A.
+    """
     if isinstance(a, GaussDiagram):
         raise TypeError("the coboundary acts on arrow diagrams")
-    pos = arrow_positions(a)
     out = FormalSum()
-    for aid in pos:
-        if isolated(pos, aid):
-            key, coeff = canonical_term(Germ(KIND_R1, a.delete({aid}), a, aid))
-            out.add(key, coeff)
-
-    for x, y in itertools.combinations(sorted(pos), 2):
-        if killable(pos, x, y):
-            key, coeff = canonical_term(Germ(KIND_R2, a.delete({x, y}), a, frozenset((x, y))))
-            out.add(key, coeff)
+    for death in enumerate_moves(a, R1_DEATH) + enumerate_moves(a, R2_DEATH):
+        kind, dist = _germ_data(a, death)
+        key, coeff = canonical_term(Germ(kind, a.delete(death.data), a, dist))
+        out.add(key, coeff)
 
     for move in r3_moves(a):
         key, coeff = canonical_term(r3_germ_into(a, move.data))

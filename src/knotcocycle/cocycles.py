@@ -20,7 +20,6 @@ that its value on the rotation loop of a long knot K is -v2(K).
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +27,7 @@ from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, pair
 from .germs import (Germ, KIND_R3, OpenLoopError, check_closed, enumerate_arrow_diagrams,
                     make_germ, pair_germ, reversed_chain)
 from .coboundary import coboundary
-from .moves import Move, arrow_positions, isolated, killable, move_between
+from .moves import Move, R1_DEATH, R2_DEATH, enumerate_moves, move_between
 from . import fixtures_io as fio
 from .morse import rot_moves, trace
 from .rational_linalg import SparseMatrix, rank, solve_in_span
@@ -135,18 +134,18 @@ def load_tetra_rows(fixtures=None) -> list[FormalSum]:
 
 
 @functools.cache
+def _coboundary(a: ArrowDiagram) -> FormalSum:
+    """dA, computed once per process for each A, so callers must not mutate it."""
+    return coboundary(a)
+
+
 def trivial_cocycle_vectors(degree: int = 3) -> tuple[FormalSum, ...]:
     """The nonzero coboundaries dA of the arrow diagrams A of a degree.
 
     In arrow-diagram order; they span the trivial cocycles at this degree.
-    Computed once per process, so callers must not mutate them.
+    Each dA is computed once per process, so callers must not mutate them.
     """
-    out = []
-    for a in enumerate_arrow_diagrams(degree):
-        db = coboundary(a)
-        if db:
-            out.append(db)
-    return tuple(out)
+    return tuple(db for db in map(_coboundary, enumerate_arrow_diagrams(degree)) if db)
 
 
 def trivial_variable_vectors(var_index) -> list[dict[int, Fraction]]:
@@ -154,17 +153,15 @@ def trivial_variable_vectors(var_index) -> list[dict[int, Fraction]]:
 
     Coboundaries with support outside the variables are not vectors of
     this coordinate space and are skipped; the rest come in
-    arrow-diagram enumeration order.  An A with an isolated arrow or a
-    killable pair is skipped before its dA is computed: each gives dA an
-    R1 or R2 term with coefficient +1, and such terms cannot cancel.
+    arrow-diagram enumeration order.  An A with a death move (an R1 or
+    R2 death) is skipped before its dA is computed: each death gives dA
+    an R1 or R2 term with coefficient +1, and such terms cannot cancel.
     """
     out = []
     for a in enumerate_arrow_diagrams(3):
-        pos = arrow_positions(a)
-        if any(isolated(pos, x) for x in pos) or any(
-                killable(pos, x, y) for x, y in itertools.combinations(sorted(pos), 2)):
+        if enumerate_moves(a, R1_DEATH) or enumerate_moves(a, R2_DEATH):
             continue
-        db = coboundary(a)
+        db = _coboundary(a)
         if any(k not in var_index for k in db.keys()):
             continue
         vec = restrict_to_variables(db, var_index)

@@ -31,7 +31,7 @@ from .quadruple import quadruple_meridians
 from .rational_linalg import (SparseMatrix, extend_reduced, kernel_basis, residual, rref,
                               solve_in_span)
 from .strata import (System, assemble_system, classify_scenes, enumerate_cube_meridians,
-                     equation_row, ti_meridian, variable_basis)
+                     meridian_equation, row_of_meridian, variable_basis)
 from . import fixtures_io as fio
 
 
@@ -166,15 +166,12 @@ def gen_strata(out: Path) -> System:
     novel = []
     seen = set()
     for m in quadruple_meridians():
-        # Used once, so expanded without keeping it on the meridian as
-        # meridian_equation does: the 24 equations would all stay alive.
-        part = ti_meridian(m, frozenset(), {3})
-        norm = equation_row(part, var_index)
+        norm = row_of_meridian(m, var_index)
         if not norm or norm in seen:
             continue
         seen.add(norm)
         if residual(cube_span, dict((j, Fraction(v)) for j, v in norm)):
-            novel.append(part)
+            novel.append(meridian_equation(m))
     if len(novel) != 2:
         raise RuntimeError(f"expected 2 novel tetrahedron equations, got {len(novel)}")
     fio.save_json(out / "strata" / "fig9_tetra.json", {

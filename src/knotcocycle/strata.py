@@ -43,8 +43,8 @@ from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, HEAD, TAIL
 from .germs import (Germ, KIND_P, KIND_R2, KIND_R3, add_ti, boundary, check_closed,
                     enumerate_arrow_3germs, enumerate_partial_germs, germ_between, make_germ,
                     reversed_chain)
-from .moves import (R2_BIRTH, _fresh_ids, arrow_positions, enumerate_moves, isolated, killable,
-                    r2_birth_word, r3_moves, transpose)
+from .moves import (R1_DEATH, R2_BIRTH, R2_DEATH, _fresh_ids, enumerate_moves, r2_birth_word,
+                    r2_death, r3_moves, transpose)
 from .rational_linalg import SparseMatrix, rank
 
 CUBE = "cube"
@@ -96,22 +96,25 @@ def homogeneous_parts(fs: FormalSum) -> dict[int, FormalSum]:
 # -- Variable filter (the strata that never appear as rows) -----------------
 
 def banned_variable(germ: Germ) -> bool:
-    """The four participation bans for arrow 3-germ formulas."""
+    """The four participation bans for arrow 3-germ formulas, read off each side's deaths.
+
+    A germ is banned when, on either side,
+    1. an arrow other than the distinguished ones can die by R1;
+    2. two such arrows can die together by R2;
+    3. a distinguished arrow can die by R1 and the germ is partial;
+    4. a distinguished arrow of an R3 germ can die by R1, after which
+       the other two can die by R2.
+    """
     dist = germ.distinguished_ids()
-    rest = [a for a in germ.arrow_ids() if a not in dist]
     for side in (germ.g0, germ.g1):
-        pos = arrow_positions(side)
-        if any(isolated(pos, a) for a in rest):
+        for death in enumerate_moves(side, R1_DEATH):
+            (a,) = death.data
+            if a not in dist or germ.kind == KIND_P:  # bans 1 and 3
+                return True
+            if r2_death(*(dist - {a})) in enumerate_moves(side.delete({a}), R2_DEATH):  # ban 4
+                return True
+        if any(dist.isdisjoint(death.data) for death in enumerate_moves(side, R2_DEATH)):  # ban 2
             return True
-        if any(killable(pos, x, y) for x, y in itertools.combinations(rest, 2)):
-            return True
-        for a in sorted(dist):
-            if isolated(pos, a):
-                if germ.kind == KIND_P:
-                    return True
-                others = sorted(dist - {a})
-                if killable(arrow_positions(side.delete({a})), *others):
-                    return True
     return False
 
 
@@ -147,22 +150,15 @@ def _sliding_births(g0: GaussDiagram) -> list:
     """The R2 births at a scene after which the later-born arrow c2 can slide unsigned.
 
     The first slide moves c2 across the triangle it forms with the
-    active arrows 1 and 2, so the word after the birth needs a gap
-    flanked by 1 and 2, one by 1 and c2 and one by 2 and c2, and those
-    gaps must carry an R3 move of the unsigned word.  A signed slide is
-    one of the unsigned ones, so the births serve every signing of the
-    scene's word: 144 of the 1,440 births over the 12 words, where the
-    three sides alone keep 312.
+    active arrows 1 and 2, so the word after the birth must carry an R3
+    move of the unsigned word on the arrows 1, 2 and c2.  A signed slide
+    is one of the unsigned ones, so the births serve every signing of
+    the scene's word: 144 of the 1,440 births over the 12 words.
     """
     c1, c2 = _fresh_ids(g0, 2)
-    sides = {frozenset((1, 2)), frozenset((1, c2)), frozenset((2, c2))}
-    out = []
-    for birth in enumerate_moves(g0, R2_BIRTH):
-        word = r2_birth_word(g0.word, birth.data, c1, c2)
-        if (sides <= {frozenset((x, y)) for (x, _), (y, _) in zip(word, word[1:])}
-                and r3_moves(ArrowDiagram(word), frozenset((1, 2, c2)))):
-            out.append(birth)
-    return out
+    return [birth for birth in enumerate_moves(g0, R2_BIRTH)
+            if r3_moves(ArrowDiagram(r2_birth_word(g0.word, birth.data, c1, c2)),
+                        frozenset((1, 2, c2)))]
 
 
 def _bystander_meridians(m: Meridian):
@@ -266,7 +262,8 @@ def restrict_to_variables(fs: FormalSum, var_index: dict) -> dict[int, Fraction]
     return {j: v for j, v in row.items() if v}
 
 
-def normalise_row(row: dict[int, Fraction]) -> tuple:
+def normalise_row(row: dict) -> tuple:
+    """One representative of the row's nonzero multiples: coprime integers, leading one positive."""
     if not row:
         return ()
     items = sorted(row.items())
@@ -348,11 +345,9 @@ def _distinct_equations(equations) -> list[tuple[FormalSum, EquationSource]]:
     out = []
     seen = set()
     for part, source in equations:
-        items = sorted(((k.key(), v) for k, v in part.items()), key=lambda kv: kv[0])
-        lead = items[0][1]
-        fkey = tuple((k, v / lead) for k, v in items)
-        if fkey not in seen:
-            seen.add(fkey)
+        key = normalise_row({k.key(): v for k, v in part.items()})
+        if key not in seen:
+            seen.add(key)
             out.append((part, source))
     return out
 

@@ -46,7 +46,13 @@ computes another way:
   of ``fixturegen._unit_candidates``;
 - ``filtered_trivial_variable_vectors``: the trivial variable vectors
   kept after computing every degree-3 coboundary, against the R1/R2
-  filter before the coboundary in ``cocycles.trivial_variable_vectors``.
+  filter before the coboundary in ``cocycles.trivial_variable_vectors``;
+- ``positional_bans``: the four variable bans read one by one from the
+  ``arrow_positions`` table of each side, against the death moves of
+  ``strata.banned_variable``;
+- ``positional_coboundary``: dA with its R1 and R2 terms found by
+  scanning the ``arrow_positions`` table for isolated arrows and
+  killable pairs, against the death moves of ``coboundary.coboundary``.
 """
 
 from __future__ import annotations
@@ -56,13 +62,13 @@ from fractions import Fraction
 
 from knotcocycle.cocycles import trivial_cocycle_vectors
 from knotcocycle.diagrams import HEAD, TAIL, ArrowDiagram, FormalSum, GaussDiagram
-from knotcocycle.germs import (KIND_P, Germ, _delete_from_germ, _subgerm_walk, canonical_term,
-                               enumerate_arrow_diagrams, make_germ, partial_germ_into,
-                               r3_germ_into, subgerms)
+from knotcocycle.germs import (KIND_P, KIND_R1, KIND_R2, Germ, _delete_from_germ, _subgerm_walk,
+                               canonical_term, enumerate_arrow_diagrams, make_germ,
+                               monotonic_reduce, partial_germ_into, r3_germ_into, subgerms)
 from knotcocycle.moves import (MOVE_KINDS, R1_BIRTH, R2_BIRTH, InvalidMove, _literally_equal,
                                apply_move, arrow_positions, edge_flanks, enumerate_moves,
-                               r1_birth, r2_birth, r2_death, r3, r3_moves, split_gaps,
-                               validate_r3)
+                               isolated, killable, r1_birth, r2_birth, r2_death, r3, r3_moves,
+                               split_gaps, validate_r3)
 from knotcocycle.rational_linalg import solve_in_span
 from knotcocycle.strata import CUBE, Meridian, restrict_to_variables
 
@@ -474,3 +480,51 @@ def filtered_trivial_variable_vectors(var_index) -> list[dict]:
         if vec:
             out.append(vec)
     return out
+
+
+def positional_bans(germ: Germ) -> set[int]:
+    """The participation bans 1 to 4 that hit a germ, tested on each side's position table.
+
+    1: an arrow other than the distinguished ones is isolated; 2: two such
+    arrows are killable; 3: a distinguished arrow of a partial germ is
+    isolated; 4: a distinguished arrow of an R3 germ is isolated and the
+    other two are killable once it is deleted.
+    """
+    dist = germ.distinguished_ids()
+    rest = [a for a in germ.arrow_ids() if a not in dist]
+    bans = set()
+    for side in (germ.g0, germ.g1):
+        pos = arrow_positions(side)
+        if any(isolated(pos, a) for a in rest):
+            bans.add(1)
+        if any(killable(pos, x, y) for x, y in itertools.combinations(rest, 2)):
+            bans.add(2)
+        for a in sorted(dist):
+            if isolated(pos, a):
+                if germ.kind == KIND_P:
+                    bans.add(3)
+                elif killable(arrow_positions(side.delete({a})), *sorted(dist - {a})):
+                    bans.add(4)
+    return bans
+
+
+def positional_coboundary(a: ArrowDiagram) -> FormalSum:
+    """dA with its R1 and R2 terms found by scanning the arrow position table."""
+    pos = arrow_positions(a)
+    out = FormalSum()
+    for aid in pos:
+        if isolated(pos, aid):
+            key, coeff = canonical_term(Germ(KIND_R1, a.delete({aid}), a, aid))
+            out.add(key, coeff)
+    for x, y in itertools.combinations(sorted(pos), 2):
+        if killable(pos, x, y):
+            key, coeff = canonical_term(Germ(KIND_R2, a.delete({x, y}), a, frozenset((x, y))))
+            out.add(key, coeff)
+    for move in r3_moves(a):
+        key, coeff = canonical_term(r3_germ_into(a, move.data))
+        out.add(key, coeff)
+    lam = FormalSum()
+    for gap in split_gaps(a):
+        key, coeff = canonical_term(partial_germ_into(a, gap))
+        lam.add(key, coeff)
+    return out + monotonic_reduce(lam)

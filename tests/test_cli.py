@@ -106,6 +106,11 @@ def test_invariants_degree_two():
     assert out["kernel_dimension"] >= 2  # empty word, isolated arrows, v2
 
 
+def test_invariants_prints_the_recorded_bytes():
+    expected = (REPO / "tests" / "data" / "invariants_deg3.json").read_text()
+    assert run_cli("invariants", "--max-degree", "3") == expected
+
+
 def test_unknown_input_exits_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -187,6 +187,24 @@ def test_variable_basis_counts():
     assert not any(banned_variable(g) for g in variables)
 
 
+@pytest.mark.parametrize("degree, n3, npart, nbanned", [(3, 24, 120, 106), (4, 480, 2520, 2172)])
+def test_variable_filter_agrees_with_the_positional_bans(degree, n3, npart, nbanned):
+    # Every candidate, and every ban hits some candidate on its own, so
+    # each of the four is checked by itself.
+    from knotcocycle.germs import enumerate_arrow_3germs, enumerate_partial_germs
+    from oracles import positional_bans
+    candidates = list(enumerate_arrow_3germs(degree))
+    assert len(candidates) == n3
+    candidates.extend(p for p in enumerate_partial_germs(degree) if p.is_monotonic())
+    assert len(candidates) == n3 + npart
+    bans = [positional_bans(g) for g in candidates]
+    assert [banned_variable(g) for g in candidates] == [bool(b) for b in bans]
+    assert sum(map(bool, bans)) == nbanned
+    alone = {min(b) for b in bans if len(b) == 1}
+    assert alone == ({1, 3, 4} if degree == 3 else {1, 2, 3, 4})
+    assert len(variable_basis(degree)) == n3 + npart - nbanned
+
+
 def test_filter_bans_isolated_spectator():
     from knotcocycle.germs import enumerate_partial_germs
     from knotcocycle.moves import arrow_positions
