@@ -17,42 +17,36 @@ import json
 import math
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import fixtures_io as fio
+from .fixtures_io import InputError
 from .diagrams import FormalSum, GaussDiagram, format_diagram, pair, parse_diagram
 from .coboundary import coboundary, stokes_sides
 from .germs import check_closed, enumerate_arrow_diagrams, make_germ
 from .moves import random_arrow_diagram, random_gauss_diagram, random_move
 from .cocycles import (Loop, alpha31, assemble_default_system, evaluate_loop,
                        rot_loop, system_dimensions, v2, verify_cocycle)
+from .morse import MorseError
 from .rational_linalg import SparseMatrix, kernel_basis
 from .strata import restrict_to_variables
-
-
-class InputError(Exception):
-    pass
 
 
 # pair tries each assignment of Gauss arrows to arrows, about 2 microseconds each.
 PAIR_ASSIGNMENT_CAP = 10**7
 
 
+def _read_json(path: str, parse, what: str):
+    return fio.read(path, lambda text: parse(json.loads(text)), what)
+
+
 def _load_diagram(path: str):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    try:
-        if path.endswith(".json"):
-            return fio.diagram_from_json(json.loads(text))
-        return parse_diagram(text.strip())
-    except (ValueError, KeyError) as exc:
-        raise InputError(f"malformed diagram file {path}: {exc}") from exc
+    if path.endswith(".json"):
+        return _read_json(path, fio.diagram_from_json, "diagram file")
+    return fio.read(path, parse_diagram, "diagram file")
 
 
-def _frac(x: Fraction):
+def _frac(x):
     return str(x) if x.denominator != 1 else int(x)
 
 
@@ -178,10 +172,7 @@ def cmd_solve(args) -> int:
 def _load_formula(args) -> FormalSum:
     if args.formula == "alpha31":
         return alpha31(args.fixtures)
-    try:
-        return fio.formula_from_json(json.loads(Path(args.formula).read_text()))
-    except (OSError, ValueError, KeyError) as exc:
-        raise InputError(f"malformed formula file {args.formula}: {exc}") from exc
+    return _read_json(args.formula, fio.formula_from_json, "formula file")
 
 
 def cmd_verify(args) -> int:
@@ -198,23 +189,20 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _load_loop(path: str) -> Loop:
-    try:
-        obj = fio._dict(json.loads(Path(path).read_text()), "loop")
-        initial = fio.diagram_from_json(obj["initial"])
-        moves = [fio.move_from_json(m) for m in fio._list(obj["moves"], None, "moves")]
-        if not isinstance(initial, GaussDiagram):  # R3 germs are paired through T
-            raise ValueError("the initial diagram has no signs")
-        loop = Loop.replay(initial, moves)  # an inapplicable move is a ValueError
-        check_closed(loop.germs)  # and so is an open loop
-    except (OSError, ValueError, KeyError) as exc:
-        raise InputError(f"malformed loop file {path}: {exc}") from exc
+def _loop_from_json(obj) -> Loop:
+    obj = fio._dict(obj, "loop")
+    initial = fio.diagram_from_json(obj["initial"])
+    moves = [fio.move_from_json(m) for m in fio._list(obj["moves"], None, "moves")]
+    if not isinstance(initial, GaussDiagram):  # R3 germs are paired through T
+        raise ValueError("the initial diagram has no signs")
+    loop = Loop.replay(initial, moves)  # an inapplicable move is a ValueError
+    check_closed(loop.germs)  # and so is an open loop
     return loop
 
 
 def cmd_eval_loop(args) -> int:
     a = _load_formula(args)
-    loop = _load_loop(args.loop)
+    loop = _read_json(args.loop, _loop_from_json, "loop file")
     value = evaluate_loop(a, loop)
     _emit({"value": _frac(value)}, args.format)
     return 0
@@ -250,14 +238,14 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_rot_test(args) -> int:
-    name = args.knot
-    if name.endswith(".json"):
-        knot = _load_diagram(name)
-    else:
-        knot = name
+    knot = args.knot
+    if knot.endswith(".json"):
+        knot = _load_diagram(knot)
+        if not isinstance(knot, GaussDiagram):
+            raise InputError("the rotation identity needs a Gauss diagram (with signs)")
     try:
         loop = rot_loop(knot, args.fixtures)
-    except (ValueError, TypeError) as exc:
+    except MorseError as exc:
         raise InputError(str(exc)) from exc
     k = loop.initial
     a = alpha31(args.fixtures)
@@ -327,7 +315,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv, argparse.Namespace(fixtures=None, format="json"))
     try:
         return args.fn(args)
-    except (InputError, fio.FixtureError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

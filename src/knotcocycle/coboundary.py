@@ -12,7 +12,6 @@ the defining contract of this module is the Stokes formula
 
 from __future__ import annotations
 
-from fractions import Fraction
 
 from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, pair
 from .germs import (Germ, _germ_data, boundary, canonical_term, monotonic_reduce, pair_germ,
@@ -46,9 +45,9 @@ def coboundary(a: ArrowDiagram) -> FormalSum:
     return out + monotonic_reduce(lam)
 
 
-def stokes_sides(a: ArrowDiagram, gamma: Germ) -> tuple[Fraction, Fraction]:
+def stokes_sides(a: ArrowDiagram, gamma: Germ) -> tuple[int, int]:
     """The two sides <dA, gamma> and <A, boundary(gamma)>."""
     lhs = pair_germ(coboundary(a), gamma)
     canon = a.canonical()
-    rhs = sum((c * pair(canon, g) for g, c in boundary(gamma).items()), Fraction(0))
+    rhs = sum(c * pair(canon, g) for g, c in boundary(gamma).items())
     return lhs, rhs

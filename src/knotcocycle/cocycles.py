@@ -64,7 +64,7 @@ class Loop:
         return Loop(reversed_chain(self.germs), self.tags[::-1] if self.tags else None)
 
 
-def evaluate_loop(alpha: FormalSum, loop: Loop) -> Fraction:
+def evaluate_loop(alpha: FormalSum, loop: Loop) -> int | Fraction:
     """Sum of the germ pairings over the R3 moves of a closed loop.
 
     Each R3 germ is paired through ``pair_germ``, which expands only the
@@ -73,11 +73,7 @@ def evaluate_loop(alpha: FormalSum, loop: Loop) -> Fraction:
     move instead of 2^n.
     """
     check_closed(loop.germs)
-    total = Fraction(0)
-    for germ in loop.germs:
-        if germ.kind == KIND_R3:
-            total += pair_germ(alpha, germ)
-    return total
+    return sum(pair_germ(alpha, germ) for germ in loop.germs if germ.kind == KIND_R3)
 
 
 def rot_loop(knot, fixtures=None) -> Loop:
@@ -99,14 +95,14 @@ def _resolve_morse(knot, fixtures=None):
     names = ("unknot", "trefoil", "figure8")
     if isinstance(knot, str):
         if knot not in names:
-            raise ValueError(f"no Morse presentation on file for {knot!r}")
+            raise fio.InputError(f"no Morse presentation on file for {knot!r}")
         return fio.load_morse(fixdir, knot)
     if isinstance(knot, GaussDiagram):
         for events in fio.load_morses(fixdir, names):
             if trace(events).diagram == knot:
                 return events
-        raise ValueError("no Morse presentation on file for this diagram; "
-                         "pass the column events explicitly")
+        raise fio.InputError("no Morse presentation on file for this diagram; "
+                             "pass the column events explicitly")
     raise TypeError(f"cannot build a rotation loop from {knot!r}")
 
 
@@ -114,7 +110,7 @@ def v2_diagram(fixtures=None) -> ArrowDiagram:
     return fio.load_fixture(fixtures, "formulas/v2_diagram.json", fio.diagram_from_json)
 
 
-def v2(k: GaussDiagram, fixtures=None) -> Fraction:
+def v2(k: GaussDiagram, fixtures=None) -> int:
     """The Casson invariant of a long knot via its two-arrow formula."""
     return pair(v2_diagram(fixtures), k)
 

@@ -152,11 +152,11 @@ EMPTY_GAUSS = GaussDiagram((), {})
 EMPTY_ARROW = ArrowDiagram(())
 
 
-def _exact(coeff) -> Fraction:
-    """A coefficient as a Fraction; floats are refused, as they are not exact."""
+def _exact(coeff) -> int | Fraction:
+    """The coefficient itself; floats are refused, as they are not exact."""
     if isinstance(coeff, float):
         raise TypeError(f"float coefficient {coeff!r}: use an int or a Fraction")
-    return Fraction(coeff)
+    return coeff
 
 
 class FormalSum:
@@ -181,8 +181,8 @@ class FormalSum:
         else:
             self._c[key] = c
 
-    def __getitem__(self, key) -> Fraction:
-        return self._c.get(key, Fraction(0))
+    def __getitem__(self, key) -> int | Fraction:
+        return self._c.get(key, 0)
 
     def __iter__(self) -> Iterator:
         return iter(self._c.items())
@@ -226,10 +226,10 @@ class FormalSum:
     def __hash__(self):
         raise TypeError("FormalSum is unhashable")
 
-    def dot(self, other: "FormalSum") -> Fraction:
+    def dot(self, other: "FormalSum") -> int | Fraction:
         """Orthonormal product with respect to the shared basis."""
         a, b = (self, other) if len(self) <= len(other) else (other, self)
-        total = Fraction(0)
+        total = 0
         for k, v in a.items():
             w = b[k]
             if w:
@@ -243,7 +243,7 @@ class FormalSum:
         return "FormalSum(" + " + ".join(parts) + ")"
 
 
-def pair(a: ArrowDiagram, g: GaussDiagram) -> Fraction:
+def pair(a: ArrowDiagram, g: GaussDiagram) -> int:
     """Polyak-Viro pairing <A, G> = <completions(A), subdiagrams(G)>.
 
     Computed by direct embedding count: every ordered assignment of
@@ -256,9 +256,9 @@ def pair(a: ArrowDiagram, g: GaussDiagram) -> Fraction:
     ids_a = a.arrow_ids()
     ids_g = g.arrow_ids()
     if len(ids_a) > len(ids_g):
-        return Fraction(0)
+        return 0
     pos_g = {t: j for j, t in enumerate(g.word)}
-    total = Fraction(0)
+    total = 0
     for chosen in itertools.permutations(ids_g, len(ids_a)):
         assign = dict(zip(ids_a, chosen))
         # Induced positions of a's tokens inside g must be order-isomorphic

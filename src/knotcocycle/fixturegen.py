@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .diagrams import ArrowDiagram, FormalSum, format_diagram, pair
@@ -120,7 +119,7 @@ def gen_triangle_relations(out: Path) -> None:
 def _row_to_formula(row: tuple, variables) -> list:
     fs = FormalSum()
     for j, v in row:
-        fs.add(variables[j], Fraction(v))
+        fs.add(variables[j], v)
     return fio.formula_to_json(fs)
 
 
@@ -162,7 +161,7 @@ def gen_strata(out: Path) -> System:
     # Tetrahedron pair: quadruple rows not spanned by the cube rows.
     cube_rows = sorted(set().union(*(cls["rows"] for cls in scenes.values())) - {()})
     cube_span, _ = rref(SparseMatrix(len(cube_rows), len(variables),
-                                     [dict((j, Fraction(v)) for j, v in r) for r in cube_rows]))
+                                     [dict(r) for r in cube_rows]))
     novel = []
     seen = set()
     for m in quadruple_meridians():
@@ -170,7 +169,7 @@ def gen_strata(out: Path) -> System:
         if not norm or norm in seen:
             continue
         seen.add(norm)
-        if residual(cube_span, dict((j, Fraction(v)) for j, v in norm)):
+        if residual(cube_span, dict(norm)):
             novel.append(meridian_equation(m))
     if len(novel) != 2:
         raise RuntimeError(f"expected 2 novel tetrahedron equations, got {len(novel)}")
@@ -213,7 +212,7 @@ def derive_alpha31(system: System) -> FormalSum:
         raise RuntimeError(f"sweep-counting first germ not unique: {first}")
     fg = first[0]
     invisible = [j for j in range(len(variables)) if j not in profile]
-    res = {j: residual(trivial_span, {j: Fraction(1)}) for j in (fg, *invisible)}
+    res = {j: residual(trivial_span, {j: 1}) for j in (fg, *invisible)}
 
     candidates = _unit_candidates(fg, invisible, res, target, len(variables))
     if not candidates:
@@ -288,7 +287,7 @@ def _rot_profiles(var_index):
                 for key, c in ti(germ, {3}).items():
                     j = var_index.get(key)
                     if j is not None:
-                        rec = profile.setdefault(j, [Fraction(0)] * 4)
+                        rec = profile.setdefault(j, [0] * 4)
                         rec[2 * pos + (0 if tag == "bottom" else 1)] += c
     return {j: tuple(rec) for j, rec in profile.items()}
 

@@ -1,4 +1,8 @@
-"""JSON (de)serialisation of diagrams, germs, moves and fixtures.
+"""The program's one input boundary, and the JSON form of its objects.
+
+Every file the program reads, fixtures and files named on the command
+line alike, goes through ``read``: one that cannot be read, is not UTF-8
+or does not parse becomes an ``InputError`` naming its path.
 
 The fixture directory is resolved with explicit precedence: a path given
 programmatically (or via the CLI flag), then the KNOT_COCYCLE_FIXTURES
@@ -9,6 +13,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,10 +23,11 @@ from .germs import Germ
 from .moves import Move, R1_BIRTH, R1_DEATH, R2_BIRTH, R2_DEATH, R3
 
 ENV_VAR = "KNOT_COCYCLE_FIXTURES"
+_ID_KEY = re.compile(r"0|-?[1-9][0-9]*")  # the decimal form of an int, and only that
 
 
-class FixtureError(ValueError):
-    """A fixture file that cannot be read or parsed, or lacks an entry."""
+class InputError(ValueError):
+    """A file or value from outside the program that cannot be read or parsed."""
 
 
 def resolve_fixtures(explicit=None) -> Path:
@@ -86,13 +93,18 @@ def diagram_to_json(d: ArrowDiagram) -> dict:
 
 
 def diagram_from_json(obj: dict):
+    """A diagram; a ``degree``, when present, must be half the word's length."""
     obj = _dict(obj, "diagram")
     word = []
     for t in _list(obj["word"], None, "word"):
         t = _dict(t, "token")
         word.append((_int(t["id"], "arrow id"), _field(t["kind"], (TAIL, HEAD), "token kind")))
+    if "degree" in obj and 2 * _int(obj["degree"], "degree") != len(word):
+        raise ValueError(f"degree {obj['degree']} does not fit a word of {len(word)} tokens")
     if "signs" in obj:
         signs = _dict(obj["signs"], "signs")
+        if not all(_ID_KEY.fullmatch(a) for a in signs):
+            raise ValueError(f"sign keys must be arrow ids in decimal, got {list(signs)}")
         return GaussDiagram(word, {int(a): _field(s, (1, -1), "sign") for a, s in signs.items()})
     return ArrowDiagram(word)
 
@@ -162,14 +174,26 @@ def formula_from_json(obj: list) -> FormalSum:
     return out
 
 
-def load_json(path: Path):
+@contextmanager
+def _reading(path, what: str):
+    """A failure to read or parse ``path`` in the block, raised as an ``InputError``."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise FixtureError(f"cannot read {path}: {exc.strerror}") from exc
-    except ValueError as exc:
-        raise FixtureError(f"malformed JSON in {path}: {exc}") from exc
+        yield
+    except (OSError, UnicodeDecodeError) as exc:  # a UnicodeDecodeError has no strerror
+        raise InputError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        detail = f"no entry {exc}" if isinstance(exc, KeyError) else exc
+        raise InputError(f"malformed {what} {path}: {detail}") from exc
+
+
+def read(path, parse, what: str):
+    """``parse`` of the text of a file; any failure is an ``InputError`` naming it."""
+    with _reading(path, what):
+        return parse(Path(path).read_text(encoding="utf-8"))
+
+
+def load_json(path):
+    return read(path, json.loads, "JSON file")
 
 
 def save_json(path: Path, obj) -> None:
@@ -180,14 +204,11 @@ def save_json(path: Path, obj) -> None:
 
 
 def load_fixture(fixtures, name: str, parse):
-    """``parse`` of a fixture file; a malformed one raises ``FixtureError``."""
+    """``parse`` of a fixture file; a malformed one raises ``InputError``."""
     path = resolve_fixtures(fixtures) / name
     obj = load_json(path)
-    try:
+    with _reading(path, "fixture"):
         return parse(obj)
-    except (ValueError, KeyError, TypeError) as exc:
-        what = f"no entry {exc}" if isinstance(exc, KeyError) else exc
-        raise FixtureError(f"malformed fixture {path}: {what}") from exc
 
 
 def load_knot(fixtures: Path, name: str) -> GaussDiagram:
@@ -202,8 +223,7 @@ def load_morses(fixtures: Path, names):
     """The Morse presentation of each name in turn, from one read of the template."""
     path = fixtures / "loops" / "rot_template.json"
     obj = load_json(path)
-    knots = obj.get("knots") if isinstance(obj, dict) else None
     for name in names:
-        if not isinstance(knots, dict) or name not in knots:
-            raise FixtureError(f"{path} has no Morse presentation of {name!r}")
-        yield [tuple(ev) for ev in knots[name]]
+        with _reading(path, "fixture"):
+            events = [tuple(ev) for ev in obj["knots"][name]]
+        yield events

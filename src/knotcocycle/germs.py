@@ -219,9 +219,9 @@ def _dist_key(g: Germ):
     return g.dist
 
 
-def canonical_term(germ: Germ, coeff=1) -> tuple[Germ, Fraction]:
+def canonical_term(germ: Germ, coeff=1) -> tuple[Germ, int | Fraction]:
     c, s = germ.canonical()
-    return c, Fraction(coeff) * s
+    return c, coeff * s
 
 
 def _germ_data(g0, move: Move):
@@ -491,7 +491,7 @@ def ti(germ_or_chain, degrees=None) -> FormalSum:
     return out
 
 
-def pair_germ(alpha: FormalSum, gamma) -> Fraction:
+def pair_germ(alpha: FormalSum, gamma) -> int | Fraction:
     """<alpha, gamma> = <alpha, TI(gamma)> for a germ or chain gamma.
 
     Only the subgerms in the degrees of alpha's terms can meet alpha, so

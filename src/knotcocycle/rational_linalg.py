@@ -1,7 +1,8 @@
 """Exact sparse linear algebra over the rationals.
 
-Rows are stored as sparse mappings from column index to nonzero
-Fraction.  Elimination picks, for each pivot column in increasing order,
+Rows map column indices to nonzero ints or Fractions, made Fractions
+where they enter an elimination or a reduction so that division stays
+exact.  Elimination picks, for each pivot column in increasing order,
 the sparsest remaining candidate row (lowest row index on ties), so the
 reduced form and the kernel basis are reproducible.
 """
@@ -52,7 +53,7 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int):
     Pivots are taken in increasing column order, so the i-th row has its
     leading entry, 1, in the i-th pivot column.
     """
-    work = [dict(r) for r in rows if r]
+    work = [{c: Fraction(v) for c, v in r.items()} for r in rows if r]
     pivots: list[int] = []
     final: list[dict[int, Fraction]] = []
     for col in range(ncols):
@@ -111,7 +112,7 @@ def residual(reduced: SparseMatrix, row: dict[int, Fraction]) -> dict[int, Fract
     row lies in the span, and equal for rows that differ by a member of
     the span.  Eliminate once with ``rref`` to reduce many rows.
     """
-    work = dict(row)
+    work = {c: Fraction(v) for c, v in row.items()}
     for prow in reduced.rows:
         f = work.get(min(prow))
         if f:

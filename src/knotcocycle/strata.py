@@ -40,9 +40,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, HEAD, TAIL
-from .germs import (Germ, KIND_P, KIND_R2, KIND_R3, add_ti, boundary, check_closed,
-                    enumerate_arrow_3germs, enumerate_partial_germs, germ_between, make_germ,
-                    reversed_chain)
+from .germs import (Germ, KIND_P, KIND_R2, KIND_R3, add_ti, enumerate_arrow_3germs,
+                    enumerate_partial_germs, germ_between, make_germ, reversed_chain)
 from .moves import (R1_DEATH, R2_BIRTH, R2_DEATH, _fresh_ids, enumerate_moves, r2_birth_word,
                     r2_death, r3_moves, transpose)
 from .rational_linalg import SparseMatrix, rank
@@ -61,12 +60,6 @@ class Meridian:
 
     def base(self) -> GaussDiagram:
         return self.germs[0].g0
-
-    def check_closed(self) -> None:
-        check_closed(self.germs)
-
-    def boundary(self) -> FormalSum:
-        return sum((boundary(g) for g in self.germs), FormalSum())
 
 
 def ti_meridian(m: Meridian, s: frozenset[int], degrees=None) -> FormalSum:
@@ -258,7 +251,7 @@ def restrict_to_variables(fs: FormalSum, var_index: dict) -> dict[int, Fraction]
     for key, c in fs.items():
         j = var_index.get(key)
         if j is not None:
-            row[j] = row.get(j, Fraction(0)) + c
+            row[j] = row.get(j, 0) + c
     return {j: v for j, v in row.items() if v}
 
 
@@ -315,7 +308,7 @@ class System:
     full_rows: list[FormalSum] = field(default_factory=list)
 
     def matrix(self) -> SparseMatrix:
-        rows = [dict((j, Fraction(v)) for j, v in row) for row in self.rows]
+        rows = [dict(row) for row in self.rows]
         return SparseMatrix(len(rows), len(self.variables), rows)
 
     def rank(self) -> int:
@@ -395,7 +388,7 @@ def reversal_on_rows(variables, var_index):
         rev[j] = (var_index[gr], s)
 
     def reverse_row(row: tuple) -> tuple:
-        return normalise_row({rev[j][0]: Fraction(v) * rev[j][1] for j, v in row})
+        return normalise_row({rev[j][0]: v * rev[j][1] for j, v in row})
 
     return reverse_row
 

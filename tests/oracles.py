@@ -52,7 +52,9 @@ computes another way:
   ``strata.banned_variable``;
 - ``positional_coboundary``: dA with its R1 and R2 terms found by
   scanning the ``arrow_positions`` table for isolated arrows and
-  killable pairs, against the death moves of ``coboundary.coboundary``.
+  killable pairs, against the death moves of ``coboundary.coboundary``;
+- ``chain_boundary``: the sum of ``germs.boundary`` over a germ chain,
+  which telescopes to zero on a closed chain such as a meridian.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ from fractions import Fraction
 from knotcocycle.cocycles import trivial_cocycle_vectors
 from knotcocycle.diagrams import HEAD, TAIL, ArrowDiagram, FormalSum, GaussDiagram
 from knotcocycle.germs import (KIND_P, KIND_R1, KIND_R2, Germ, _delete_from_germ, _subgerm_walk,
-                               canonical_term, enumerate_arrow_diagrams, make_germ,
+                               boundary, canonical_term, check_closed,
+                               enumerate_arrow_diagrams, make_germ,
                                monotonic_reduce, partial_germ_into, r3_germ_into, subgerms)
 from knotcocycle.moves import (MOVE_KINDS, R1_BIRTH, R2_BIRTH, InvalidMove, _literally_equal,
                                apply_move, arrow_positions, edge_flanks, enumerate_moves,
@@ -452,7 +455,7 @@ def walked_cube_meridians(scenes):
                         continue
                     if _literally_equal(dies.g1, g0):
                         m = Meridian(CUBE, [born, slide1, slide2, dies], byst)
-                        m.check_closed()
+                        check_closed(m.germs)
                         yield m
 
 
@@ -528,3 +531,8 @@ def positional_coboundary(a: ArrowDiagram) -> FormalSum:
         key, coeff = canonical_term(partial_germ_into(a, gap))
         lam.add(key, coeff)
     return out + monotonic_reduce(lam)
+
+
+def chain_boundary(germs) -> FormalSum:
+    """The boundary of a germ chain: the sum of the boundaries of its germs."""
+    return sum((boundary(g) for g in germs), FormalSum())

@@ -172,6 +172,40 @@ def test_malformed_fixtures_exit_2(fixture, content, command, tmp_path, capsys):
     assert captured.out == ""
 
 
+READERS = {
+    "pair": lambda bad: ["pair", "--arrow", bad, "--gauss", str(FIXTURES / "knots" / "trefoil.json")],
+    "coboundary-json": lambda bad: ["coboundary", "--diagram", bad],
+    "coboundary-text": lambda bad: ["coboundary", "--diagram", bad],
+    "rot-test": lambda bad: ["rot-test", "--knot", bad],
+    "verify-formula": lambda bad: ["verify", "--formula", bad],
+    "eval-loop": lambda bad: ["eval-loop", "--loop", bad],
+    "verify-fixture": lambda bad: ["verify"],
+}
+
+
+@pytest.mark.parametrize("content", [None, "directory", b"\xff\xfe{\n", b"{not json"],
+                         ids=["missing", "directory", "not-utf8", "not-json"])
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_every_reader_refuses_a_bad_file_in_one_line(reader, content, tmp_path, capsys):
+    fixtures = FIXTURES
+    if reader == "verify-fixture":
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(FIXTURES, fixtures)
+        bad = fixtures / "formulas" / "alpha31.json"
+        bad.unlink()
+    else:
+        bad = tmp_path / ("bad.txt" if reader == "coboundary-text" else "bad.json")
+    if content == "directory":
+        bad.mkdir()
+    elif content is not None:
+        bad.write_bytes(content)
+    assert main(["--fixtures", str(fixtures), *READERS[reader](str(bad))]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), captured.err
+    assert captured.out == ""
+
+
 def test_rot_test_without_a_template_entry_exits_2(tmp_path, capsys):
     fixtures = tmp_path / "fixtures"
     shutil.copytree(FIXTURES, fixtures)

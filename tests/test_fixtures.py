@@ -10,7 +10,7 @@ from knotcocycle.diagrams import format_diagram
 from knotcocycle.fixturegen import derive_v2_diagram
 from knotcocycle.morse import FIXTURE_MORSE, trace
 from knotcocycle.rational_linalg import solve_in_span
-from oracles import subset_unit_candidates
+from oracles import chain_boundary, subset_unit_candidates
 
 
 def test_knot_fixtures_match_morse_traces(fixtures_dir, knots):
@@ -46,6 +46,7 @@ def test_germ_json_roundtrip(fixtures_dir):
 
 
 def test_scene_fixture_meridians_are_closed(fixtures_dir):
+    from knotcocycle.germs import check_closed
     from knotcocycle.moves import _literally_equal
     from knotcocycle.strata import Meridian
     obj = fio.load_json(fixtures_dir / "strata" / "fig7_scenes.json")
@@ -53,9 +54,9 @@ def test_scene_fixture_meridians_are_closed(fixtures_dir):
     for scene in obj["scenes"]:
         germs = [fio.germ_from_json(g) for g in scene["germs"]]
         m = Meridian("cube", germs)
-        m.check_closed()
+        check_closed(m.germs)
         assert _literally_equal(germs[-1].g1, germs[0].g0)
-        assert not m.boundary()
+        assert not chain_boundary(m.germs)
         assert scene["pictures"] == 8
         assert scene["meridians"] == 24
 
@@ -115,6 +116,22 @@ def test_germ_loader_rejects_a_germ_that_is_not_its_move(kind):
     assert bad["kind"] == kind
     with pytest.raises(ValueError):
         fio.germ_from_json(bad)
+
+
+TOKENS = [{"id": 1, "kind": "T"}, {"id": 1, "kind": "H"}]
+
+
+@pytest.mark.parametrize("obj", [
+    {"word": TOKENS, "signs": {"01": 1, "1": -1}},
+    {"word": TOKENS, "signs": {" 1": 1}},
+    {"word": TOKENS, "signs": {"+1": 1}},
+    {"degree": 7, "word": TOKENS},
+    {"degree": 0, "word": TOKENS, "signs": {"1": 1}},
+    {"degree": True, "word": TOKENS},
+], ids=["leading-zero-key", "space-key", "plus-key", "degree-7", "degree-0", "bool-degree"])
+def test_diagram_loader_refuses_what_the_text_reader_refuses(obj):
+    with pytest.raises(ValueError):
+        fio.diagram_from_json(obj)
 
 
 def test_fixturegen_refuses_an_output_under_a_file(tmp_path, capsys):

@@ -1,11 +1,13 @@
 from fractions import Fraction
 
+from knotcocycle.germs import check_closed
 from knotcocycle.moves import _literally_equal
 from knotcocycle.quadruple import quadruple_meridians
 from knotcocycle.rational_linalg import SparseMatrix, in_row_span
 from knotcocycle.strata import (homogeneous_parts, normalise_row,
                                 restrict_to_variables, reversal_on_rows,
                                 row_of_meridian, ti_meridian, variable_basis)
+from oracles import chain_boundary
 
 
 def test_quadruple_movie_structure():
@@ -14,9 +16,9 @@ def test_quadruple_movie_structure():
     for m in ms:
         assert len(m.germs) == 8
         assert all(g.kind == "R3" for g in m.germs)
-        m.check_closed()
+        check_closed(m.germs)
         assert _literally_equal(m.germs[-1].g1, m.base())
-        assert not m.boundary()
+        assert not chain_boundary(m.germs)
         # positive braid-like: every crossing positive throughout
         for g in m.germs:
             assert all(s == 1 for s in g.g1.signs.values())
