@@ -19,19 +19,27 @@ from .germs import (Germ, _germ_data, boundary, canonical_term, monotonic_reduce
 from .moves import R1_DEATH, R2_DEATH, enumerate_moves, r3_moves, split_gaps
 
 
+def deaths(a: ArrowDiagram) -> list:
+    """A's R1 deaths in word order, then its R2 deaths in sorted-pair order."""
+    return enumerate_moves(a, R1_DEATH) + enumerate_moves(a, R2_DEATH)
+
+
+def death_germ(a: ArrowDiagram, death) -> Germ:
+    """A death of A read as a birth: the germ from A without the dead arrows to A."""
+    kind, dist = _germ_data(a, death)
+    return Germ(kind, a.delete(death.data), a, dist)
+
+
 def coboundary(a: ArrowDiagram) -> FormalSum:
     """dA by insertion into A: the R1, R2 and R3 terms, then the reduced partial ones.
 
-    The R1 and R2 terms are A's deaths read as births: each R1 death
-    (in word order) and each R2 death (in sorted-pair order) gives the
-    germ from A without the dead arrows to A.
+    The R1 and R2 terms are the germs of A's ``deaths`` read as births.
     """
     if isinstance(a, GaussDiagram):
         raise TypeError("the coboundary acts on arrow diagrams")
     out = FormalSum()
-    for death in enumerate_moves(a, R1_DEATH) + enumerate_moves(a, R2_DEATH):
-        kind, dist = _germ_data(a, death)
-        key, coeff = canonical_term(Germ(kind, a.delete(death.data), a, dist))
+    for death in deaths(a):
+        key, coeff = canonical_term(death_germ(a, death))
         out.add(key, coeff)
 
     for move in r3_moves(a):

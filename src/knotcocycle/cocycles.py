@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, pair
-from .germs import (Germ, KIND_R3, OpenLoopError, check_closed, enumerate_arrow_diagrams,
-                    make_germ, pair_germ, reversed_chain)
-from .coboundary import coboundary
-from .moves import Move, R1_DEATH, R2_DEATH, enumerate_moves, move_between
+from .germs import (Germ, KIND_R1, KIND_R2, KIND_R3, OpenLoopError, check_closed,
+                    enumerate_arrow_diagrams, make_germ, pair_germ, reversed_chain)
+from .coboundary import coboundary, death_germ, deaths
+from .moves import Move, move_between
 from . import fixtures_io as fio
 from .morse import rot_moves, trace
 from .rational_linalg import SparseMatrix, rank, solve_in_span
@@ -88,6 +88,11 @@ def rot_loop(knot, fixtures=None) -> Loop:
     return Loop(*rot_moves(_resolve_morse(knot, fixtures)))
 
 
+# What a caller can give instead of a knot with no presentation on file.
+_ON_FILE = ("rot-test takes unknot, trefoil or figure8, by name or as a diagram file equal to "
+            "one; from Python, pass the knot's column events to cocycles.rot_loop")
+
+
 def _resolve_morse(knot, fixtures=None):
     if isinstance(knot, list):
         return knot
@@ -95,14 +100,13 @@ def _resolve_morse(knot, fixtures=None):
     names = ("unknot", "trefoil", "figure8")
     if isinstance(knot, str):
         if knot not in names:
-            raise fio.InputError(f"no Morse presentation on file for {knot!r}")
+            raise fio.InputError(f"no Morse presentation on file for {knot!r}: {_ON_FILE}")
         return fio.load_morse(fixdir, knot)
     if isinstance(knot, GaussDiagram):
         for events in fio.load_morses(fixdir, names):
             if trace(events).diagram == knot:
                 return events
-        raise fio.InputError("no Morse presentation on file for this diagram; "
-                             "pass the column events explicitly")
+        raise fio.InputError(f"no Morse presentation on file for this diagram: {_ON_FILE}")
     raise TypeError(f"cannot build a rotation loop from {knot!r}")
 
 
@@ -135,13 +139,21 @@ def _coboundary(a: ArrowDiagram) -> FormalSum:
     return coboundary(a)
 
 
-def trivial_cocycle_vectors(degree: int = 3) -> tuple[FormalSum, ...]:
-    """The nonzero coboundaries dA of the arrow diagrams A of a degree.
+def trivial_cocycle_vectors(degree: int, allowed) -> tuple[FormalSum, ...]:
+    """The nonzero coboundaries dA of a degree that can lie on ``allowed``, a set of germs.
 
-    In arrow-diagram order; they span the trivial cocycles at this degree.
-    Each dA is computed once per process, so callers must not mutate them.
+    In arrow-diagram order.  An A is left out, before its dA is computed,
+    when it has a death whose germ (``death_germ``) is not in ``allowed``:
+    that germ is a +1 term of dA, and no other dA has it, for A is its
+    larger side, so A has coefficient 0 in every combination of the dA
+    that lives on ``allowed``.  With no R1 or R2 germ allowed, every A
+    with a death goes and no death germ is built.  Each dA is computed
+    once per process, so callers must not mutate them.
     """
-    return tuple(db for db in map(_coboundary, enumerate_arrow_diagrams(degree)) if db)
+    births = any(g.kind in (KIND_R1, KIND_R2) for g in allowed)
+    diagrams = (a for a in enumerate_arrow_diagrams(degree) if not (ds := deaths(a))
+                or births and all(death_germ(a, d) in allowed for d in ds))
+    return tuple(db for db in map(_coboundary, diagrams) if db)
 
 
 def trivial_variable_vectors(var_index) -> list[dict[int, Fraction]]:
@@ -149,15 +161,11 @@ def trivial_variable_vectors(var_index) -> list[dict[int, Fraction]]:
 
     Coboundaries with support outside the variables are not vectors of
     this coordinate space and are skipped; the rest come in
-    arrow-diagram enumeration order.  An A with a death move (an R1 or
-    R2 death) is skipped before its dA is computed: each death gives dA
-    an R1 or R2 term with coefficient +1, and such terms cannot cancel.
+    arrow-diagram enumeration order.  No variable is an R1 or R2 germ, so
+    no A with a death has its dA computed (``trivial_cocycle_vectors``).
     """
     out = []
-    for a in enumerate_arrow_diagrams(3):
-        if enumerate_moves(a, R1_DEATH) or enumerate_moves(a, R2_DEATH):
-            continue
-        db = _coboundary(a)
+    for db in trivial_cocycle_vectors(3, var_index):
         if any(k not in var_index for k in db.keys()):
             continue
         vec = restrict_to_variables(db, var_index)
@@ -200,15 +208,16 @@ def verify_cocycle(alpha: FormalSum, system: System | None = None,
     Violations are computed with the full pairing (all germ kinds), so
     coboundaries dA pass by the Stokes formula even though they carry
     R1 and R2 terms.  ``alpha`` is reported trivial when it lies in the
-    span of the coboundaries dA with deg A in ``TRIVIAL_DEGREES``, 0 to 3.
-    The dimensions are those of the system.
+    span of the coboundaries dA with deg A in ``TRIVIAL_DEGREES``, 0 to 3;
+    only the dA that can meet alpha's terms are computed.  The dimensions
+    are those of the system.
     """
     if system is None:
         system = assemble_default_system(fixtures)
     violated = [i for i, fs in enumerate(system.full_rows) if alpha.dot(fs) != 0]
 
     rows = [{g.key(): c for g, c in db.items()}
-            for deg in TRIVIAL_DEGREES for db in trivial_cocycle_vectors(deg)]
+            for deg in TRIVIAL_DEGREES for db in trivial_cocycle_vectors(deg, alpha.keys())]
     target = {g.key(): c for g, c in alpha.items()}
     trivial = solve_in_span(rows, target) is not None
 

@@ -1,8 +1,9 @@
 """The program's one input boundary, and the JSON form of its objects.
 
 Every file the program reads, fixtures and files named on the command
-line alike, goes through ``read``: one that cannot be read, is not UTF-8
-or does not parse becomes an ``InputError`` naming its path.
+line alike, goes through ``read``: one that cannot be read, is longer
+than ``MAX_INPUT_BYTES``, is not UTF-8 or does not parse becomes an
+``InputError`` naming its path.
 
 The fixture directory is resolved with explicit precedence: a path given
 programmatically (or via the CLI flag), then the KNOT_COCYCLE_FIXTURES
@@ -24,6 +25,9 @@ from .moves import Move, R1_BIRTH, R1_DEATH, R2_BIRTH, R2_DEATH, R3
 
 ENV_VAR = "KNOT_COCYCLE_FIXTURES"
 _ID_KEY = re.compile(r"0|-?[1-9][0-9]*")  # the decimal form of an int, and only that
+# The largest file the package writes, fixtures/strata/fig9_tetra.json,
+# is about 101 KB; the cap on any file read is some 160 times that.
+MAX_INPUT_BYTES = 16 * 2**20
 
 
 class InputError(ValueError):
@@ -187,9 +191,16 @@ def _reading(path, what: str):
 
 
 def read(path, parse, what: str):
-    """``parse`` of the text of a file; any failure is an ``InputError`` naming it."""
+    """``parse`` of the text of a file; any failure is an ``InputError`` naming it.
+
+    At most ``MAX_INPUT_BYTES`` + 1 bytes are read, before any decoding.
+    """
+    with _reading(path, what), open(path, "rb") as fh:
+        data = fh.read(MAX_INPUT_BYTES + 1)
+    if len(data) > MAX_INPUT_BYTES:
+        raise InputError(f"cannot read {path}: longer than {MAX_INPUT_BYTES} bytes")
     with _reading(path, what):
-        return parse(Path(path).read_text(encoding="utf-8"))
+        return parse(data.decode("utf-8"))
 
 
 def load_json(path):

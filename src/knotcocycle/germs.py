@@ -30,13 +30,12 @@ The two relator families of the theory are the two cases up = 0 and
 up = 2, images of each other under reversing every arrow.
 
 T(I(germ)) is summed over the subgerms of the unsigned skeleton.  A
-subgerm that keeps at most one arrow b besides the distinguished ones,
-less at most one of those, is all that a degree-3 formula reads; its
-normal form depends only on where the distinguished arrows' ends lie on
-the two sides and on where b's ends fall among them.  ``add_ti`` reads
-those from the placement table ``_PLACEMENTS``, one dict per process,
-filled on a miss by deleting and canonicalising as for every other
-subgerm.  Normal forms keep their ``key()`` and hash once computed.
+subgerm's normal form depends only on where the distinguished arrows'
+ends lie on the two sides, on which of them it drops, and on where the
+ends of the other arrows it keeps fall among them.  ``add_ti`` reads
+every subgerm from the placement table ``_PLACEMENTS``, one per process,
+filled on a miss by deleting and canonicalising.  Normal forms keep
+their ``key()`` and hash once computed.
 """
 
 from __future__ import annotations
@@ -375,88 +374,66 @@ def add_ti(out: FormalSum, germ: Germ, coeff=1, keep: frozenset[int] = frozenset
     product of the signs of the arrows S keeps times the normal form of
     S, added in the walk's order.
 
-    A subgerm that keeps at most one non-distinguished arrow b is read
-    from the placement table ``_PLACEMENTS`` (see ``_placement``): one
-    pass over the words records every bystander's slots, and each such
-    subgerm is one lookup of (placement, dropped distinguished arrow,
-    b's slots on g0, b's slots on g1), with no walk over the others.  A
-    miss deletes and canonicalises as below and stores the result.
-    Every other subgerm is deleted from the skeleton and canonicalised,
-    one canonicalisation and four diagram constructions per term.  An R3
-    germ of degree n read in degree 3 (alpha31, the cube equations) so
-    costs O(n) instead of O(n^2).
+    Every normal form is read from the table ``_PLACEMENTS``, keyed by
+    the germ's placement (``_placement``, one pass over the words), the
+    dropped distinguished arrow and the kept arrows' ends (``_slots``,
+    O(k log k) for k kept arrows).  A miss deletes the removed arrows from
+    the skeleton, canonicalises, and stores the result.  An R3 germ of
+    degree n read in degree 3 (alpha31, the cube equations) so costs O(n),
+    and one read in degree 4 O(n^2), with no canonicalisation once the
+    table holds its shapes.
     """
     if not germ.signed:
         raise ValueError("T applies to signed germs")
-    big = germ.bigger()
-    signs, prod = big.signs, big.sign_product()
-    # The signed germ has its skeleton's words and distinguished arrows;
-    # the skeleton itself is built only for subgerms that are deleted.
     dist, rest, levels = _subgerm_levels(germ, keep, drop, degrees)
-    wide = len(rest) + len(keep) - 2  # the levels up to this one keep two or more
-    placed = _placement(germ, dist) if levels and levels[-1][0] > wide else None
+    if not levels:
+        return
+    signs = germ.bigger().signs
+    base, label, ends = _placement(germ, dist)
+    table = _PLACEMENTS.setdefault(base, {})
+    bare = 1  # the sign product of the arrows that every subgerm keeps
+    for a in itertools.chain(dist, keep):
+        bare *= signs[a]
     skel = None
     for r, dds in levels:
-        if r <= wide or placed is None:
-            skel = skel or _skeleton(germ)
-            for bys in itertools.combinations(rest, r):
-                for dd in dds:
-                    removed = drop.union(bys, dd)
-                    weight = prod
-                    for a in removed:
-                        weight *= signs[a]
-                    key, c = canonical_term(_delete_from_germ(skel, removed), coeff * weight)
-                    out.add(key, c)
-            continue
-        base, label, (slots0, slots1) = placed
-        bare = prod  # the weight with every free bystander removed
-        for a in itertools.chain(drop, rest):
-            bare *= signs[a]
-        # combinations(rest, len(rest) - 1) leaves out the last arrow first.
-        for b in reversed(rest) if r < len(rest) else keep or (None,):
-            weight = bare * signs[b] if r < len(rest) else bare
+        # The arrows kept when combinations(rest, r) removes the others, in its order.
+        for kept in reversed(list(itertools.combinations(rest, len(rest) - r))):
+            weight = bare
+            for b in kept:
+                weight *= signs[b]
+            slots = _slots(ends, (*keep, *kept))
             for dd in dds:
-                key = (base, label[dd[0]] if dd else 0, slots0.get(b, ()), slots1.get(b, ()))
-                hit = _PLACEMENTS.get(key)
+                key = (label[dd[0]] if dd else 0, slots)
+                hit = table.get(key)
                 if hit is None:
-                    skel = skel or _skeleton(germ)
-                    removed = drop.union((a for a in rest if a != b), dd)
-                    hit = _PLACEMENTS[key] = _delete_from_germ(skel, removed).canonical()
+                    skel = skel or Germ(germ.kind, germ.g0.skeleton(), germ.g1.skeleton(), germ.dist)
+                    removed = drop.union(set(rest).difference(kept), dd)
+                    hit = table[key] = _delete_from_germ(skel, removed).canonical()
                 canon, s = hit
                 out.add(canon, coeff * (weight * signs[dd[0]] if dd else weight) * s)
 
 
-def _skeleton(germ: Germ) -> Germ:
-    return Germ(germ.kind, germ.g0.skeleton(), germ.g1.skeleton(), germ.dist)
-
-
-# Subgerm normal forms by unsigned placement, one table per process,
-# filled on a miss by ``add_ti``; nothing is built up front.
+# Subgerm normal forms by placement, then by the dropped distinguished
+# arrow and the kept ends: one table per process, filled on a miss by
+# ``add_ti``; nothing is built up front.
 _PLACEMENTS: dict = {}
 
 
 def _placement(germ: Germ, dist: frozenset[int]):
-    """A germ's unsigned placement, its relabelling, and the other arrows' slots.
+    """A germ's unsigned placement, its relabelling, and the other arrows' ends.
 
     The distinguished arrows are relabelled 1, 2, ... by first
     occurrence on the bigger side.  The placement is the kind, their
     relabelled tokens on g0 and on g1, and for a 3-germ or a partial
     germ the number of those tokens before each distinguished gap of g1.
-    A non-distinguished arrow's slots on a side are its ends in word
-    order, each as (number of distinguished tokens before it, end).  A
-    subgerm keeping at most that arrow and the distinguished ones, less
-    at most one, is fixed by the placement, the dropped arrow and the
-    slots on both sides, so the key stays sound for formal germs with
-    arbitrary sides.  None when a distinguished gap lies outside the
-    interior of g1, whose flanks would then not be distinguished tokens;
-    such germs are expanded by deletion.
+    Each other arrow's ends on a side are its (slot, end) pairs in word
+    order, the slot being the number of distinguished tokens before the
+    end; every token's position is kept too.  A distinguished gap is
+    flanked by distinguished tokens, so no kept end shares its slot, and
+    the placement, the dropped arrow and the kept ends fix a subgerm up
+    to relabelling, also for formal germs with arbitrary sides.
     """
-    gaps = () if germ.kind in (KIND_R1, KIND_R2) else (
-        germ.dist if germ.kind == KIND_R3 else (germ.dist,))
-    word = germ.g1.word
-    if not all(0 < g < len(word) for g in gaps):
-        return None
-    pictures, slots = [], []
+    pictures, ends = [], []
     for side in (germ.g0, germ.g1):
         picture, where = [], {}
         for a, k in side.word:
@@ -465,12 +442,31 @@ def _placement(germ: Germ, dist: frozenset[int]):
             else:
                 where[a] = where.get(a, ()) + ((len(picture), k),)
         pictures.append(picture)
-        slots.append(where)
+        ends.append(where)
+    ends += ({t: i for i, t in enumerate(side.word)} for side in (germ.g0, germ.g1))
     first = pictures[::-1] if germ.bigger() is germ.g1 else pictures
     label = {a: i + 1 for i, a in enumerate(dict.fromkeys(a for p in first for a, _ in p))}
+    gaps = () if germ.kind in (KIND_R1, KIND_R2) else (
+        germ.dist if germ.kind == KIND_R3 else (germ.dist,))
+    word = germ.g1.word
     edges = tuple(sum(1 for a, _ in word[:g] if a in dist) for g in gaps)
     base = (germ.kind, *(tuple((label[a], k) for a, k in p) for p in pictures), edges)
-    return base, label, slots
+    return base, label, ends
+
+
+def _slots(ends, kept) -> tuple:
+    """The kept arrows' ends on g0 and on g1, and with two or more arrows
+    each end's arrow, relabelled by first occurrence on g0 and then g1."""
+    where0, where1, pos0, pos1 = ends
+    if len(kept) == 1:  # its arrow labels would all be 1
+        return where0.get(kept[0], ()), where1.get(kept[0], ())
+    out, arrows = [], []
+    for where, pos in ((where0, pos0), (where1, pos1)):
+        side = sorted((pos[a, k], a, slot, k) for a in kept for slot, k in where.get(a, ()))
+        out.append(tuple((slot, k) for _, _, slot, k in side))
+        arrows += (a for _, a, _, _ in side)
+    label = {a: i + 1 for i, a in enumerate(dict.fromkeys(arrows))}
+    return (*out, tuple(label[a] for a in arrows))
 
 
 def ti(germ_or_chain, degrees=None) -> FormalSum:
@@ -478,9 +474,8 @@ def ti(germ_or_chain, degrees=None) -> FormalSum:
 
     T keeps the degree of every term, so restricting I to ``degrees``
     restricts TI to them.  Every term is one subgerm of the unsigned
-    skeleton in normal form (``add_ti``), read from the placement table
-    when it keeps at most one non-distinguished arrow; the full expansion
-    of an R3 germ of degree n has 4 * 2^(n-3) terms.
+    skeleton in normal form, read from the placement table (``add_ti``);
+    the full expansion of an R3 germ of degree n has 4 * 2^(n-3) terms.
     """
     out = FormalSum()
     if isinstance(germ_or_chain, Germ):

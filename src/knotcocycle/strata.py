@@ -67,8 +67,7 @@ def ti_meridian(m: Meridian, s: frozenset[int], degrees=None) -> FormalSum:
 
     ``degrees`` restricts the output to subgerms of those degrees, as in
     ``germs.subgerms``.  Each germ is expanded on its unsigned skeleton
-    (``germs.add_ti``); in degree 3 with s of size at most one every term
-    keeps at most one bystander and is read from the placement table.
+    (``germs.add_ti``), every term read from its placement table.
     """
     if not s <= m.bystanders:
         raise ValueError("s must be a set of bystanders")

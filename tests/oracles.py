@@ -47,6 +47,9 @@ computes another way:
 - ``filtered_trivial_variable_vectors``: the trivial variable vectors
   kept after computing every degree-3 coboundary, against the R1/R2
   filter before the coboundary in ``cocycles.trivial_variable_vectors``;
+- ``spanned_by_every_coboundary``: the triviality check of ``verify``
+  over every dA with deg A from 0 to 3, against the death-term rule of
+  ``cocycles.trivial_cocycle_vectors`` that ``verify_cocycle`` applies;
 - ``positional_bans``: the four variable bans read one by one from the
   ``arrow_positions`` table of each side, against the death moves of
   ``strata.banned_variable``;
@@ -59,10 +62,12 @@ computes another way:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
-from knotcocycle.cocycles import trivial_cocycle_vectors
+from knotcocycle.coboundary import coboundary
+from knotcocycle.cocycles import TRIVIAL_DEGREES
 from knotcocycle.diagrams import HEAD, TAIL, ArrowDiagram, FormalSum, GaussDiagram
 from knotcocycle.germs import (KIND_P, KIND_R1, KIND_R2, Germ, _delete_from_germ, _subgerm_walk,
                                boundary, canonical_term, check_closed,
@@ -473,16 +478,29 @@ def subset_unit_candidates(fg, others, res, target) -> list[dict]:
     return candidates
 
 
+@functools.cache
+def every_coboundary(degree: int) -> tuple[FormalSum, ...]:
+    """The nonzero dA of every arrow diagram A of a degree, in enumeration order."""
+    return tuple(db for db in map(coboundary, enumerate_arrow_diagrams(degree)) if db)
+
+
 def filtered_trivial_variable_vectors(var_index) -> list[dict]:
     """The degree-3 coboundaries on the variables, each dA computed before it is filtered."""
     out = []
-    for db in trivial_cocycle_vectors(3):
+    for db in every_coboundary(3):
         if any(k not in var_index for k in db.keys()):
             continue
         vec = restrict_to_variables(db, var_index)
         if vec:
             out.append(vec)
     return out
+
+
+def spanned_by_every_coboundary(alpha: FormalSum) -> bool:
+    """Whether alpha lies in the span of every dA with deg A in ``TRIVIAL_DEGREES``."""
+    rows = [{g.key(): c for g, c in db.items()}
+            for deg in TRIVIAL_DEGREES for db in every_coboundary(deg)]
+    return solve_in_span(rows, {g.key(): c for g, c in alpha.items()}) is not None
 
 
 def positional_bans(germ: Germ) -> set[int]:

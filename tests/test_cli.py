@@ -206,6 +206,59 @@ def test_every_reader_refuses_a_bad_file_in_one_line(reader, content, tmp_path, 
     assert captured.out == ""
 
 
+def _one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), captured.err
+    assert captured.out == ""
+    return err[0]
+
+
+@pytest.mark.parametrize("reader", sorted(set(READERS) - {"verify-fixture"}))
+def test_every_reader_refuses_a_file_one_byte_over_the_cap(reader, tmp_path, monkeypatch,
+                                                           capsys):
+    from knotcocycle import fixtures_io as fio
+    good = FIXTURES / "knots" / "trefoil.json"
+    size = len(good.read_bytes())
+    monkeypatch.setattr(fio, "MAX_INPUT_BYTES", size - 1)
+    bad = tmp_path / ("bad.txt" if reader == "coboundary-text" else "bad.json")
+    bad.write_bytes(good.read_bytes())
+    assert main(["--fixtures", str(FIXTURES), *READERS[reader](str(bad))]) == 2
+    assert f"longer than {size - 1} bytes" in _one_error_line(capsys)
+
+
+def test_a_file_at_the_cap_is_read(monkeypatch, capsys):
+    from knotcocycle import fixtures_io as fio
+    diagram = FIXTURES / "formulas" / "v2_diagram.json"  # the only file coboundary reads
+    monkeypatch.setattr(fio, "MAX_INPUT_BYTES", len(diagram.read_bytes()))
+    assert main(["coboundary", "--diagram", str(diagram)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_coboundary_of_an_endless_file_exits_2():
+    import resource
+    limit = 1 << 30  # without the cap the child fails here, not the machine
+    proc = subprocess.run(
+        [sys.executable, "-m", "knotcocycle", "coboundary", "--diagram", "/dev/zero"],
+        capture_output=True, text=True, cwd=REPO,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    err = proc.stderr.splitlines()
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert len(err) == 1 and err[0].startswith("error:") and "longer than" in err[0]
+
+
+def test_rot_test_on_a_knot_with_no_presentation_names_what_it_takes(tmp_path, capsys):
+    from knotcocycle import fixtures_io as fio
+    from knotcocycle.diagrams import parse_diagram
+    knot = tmp_path / "two.json"
+    knot.write_text(json.dumps(fio.diagram_to_json(parse_diagram("2; T1 T2 H1 H2; ++"))))
+    assert main(["--fixtures", str(FIXTURES), "rot-test", "--knot", str(knot)]) == 2
+    err = _one_error_line(capsys)
+    assert "unknot, trefoil or figure8, by name or as a diagram file" in err
+    assert "column events to cocycles.rot_loop" in err
+
+
 def test_rot_test_without_a_template_entry_exits_2(tmp_path, capsys):
     fixtures = tmp_path / "fixtures"
     shutil.copytree(FIXTURES, fixtures)

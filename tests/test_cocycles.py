@@ -195,3 +195,49 @@ def test_trivial_variable_vectors_skip_r1_and_r2_before_the_coboundary(monkeypat
     monkeypatch.setattr(cocycles, "coboundary", lambda a: calls.append(a) or d(a))
     assert cocycles.trivial_variable_vectors(var_index) == expected
     assert len(calls) == 22 and len(expected) > 0
+
+
+def _seeded_targets(alpha, count):
+    """Combinations of dA with deg A from 0 to 3, some plus alpha31, some less one term."""
+    from knotcocycle.cocycles import TRIVIAL_DEGREES
+    from knotcocycle.germs import enumerate_arrow_diagrams
+    rng = random.Random(21)
+    diagrams = [a for deg in TRIVIAL_DEGREES for a in enumerate_arrow_diagrams(deg)]
+    for i in range(count):
+        target = FormalSum()
+        for a in rng.sample(diagrams, rng.randint(1, 4)):
+            target = target + coboundary(a).scale(rng.choice((-2, -1, 1, 3)))
+        if i % 4 == 1:
+            target = target + alpha
+        elif i % 4 == 2 and target:
+            key = rng.choice(sorted(target.keys(), key=lambda g: g.key()))
+            target.add(key, -target[key])
+        yield target
+
+
+def test_verify_triviality_agrees_with_the_span_of_every_coboundary(fixtures_dir,
+                                                                    degree3_system):
+    from oracles import spanned_by_every_coboundary
+    seen = {True: 0, False: 0}
+    with_deaths = 0
+    for target in _seeded_targets(alpha31(fixtures_dir), 64):
+        trivial = verify_cocycle(target, system=degree3_system, fixtures=fixtures_dir).trivial
+        assert trivial == spanned_by_every_coboundary(target)
+        seen[trivial] += 1
+        with_deaths += trivial and any(g.kind in ("R1", "R2") for g in target.keys())
+    assert seen[True] >= 20 and seen[False] >= 20 and with_deaths >= 20
+
+
+def test_verify_computes_only_the_coboundaries_that_can_meet_its_target(monkeypatch,
+                                                                       fixtures_dir):
+    # 22 for the trivial dimension and 3 for the span check; every dA of
+    # degree 0 to 3 would be 135.
+    import knotcocycle.cocycles as cocycles
+    cocycles._coboundary.cache_clear()
+    cocycles.system_dimensions.cache_clear()
+    calls = []
+    d = cocycles.coboundary
+    monkeypatch.setattr(cocycles, "coboundary", lambda a: calls.append(a) or d(a))
+    report = verify_cocycle(alpha31(fixtures_dir), fixtures=fixtures_dir)
+    assert report.passed and not report.trivial
+    assert len(calls) == 25

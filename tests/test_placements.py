@@ -110,8 +110,8 @@ def test_table_matches_the_expansion_on_formal_triangle_signings():
 def test_table_and_deletion_agree_on_stokes_check_germs(seed):
     """The germs of ``stokes-check --max-degree 6``, paired in deg A and expanded in full.
 
-    With every degree, a germ with two or more bystanders expands its
-    wider subgerms by deletion and the rest from the table.
+    With every degree, a germ with two or more bystanders also reads
+    subgerms that keep two or more of them from the table.
     """
     rng = random.Random(seed)
     wide = 0
@@ -127,6 +127,57 @@ def test_table_and_deletion_agree_on_stokes_check_germs(seed):
         dist, rest, levels = _subgerm_levels(germ, frozenset(), frozenset(), None)
         wide += any(r <= len(rest) - 2 for r, _ in levels)
     assert wide >= 5
+
+
+WIDE_DEGREES = ({4}, {5}, None)
+
+
+def _small_enough(g, degrees) -> bool:
+    """Whether expanding g in these degrees by deletion takes at most a few thousand terms."""
+    return g.degree <= {4: 25, 5: 15, None: 11}[degrees and min(degrees)]
+
+
+def test_table_matches_the_expansion_in_degrees_4_and_5_on_meridians(cube_meridians):
+    for m in cube_meridians:
+        for degrees in WIDE_DEGREES:
+            assert _same_terms(ti_meridian(m, frozenset(), degrees),
+                               expanded_ti_meridian(m, frozenset(), degrees))
+    for i, m in enumerate(enumerate_cube_meridians(1)):
+        if i % 12:
+            continue
+        for s in (frozenset(), m.bystanders):
+            for degrees in WIDE_DEGREES:
+                assert _same_terms(ti_meridian(m, s, degrees), expanded_ti_meridian(m, s, degrees))
+
+
+def test_table_matches_the_expansion_in_degrees_4_and_5_on_rotation_loops():
+    """Every R3 germ of the rotation loops, in full up to degree 11, and with two kept arrows."""
+    compared = 0
+    for g in _rotation_r3_germs():
+        for degrees in WIDE_DEGREES:
+            if _small_enough(g, degrees):
+                assert _same_terms(ti(g, degrees), expanded_ti(g, degrees))
+                compared += 1
+        rest = [a for a in g.arrow_ids() if a not in g.distinguished_ids()]
+        keep, drop = frozenset(rest[:2]), frozenset(rest[2:3])
+        if _small_enough(g, None):
+            table, full = FormalSum(), FormalSum()
+            add_ti(table, g, 1, keep, drop)
+            expanded_add_ti(full, g, 1, keep, drop)
+            assert _same_terms(table, full)
+    assert compared >= 200
+
+
+def test_a_second_degree_4_pass_makes_no_canonicalisation(monkeypatch):
+    fixdir = fio.resolve_fixtures(FIXTURES)
+    figure8 = fio.load_morse(fixdir, "figure8")
+    germs = [g for g in rot_loop(connected_sum(figure8, figure8)).germs if g.kind == "R3"]
+    first = [ti(g, {4}) for g in germs]
+    calls = []
+    canonical = Germ.canonical
+    monkeypatch.setattr(Germ, "canonical", lambda self: calls.append(1) or canonical(self))
+    assert [ti(g, {4}) for g in germs] == first
+    assert calls == [] and sum(len(t) for t in first) > 1000
 
 
 def test_canonicalisations_per_alpha31_pairing_do_not_grow_with_the_loop(monkeypatch):
