@@ -389,11 +389,13 @@ def add_ti(out: FormalSum, germ: Germ, coeff=1, keep: frozenset[int] = frozenset
     if not levels:
         return
     signs = germ.bigger().signs
-    base, label, ends = _placement(germ, dist)
+    most = len(keep) + len(rest) - levels[0][0]  # arrows kept by the widest subgerms
+    base, label, ends = _placement(germ, dist, positions=most > 1)
     table = _PLACEMENTS.setdefault(base, {})
     bare = 1  # the sign product of the arrows that every subgerm keeps
     for a in itertools.chain(dist, keep):
         bare *= signs[a]
+    keep = tuple(keep)
     skel = None
     for r, dds in levels:
         # The arrows kept when combinations(rest, r) removes the others, in its order.
@@ -401,12 +403,13 @@ def add_ti(out: FormalSum, germ: Germ, coeff=1, keep: frozenset[int] = frozenset
             weight = bare
             for b in kept:
                 weight *= signs[b]
-            slots = _slots(ends, (*keep, *kept))
+            slots = _slots(ends, keep + kept)
             for dd in dds:
                 key = (label[dd[0]] if dd else 0, slots)
                 hit = table.get(key)
                 if hit is None:
-                    skel = skel or Germ(germ.kind, germ.g0.skeleton(), germ.g1.skeleton(), germ.dist)
+                    if skel is None:
+                        skel = Germ(germ.kind, germ.g0.skeleton(), germ.g1.skeleton(), germ.dist)
                     removed = drop.union(set(rest).difference(kept), dd)
                     hit = table[key] = _delete_from_germ(skel, removed).canonical()
                 canon, s = hit
@@ -419,7 +422,7 @@ def add_ti(out: FormalSum, germ: Germ, coeff=1, keep: frozenset[int] = frozenset
 _PLACEMENTS: dict = {}
 
 
-def _placement(germ: Germ, dist: frozenset[int]):
+def _placement(germ: Germ, dist: frozenset[int], positions: bool):
     """A germ's unsigned placement, its relabelling, and the other arrows' ends.
 
     The distinguished arrows are relabelled 1, 2, ... by first
@@ -428,10 +431,11 @@ def _placement(germ: Germ, dist: frozenset[int]):
     germ the number of those tokens before each distinguished gap of g1.
     Each other arrow's ends on a side are its (slot, end) pairs in word
     order, the slot being the number of distinguished tokens before the
-    end; every token's position is kept too.  A distinguished gap is
-    flanked by distinguished tokens, so no kept end shares its slot, and
-    the placement, the dropped arrow and the kept ends fix a subgerm up
-    to relabelling, also for formal germs with arbitrary sides.
+    end; with ``positions``, every token's position is kept too.  A
+    distinguished gap is flanked by distinguished tokens, so no kept end
+    shares its slot, and the placement, the dropped arrow and the kept
+    ends fix a subgerm up to relabelling, also for formal germs with
+    arbitrary sides.
     """
     pictures, ends = [], []
     for side in (germ.g0, germ.g1):
@@ -443,13 +447,13 @@ def _placement(germ: Germ, dist: frozenset[int]):
                 where[a] = where.get(a, ()) + ((len(picture), k),)
         pictures.append(picture)
         ends.append(where)
-    ends += ({t: i for i, t in enumerate(side.word)} for side in (germ.g0, germ.g1))
+    ends += ([{t: i for i, t in enumerate(side.word)} for side in (germ.g0, germ.g1)]
+             if positions else [None, None])
     first = pictures[::-1] if germ.bigger() is germ.g1 else pictures
     label = {a: i + 1 for i, a in enumerate(dict.fromkeys(a for p in first for a, _ in p))}
     gaps = () if germ.kind in (KIND_R1, KIND_R2) else (
         germ.dist if germ.kind == KIND_R3 else (germ.dist,))
-    word = germ.g1.word
-    edges = tuple(sum(1 for a, _ in word[:g] if a in dist) for g in gaps)
+    edges = tuple(sum(1 for a, _ in germ.g1.word[:g] if a in dist) for g in gaps)
     base = (germ.kind, *(tuple((label[a], k) for a, k in p) for p in pictures), edges)
     return base, label, ends
 
@@ -457,11 +461,10 @@ def _placement(germ: Germ, dist: frozenset[int]):
 def _slots(ends, kept) -> tuple:
     """The kept arrows' ends on g0 and on g1, and with two or more arrows
     each end's arrow, relabelled by first occurrence on g0 and then g1."""
-    where0, where1, pos0, pos1 = ends
-    if len(kept) == 1:  # its arrow labels would all be 1
-        return where0.get(kept[0], ()), where1.get(kept[0], ())
+    if len(kept) < 2:  # no ends to merge, and the arrow labels would all be 1
+        return (ends[0].get(kept[0], ()), ends[1].get(kept[0], ())) if kept else ()
     out, arrows = [], []
-    for where, pos in ((where0, pos0), (where1, pos1)):
+    for where, pos in zip(ends[:2], ends[2:]):  # each side's ends and token positions
         side = sorted((pos[a, k], a, slot, k) for a in kept for slot, k in where.get(a, ()))
         out.append(tuple((slot, k) for _, _, slot, k in side))
         arrows += (a for _, a, _, _ in side)

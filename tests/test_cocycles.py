@@ -189,7 +189,7 @@ def test_trivial_variable_vectors_skip_r1_and_r2_before_the_coboundary(monkeypat
     from oracles import filtered_trivial_variable_vectors
     var_index = {g: j for j, g in enumerate(variable_basis(3))}
     expected = filtered_trivial_variable_vectors(var_index)
-    cocycles._coboundary.cache_clear()  # the oracle has computed every degree-3 dA
+    cocycles._coboundary.cache_clear()  # earlier tests may have computed these dA
     calls = []
     d = cocycles.coboundary
     monkeypatch.setattr(cocycles, "coboundary", lambda a: calls.append(a) or d(a))
