@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, pair
-from .germs import (Germ, KIND_R1, KIND_R2, KIND_R3, OpenLoopError, check_closed,
-                    enumerate_arrow_diagrams, make_germ, pair_germ, reversed_chain)
+from .germs import (Germ, KIND_R3, OpenLoopError, check_closed, enumerate_arrow_diagrams,
+                    make_germ, pair_germ, reversed_chain)
 from .coboundary import coboundary, death_germ, deaths
 from .moves import Move, move_between
 from . import fixtures_io as fio
@@ -146,13 +146,11 @@ def trivial_cocycle_vectors(degree: int, allowed) -> tuple[FormalSum, ...]:
     when it has a death whose germ (``death_germ``) is not in ``allowed``:
     that germ is a +1 term of dA, and no other dA has it, for A is its
     larger side, so A has coefficient 0 in every combination of the dA
-    that lives on ``allowed``.  With no R1 or R2 germ allowed, every A
-    with a death goes and no death germ is built.  Each dA is computed
-    once per process, so callers must not mutate them.
+    that lives on ``allowed``.  Each dA is computed once per process, so
+    callers must not mutate them.
     """
-    births = any(g.kind in (KIND_R1, KIND_R2) for g in allowed)
-    diagrams = (a for a in enumerate_arrow_diagrams(degree) if not (ds := deaths(a))
-                or births and all(death_germ(a, d) in allowed for d in ds))
+    diagrams = (a for a in enumerate_arrow_diagrams(degree)
+                if all(death_germ(a, d) in allowed for d in deaths(a)))
     return tuple(db for db in map(_coboundary, diagrams) if db)
 
 

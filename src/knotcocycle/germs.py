@@ -389,8 +389,7 @@ def add_ti(out: FormalSum, germ: Germ, coeff=1, keep: frozenset[int] = frozenset
     if not levels:
         return
     signs = germ.bigger().signs
-    most = len(keep) + len(rest) - levels[0][0]  # arrows kept by the widest subgerms
-    base, label, ends = _placement(germ, dist, positions=most > 1)
+    base, label, ends = _placement(germ, dist)
     table = _PLACEMENTS.setdefault(base, {})
     bare = 1  # the sign product of the arrows that every subgerm keeps
     for a in itertools.chain(dist, keep):
@@ -422,7 +421,7 @@ def add_ti(out: FormalSum, germ: Germ, coeff=1, keep: frozenset[int] = frozenset
 _PLACEMENTS: dict = {}
 
 
-def _placement(germ: Germ, dist: frozenset[int], positions: bool):
+def _placement(germ: Germ, dist: frozenset[int]):
     """A germ's unsigned placement, its relabelling, and the other arrows' ends.
 
     The distinguished arrows are relabelled 1, 2, ... by first
@@ -431,7 +430,7 @@ def _placement(germ: Germ, dist: frozenset[int], positions: bool):
     germ the number of those tokens before each distinguished gap of g1.
     Each other arrow's ends on a side are its (slot, end) pairs in word
     order, the slot being the number of distinguished tokens before the
-    end; with ``positions``, every token's position is kept too.  A
+    end, and every token's position on the side is kept too.  A
     distinguished gap is flanked by distinguished tokens, so no kept end
     shares its slot, and the placement, the dropped arrow and the kept
     ends fix a subgerm up to relabelling, also for formal germs with
@@ -447,8 +446,7 @@ def _placement(germ: Germ, dist: frozenset[int], positions: bool):
                 where[a] = where.get(a, ()) + ((len(picture), k),)
         pictures.append(picture)
         ends.append(where)
-    ends += ([{t: i for i, t in enumerate(side.word)} for side in (germ.g0, germ.g1)]
-             if positions else [None, None])
+    ends += [{t: i for i, t in enumerate(side.word)} for side in (germ.g0, germ.g1)]
     first = pictures[::-1] if germ.bigger() is germ.g1 else pictures
     label = {a: i + 1 for i, a in enumerate(dict.fromkeys(a for p in first for a, _ in p))}
     gaps = () if germ.kind in (KIND_R1, KIND_R2) else (
@@ -459,10 +457,8 @@ def _placement(germ: Germ, dist: frozenset[int], positions: bool):
 
 
 def _slots(ends, kept) -> tuple:
-    """The kept arrows' ends on g0 and on g1, and with two or more arrows
-    each end's arrow, relabelled by first occurrence on g0 and then g1."""
-    if len(kept) < 2:  # no ends to merge, and the arrow labels would all be 1
-        return (ends[0].get(kept[0], ()), ends[1].get(kept[0], ())) if kept else ()
+    """The kept arrows' ends on g0 and on g1, and each end's arrow,
+    relabelled by first occurrence on g0 and then g1."""
     out, arrows = [], []
     for where, pos in zip(ends[:2], ends[2:]):  # each side's ends and token positions
         side = sorted((pos[a, k], a, slot, k) for a in kept for slot, k in where.get(a, ()))

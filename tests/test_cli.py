@@ -218,13 +218,14 @@ def _one_error_line(capsys) -> str:
 def test_every_reader_refuses_a_file_one_byte_over_the_cap(reader, tmp_path, monkeypatch,
                                                            capsys):
     from knotcocycle import fixtures_io as fio
-    good = FIXTURES / "knots" / "trefoil.json"
-    size = len(good.read_bytes())
+    # Padded past every fixture, so the fixtures a command reads first stay under the cap.
+    size = 1 + max(f.stat().st_size for f in FIXTURES.rglob("*") if f.is_file())
+    good = (FIXTURES / "knots" / "trefoil.json").read_bytes()
     monkeypatch.setattr(fio, "MAX_INPUT_BYTES", size - 1)
     bad = tmp_path / ("bad.txt" if reader == "coboundary-text" else "bad.json")
-    bad.write_bytes(good.read_bytes())
+    bad.write_bytes(good + b" " * (size - len(good)))
     assert main(["--fixtures", str(FIXTURES), *READERS[reader](str(bad))]) == 2
-    assert f"longer than {size - 1} bytes" in _one_error_line(capsys)
+    assert f"cannot read {bad}: longer than {size - 1} bytes" in _one_error_line(capsys)
 
 
 def test_a_file_at_the_cap_is_read(monkeypatch, capsys):
