@@ -377,7 +377,7 @@ def add_ti(out: FormalSum, germ: Germ, coeff=1, keep: frozenset[int] = frozenset
     Every normal form is read from the table ``_PLACEMENTS``, keyed by
     the germ's placement (``_placement``, one pass over the words), the
     dropped distinguished arrow and the kept arrows' ends (``_slots``,
-    O(k log k) for k kept arrows).  A miss deletes the removed arrows from
+    O(k^2) for k kept arrows).  A miss deletes the removed arrows from
     the skeleton, canonicalises, and stores the result.  An R3 germ of
     degree n read in degree 3 (alpha31, the cube equations) so costs O(n),
     and one read in degree 4 O(n^2), with no canonicalisation once the
@@ -397,22 +397,23 @@ def add_ti(out: FormalSum, germ: Germ, coeff=1, keep: frozenset[int] = frozenset
     keep = tuple(keep)
     skel = None
     for r, dds in levels:
+        # Each dropped distinguished arrow's label and sign, or 0 and 1.
+        dds = [(dd, label[dd[0]], coeff * signs[dd[0]]) if dd else (dd, 0, coeff) for dd in dds]
         # The arrows kept when combinations(rest, r) removes the others, in its order.
         for kept in reversed(list(itertools.combinations(rest, len(rest) - r))):
             weight = bare
             for b in kept:
                 weight *= signs[b]
             slots = _slots(ends, keep + kept)
-            for dd in dds:
-                key = (label[dd[0]] if dd else 0, slots)
-                hit = table.get(key)
+            for dd, dl, c in dds:
+                hit = table.get((dl, slots))
                 if hit is None:
                     if skel is None:
                         skel = Germ(germ.kind, germ.g0.skeleton(), germ.g1.skeleton(), germ.dist)
                     removed = drop.union(set(rest).difference(kept), dd)
-                    hit = table[key] = _delete_from_germ(skel, removed).canonical()
+                    hit = table[dl, slots] = _delete_from_germ(skel, removed).canonical()
                 canon, s = hit
-                out.add(canon, coeff * (weight * signs[dd[0]] if dd else weight) * s)
+                out.add(canon, c * weight * s)
 
 
 # Subgerm normal forms by placement, then by the dropped distinguished
@@ -428,13 +429,13 @@ def _placement(germ: Germ, dist: frozenset[int]):
     occurrence on the bigger side.  The placement is the kind, their
     relabelled tokens on g0 and on g1, and for a 3-germ or a partial
     germ the number of those tokens before each distinguished gap of g1.
-    Each other arrow's ends on a side are its (slot, end) pairs in word
-    order, the slot being the number of distinguished tokens before the
-    end, and every token's position on the side is kept too.  A
-    distinguished gap is flanked by distinguished tokens, so no kept end
-    shares its slot, and the placement, the dropped arrow and the kept
-    ends fix a subgerm up to relabelling, also for formal germs with
-    arbitrary sides.
+    The other arrows' ends are, for each arrow, its (slot, end) pairs in
+    word order on g0 and on g1, the slot being the number of
+    distinguished tokens before the end; with them come each side's
+    token positions.  A distinguished gap is flanked by distinguished
+    tokens, so no kept end shares its slot, and the placement, the
+    dropped arrow and the kept ends (``_slots``) fix a subgerm up to
+    relabelling, also for formal germs with arbitrary sides.
     """
     pictures, ends = [], []
     for side in (germ.g0, germ.g1):
@@ -446,26 +447,30 @@ def _placement(germ: Germ, dist: frozenset[int]):
                 where[a] = where.get(a, ()) + ((len(picture), k),)
         pictures.append(picture)
         ends.append(where)
-    ends += [{t: i for i, t in enumerate(side.word)} for side in (germ.g0, germ.g1)]
+    arrows = {a: (ends[0].get(a, ()), ends[1].get(a, ())) for a in {**ends[0], **ends[1]}}
+    at = [{t: i for i, t in enumerate(side.word)} for side in (germ.g0, germ.g1)]
     first = pictures[::-1] if germ.bigger() is germ.g1 else pictures
     label = {a: i + 1 for i, a in enumerate(dict.fromkeys(a for p in first for a, _ in p))}
     gaps = () if germ.kind in (KIND_R1, KIND_R2) else (
         germ.dist if germ.kind == KIND_R3 else (germ.dist,))
     edges = tuple(sum(1 for a, _ in germ.g1.word[:g] if a in dist) for g in gaps)
     base = (germ.kind, *(tuple((label[a], k) for a, k in p) for p in pictures), edges)
-    return base, label, ends
+    return base, label, (arrows, at)
 
 
 def _slots(ends, kept) -> tuple:
-    """The kept arrows' ends on g0 and on g1, and each end's arrow,
-    relabelled by first occurrence on g0 and then g1."""
-    out, arrows = [], []
-    for where, pos in zip(ends[:2], ends[2:]):  # each side's ends and token positions
-        side = sorted((pos[a, k], a, slot, k) for a in kept for slot, k in where.get(a, ()))
-        out.append(tuple((slot, k) for _, _, slot, k in side))
-        arrows += (a for _, a, _, _ in side)
-    label = {a: i + 1 for i, a in enumerate(dict.fromkeys(arrows))}
-    return (*out, tuple(label[a] for a in arrows))
+    """The kept arrows' ends, arrow by arrow in the order given, and for
+    each two of them whether each token of the first precedes each token
+    of the second, on g0 and on g1.  These fix the order of the kept
+    tokens on each side, so the key stands for the subgerm's words
+    restricted to the kept arrows.  ``add_ti`` lists the free bystanders
+    by first occurrence on the bigger side, so with no ``keep`` the key
+    does not depend on the arrows' names."""
+    arrows, at = ends
+    return (tuple(map(arrows.__getitem__, kept)),
+            tuple(tuple(pos[a, j] < pos[b, k] for pos, ea, eb in zip(at, arrows[a], arrows[b])
+                        for _, j in ea for _, k in eb)
+                  for a, b in itertools.combinations(kept, 2)))
 
 
 def ti(germ_or_chain, degrees=None) -> FormalSum:

@@ -180,6 +180,21 @@ def test_a_second_degree_4_pass_makes_no_canonicalisation(monkeypatch):
     assert calls == [] and sum(len(t) for t in first) > 1000
 
 
+def test_renamed_arrows_read_the_same_table_entries(monkeypatch):
+    fixdir = fio.resolve_fixtures(FIXTURES)
+    figure8 = fio.load_morse(fixdir, "figure8")
+    germs = [g for g in rot_loop(connected_sum(figure8, figure8)).germs if g.kind == "R3"]
+    first = [ti(g, {4}) for g in germs]
+    top = max(a for g in germs for a in g.arrow_ids())
+    m = {a: top + 1 - a for a in range(1, top + 1)}  # reverses the order of the names
+    renamed = [Germ(g.kind, g.g0.relabel(m), g.g1.relabel(m), g.dist) for g in germs]
+    calls = []
+    canonical = Germ.canonical
+    monkeypatch.setattr(Germ, "canonical", lambda self: calls.append(1) or canonical(self))
+    assert [dict(ti(g, {4}).items()) for g in renamed] == [dict(t.items()) for t in first]
+    assert calls == []
+
+
 def test_canonicalisations_per_alpha31_pairing_do_not_grow_with_the_loop(monkeypatch):
     alpha = alpha31(FIXTURES)
     fixdir = fio.resolve_fixtures(FIXTURES)
