@@ -397,7 +397,7 @@ def add_ti(out: FormalSum, germ: Germ, coeff=1, keep: frozenset[int] = frozenset
     keep = tuple(keep)
     skel = None
     for r, dds in levels:
-        # Each dropped distinguished arrow's label and sign, or 0 and 1.
+        # Each dd with its dropped arrow's label and coeff times its sign (0 and coeff if none).
         dds = [(dd, label[dd[0]], coeff * signs[dd[0]]) if dd else (dd, 0, coeff) for dd in dds]
         # The arrows kept when combinations(rest, r) removes the others, in its order.
         for kept in reversed(list(itertools.combinations(rest, len(rest) - r))):
