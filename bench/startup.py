@@ -1,0 +1,168 @@
+"""Cold start of the command line: this tree against another, in alternating pairs.
+
+Usage:  python3 bench/startup.py --parent DIR [--pairs N] [--label NAME]
+
+Times fresh ``python -m knotcocycle`` processes for ``--help``,
+``rot-test --knot figure8``, ``stokes-check --trials 0`` and ``solve``,
+with the package of this repository ("change") and of the source tree
+DIR ("parent", for example a ``git archive`` of the parent commit).  Each
+of the N pairs (default 15) runs both sides back to back, alternating
+which goes first, and checks that they print the same bytes.
+
+Two modes are measured.  In "source" every process compiles the
+package's modules, as under ``PYTHONDONTWRITEBYTECODE=1`` with no
+``__pycache__``; in "bytecode" both packages are compiled first with
+``compileall``.  The script deletes ``src/knotcocycle/__pycache__`` in
+both trees before and after.  It also records, for each command and side,
+the ``knotcocycle`` modules the process loads and whether it loads
+``dataclasses``.  The run is stored under NAME in BENCH_startup.json at
+the repository root, with each side's median and quartiles, the number of
+pairs the change won, the trees' git revisions and the machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import compileall
+import json
+import os
+import platform
+import shutil
+import subprocess
+import sys
+import time
+from pathlib import Path
+from statistics import median, quantiles
+
+REPO = Path(__file__).resolve().parent.parent
+OUT = REPO / "BENCH_startup.json"
+COMMANDS = {
+    "help": ["--help"],
+    "rot-test": ["rot-test", "--knot", "figure8"],
+    "stokes-check": ["stokes-check", "--trials", "0"],
+    "solve": ["solve"],
+}
+MODES = ("source", "bytecode")
+
+# The entry point of `python -m knotcocycle`, run in a child that prints,
+# as its last line, the package modules and whether dataclasses was loaded.
+IMPORTS = """
+import json, sys
+from knotcocycle.__main__ import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+print(json.dumps({"modules": sorted(m for m in sys.modules if m.split(".")[0] == "knotcocycle"),
+                  "dataclasses": "dataclasses" in sys.modules}))
+"""
+
+
+def _git(tree: Path, *args) -> str | None:
+    try:
+        proc = subprocess.run(["git", "-C", str(tree), *args], capture_output=True,
+                              text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _env(tree: Path) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "KNOT_COCYCLE_FIXTURES"}
+    env.update(PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
+    return env
+
+
+def _argv(tree: Path, name: str) -> list[str]:
+    args = COMMANDS[name]
+    return args if name == "help" else [*args, "--fixtures", str(tree / "fixtures")]
+
+
+def _run(tree: Path, name: str) -> tuple[float, bytes]:
+    cmd = [sys.executable, "-m", "knotcocycle", *_argv(tree, name)]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, capture_output=True, env=_env(tree), cwd=tree)
+    seconds = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(f"{name} failed in {tree}:\n{proc.stderr.decode()}")
+    return seconds, proc.stdout
+
+
+def _imports(tree: Path, name: str) -> dict:
+    cmd = [sys.executable, "-c", IMPORTS, *_argv(tree, name)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=_env(tree), cwd=tree)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _clear_bytecode(trees) -> None:
+    for tree in trees:
+        shutil.rmtree(tree / "src" / "knotcocycle" / "__pycache__", ignore_errors=True)
+
+
+def _summary(times: list[float]) -> dict:
+    q1, _, q3 = quantiles(times, n=4)
+    return {"median_s": median(times), "q1_s": q1, "q3_s": q3, "runs_s": times}
+
+
+def measure(sides: dict[str, Path], pairs: int) -> dict:
+    out = {}
+    for mode in MODES:
+        _clear_bytecode(sides.values())
+        if mode == "bytecode":
+            for tree in sides.values():
+                compileall.compile_dir(tree / "src" / "knotcocycle", quiet=1)
+        times = {name: {side: [] for side in sides} for name in COMMANDS}
+        for i in range(pairs):
+            order = list(sides) if i % 2 == 0 else list(sides)[::-1]
+            for name in COMMANDS:
+                printed = {}
+                for side in order:
+                    seconds, printed[side] = _run(sides[side], name)
+                    times[name][side].append(seconds)
+                if len(set(printed.values())) != 1:
+                    raise RuntimeError(f"{name}: the two trees print different bytes")
+        out[mode] = {}
+        for name, by_side in times.items():
+            wins = sum(c < p for c, p in zip(by_side["change"], by_side["parent"]))
+            parent, change = _summary(by_side["parent"]), _summary(by_side["change"])
+            out[mode][name] = {
+                "parent": parent, "change": change, "change_wins": wins, "pairs": pairs,
+                "median_change": change["median_s"] / parent["median_s"] - 1,
+                "parent_iqr_s": parent["q3_s"] - parent["q1_s"],
+            }
+            print(f"{mode:<8} {name:<12} parent {parent['median_s']:.4f} s  "
+                  f"change {change['median_s']:.4f} s  wins {wins}/{pairs}", file=sys.stderr)
+    _clear_bytecode(sides.values())
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True, help="source tree to compare with")
+    ap.add_argument("--pairs", type=int, default=15, help="alternating pairs per command")
+    ap.add_argument("--label", default="change", help="name of the run in the output")
+    args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2")
+
+    sides = {"parent": args.parent.resolve(), "change": REPO}
+    run = {
+        "git_revision": {side: _git(tree, "rev-parse", "HEAD") for side, tree in sides.items()},
+        "uncommitted_changes": bool(_git(REPO, "status", "--porcelain", "--", "src")),
+        "python": platform.python_version(), "machine": platform.machine(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "imports": {name: {side: _imports(tree, name) for side, tree in sides.items()}
+                    for name in COMMANDS},
+        "modes": measure(sides, args.pairs),
+    }
+    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
+    doc["workload"] = ("cold `python -m knotcocycle` processes, one per command and side, "
+                       "in alternating parent/change pairs; times are wall seconds of the "
+                       "whole process, median and quartiles over the pairs")
+    doc.setdefault("runs", {})[args.label] = run
+    OUT.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -14,22 +14,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import random
 import sys
-from pathlib import Path
 
-from . import fixtures_io as fio
-from .fixtures_io import InputError
-from .diagrams import FormalSum, GaussDiagram, format_diagram, pair, parse_diagram
-from .coboundary import coboundary, stokes_sides
-from .germs import check_closed, enumerate_arrow_diagrams, make_germ
-from .moves import random_arrow_diagram, random_gauss_diagram, random_move
-from .cocycles import (Loop, alpha31, assemble_default_system, evaluate_loop,
-                       rot_loop, system_dimensions, v2, verify_cocycle)
-from .morse import MorseError
-from .rational_linalg import SparseMatrix, kernel_basis
-from .strata import restrict_to_variables
+# Each command imports the layers it runs, so that a process loads no
+# other: --help loads none, rot-test and eval-loop no strata or linear
+# algebra, stokes-check no cocycles.
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from .cocycles import Loop
+    from .diagrams import FormalSum
 
 
 # pair tries each assignment of Gauss arrows to arrows, about 2 microseconds each.
@@ -37,10 +30,13 @@ PAIR_ASSIGNMENT_CAP = 10**7
 
 
 def _read_json(path: str, parse, what: str):
+    from . import fixtures_io as fio
     return fio.read(path, lambda text: parse(json.loads(text)), what)
 
 
 def _load_diagram(path: str):
+    from . import fixtures_io as fio
+    from .diagrams import parse_diagram
     if path.endswith(".json"):
         return _read_json(path, fio.diagram_from_json, "diagram file")
     return fio.read(path, parse_diagram, "diagram file")
@@ -75,6 +71,9 @@ def _emit_text(obj, indent="") -> None:
 
 
 def cmd_pair(args) -> int:
+    import math
+    from .diagrams import GaussDiagram, pair
+    from .fixtures_io import InputError
     a = _load_diagram(args.arrow)
     g = _load_diagram(args.gauss)
     if isinstance(a, GaussDiagram) or not isinstance(g, GaussDiagram):
@@ -88,9 +87,12 @@ def cmd_pair(args) -> int:
 
 
 def cmd_coboundary(args) -> int:
+    from . import fixtures_io as fio
+    from .coboundary import coboundary
+    from .diagrams import GaussDiagram
     d = _load_diagram(args.diagram)
     if isinstance(d, GaussDiagram):
-        raise InputError("the coboundary acts on arrow diagrams (no signs)")
+        raise fio.InputError("the coboundary acts on arrow diagrams (no signs)")
     component = {"R1": "I", "R2": "II", "R3": "Delta", "P": "Lambda"}
     out = {name: [] for name in component.values()}
     for g, c in sorted(coboundary(d).items(), key=lambda kv: kv[0].key()):
@@ -100,13 +102,18 @@ def cmd_coboundary(args) -> int:
 
 
 def cmd_stokes_check(args) -> int:
+    import random
+    from . import fixtures_io as fio
+    from .coboundary import stokes_sides
+    from .germs import make_germ
+    from .moves import random_arrow_diagram, random_gauss_diagram, random_move
     if args.trials < 0:
-        raise InputError(f"--trials must be at least 0, got {args.trials}")
+        raise fio.InputError(f"--trials must be at least 0, got {args.trials}")
     if args.max_degree < 0:
-        raise InputError(f"--max-degree must be at least 0, got {args.max_degree}")
+        raise fio.InputError(f"--max-degree must be at least 0, got {args.max_degree}")
     if args.max_degree > 8:
-        raise InputError("degree cap is 8; each trial pairs diagrams by trying every assignment "
-                         "of arrows, a count that grows factorially with the degree")
+        raise fio.InputError("degree cap is 8; each trial pairs diagrams by trying every "
+                             "assignment of arrows, a count that grows factorially with the degree")
     rng = random.Random(args.seed)
     failures = []
     done = 0
@@ -128,6 +135,9 @@ def cmd_stokes_check(args) -> int:
 
 
 def cmd_equations(args) -> int:
+    from pathlib import Path
+    from .cocycles import assemble_default_system
+    from .fixtures_io import InputError
     system = assemble_default_system(args.fixtures, bystanders=args.bystanders)
     mat = system.matrix()
     triplets = [[r, c, f"{v.numerator}/{v.denominator}"]
@@ -152,6 +162,8 @@ def cmd_equations(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .cocycles import alpha31, assemble_default_system, system_dimensions
+    from .strata import restrict_to_variables
     system = assemble_default_system(args.fixtures, bystanders=args.bystanders)
     kdim, tdim, qdim = system_dimensions(system)
     a = alpha31(args.fixtures)
@@ -170,12 +182,15 @@ def cmd_solve(args) -> int:
 
 
 def _load_formula(args) -> FormalSum:
+    from . import fixtures_io as fio
+    from .cocycles import alpha31
     if args.formula == "alpha31":
         return alpha31(args.fixtures)
     return _read_json(args.formula, fio.formula_from_json, "formula file")
 
 
 def cmd_verify(args) -> int:
+    from .cocycles import verify_cocycle
     a = _load_formula(args)
     report = verify_cocycle(a, fixtures=args.fixtures)
     _emit({
@@ -190,6 +205,10 @@ def cmd_verify(args) -> int:
 
 
 def _loop_from_json(obj) -> Loop:
+    from . import fixtures_io as fio
+    from .cocycles import Loop
+    from .diagrams import GaussDiagram
+    from .germs import check_closed
     obj = fio._dict(obj, "loop")
     initial = fio.diagram_from_json(obj["initial"])
     moves = [fio.move_from_json(m) for m in fio._list(obj["moves"], None, "moves")]
@@ -201,6 +220,7 @@ def _loop_from_json(obj) -> Loop:
 
 
 def cmd_eval_loop(args) -> int:
+    from .cocycles import evaluate_loop
     a = _load_formula(args)
     loop = _read_json(args.loop, _loop_from_json, "loop file")
     value = evaluate_loop(a, loop)
@@ -210,6 +230,11 @@ def cmd_eval_loop(args) -> int:
 
 def cmd_invariants(args) -> int:
     """Basis of Ker d over arrow diagrams up to the given degree."""
+    from .coboundary import coboundary
+    from .diagrams import format_diagram
+    from .fixtures_io import InputError
+    from .germs import enumerate_arrow_diagrams
+    from .rational_linalg import SparseMatrix, kernel_basis
     if args.max_degree < 0:
         raise InputError(f"--max-degree must be at least 0, got {args.max_degree}")
     if args.max_degree > 4:
@@ -238,6 +263,10 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_rot_test(args) -> int:
+    from .cocycles import alpha31, evaluate_loop, rot_loop, v2
+    from .diagrams import GaussDiagram
+    from .fixtures_io import InputError
+    from .morse import MorseError
     knot = args.knot
     if knot.endswith(".json"):
         knot = _load_diagram(knot)
@@ -313,6 +342,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_invariants)
 
     args = ap.parse_args(argv, argparse.Namespace(fixtures=None, format="json"))
+    from .fixtures_io import InputError
     try:
         return args.fn(args)
     except InputError as exc:

@@ -20,8 +20,8 @@ that its value on the rotation loop of a long knot K is -v2(K).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, pair
 from .germs import (Germ, KIND_R3, OpenLoopError, check_closed, enumerate_arrow_diagrams,
@@ -30,15 +30,17 @@ from .coboundary import coboundary, death_germ, deaths
 from .moves import Move, move_between
 from . import fixtures_io as fio
 from .morse import rot_moves, trace
-from .rational_linalg import SparseMatrix, rank, solve_in_span
-from .strata import System, assemble_system, restrict_to_variables
+
+# The system side (strata, rational_linalg) is imported by the functions
+# that use it, so evaluating a loop does not load it.
+if TYPE_CHECKING:
+    from .strata import System
 
 
 TRIVIAL_DEGREES = range(4)  # the degrees of the A whose dA span the trivial cochains
 
 
-@dataclass
-class Loop:
+class Loop(NamedTuple):
     """A closed germ chain with optional segment tags; ``initial`` and ``moves`` are read off it."""
 
     germs: list[Germ]
@@ -162,6 +164,7 @@ def trivial_variable_vectors(var_index) -> list[dict[int, Fraction]]:
     arrow-diagram enumeration order.  No variable is an R1 or R2 germ, so
     no A with a death has its dA computed (``trivial_cocycle_vectors``).
     """
+    from .strata import restrict_to_variables
     out = []
     for db in trivial_cocycle_vectors(3, var_index):
         if any(k not in var_index for k in db.keys()):
@@ -172,8 +175,7 @@ def trivial_variable_vectors(var_index) -> list[dict[int, Fraction]]:
     return out
 
 
-@dataclass
-class CocycleReport:
+class CocycleReport(NamedTuple):
     violated: list[int]
     trivial: bool
     kernel_dim: int
@@ -191,6 +193,7 @@ def system_dimensions(system: System):
 
     Computed once per system: systems hash by identity.
     """
+    from .rational_linalg import SparseMatrix, rank
     mat = system.matrix()
     kdim = len(system.variables) - rank(mat)
     trivs = trivial_variable_vectors(system.var_index)
@@ -210,6 +213,7 @@ def verify_cocycle(alpha: FormalSum, system: System | None = None,
     only the dA that can meet alpha's terms are computed.  The dimensions
     are those of the system.
     """
+    from .rational_linalg import solve_in_span
     if system is None:
         system = assemble_default_system(fixtures)
     violated = [i for i, fs in enumerate(system.full_rows) if alpha.dot(fs) != 0]
@@ -233,4 +237,5 @@ def assemble_default_system(fixtures=None, bystanders: bool = False) -> System:
 
 @functools.cache
 def _default_system(fixdir, bystanders: bool) -> System:
+    from .strata import assemble_system
     return assemble_system(load_tetra_rows(fixdir), bystanders=bystanders)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import reprlib
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -28,6 +29,11 @@ _ID_KEY = re.compile(r"0|-?[1-9][0-9]*")  # the decimal form of an int, and only
 # The largest file the package writes, fixtures/strata/fig9_tetra.json,
 # is about 101 KB; the cap on any file read is some 160 times that.
 MAX_INPUT_BYTES = 16 * 2**20
+# A value from a file is echoed in an error message cut to this many
+# characters; reprlib looks only at the first few items of each container.
+ECHO_CHARS = 80
+_ECHO = reprlib.Repr()
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = ECHO_CHARS
 
 
 class InputError(ValueError):
@@ -43,16 +49,22 @@ def resolve_fixtures(explicit=None) -> Path:
     return Path("fixtures")
 
 
+def _echo(x) -> str:
+    """The repr of a value read from a file, at most ``ECHO_CHARS`` characters long."""
+    text = _ECHO.repr(x)
+    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS - 3] + "..."
+
+
 def _int(x, what: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{what} must be an integer, got {x!r}")
+        raise ValueError(f"{what} must be an integer, got {_echo(x)}")
     return x
 
 
 def _list(xs, n: int | None, what: str) -> list:
     if not isinstance(xs, list) or (n is not None and len(xs) != n):
         size = "a list" if n is None else f"a list of {n} items"
-        raise ValueError(f"{what} must be {size}, got {xs!r}")
+        raise ValueError(f"{what} must be {size}, got {_echo(xs)}")
     return xs
 
 
@@ -62,7 +74,7 @@ def _ints(xs, n: int, what: str) -> tuple[int, ...]:
 
 def _dict(obj, what: str) -> dict:
     if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+        raise ValueError(f"{what} must be a JSON object, got {_echo(obj)}")
     return obj
 
 
@@ -82,7 +94,7 @@ def _field(x, spec, what: str):
         return _int(x, what)
     # Compare types too: JSON true would otherwise pass as the sign 1.
     if not any(type(x) is type(a) and x == a for a in spec):
-        raise ValueError(f"{what} must be one of {spec}, got {x!r}")
+        raise ValueError(f"{what} must be one of {spec}, got {_echo(x)}")
     return x
 
 
@@ -104,11 +116,12 @@ def diagram_from_json(obj: dict):
         t = _dict(t, "token")
         word.append((_int(t["id"], "arrow id"), _field(t["kind"], (TAIL, HEAD), "token kind")))
     if "degree" in obj and 2 * _int(obj["degree"], "degree") != len(word):
-        raise ValueError(f"degree {obj['degree']} does not fit a word of {len(word)} tokens")
+        raise ValueError(f"degree {_echo(obj['degree'])} does not fit a word of "
+                         f"{len(word)} tokens")
     if "signs" in obj:
         signs = _dict(obj["signs"], "signs")
         if not all(_ID_KEY.fullmatch(a) for a in signs):
-            raise ValueError(f"sign keys must be arrow ids in decimal, got {list(signs)}")
+            raise ValueError(f"sign keys must be arrow ids in decimal, got {_echo(list(signs))}")
         return GaussDiagram(word, {int(a): _field(s, (1, -1), "sign") for a, s in signs.items()})
     return ArrowDiagram(word)
 
@@ -138,7 +151,7 @@ def germ_from_json(obj: dict) -> Germ:
     elif kind == "R3":
         dist = _ints(dist, 3, "R3 dist")
     else:
-        raise ValueError(f"unknown germ kind {kind!r}")
+        raise ValueError(f"unknown germ kind {_echo(kind)}")
     germ = Germ(kind, diagram_from_json(obj["g0"]), diagram_from_json(obj["g1"]), dist)
     germ.validate()
     return germ
@@ -153,7 +166,7 @@ def move_from_json(obj: dict) -> Move:
     obj = _dict(obj, "move")
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in _MOVE_DATA:
-        raise ValueError(f"unknown move kind {kind!r}")
+        raise ValueError(f"unknown move kind {_echo(kind)}")
     spec = _MOVE_DATA[kind]
     data = _list(obj["data"], len(spec), f"{kind} data")
     return Move(kind, tuple(_field(x, t, f"{kind} data") for x, t in zip(data, spec)))
@@ -166,7 +179,10 @@ def formula_to_json(fs: FormalSum) -> list:
 
 
 def formula_from_json(obj: list) -> FormalSum:
-    """A formula; each coefficient is [numerator, nonzero denominator]."""
+    """A formula; each coefficient is [numerator, nonzero denominator].
+
+    A coefficient whose denominator divides its numerator is an int.
+    """
     out = FormalSum()
     for item in _list(obj, None, "formula"):
         item = _dict(item, "formula term")
@@ -174,7 +190,7 @@ def formula_from_json(obj: list) -> FormalSum:
         n, d = _ints(item["coeff"], 2, "coeff")
         if d == 0:
             raise ValueError("coeff has a zero denominator")
-        out.add(g, Fraction(n, d))
+        out.add(g, n // d if n % d == 0 else Fraction(n, d))
     return out
 
 

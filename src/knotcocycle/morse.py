@@ -39,7 +39,7 @@ validated twice.  A column the riser cannot reach in one move raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagrams import GaussDiagram, HEAD, TAIL
 from .germs import Germ, KIND_R3, germ_between
@@ -88,8 +88,7 @@ def connected_sum(*event_lists):
     return out
 
 
-@dataclass
-class Trace:
+class Trace(NamedTuple):
     """The traced diagram together with the walk's passages per gap.
 
     ``transits[g]`` lists, in traversal order, the triples

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagrams import ArrowDiagram, GaussDiagram, HEAD, TAIL, Token
 
@@ -84,8 +84,7 @@ def edge_data(d: ArrowDiagram, gap: int):
     return eta, up, w, eps
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     kind: str
     data: tuple
 

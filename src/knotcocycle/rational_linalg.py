@@ -10,15 +10,14 @@ reduced form and the kernel basis are reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 
-@dataclass
-class SparseMatrix:
+class SparseMatrix(NamedTuple):
     nrows: int
     ncols: int
-    rows: list[dict[int, Fraction]] = field(default_factory=list)
+    rows: list[dict[int, Fraction]] | tuple = ()
 
     def triplets(self):
         for r, row in enumerate(self.rows):

@@ -36,8 +36,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, HEAD, TAIL
 from .germs import (Germ, KIND_P, KIND_R2, KIND_R3, add_ti, enumerate_arrow_3germs,
@@ -50,13 +50,15 @@ CUBE = "cube"
 QUADRUPLE = "quadruple"
 
 
-@dataclass
 class Meridian:
-    tag: str
-    germs: list[Germ]
-    bystanders: frozenset[int] = frozenset()
-    # meridian_equation's results by s, computed once per meridian.
-    equations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("tag", "germs", "bystanders", "equations")
+
+    def __init__(self, tag: str, germs: list[Germ], bystanders: frozenset[int] = frozenset()):
+        self.tag = tag
+        self.germs = germs
+        self.bystanders = bystanders
+        # meridian_equation's results by s, computed once per meridian.
+        self.equations: dict = {}
 
     def base(self) -> GaussDiagram:
         return self.germs[0].g0
@@ -284,14 +286,12 @@ def equation_row(part: FormalSum, var_index) -> tuple:
     return normalise_row(restrict_to_variables(part, var_index))
 
 
-@dataclass
-class EquationSource:
+class EquationSource(NamedTuple):
     stratum: str
     meridian: Meridian | None
     s: frozenset[int]
 
 
-@dataclass(eq=False)
 class System:
     """The assembled degree-3 linear system.
 
@@ -299,12 +299,17 @@ class System:
     cached.
     """
 
-    degree: int
-    variables: tuple[Germ, ...]
-    var_index: dict
-    rows: list[tuple]
-    sources: dict[tuple, EquationSource] = field(default_factory=dict)
-    full_rows: list[FormalSum] = field(default_factory=list)
+    __slots__ = ("degree", "variables", "var_index", "rows", "sources", "full_rows")
+
+    def __init__(self, degree: int, variables: tuple[Germ, ...], var_index: dict,
+                 rows: list[tuple], sources: dict[tuple, EquationSource],
+                 full_rows: list[FormalSum]):
+        self.degree = degree
+        self.variables = variables
+        self.var_index = var_index
+        self.rows = rows
+        self.sources = sources
+        self.full_rows = full_rows
 
     def matrix(self) -> SparseMatrix:
         rows = [dict(row) for row in self.rows]

@@ -486,3 +486,47 @@ def test_formula_whose_germ_is_not_its_move_exits_2(command, tmp_path, capsys):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert captured.out == ""
+
+
+def test_a_file_of_the_wrong_kind_is_echoed_in_a_short_line(capsys):
+    formula = FIXTURES / "formulas" / "alpha31.json"  # a list of terms, not a diagram
+    assert main(["coboundary", "--diagram", str(formula)]) == 2
+    err = _one_error_line(capsys)
+    assert str(formula) in err and "must be a JSON object" in err
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"], ["verify"], ["rot-test", "--knot", "figure8"],
+    ["eval-loop", "--loop", str(REPO / "tests" / "data" / "rot_loops" / "trefoil+figure8.json")],
+], ids=["solve", "verify", "rot-test", "eval-loop"])
+def test_integral_coefficients_print_what_fractions_print(argv, monkeypatch, capsys):
+    """The formula files loaded as ints print the bytes they print as Fractions.
+
+    fixturegen reads no formula file; test_full_regeneration_reproduces_fixtures
+    checks its bytes.
+    """
+    from fractions import Fraction
+    from knotcocycle import cocycles, fixtures_io as fio
+    from knotcocycle.diagrams import FormalSum
+    read = fio.formula_from_json
+
+    def as_fractions(obj):
+        out = FormalSum()
+        for g, c in read(obj).items():
+            out.add(g, Fraction(c))
+        return out
+
+    def run() -> str:
+        cocycles._default_system.cache_clear()  # reload the tetrahedron rows
+        cocycles.system_dimensions.cache_clear()
+        assert main(["--fixtures", str(FIXTURES), *argv]) == 0
+        return capsys.readouterr().out
+
+    with_ints = run()
+    monkeypatch.setattr(fio, "formula_from_json", as_fractions)
+    try:
+        assert run() == with_ints
+    finally:  # later tests get the system of the unpatched reader
+        cocycles._default_system.cache_clear()
+        cocycles.system_dimensions.cache_clear()

@@ -38,6 +38,15 @@ def test_formula_roundtrip(fixtures_dir):
     assert again == a
 
 
+def test_integral_coefficients_load_as_ints(fixtures_dir):
+    from knotcocycle.cocycles import alpha31
+    coefficients = [c for _, c in alpha31(fixtures_dir).items()]
+    assert coefficients and all(type(c) is int for c in coefficients)
+    half = fio.formula_from_json([{**fio.formula_to_json(alpha31(fixtures_dir))[0],
+                                   "coeff": [3, 6]}])
+    assert [c for _, c in half.items()] == [Fraction(1, 2)]
+
+
 def test_germ_json_roundtrip(fixtures_dir):
     obj = fio.load_json(fixtures_dir / "relations" / "triangle_deg2.json")
     for rel in obj["relators"][:10]:
@@ -132,6 +141,20 @@ TOKENS = [{"id": 1, "kind": "T"}, {"id": 1, "kind": "H"}]
 def test_diagram_loader_refuses_what_the_text_reader_refuses(obj):
     with pytest.raises(ValueError):
         fio.diagram_from_json(obj)
+
+
+@pytest.mark.parametrize("check", [
+    lambda x: fio._int(x, "arrow id"),
+    lambda x: fio._list(x, 3, "word"),
+    lambda x: fio._dict(x, "diagram"),
+    lambda x: fio._field(x, (1, -1), "sign"),
+], ids=["int", "list", "dict", "field"])
+@pytest.mark.parametrize("value", ["x" * 10**6, [[i] * 10 for i in range(10**5)]],
+                         ids=["long-string", "long-list"])
+def test_a_refused_value_is_echoed_cut_short(check, value):
+    with pytest.raises(ValueError) as info:
+        check(value)
+    assert len(str(info.value)) < 40 + fio.ECHO_CHARS
 
 
 def test_fixturegen_refuses_an_output_under_a_file(tmp_path, capsys):
