@@ -77,8 +77,8 @@ def test_a_command_loads_only_the_layers_it_runs(argv, left_out):
 
 
 def test_importing_the_package_loads_no_submodule():
-    code, modules = _loaded("import json, sys, knotcocycle\n"
-                            "print(json.dumps({'code': 0, 'modules': sorted(sys.modules)}))")
+    _, modules = _loaded("import json, sys, knotcocycle\n"
+                         "print(json.dumps({'code': 0, 'modules': sorted(sys.modules)}))")
     assert _package(modules) == {"knotcocycle"}
 
 
