@@ -2,11 +2,12 @@
 
 A degree-3 arrow germ formula is a rational combination of allowed
 arrow 3-germs and monotonic partial arrow germs.  Its value on a loop
-in knot space is the sum, over the R3 moves of the loop, of the germ
-pairing with the move's germ oriented by the traversal; R1 and R2
-moves never contribute.  Trivial cocycles (coboundaries of arrow
-diagram combinations) vanish on every closed loop, so loop values are
-class invariants.
+in knot space is the sum, over the moves of the loop, of the germ
+pairing with the move's germ oriented by the traversal.  An R1 or R2
+germ pairs only with terms of its own kind: the formulas of the
+degree-3 system have none, but a coboundary does.  Trivial cocycles
+(coboundaries of arrow diagram combinations) vanish on every closed
+loop, so loop values are class invariants.
 
 A loop is a closed chain of germs, like a meridian.  The rotation loop
 takes its germs from ``morse.rot_moves``; only a move list read from
@@ -24,8 +25,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, pair
-from .germs import (Germ, KIND_R3, OpenLoopError, check_closed, enumerate_arrow_diagrams,
-                    make_germ, pair_germ, reversed_chain)
+from .germs import (Germ, KIND_P, KIND_R1, KIND_R2, KIND_R3, OpenLoopError, check_closed,
+                    enumerate_arrow_diagrams, make_germ, pair_germ, reversed_chain)
 from .coboundary import coboundary, death_germ, deaths
 from .moves import Move, move_between
 from . import fixtures_io as fio
@@ -66,16 +67,23 @@ class Loop(NamedTuple):
         return Loop(reversed_chain(self.germs), self.tags[::-1] if self.tags else None)
 
 
-def evaluate_loop(alpha: FormalSum, loop: Loop) -> int | Fraction:
-    """Sum of the germ pairings over the R3 moves of a closed loop.
+# The germ kinds of a formula's terms that a loop germ of each kind can meet.
+_MEETS = {KIND_R1: {KIND_R1}, KIND_R2: {KIND_R2}, KIND_R3: {KIND_R3, KIND_P}}
 
-    Each R3 germ is paired through ``pair_germ``, which expands only the
+
+def evaluate_loop(alpha: FormalSum, loop: Loop) -> int | Fraction:
+    """Sum of the germ pairings over the moves of a closed loop.
+
+    Each germ is paired through ``pair_germ``, which expands only the
     subgerms in the degrees of alpha's terms: for alpha31 that is
-    1 + 3(n-3) subgerms per move of degree n, so a loop costs O(n) per R3
-    move instead of 2^n.
+    1 + 3(n-3) subgerms per R3 move of degree n, so a loop costs O(n) per
+    R3 move instead of 2^n.  A germ is skipped when no term of alpha has
+    a kind it can meet (``_MEETS``): an R1 or R2 germ meets only terms of
+    its own kind, so alpha31, which has none, pairs only the R3 germs.
     """
     check_closed(loop.germs)
-    return sum(pair_germ(alpha, germ) for germ in loop.germs if germ.kind == KIND_R3)
+    kinds = {g.kind for g in alpha.keys()}
+    return sum(pair_germ(alpha, germ) for germ in loop.germs if kinds & _MEETS[germ.kind])
 
 
 def rot_loop(knot, fixtures=None) -> Loop:

@@ -30,7 +30,7 @@ from .quadruple import quadruple_meridians
 from .rational_linalg import (SparseMatrix, extend_reduced, kernel_basis, residual, rref,
                               solve_in_span)
 from .strata import (System, assemble_system, classify_scenes, enumerate_cube_meridians,
-                     meridian_equation, row_of_meridian, variable_basis)
+                     meridian_equation, meridian_key, row_of_meridian, variable_basis)
 from . import fixtures_io as fio
 
 
@@ -134,8 +134,7 @@ def gen_strata(out: Path) -> System:
     eq_objs = {}
     for label in sorted(scenes):
         cls = scenes[label]
-        rep = min(cls["meridians"],
-                  key=lambda m: tuple(g.key() for g in m.germs))
+        rep = min(cls["meridians"], key=meridian_key)
         scene_objs.append({
             "label": label,
             "base": fio.diagram_to_json(rep.base()),

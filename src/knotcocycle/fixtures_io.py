@@ -179,14 +179,17 @@ def formula_to_json(fs: FormalSum) -> list:
 
 
 def formula_from_json(obj: list) -> FormalSum:
-    """A formula; each coefficient is [numerator, nonzero denominator].
+    """A formula of arrow germs; each coefficient is [numerator, nonzero denominator].
 
-    A coefficient whose denominator divides its numerator is an int.
+    A germ with signs is refused.  A coefficient whose denominator
+    divides its numerator is an int.
     """
     out = FormalSum()
     for item in _list(obj, None, "formula"):
         item = _dict(item, "formula term")
         g = germ_from_json(item["germ"])
+        if g.signed:
+            raise ValueError("a formula term must be an arrow germ, without signs")
         n, d = _ints(item["coeff"], 2, "coeff")
         if d == 0:
             raise ValueError("coeff has a zero denominator")

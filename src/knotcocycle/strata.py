@@ -41,7 +41,8 @@ from typing import NamedTuple
 
 from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, HEAD, TAIL
 from .germs import (Germ, KIND_P, KIND_R2, KIND_R3, add_ti, enumerate_arrow_3germs,
-                    enumerate_partial_germs, germ_between, make_germ, reversed_chain)
+                    enumerate_arrow_diagrams, enumerate_partial_germs, germ_between, make_germ,
+                    reversed_chain)
 from .moves import (R1_DEATH, R2_BIRTH, R2_DEATH, _fresh_ids, enumerate_moves, r2_birth_word,
                     r2_death, r3_moves, transpose)
 from .rational_linalg import SparseMatrix, rank
@@ -128,16 +129,14 @@ def variable_basis(degree: int) -> tuple[Germ, ...]:
 def _scene_diagrams():
     """Scene diagrams: the two active arrows 1 and 2, one list of signings per word.
 
-    Words are generated literally (not up to relabelling).  Swapping the
-    two labels gives the same scene, so only words starting with arrow 1
-    are kept, in lexicographic order; each basepoint placement of the
-    local picture then occurs exactly once.
+    Swapping the two labels gives the same scene, so the words are the
+    12 canonical ones of degree 2, those starting with arrow 1, in
+    lexicographic order; each basepoint placement of the local picture
+    then occurs exactly once.
     """
-    tokens = [(1, TAIL), (1, HEAD), (2, TAIL), (2, HEAD)]
-    for perm in itertools.permutations(tokens):
-        if perm[0][0] == 1:
-            yield [GaussDiagram(perm, {1: s1, 2: s2})
-                   for s1, s2 in itertools.product((1, -1), repeat=2)]
+    for d in enumerate_arrow_diagrams(2):
+        yield [GaussDiagram(d.word, {1: s1, 2: s2})
+               for s1, s2 in itertools.product((1, -1), repeat=2)]
 
 
 def _sliding_births(g0: GaussDiagram) -> list:

@@ -58,12 +58,16 @@ computes another way:
   killable pairs, against the death moves of ``coboundary.coboundary``;
 - ``chain_boundary``: the sum of ``germs.boundary`` over a germ chain,
   which telescopes to zero on a closed chain such as a meridian.
+- ``geometric_sector_orders``: the quadruple-point meridian's sectors read
+  off four lines of slopes 1, 2, 3 and 5 whose intercepts move on a
+  circle, in floats, against the wall rule of ``quadruple.sector_orders``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from knotcocycle.coboundary import coboundary
@@ -554,3 +558,49 @@ def positional_coboundary(a: ArrowDiagram) -> FormalSum:
 def chain_boundary(germs) -> FormalSum:
     """The boundary of a germ chain: the sum of the boundaries of its germs."""
     return sum((boundary(g) for g in germs), FormalSum())
+
+
+SLOPES = (1.0, 2.0, 3.0, 5.0)
+_PERT_A = (1.0, 0.0, 0.0, 0.0)
+_PERT_B = (0.0, 1.0, 0.0, 0.0)
+
+
+def _wall_angles():
+    """Angles at which each strand triple becomes concurrent."""
+    events = []
+    for tri in itertools.combinations(range(4), 3):
+        i, j, k = tri
+        coeff = [0.0] * 4
+        coeff[i] = SLOPES[j] - SLOPES[k]
+        coeff[j] = SLOPES[k] - SLOPES[i]
+        coeff[k] = SLOPES[i] - SLOPES[j]
+        ca = sum(coeff[n] * _PERT_A[n] for n in range(4))
+        cb = sum(coeff[n] * _PERT_B[n] for n in range(4))
+        # ca cos(t) + cb sin(t) = 0
+        base = math.atan2(-ca, cb)
+        events.append((base % (2 * math.pi), tri))
+        events.append(((base + math.pi) % (2 * math.pi), tri))
+    events.sort()
+    return events
+
+
+def geometric_sector_orders():
+    """Per-sector partner orders along each strand, read off the lines' crossings.
+
+    Strand s is the line y = SLOPES[s] x + c[s], the intercepts c moving
+    on a circle in the plane of _PERT_A and _PERT_B; the sectors start
+    after the first wall, at the midpoint angle between two walls.
+    """
+    events = _wall_angles()
+    out = []
+    for idx, (a0, _) in enumerate(events):
+        a1 = events[(idx + 1) % len(events)][0]
+        if idx + 1 == len(events):
+            a1 += 2 * math.pi
+        mid = (a0 + a1) / 2
+        c = [_PERT_A[n] * math.cos(mid) + _PERT_B[n] * math.sin(mid) for n in range(4)]
+        out.append(tuple(
+            tuple(o for _, o in sorted(((c[o] - c[s]) / (SLOPES[s] - SLOPES[o]), o)
+                                       for o in range(4) if o != s))
+            for s in range(4)))
+    return out

@@ -488,6 +488,19 @@ def test_formula_whose_germ_is_not_its_move_exits_2(command, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["verify", "eval-loop"])
+def test_formula_with_a_signed_germ_exits_2(command, tmp_path, capsys):
+    from knotcocycle import fixtures_io as fio
+    from knotcocycle.cocycles import rot_loop
+    germ = next(g for g in rot_loop("trefoil", FIXTURES).germs if g.kind == "R3")
+    path = tmp_path / "formula.json"
+    path.write_text(json.dumps([{"germ": fio.germ_to_json(germ.canonical()[0]),
+                                 "coeff": [1, 1]}]))
+    extra = ["--loop", _rot_loop_file(tmp_path, "trefoil")] if command == "eval-loop" else []
+    assert main(["--fixtures", str(FIXTURES), command, "--formula", str(path), *extra]) == 2
+    assert "arrow germ" in _one_error_line(capsys)
+
+
 def test_a_file_of_the_wrong_kind_is_echoed_in_a_short_line(capsys):
     formula = FIXTURES / "formulas" / "alpha31.json"  # a list of terms, not a diagram
     assert main(["coboundary", "--diagram", str(formula)]) == 2

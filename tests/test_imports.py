@@ -3,7 +3,8 @@
 ``python -m knotcocycle`` imports ``cli`` alone; each subcommand imports
 its layers when it runs, and ``knotcocycle``'s public names are imported
 from their modules on first use.  No module imports ``dataclasses``,
-which costs every process ``inspect``.
+which costs every process ``inspect``, and none holds a float constant,
+for the package computes exactly.
 """
 
 import ast
@@ -94,6 +95,14 @@ def test_no_module_imports_dataclasses():
                 continue
             found += [f"{path.stem}:{node.lineno}" for n in names
                       if n.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def test_no_module_holds_a_float_constant():
+    found = [f"{path.stem}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, float)]
     assert found == []
 
 

@@ -2,12 +2,16 @@ from fractions import Fraction
 
 from knotcocycle.germs import check_closed
 from knotcocycle.moves import _literally_equal
-from knotcocycle.quadruple import quadruple_meridians
+from knotcocycle.quadruple import quadruple_meridians, sector_orders
 from knotcocycle.rational_linalg import SparseMatrix, in_row_span
 from knotcocycle.strata import (homogeneous_parts, normalise_row,
                                 restrict_to_variables, reversal_on_rows,
                                 row_of_meridian, ti_meridian, variable_basis)
-from oracles import chain_boundary
+from oracles import chain_boundary, geometric_sector_orders
+
+
+def test_wall_rule_gives_the_sectors_of_the_lines():
+    assert sector_orders() == geometric_sector_orders()
 
 
 def test_quadruple_movie_structure():
