@@ -118,12 +118,6 @@ class GaussDiagram(ArrowDiagram):
             self._key = (self._canonical_word(), signs)
         return self._key
 
-    def sign_product(self) -> int:
-        p = 1
-        for s in self.signs.values():
-            p *= s
-        return p
-
     def delete(self, ids: Iterable[int]) -> "GaussDiagram":
         drop = set(ids)
         return GaussDiagram((t for t in self.word if t[0] not in drop),

@@ -127,27 +127,25 @@ def diagram_from_json(obj: dict):
 
 
 def germ_to_json(g: Germ) -> dict:
-    if g.kind == "R1":
-        dist = g.dist
-    elif g.kind == "R2":
-        dist = sorted(g.dist)
-    elif g.kind == "R3":
-        dist = list(g.dist)
-    else:
-        dist = g.dist
+    """A germ's JSON form: its ``dist`` is an int for R1 and P, a sorted list for R2 and R3."""
+    dist = g.dist[0] if g.kind in ("R1", "P") else list(g.dist)
     return {"kind": g.kind, "g0": diagram_to_json(g.g0),
             "g1": diagram_to_json(g.g1), "dist": dist}
 
 
 def germ_from_json(obj: dict) -> Germ:
-    """A germ whose sides differ by the move its kind and ``dist`` name."""
+    """A germ whose sides differ by the move its kind and ``dist`` name.
+
+    ``dist`` is an int for R1 and P, and a list of two ints for R2 and of
+    three for R3, as ``germ_to_json`` writes it.
+    """
     obj = _dict(obj, "germ")
     kind = obj["kind"]
     dist = obj["dist"]
     if kind in ("R1", "P"):
-        dist = _int(dist, f"{kind} dist")
+        dist = (_int(dist, f"{kind} dist"),)
     elif kind == "R2":
-        dist = frozenset(_ints(dist, 2, "R2 dist"))
+        dist = _ints(dist, 2, "R2 dist")
     elif kind == "R3":
         dist = _ints(dist, 3, "R3 dist")
     else:
@@ -199,12 +197,15 @@ def formula_from_json(obj: list) -> FormalSum:
 
 @contextmanager
 def _reading(path, what: str):
-    """A failure to read or parse ``path`` in the block, raised as an ``InputError``."""
+    """A failure to read or parse ``path`` in the block, raised as an ``InputError``.
+
+    Text nested deeper than the recursion limit fails to parse too.
+    """
     try:
         yield
     except (OSError, UnicodeDecodeError) as exc:  # a UnicodeDecodeError has no strerror
         raise InputError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         detail = f"no entry {exc}" if isinstance(exc, KeyError) else exc
         raise InputError(f"malformed {what} {path}: {detail}") from exc
 

@@ -57,10 +57,11 @@ KIND_P = "P"
 class Germ:
     """An ordered diagram couple with distinguished move data.
 
-    ``dist`` is the move arrow id for R1, a frozenset of two ids for R2,
-    a sorted tuple of three gap indices (synchronised between the two
-    sides) for R3, and a single gap index for partial germs.  Validity of
-    the underlying move is not enforced, so formal germs (arbitrary sign
+    ``dist`` is a sorted tuple of ints for every kind: the move's arrow
+    ids for R1 (one) and R2 (two), and gap indices, synchronised between
+    the two sides, for R3 (three) and partial germs (one).  The
+    constructor sorts whatever iterable it is given.  Validity of the
+    underlying move is not enforced, so formal germs (arbitrary sign
     decorations of a skeleton) can be represented; ``validate`` checks it.
     """
 
@@ -70,11 +71,7 @@ class Germ:
         self.kind = kind
         self.g0 = g0
         self.g1 = g1
-        if kind == KIND_R2:
-            dist = frozenset(dist)
-        elif kind == KIND_R3:
-            dist = tuple(sorted(dist))
-        self.dist = dist
+        self.dist = tuple(sorted(dist))
         self._canon = None
         self._key = self._hash = None  # set on normal forms only, by key() and hash()
 
@@ -93,24 +90,14 @@ class Germ:
         return self.bigger().arrow_ids()
 
     def distinguished_ids(self) -> frozenset[int]:
-        if self.kind == KIND_R1:
-            return frozenset((self.dist,))
-        if self.kind == KIND_R2:
-            return self.dist
-        if self.kind == KIND_R3:
-            ids = set()
-            for g in self.dist:
-                (a, _), (b, _) = edge_flanks(self.g1, g)
-                ids.update((a, b))
-            return frozenset(ids)
-        (a, _), (b, _) = edge_flanks(self.g1, self.dist)
-        return frozenset((a, b))
+        if self.kind in (KIND_R1, KIND_R2):
+            return frozenset(self.dist)
+        return frozenset(a for g in self.dist for a, _ in edge_flanks(self.g1, g))
 
     def orientation_value(self, side) -> int:
         """Co-orientation value of the distinguished edge(s) on one side."""
-        gaps = self.dist if self.kind == KIND_R3 else (self.dist,)
         val = 1
-        for g in gaps:
+        for g in self.dist:
             _, _, w, eps = edge_data(side, g)
             val *= eps * (w if w is not None else 1)
         return val
@@ -118,7 +105,7 @@ class Germ:
     def is_monotonic(self) -> bool:
         if self.kind != KIND_P:
             raise ValueError("monotonicity is a partial-germ notion")
-        _, up, _, _ = edge_data(self.g1, self.dist)
+        _, up, _, _ = edge_data(self.g1, *self.dist)
         return up == 1
 
     def validate(self) -> None:
@@ -131,18 +118,18 @@ class Germ:
         opposite signs on Gauss diagrams), from the larger side.
         """
         if self.kind == KIND_P:
-            edge_data(self.g1, self.dist)  # raises unless two arrows bound the gap
-            undone, other = transpose(self.g1, (self.dist,)), self.g0
+            edge_data(self.g1, *self.dist)  # raises unless two arrows bound the gap
+            undone, other = transpose(self.g1, self.dist), self.g0
         elif self.kind == KIND_R3:
             undone, other = apply_move(self.g1, r3(self.dist)), self.g0
         else:
-            if self.kind == KIND_R2 and len(self.dist) != 2:
-                raise InvalidMove(f"an R2 germ needs two distinct arrows, got {sorted(self.dist)}")
+            if self.kind == KIND_R2 and len(set(self.dist)) != 2:
+                raise InvalidMove(f"an R2 germ needs two distinct arrows, got {list(self.dist)}")
             big = self.bigger()
-            death = r1_death(self.dist) if self.kind == KIND_R1 else r2_death(*self.dist)
+            death = (r1_death if self.kind == KIND_R1 else r2_death)(*self.dist)
             undone, other = apply_move(big, death), self.g0 if big is self.g1 else self.g1
         if not _literally_equal(undone, other):
-            raise InvalidMove(f"g0 -> g1 is not the {self.kind} move at {_dist_key(self)}")
+            raise InvalidMove(f"g0 -> g1 is not the {self.kind} move at {list(self.dist)}")
 
     def swapped(self) -> "Germ":
         return Germ(self.kind, self.g1, self.g0, self.dist)
@@ -175,12 +162,7 @@ class Germ:
         m = ref.relabelling()
         g0 = g.g0.relabel(m)
         g1 = g.g1.relabel(m)
-        if g.kind == KIND_R1:
-            dist = m[g.dist]
-        elif g.kind == KIND_R2:
-            dist = frozenset(m[a] for a in g.dist)
-        else:
-            dist = g.dist
+        dist = [m[a] for a in g.dist] if g.kind in (KIND_R1, KIND_R2) else g.dist
         canon = Germ(g.kind, g0, g1, dist)
         canon._canon = True
         self._canon = (canon, sign)
@@ -193,7 +175,7 @@ class Germ:
         """The normal form's identity, computed once on the normal form and kept there."""
         c = self._normal_form()
         if c._key is None:
-            c._key = (c.kind, c.g0.canonical_key(), c.g1.canonical_key(), _dist_key(c))
+            c._key = (c.kind, c.g0.canonical_key(), c.g1.canonical_key(), c.dist)
         return c._key
 
     def __eq__(self, other) -> bool:
@@ -212,30 +194,22 @@ class Germ:
         return f"Germ({self.kind}, {self.g0!r} -> {self.g1!r}, dist={self.dist})"
 
 
-def _dist_key(g: Germ):
-    if g.kind == KIND_R2:
-        return tuple(sorted(g.dist))
-    return g.dist
-
-
 def canonical_term(germ: Germ, coeff=1) -> tuple[Germ, int | Fraction]:
     c, s = germ.canonical()
     return c, coeff * s
 
 
+# A move kind's germ kind, and for a birth the number of arrows it bears.
+_GERM_KINDS = {R1_BIRTH: (KIND_R1, 1), R1_DEATH: (KIND_R1, 0), R2_BIRTH: (KIND_R2, 2),
+               R2_DEATH: (KIND_R2, 0), R3: (KIND_R3, 0)}
+
+
 def _germ_data(g0, move: Move):
     """The germ kind and distinguished data of a move at g0; born ids are ``_fresh_ids``."""
-    if move.kind == R1_BIRTH:
-        return KIND_R1, _fresh_ids(g0, 1)[0]
-    if move.kind == R1_DEATH:
-        return KIND_R1, move.data[0]
-    if move.kind == R2_BIRTH:
-        return KIND_R2, _fresh_ids(g0, 2)
-    if move.kind == R2_DEATH:
-        return KIND_R2, move.data
-    if move.kind == R3:
-        return KIND_R3, move.data
-    raise InvalidMove(f"unknown move kind {move.kind}")
+    if move.kind not in _GERM_KINDS:
+        raise InvalidMove(f"unknown move kind {move.kind}")
+    kind, born = _GERM_KINDS[move.kind]
+    return kind, _fresh_ids(g0, born) if born else move.data
 
 
 def make_germ(g0, move: Move) -> Germ:
@@ -291,16 +265,14 @@ def _delete_from_germ(germ: Germ, ids: set[int]) -> Germ:
     def kept(gap):  # a kept edge's gap, less the deleted tokens before it
         return gap - sum(1 for a, _ in word[:gap] if a in ids)
 
-    if germ.kind == KIND_P:
-        return Germ(KIND_P, g0, g1, kept(germ.dist))
-    # R3: removed ids may include one distinguished arrow.
+    # Removed ids may include one distinguished arrow of a 3-germ.
     gone = ids & germ.distinguished_ids()
     if not gone:
-        return Germ(KIND_R3, g0, g1, tuple(kept(g) for g in germ.dist))
+        return Germ(germ.kind, g0, g1, [kept(g) for g in germ.dist])
     (x,) = gone
     for g in germ.dist:
         if x not in (word[g - 1][0], word[g][0]):
-            return Germ(KIND_P, g0, g1, kept(g))
+            return Germ(KIND_P, g0, g1, (kept(g),))
     raise ValueError("no surviving distinguished edge")
 
 
@@ -451,8 +423,7 @@ def _placement(germ: Germ, dist: frozenset[int]):
     at = [{t: i for i, t in enumerate(side.word)} for side in (germ.g0, germ.g1)]
     first = pictures[::-1] if germ.bigger() is germ.g1 else pictures
     label = {a: i + 1 for i, a in enumerate(dict.fromkeys(a for p in first for a, _ in p))}
-    gaps = () if germ.kind in (KIND_R1, KIND_R2) else (
-        germ.dist if germ.kind == KIND_R3 else (germ.dist,))
+    gaps = () if germ.kind in (KIND_R1, KIND_R2) else germ.dist
     edges = tuple(sum(1 for a, _ in germ.g1.word[:g] if a in dist) for g in gaps)
     base = (germ.kind, *(tuple((label[a], k) for a, k in p) for p in pictures), edges)
     return base, label, (arrows, at)
@@ -508,7 +479,7 @@ def pair_germ(alpha: FormalSum, gamma) -> int | Fraction:
 
 def partial_germ_into(d, gap: int) -> Germ:
     """The partial germ oriented towards d, switching the pair at gap."""
-    return Germ(KIND_P, transpose(d, (gap,)), d, gap)
+    return Germ(KIND_P, transpose(d, (gap,)), d, (gap,))
 
 
 def r3_germ_into(d, gaps) -> Germ:
@@ -528,7 +499,7 @@ def monotonic_partners(p: Germ) -> list[Germ]:
     if p.kind != KIND_P or p.signed or p.is_monotonic():
         raise ValueError("triangle relations are indexed by non-monotonic partial arrow germs")
     d = p.g1
-    (a, k), (b, _) = edge_flanks(d, p.dist)
+    (a, k), (b, _) = edge_flanks(d, *p.dist)
     free = HEAD if k == TAIL else TAIL
     partners = []
     for moved, other in (((b, a), (a, b)) if k == TAIL else ((a, b), (b, a))):

@@ -166,7 +166,7 @@ def _bystander_meridians(m: Meridian):
     (the bystander is arrow 0, below every other id, so the birth keeps
     the born ids of m), and an R3 gap x becomes x + (x > t) + (x > h).
     """
-    born = m.germs[0].dist
+    born = m.germs[0].distinguished_ids()
     after = [g.g0 for g in m.germs[1:]]
     blocked = {*m.germs[1].dist, *m.germs[2].dist}  # switched by an R3 germ
     blocked.update(g for d in after[::2] for g in range(1, len(d.word))
@@ -205,7 +205,7 @@ def enumerate_cube_meridians(bystanders: int = 0):
             for birth in births:
                 born = make_germ(g0, birth)
                 g1 = born.g1
-                c1, c2 = sorted(born.dist)
+                c1, c2 = born.dist
                 for m1 in r3_moves(g1, frozenset((1, 2, c2))):
                     slide1 = Germ(KIND_R3, g1, transpose(g1, m1.data), m1.data)
                     for m2 in r3_moves(slide1.g1, frozenset((1, 2, c1))):

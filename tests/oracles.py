@@ -5,7 +5,8 @@ computes another way:
 
 - ``pair_via_completions``: the pairing <completions(A), subdiagrams(G)>
   over the two 2^deg formal sums, against the embedding count of
-  ``diagrams.pair``; ``forget_signs`` is the adjoint of ``completions``;
+  ``diagrams.pair``; ``forget_signs`` is the adjoint of ``completions``,
+  weighting by the ``sign_product`` of a Gauss diagram;
 - ``pair_germ_via_s``: the germ pairing <S(alpha), I(gamma)> through the
   sign enhancement ``s_map`` and the signed subgerm map ``i_map``,
   against ``germs.pair_germ``;
@@ -107,10 +108,14 @@ def completions(a: ArrowDiagram) -> FormalSum:
     return out
 
 
+def sign_product(g: GaussDiagram) -> int:
+    return math.prod(g.signs.values())
+
+
 def forget_signs(g: GaussDiagram) -> FormalSum:
     """Underlying arrow diagram weighted by the product of the signs."""
     out = FormalSum()
-    out.add(g.skeleton().canonical(), g.sign_product())
+    out.add(g.skeleton().canonical(), sign_product(g))
     return out
 
 
@@ -170,7 +175,7 @@ def forget_germ_signs(germ: Germ) -> tuple[Germ, Fraction]:
     """The map T on a single germ: skeleton weighted by its sign product."""
     if not germ.signed:
         raise ValueError("T applies to signed germs")
-    prod = germ.bigger().sign_product()
+    prod = sign_product(germ.bigger())
     skel = Germ(germ.kind, germ.g0.skeleton(), germ.g1.skeleton(), germ.dist)
     return canonical_term(skel, prod)
 
@@ -206,7 +211,7 @@ def expanded_add_ti(out: FormalSum, germ: Germ, coeff=1, keep: frozenset[int] = 
     if not germ.signed:
         raise ValueError("T applies to signed germs")
     big = germ.bigger()
-    signs, prod = big.signs, big.sign_product()
+    signs, prod = big.signs, sign_product(big)
     skel = Germ(germ.kind, germ.g0.skeleton(), germ.g1.skeleton(), germ.dist)
     literal = (skel.kind, skel.g0.word, skel.g1.word, skel.dist)
     for removed in _subgerm_walk(skel, keep, drop, degrees):
@@ -319,7 +324,7 @@ def triangle_completions(p: Germ) -> list[Germ]:
     if p.kind != KIND_P or p.signed:
         raise ValueError("completion is defined for partial arrow germs")
     d = p.g1
-    (a, ka), (b, kb) = edge_flanks(d, p.dist)
+    (a, ka), (b, kb) = edge_flanks(d, *p.dist)
     other = {TAIL: HEAD, HEAD: TAIL}
     free_a = (a, other[ka])
     free_b = (b, other[kb])
@@ -453,7 +458,7 @@ def walked_cube_meridians(scenes):
         for birth in pruned_births(g0):
             born = make_germ(g0, birth)
             g1 = born.g1
-            c1, c2 = sorted(born.dist)
+            c1, c2 = born.dist
             for m1 in r3_moves(g1, frozenset((1, 2, c2))):
                 slide1 = make_germ(g1, m1)
                 for m2 in r3_moves(slide1.g1, frozenset((1, 2, c1))):
@@ -539,11 +544,11 @@ def positional_coboundary(a: ArrowDiagram) -> FormalSum:
     out = FormalSum()
     for aid in pos:
         if isolated(pos, aid):
-            key, coeff = canonical_term(Germ(KIND_R1, a.delete({aid}), a, aid))
+            key, coeff = canonical_term(Germ(KIND_R1, a.delete({aid}), a, (aid,)))
             out.add(key, coeff)
     for x, y in itertools.combinations(sorted(pos), 2):
         if killable(pos, x, y):
-            key, coeff = canonical_term(Germ(KIND_R2, a.delete({x, y}), a, frozenset((x, y))))
+            key, coeff = canonical_term(Germ(KIND_R2, a.delete({x, y}), a, (x, y)))
             out.add(key, coeff)
     for move in r3_moves(a):
         key, coeff = canonical_term(r3_germ_into(a, move.data))

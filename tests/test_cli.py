@@ -183,8 +183,9 @@ READERS = {
 }
 
 
-@pytest.mark.parametrize("content", [None, "directory", b"\xff\xfe{\n", b"{not json"],
-                         ids=["missing", "directory", "not-utf8", "not-json"])
+@pytest.mark.parametrize("content", [None, "directory", b"\xff\xfe{\n", b"{not json",
+                                     b"[" * 200_000 + b"]" * 200_000],
+                         ids=["missing", "directory", "not-utf8", "not-json", "nested"])
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_every_reader_refuses_a_bad_file_in_one_line(reader, content, tmp_path, capsys):
     fixtures = FIXTURES
@@ -461,6 +462,20 @@ def test_verify_rejects_malformed_formulas(spoil, tmp_path, capsys):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert captured.out == ""
+
+
+def test_verify_rejects_an_r2_term_with_one_arrow_twice(tmp_path, capsys):
+    from knotcocycle import fixtures_io as fio
+    from knotcocycle.coboundary import coboundary
+    from knotcocycle.germs import enumerate_arrow_diagrams
+    germ = next(g for a in enumerate_arrow_diagrams(3) for g in coboundary(a).keys()
+                if g.kind == "R2")
+    term = {"germ": fio.germ_to_json(germ), "coeff": [1, 1]}
+    term["germ"]["dist"] = [3, 3]
+    path = tmp_path / "formula.json"
+    path.write_text(json.dumps([term]))
+    assert main(["--fixtures", str(FIXTURES), "verify", "--formula", str(path)]) == 2
+    assert "an R2 germ needs two distinct arrows" in _one_error_line(capsys)
 
 
 def _rot_loop_file(tmp_path, name: str) -> str:

@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotcocycle.coboundary import coboundary
-from knotcocycle.cocycles import alpha31
+from knotcocycle.cocycles import alpha31, rot_loop
 from knotcocycle.diagrams import FormalSum, GaussDiagram, parse_diagram
 from knotcocycle.fixtures_io import germ_from_json, load_json
-from knotcocycle.germs import (KIND_R3, _delete_from_germ, _subgerm_walk, boundary,
+from knotcocycle.germs import (_delete_from_germ, _subgerm_walk, boundary,
                                enumerate_arrow_3germs, enumerate_arrow_diagrams,
                                enumerate_partial_germs, make_germ, monotonic_partners,
                                monotonic_reduce, pair_germ, partial_germ_into, subgerms, ti,
                                triangle_relator)
 from knotcocycle.moves import MOVE_KINDS, edge_flanks, enumerate_moves, r1_birth, split_gaps
+from knotcocycle.quadruple import quadruple_meridians
+from knotcocycle.strata import enumerate_cube_meridians, variable_basis
 from conftest import FIXTURES, random_gauss_diagram, random_move
 from oracles import (derived_monotonic_partners, i_map, locate_edge, pair_germ_via_s,
                      permuted_arrow_diagrams, s_map, seen_arrow_3germs, seen_partial_germs,
@@ -72,13 +74,12 @@ def test_deleting_arrows_keeps_each_surviving_edge_between_its_flanks():
     # the shifted gaps are where the flanks of the surviving edges meet.
     cases = 0
     for germ in [*enumerate_arrow_3germs(4), *enumerate_partial_germs(3)]:
-        edges = germ.dist if germ.kind == KIND_R3 else (germ.dist,)
         for removed in _subgerm_walk(germ, frozenset(), frozenset(), None):
             sub = _delete_from_germ(germ, removed)
-            flanks = [edge_flanks(germ.g1, g) for g in edges]
+            flanks = [edge_flanks(germ.g1, g) for g in germ.dist]
             found = sorted(locate_edge(sub.g1, *f) for f in flanks
                            if not {f[0][0], f[1][0]} & removed)
-            assert list(sub.dist if sub.kind == KIND_R3 else (sub.dist,)) == found
+            assert list(sub.dist) == found
             cases += 1
     assert cases > 4000
 
@@ -177,6 +178,40 @@ def test_keys_and_hashes_are_kept_on_normal_forms_only():
     assert hash(germ) == hash(canon) and germ.key() == canon.key()
     assert germ._key is None and germ._hash is None
     assert canon._key == canon.key() and canon._hash == hash(canon.key())
+
+
+DIST_SIZES = {"R1": 1, "R2": 2, "R3": 3, "P": 1}
+
+
+def _json_germs(obj):
+    """Every germ written in a JSON value, read with ``germ_from_json``."""
+    if isinstance(obj, dict) and obj.keys() == {"kind", "g0", "g1", "dist"}:
+        yield germ_from_json(obj)
+    elif isinstance(obj, (dict, list)):
+        for v in obj.values() if isinstance(obj, dict) else obj:
+            yield from _json_germs(v)
+
+
+def test_every_germ_has_a_sorted_tuple_of_ints_as_dist(cube_meridians):
+    sources = {
+        "coboundary": [g for d in range(4) for a in enumerate_arrow_diagrams(d)
+                       for g in coboundary(a).keys()],
+        "variables": list(variable_basis(3)),
+        "rotation loops": [g for name in ("unknot", "trefoil", "figure8")
+                           for g in rot_loop(name, FIXTURES).germs],
+        "cube meridians": [g for m in [*cube_meridians, *enumerate_cube_meridians(1)]
+                           for g in m.germs],
+        "quadruple meridians": [g for m in quadruple_meridians() for g in m.germs],
+        "fixtures": [g for path in sorted(FIXTURES.rglob("*.json"))
+                     for g in _json_germs(load_json(path))],
+    }
+    for source, germs in sources.items():
+        assert germs, source
+        for germ in germs:
+            for g in (germ, germ.canonical()[0]):
+                assert type(g.dist) is tuple and len(g.dist) == DIST_SIZES[g.kind], (source, g)
+                assert all(type(x) is int for x in g.dist), (source, g)
+                assert all(a <= b for a, b in zip(g.dist, g.dist[1:])), (source, g)
 
 
 def test_pair_germ_zero_formula():

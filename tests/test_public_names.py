@@ -1,9 +1,12 @@
-"""Every public top-level name of the package has a use outside its definition.
+"""Every public name of the package has a use outside its definition.
 
-A name counts as used when code in ``src/knotcocycle`` (the re-exports
-of ``__init__`` aside), ``bench/`` or ``perfbench/`` refers to it outside
-the lines that define it: as a name, an attribute, an import, or a
-string naming it, as the traced targets of ``perfbench/traced.py`` do.
+The public names are the top-level definitions and the public methods
+of top-level classes.  A name counts as used when code in
+``src/knotcocycle`` (the re-exports of ``__init__`` aside), ``bench/``
+or ``perfbench/`` refers to it outside the lines that define it: as a
+name, an attribute, an import, or a string naming it, as the traced
+targets of ``perfbench/traced.py`` do.  A method counts as used when
+its name is, whatever the class.
 Second routes that only the tests call belong in ``tests/oracles.py``;
 the names below are the public API kept without a caller in the package.
 """
@@ -26,7 +29,10 @@ _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
 def _definitions(tree):
-    """(name, first line, last line) of each public top-level definition."""
+    """(name, first line, last line) of each public top-level definition.
+
+    A public method of a top-level class is named ``Class.method``.
+    """
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -38,6 +44,11 @@ def _definitions(tree):
         for name in names:
             if not name.startswith("_"):
                 yield name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item.lineno, item.end_lineno
 
 
 def _references(tree, skip=(0, -1)):
@@ -68,6 +79,7 @@ def test_every_public_name_is_used_or_listed_as_api():
         elsewhere = set().union(*(refs for p, refs in references.items() if p != path))
         for name, first, last in _definitions(trees[path]):
             qualified = f"{path.stem}.{name}"
+            name = name.rsplit(".", 1)[-1]
             if qualified in API or name in elsewhere:
                 continue
             if name not in _references(trees[path], (first, last)):
@@ -77,6 +89,6 @@ def test_every_public_name_is_used_or_listed_as_api():
 
 def test_api_list_names_exist():
     for qualified in API:
-        module, name = qualified.split(".")
+        module, name = qualified.split(".", 1)
         defined = {n for n, _, _ in _definitions(ast.parse((PACKAGE / f"{module}.py").read_text()))}
         assert name in defined, qualified
