@@ -207,14 +207,8 @@ def cmd_verify(args) -> int:
 def _loop_from_json(obj) -> Loop:
     from . import fixtures_io as fio
     from .cocycles import Loop
-    from .diagrams import GaussDiagram
     from .germs import check_closed
-    obj = fio._dict(obj, "loop")
-    initial = fio.diagram_from_json(obj["initial"])
-    moves = [fio.move_from_json(m) for m in fio._list(obj["moves"], None, "moves")]
-    if not isinstance(initial, GaussDiagram):  # R3 germs are paired through T
-        raise ValueError("the initial diagram has no signs")
-    loop = Loop.replay(initial, moves)  # an inapplicable move is a ValueError
+    loop = Loop.replay(*fio.loop_from_json(obj))  # an inapplicable move is a ValueError
     check_closed(loop.germs)  # and so is an open loop
     return loop
 

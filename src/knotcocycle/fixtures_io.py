@@ -170,6 +170,16 @@ def move_from_json(obj: dict) -> Move:
     return Move(kind, tuple(_field(x, t, f"{kind} data") for x, t in zip(data, spec)))
 
 
+def loop_from_json(obj: dict) -> tuple[GaussDiagram, list[Move]]:
+    """A loop file's initial diagram, which must have signs, and its moves."""
+    obj = _dict(obj, "loop")
+    initial = diagram_from_json(obj["initial"])
+    moves = [move_from_json(m) for m in _list(obj["moves"], None, "moves")]
+    if not isinstance(initial, GaussDiagram):  # R3 germs are paired through T
+        raise ValueError("the initial diagram has no signs")
+    return initial, moves
+
+
 def formula_to_json(fs: FormalSum) -> list:
     items = sorted(((g.key(), g, c) for g, c in fs.items()), key=lambda t: t[0])
     return [{"germ": germ_to_json(g), "coeff": [c.numerator, c.denominator]}

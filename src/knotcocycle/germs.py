@@ -114,8 +114,8 @@ class Germ:
         The sides are compared literally, same word and same signs.  An
         R3 germ switches the three gaps of a valid triangle; a partial
         germ switches the ends of two distinct arrows at its gap; an R1
-        or R2 germ loses its isolated arrow, or its killable pair (of
-        opposite signs on Gauss diagrams), from the larger side.
+        or R2 germ loses an arrow, or a pair, in the death position that
+        ``moves.enumerate_moves`` reads, from the larger side.
         """
         if self.kind == KIND_P:
             edge_data(self.g1, *self.dist)  # raises unless two arrows bound the gap

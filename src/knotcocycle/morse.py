@@ -152,22 +152,6 @@ class LoopBuildError(RuntimeError):
     pass
 
 
-def _region_tokens(tr: Trace, gap: int, riser_ids, kind: str):
-    """K's word with one riser token of the given kind per transit at gap."""
-    region = list(tr.diagram.word)
-    for t, h, _ in reversed(tr.transits[gap]):
-        region.insert(t, (riser_ids[h], kind))
-    return region
-
-
-def _expected_word(tr: Trace, gap: int, riser_ids, under: bool):
-    if under:
-        prefix = [(riser_ids[h], HEAD) for h in range(len(riser_ids))]
-        return prefix + _region_tokens(tr, gap, riser_ids, TAIL)
-    suffix = [(riser_ids[h], TAIL) for h in reversed(range(len(riser_ids)))]
-    return _region_tokens(tr, gap, riser_ids, HEAD) + suffix
-
-
 def _wire_sign(east_going: bool) -> int:
     # Riser crossings: negative across east-going wires, positive across
     # west-going ones, for either sweep.
@@ -176,9 +160,17 @@ def _wire_sign(east_going: bool) -> int:
 
 def _expected(tr: Trace, gap: int, riser_ids, under: bool) -> GaussDiagram:
     """The diagram with the riser at gap, riser_ids[h] crossing the wire at height h."""
+    word = list(tr.diagram.word)
     signs = dict(tr.diagram.signs)
-    signs.update((riser_ids[h], _wire_sign(east)) for _, h, east in tr.transits[gap])
-    return GaussDiagram(_expected_word(tr, gap, riser_ids, under), signs)
+    kind = TAIL if under else HEAD
+    for i, (t, h, east) in enumerate(tr.transits[gap]):
+        word.insert(t + i, (riser_ids[h], kind))
+        signs[riser_ids[h]] = _wire_sign(east)
+    if under:
+        word[:0] = [(r, HEAD) for r in riser_ids]
+    else:
+        word += [(r, TAIL) for r in reversed(riser_ids)]
+    return GaussDiagram(word, signs)
 
 
 def _sweep(tr: Trace, riser_id: int, under: bool):

@@ -14,6 +14,10 @@ A triple of disjoint interior edges whose flanking pairs realise the three
 sides of an arrow triangle is an R3 candidate; it is a valid R3 move when
 the up values are pairwise different and, on Gauss diagrams, when
 ``w(e) * eps(e)`` agrees on all three edges.
+
+R1 and R2 deaths are read off adjacent tokens: an arrow with adjacent ends,
+or two arrows with adjacent tails and adjacent heads (of opposite signs on
+Gauss diagrams); ``apply_move`` takes only the deaths ``enumerate_moves`` lists.
 """
 
 from __future__ import annotations
@@ -35,24 +39,6 @@ MOVE_KINDS = (R1_BIRTH, R1_DEATH, R2_BIRTH, R2_DEATH, R3)
 
 class InvalidMove(ValueError):
     pass
-
-
-def arrow_positions(d: ArrowDiagram) -> dict[int, dict[str, int]]:
-    pos: dict[int, dict[str, int]] = {}
-    for i, (aid, kind) in enumerate(d.word):
-        pos.setdefault(aid, {})[kind] = i
-    return pos
-
-
-def isolated(pos, aid: int) -> bool:
-    """Whether the two ends of an arrow are adjacent (R1 death position)."""
-    return abs(pos[aid][TAIL] - pos[aid][HEAD]) == 1
-
-
-def killable(pos, a: int, b: int) -> bool:
-    """Whether two arrows have adjacent tails and adjacent heads (R2 death position)."""
-    return (abs(pos[a][TAIL] - pos[b][TAIL]) == 1
-            and abs(pos[a][HEAD] - pos[b][HEAD]) == 1)
 
 
 def interleave(d: ArrowDiagram, a: int, b: int) -> bool:
@@ -249,7 +235,13 @@ def apply_move(d, move: Move):
 
     Newly born arrows receive the ids just above the largest one present.
     The result is not relabelled; diagram equality is canonical anyway.
+    A death is checked against ``enumerate_moves``, its data in either order.
     """
+    if move.kind in (R1_DEATH, R2_DEATH):
+        if Move(move.kind, tuple(sorted(move.data))) not in enumerate_moves(d, move.kind):
+            raise InvalidMove(f"arrows {list(move.data)} are not in {move.kind} position")
+        return d.delete(move.data)
+
     word = list(d.word)
     signed = isinstance(d, GaussDiagram)
     signs = dict(d.signs) if signed else None
@@ -264,13 +256,6 @@ def apply_move(d, move: Move):
         if signed:
             signs[aid] = sign
 
-    elif move.kind == R1_DEATH:
-        (aid,) = move.data
-        pos = arrow_positions(d)
-        if aid not in pos or not isolated(pos, aid):
-            raise InvalidMove(f"arrow {aid} is not isolated")
-        return d.delete((aid,))
-
     elif move.kind == R2_BIRTH:
         gt, gh, _, _, s1 = move.data
         if not (0 <= gt <= len(word) and 0 <= gh <= len(word)):
@@ -280,17 +265,6 @@ def apply_move(d, move: Move):
         if signed:
             signs[a] = s1
             signs[b] = -s1
-
-    elif move.kind == R2_DEATH:
-        a, b = move.data
-        pos = arrow_positions(d)
-        if a not in pos or b not in pos:
-            raise InvalidMove("arrows not present")
-        if not killable(pos, a, b):
-            raise InvalidMove("pair is not in killing position")
-        if signed and signs[a] * signs[b] != -1:
-            raise InvalidMove("pair must have opposite signs")
-        return d.delete((a, b))
 
     elif move.kind == R3:
         gaps = move.data
@@ -310,27 +284,19 @@ def inverse(d, move: Move) -> Move:
         return r1_death(_fresh_ids(d, 1)[0])
     if move.kind == R1_DEATH:
         (aid,) = move.data
-        pos = [i for i, t in enumerate(d.word) if t[0] == aid]
-        order = "TH" if d.word[pos[0]][1] == TAIL else "HT"
+        i = [a for a, _ in d.word].index(aid)
         sign = d.signs[aid] if isinstance(d, GaussDiagram) else 1
-        return r1_birth(pos[0], order, sign)
+        return r1_birth(i, "TH" if d.word[i][1] == TAIL else "HT", sign)
     if move.kind == R2_BIRTH:
-        a, b = _fresh_ids(d, 2)
-        return r2_death(a, b)
+        return r2_death(*_fresh_ids(d, 2))
     if move.kind == R2_DEATH:
-        a, b = move.data
-        pos = arrow_positions(d)
-        ta, tb = pos[a][TAIL], pos[b][TAIL]
-        ha, hb = pos[a][HEAD], pos[b][HEAD]
-        first, second = (a, b) if ta < tb else (b, a)
-        positions = sorted([ta, tb, ha, hb])
-        # Gaps in the word after deletion.
-        gt = min(ta, tb) - sum(1 for p in positions if p < min(ta, tb))
-        gh = min(ha, hb) - sum(1 for p in positions if p < min(ha, hb))
-        swap_heads = (ha < hb) != (ta < tb)
-        tails_first = min(ta, tb) < min(ha, hb)
+        # t and h start the tails and the heads block; the earlier block shifts the other's gap
+        word = d.word
+        t = min(word.index((a, TAIL)) for a in move.data)
+        h = min(word.index((a, HEAD)) for a in move.data)
+        first = word[t][0]
         s1 = d.signs[first] if isinstance(d, GaussDiagram) else 1
-        return r2_birth(gt, gh, tails_first, swap_heads, s1)
+        return r2_birth(t - 2 * (h < t), h - 2 * (t < h), t < h, word[h][0] != first, s1)
     if move.kind == R3:
         return move
     raise InvalidMove(f"unknown move kind {move.kind}")
@@ -415,20 +381,20 @@ def _indexed_moves(d, kind: str):
 
 def enumerate_moves(d, kind: str) -> list[Move]:
     """All moves of the given kind applicable to d, positions read as gaps."""
-    signed = isinstance(d, GaussDiagram)
-
     if kind in (R1_BIRTH, R2_BIRTH):
         count, at = _indexed_moves(d, kind)
         return [at(i) for i in range(count)]
 
     if kind == R1_DEATH:
-        pos = arrow_positions(d)
-        return [r1_death(aid) for aid in pos if isolated(pos, aid)]
+        return [r1_death(a) for (a, _), (b, _) in zip(d.word, d.word[1:]) if a == b]
 
     if kind == R2_DEATH:
-        pos = arrow_positions(d)
-        return [r2_death(a, b) for a, b in itertools.combinations(sorted(pos), 2)
-                if killable(pos, a, b) and not (signed and d.signs[a] == d.signs[b])]
+        adjacent: dict[str, set] = {TAIL: set(), HEAD: set()}
+        for (a, ka), (b, kb) in zip(d.word, d.word[1:]):
+            if ka == kb:  # then a != b: an arrow has one end of each kind
+                adjacent[ka].add((a, b) if a < b else (b, a))
+        return [r2_death(a, b) for a, b in sorted(adjacent[TAIL] & adjacent[HEAD])
+                if not (isinstance(d, GaussDiagram) and d.signs[a] == d.signs[b])]
 
     if kind == R3:
         return r3_moves(d)

@@ -3,6 +3,10 @@
 Each function here is the straightforward form of something the package
 computes another way:
 
+- ``arrow_positions``, ``isolated`` and ``killable``: the positional
+  route, a table of each arrow's tail and head positions and the R1 and
+  R2 death positions tested on it, against the adjacent tokens that
+  ``moves.enumerate_moves`` reads;
 - ``pair_via_completions``: the pairing <completions(A), subdiagrams(G)>
   over the two 2^deg formal sums, against the embedding count of
   ``diagrams.pair``; ``forget_signs`` is the adjoint of ``completions``,
@@ -79,11 +83,29 @@ from knotcocycle.germs import (KIND_P, KIND_R1, KIND_R2, Germ, _delete_from_germ
                                enumerate_arrow_diagrams, make_germ,
                                monotonic_reduce, partial_germ_into, r3_germ_into, subgerms)
 from knotcocycle.moves import (MOVE_KINDS, R1_BIRTH, R2_BIRTH, InvalidMove, _literally_equal,
-                               apply_move, arrow_positions, edge_flanks, enumerate_moves,
-                               isolated, killable, r1_birth, r2_birth, r2_death, r3, r3_moves,
-                               split_gaps, validate_r3)
+                               apply_move, edge_flanks, enumerate_moves, r1_birth, r2_birth,
+                               r2_death, r3, r3_moves, split_gaps, validate_r3)
 from knotcocycle.rational_linalg import solve_in_span
 from knotcocycle.strata import CUBE, Meridian, restrict_to_variables
+
+
+def arrow_positions(d: ArrowDiagram) -> dict[int, dict[str, int]]:
+    """Each arrow's tail and head positions in the word, arrows in first occurrence."""
+    pos: dict[int, dict[str, int]] = {}
+    for i, (aid, kind) in enumerate(d.word):
+        pos.setdefault(aid, {})[kind] = i
+    return pos
+
+
+def isolated(pos, aid: int) -> bool:
+    """Whether the two ends of an arrow are adjacent (R1 death position)."""
+    return abs(pos[aid][TAIL] - pos[aid][HEAD]) == 1
+
+
+def killable(pos, a: int, b: int) -> bool:
+    """Whether two arrows have adjacent tails and adjacent heads (R2 death position)."""
+    return (abs(pos[a][TAIL] - pos[b][TAIL]) == 1
+            and abs(pos[a][HEAD] - pos[b][HEAD]) == 1)
 
 
 def subdiagrams(g: GaussDiagram) -> FormalSum:

@@ -5,14 +5,14 @@ import pytest
 
 from knotcocycle.diagrams import EMPTY_GAUSS, GaussDiagram, parse_diagram
 from knotcocycle.fixtures_io import diagram_from_json, load_json
-from knotcocycle.moves import (InvalidMove, MOVE_KINDS, apply_move, edge_data,
-                               R1_BIRTH, R2_BIRTH, enumerate_moves, interleave, inverse,
-                               move_between, r1_birth, r2_birth, r3, r3_moves,
-                               r3_triangle, validate_r3)
+from knotcocycle.moves import (InvalidMove, MOVE_KINDS, Move, apply_move, edge_data,
+                               R1_BIRTH, R1_DEATH, R2_BIRTH, R2_DEATH, enumerate_moves,
+                               interleave, inverse, move_between, r1_birth, r1_death,
+                               r2_birth, r2_death, r3, r3_moves, r3_triangle, validate_r3)
 from conftest import random_arrow_diagram, random_gauss_diagram, random_move
-from oracles import (brute_r3_moves, frozenset_r3_triangle,
-                     listed_random_gauss_diagram, listed_random_move, looped_births,
-                     table_interleave)
+from oracles import (arrow_positions, brute_r3_moves, frozenset_r3_triangle, isolated,
+                     killable, listed_random_gauss_diagram, listed_random_move,
+                     looped_births, table_interleave)
 
 
 def test_edge_data_formula_cases():
@@ -114,8 +114,71 @@ def test_round_trip_identity_on_random_diagrams():
                 # rebirths use fresh ids, so compare up to relabelling
                 assert back == g
                 checked += 1
-                break  # one per kind per diagram keeps this quick
+                if kind not in (R1_DEATH, R2_DEATH):
+                    break  # one birth and one R3 move per diagram keeps this quick
     assert checked > 500
+
+
+def _signed_shuffle(rng, max_degree: int) -> GaussDiagram:
+    """A random arrow diagram with random signs, same-sign killable pairs included."""
+    d = random_arrow_diagram(rng, max_degree)
+    return GaussDiagram(d.word, {a: rng.choice((1, -1)) for a in d.arrow_ids()})
+
+
+def _refused(d, move) -> bool:
+    try:
+        apply_move(d, move)
+    except InvalidMove:
+        return True
+    return False
+
+
+def test_deaths_are_the_positional_deaths():
+    rng = random.Random(41)
+    refusals = dict.fromkeys(("absent", "twice", "apart", "same sign", "length"), 0)
+    accepted = 0
+    for i in range(300):
+        d = (random_gauss_diagram, random_arrow_diagram, _signed_shuffle)[i % 3](rng, 10)
+        signed = isinstance(d, GaussDiagram)
+        pos = arrow_positions(d)
+        ends = [r1_death(a) for a in pos if isolated(pos, a)]
+        pairs = [r2_death(a, b) for a, b in itertools.combinations(sorted(pos), 2)
+                 if killable(pos, a, b) and not (signed and d.signs[a] == d.signs[b])]
+        assert enumerate_moves(d, R1_DEATH) == ends
+        assert enumerate_moves(d, R2_DEATH) == pairs
+        listed = [set(m.data) for m in ends + pairs]
+        for move in [Move(R1_DEATH, (a,)) for a in pos] + \
+                [Move(R2_DEATH, ab) for ab in itertools.permutations(pos, 2)]:
+            if set(move.data) in listed:
+                res, expected = apply_move(d, move), d.delete(move.data)
+                assert res.word == expected.word and res == expected
+                accepted += 1
+                continue
+            assert _refused(d, move), move
+            if move.kind == R2_DEATH:
+                same = signed and d.signs[move.data[0]] == d.signs[move.data[1]]
+                refusals["same sign" if killable(pos, *move.data) and same else "apart"] += 1
+        absent = max(pos, default=0) + 1
+        refusals["absent"] += _refused(d, r1_death(absent)) + _refused(d, r2_death(1, absent))
+        for a in pos:
+            refusals["twice"] += _refused(d, Move(R2_DEATH, (a, a)))
+            refusals["length"] += _refused(d, Move(R1_DEATH, (a, a))) + \
+                _refused(d, Move(R1_DEATH, ()))
+    assert accepted > 300 and min(refusals.values()) > 20, (accepted, refusals)
+
+
+def test_deaths_on_a_ladder_of_killable_pairs():
+    # T1 T2 H2 H1 T3 T4 H4 H3 ...: 2,000 pairs, each killable only with its partner.
+    n = 2000
+    word = [t for k in range(1, 2 * n, 2)
+            for t in ((k, "T"), (k + 1, "T"), (k + 1, "H"), (k, "H"))]
+    d = GaussDiagram(word, {a: (1, -1)[a % 2 == 0] for a in range(1, 2 * n + 1)})
+    deaths = enumerate_moves(d, R2_DEATH)
+    assert deaths == [r2_death(k, k + 1) for k in range(1, 2 * n, 2)]
+    small = apply_move(d, deaths[-1])
+    assert small.word == d.word[:-4] and small.degree == 2 * n - 2
+    back = apply_move(small, inverse(d, deaths[-1]))
+    assert (back.word, back.signs) == (d.word, d.signs)
 
 
 def test_r3_up_values_are_0_1_2():

@@ -15,8 +15,8 @@ from knotcocycle.strata import (Meridian, banned_variable, classify_scenes,
                                 homogeneous_parts, meridian_equation,
                                 meridian_key, picture_fingerprint, reversal_on_rows,
                                 row_of_meridian, ti_meridian, variable_basis)
-from oracles import (chain_boundary, i_meridian, meridian_without, t_map, walked_cube_meridians,
-                     walked_scenes)
+from oracles import (arrow_positions, chain_boundary, i_meridian, meridian_without, t_map,
+                     walked_cube_meridians, walked_scenes)
 
 # sha256 of repr(sorted(meridian keys)) of the 5,760 one-bystander cube
 # meridians, as the walk over every scene and pruned birth found them.
@@ -208,7 +208,6 @@ def test_variable_filter_agrees_with_the_positional_bans(degree, n3, npart, nban
 
 def test_filter_bans_isolated_spectator():
     from knotcocycle.germs import enumerate_partial_germs
-    from knotcocycle.moves import arrow_positions
     banned_seen = ok_seen = 0
     for p in enumerate_partial_germs(3):
         if not p.is_monotonic():
@@ -227,7 +226,6 @@ def test_filter_bans_isolated_spectator():
 
 def test_filter_bans_one_side_isolated_distinguished():
     from knotcocycle.germs import enumerate_partial_germs
-    from knotcocycle.moves import arrow_positions
     found = 0
     for p in enumerate_partial_germs(3):
         if not p.is_monotonic():
