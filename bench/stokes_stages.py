@@ -1,0 +1,221 @@
+"""Stage times and work counts of `python -m knotcocycle stokes-check`.
+
+Usage:  python3 bench/stokes_stages.py [--src DIR --label NAME]... [--repeats N]
+
+Runs the Stokes check, 400 trials at --max-degree 4, on each of the
+seeds 1, 2, 3 and 12345 with the ``knotcocycle`` package of each source
+tree DIR (default: this repository), every seed in its own process as
+the CLI runs it.  A child replays the CLI's trial loop, drawing what it
+draws in the same order, and times its four stages:
+
+  generation       draw A, draw the Gauss diagram, draw the move, make the germ gamma
+  dA               coboundary(A)
+  pair_dA_gamma    <dA, gamma> by pair_germ
+  pair_A_boundary  <A, boundary(gamma)>, one pair per side of gamma
+  total            a cold `python -m knotcocycle stokes-check` process
+
+A stage's time is the sum over the four seeds, and each is the median
+of N such sums (default 5).  The trees take turns on every seed, the
+first tree leading in odd rounds and the last in even ones, so drift on
+the machine falls on all of them alike.  One more process per seed and
+tree runs the loop under a ``sys.setprofile`` hook that counts calls of
+Python code, summed over the seeds:
+
+  dA_computations        entries into the body of coboundary: every call
+                         without a cache, the misses with one
+  pair_calls             calls of diagrams.pair
+  pair_assignments       P(n_g, n_a) summed over the pair calls with
+                         n_a <= n_g: the ordered assignments of Gauss
+                         arrows to arrows that trying each one visits
+  pair_walk_nodes        calls of the walk inside diagrams.pair, one per
+                         node of its tree of partial embeddings (0 in a
+                         tree whose pair has no walk)
+  enumerate_moves_calls  calls of moves.enumerate_moves
+  germ_canonical_calls   calls of Germ.canonical
+
+Each tree's run is stored under its NAME in BENCH_stokes.json at the
+repository root, next to the runs already there, with the tree's git
+revision, whether its sources had uncommitted changes, the Python
+version and the machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+OUT = REPO / "BENCH_stokes.json"
+SEEDS = (1, 2, 3, 12345)
+TRIALS = 400
+MAX_DEGREE = 4
+REPEATS = 5
+TIMEOUT_S = 300.0
+
+# The trial loop of cmd_stokes_check with stokes_sides unfolded; argv
+# (mode, seed, trials, max degree).  Mode "time" prints the seconds of
+# each stage, mode "count" the calls counted by a profile hook.
+LOOP = """
+import json, math, os, random, sys, time
+from knotcocycle.coboundary import coboundary
+from knotcocycle.diagrams import pair
+from knotcocycle.germs import boundary, make_germ, pair_germ
+from knotcocycle.moves import random_arrow_diagram, random_gauss_diagram, random_move
+mode = sys.argv[1]
+seed, trials, max_degree = map(int, sys.argv[2:])
+clock = time.perf_counter
+spent = dict.fromkeys(("generation", "dA", "pair_dA_gamma", "pair_A_boundary"), 0.0)
+counts = dict.fromkeys(("dA_computations", "pair_calls", "pair_assignments", "pair_walk_nodes",
+                        "enumerate_moves_calls", "germ_canonical_calls"), 0)
+TARGETS = {("coboundary.py", "coboundary"): "dA_computations",
+           ("diagrams.py", "pair"): "pair_calls", ("diagrams.py", "walk"): "pair_walk_nodes",
+           ("moves.py", "enumerate_moves"): "enumerate_moves_calls",
+           ("germs.py", "canonical"): "germ_canonical_calls"}
+
+def hook(frame, event, _arg):
+    if event != "call":
+        return
+    code = frame.f_code
+    name = TARGETS.get((os.path.basename(code.co_filename), code.co_name))
+    if name is None:
+        return
+    counts[name] += 1
+    if name == "pair_calls":
+        a, g = frame.f_locals["a"], frame.f_locals["g"]
+        if a.degree <= g.degree:
+            counts["pair_assignments"] += math.perm(g.degree, a.degree)
+
+if mode == "count":
+    sys.setprofile(hook)
+rng = random.Random(seed)
+done = 0
+while done < trials:
+    t0 = clock()
+    a = random_arrow_diagram(rng, max_degree)
+    g = random_gauss_diagram(rng, max_degree)
+    move = random_move(rng, g)
+    if move is None:
+        spent["generation"] += clock() - t0
+        continue
+    gamma = make_germ(g, move)
+    t1 = clock()
+    da = coboundary(a)
+    t2 = clock()
+    lhs = pair_germ(da, gamma)
+    t3 = clock()
+    rhs = sum(c * pair(a, side) for side, c in boundary(gamma).items())
+    t4 = clock()
+    if lhs != rhs:
+        raise SystemExit(f"Stokes formula fails on trial {done}: {lhs} != {rhs}")
+    for stage, dt in zip(spent, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+        spent[stage] += dt
+    done += 1
+sys.setprofile(None)
+print(json.dumps(spent if mode == "time" else counts))
+"""
+STAGES = ("generation", "dA", "pair_dA_gamma", "pair_A_boundary")
+
+
+def _git(src: Path, *args) -> str | None:
+    try:
+        proc = subprocess.run(["git", "-C", str(src), *args], capture_output=True,
+                              text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _child(src: Path, cmd: list[str]) -> str:
+    env = dict(os.environ, PYTHONPATH=str(src / "src"))
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=src,
+                          timeout=TIMEOUT_S)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd[:4])} failed:\n{proc.stderr}")
+    return proc.stdout
+
+
+def _loop(src: Path, mode: str, seed: int) -> dict:
+    return json.loads(_child(src, [sys.executable, "-c", LOOP, mode, str(seed), str(TRIALS),
+                                   str(MAX_DEGREE)]))
+
+
+def _total(src: Path, seed: int) -> float:
+    """Seconds of one cold stokes-check process."""
+    t = time.perf_counter()
+    _child(src, [sys.executable, "-m", "knotcocycle", "stokes-check", "--trials", str(TRIALS),
+                 "--max-degree", str(MAX_DEGREE), "--seed", str(seed)])
+    return time.perf_counter() - t
+
+
+def measure(trees: dict[str, Path], repeats: int) -> dict[str, tuple[dict, dict]]:
+    """(stages, counts) per label; the trees take turns on every seed."""
+    names = (*STAGES, "total")
+    times = {label: {name: [] for name in names} for label in trees}
+    for i in range(repeats):
+        order = list(trees.items())[::-1 if i % 2 else 1]
+        sums = {label: dict.fromkeys(names, 0.0) for label in trees}
+        for seed in SEEDS:
+            for label, src in order:
+                for name, s in _loop(src, "time", seed).items():
+                    sums[label][name] += s
+                sums[label]["total"] += _total(src, seed)
+        for label in trees:
+            for name in names:
+                times[label][name].append(sums[label][name])
+    out = {}
+    for label, src in trees.items():
+        counts = {}
+        for seed in SEEDS:
+            for name, n in _loop(src, "count", seed).items():
+                counts[name] = counts.get(name, 0) + n
+        stages = {name: {"median_s": statistics.median(ts), "runs_s": ts}
+                  for name, ts in times[label].items()}
+        for name, rec in stages.items():
+            print(f"{label:12s} {name:16s} {rec['median_s']:.3f} s", file=sys.stderr)
+        print(label, json.dumps(counts), file=sys.stderr)
+        out[label] = stages, counts
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    ap.add_argument("--src", type=Path, action="append",
+                    help="source tree to measure (repeatable; default: this repository)")
+    ap.add_argument("--label", action="append",
+                    help="name of the run in the output, one per --src (default: change)")
+    ap.add_argument("--repeats", type=int, default=REPEATS,
+                    help="processes per seed and stage (the median sum is recorded)")
+    args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+    srcs, labels = args.src or [REPO], args.label or ["change"]
+    if len(srcs) != len(labels) or len(set(labels)) != len(labels):
+        ap.error("give one distinct --label per --src")
+
+    trees = {label: src.resolve() for label, src in zip(labels, srcs)}
+    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
+    doc.setdefault("workload", f"stokes-check --trials {TRIALS} --max-degree {MAX_DEGREE} on "
+                               f"seeds {', '.join(map(str, SEEDS))}, one process per seed; "
+                               f"stage times summed over the seeds, median of {args.repeats} "
+                               "such sums; counts summed over one run per seed")
+    for label, (stages, counts) in measure(trees, args.repeats).items():
+        src = trees[label]
+        doc.setdefault("runs", {})[label] = {
+            "git_revision": _git(src, "rev-parse", "HEAD"),
+            "uncommitted_changes": bool(_git(src, "status", "--porcelain", "--", "src")),
+            "python": platform.python_version(), "machine": platform.machine(),
+            "nproc": os.cpu_count(), "repeats": args.repeats,
+            "stages": stages, "counts": counts}
+    OUT.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

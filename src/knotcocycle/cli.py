@@ -25,7 +25,7 @@ if TYPE_CHECKING:
     from .diagrams import FormalSum
 
 
-# pair tries each assignment of Gauss arrows to arrows, about 2 microseconds each.
+# pair walks at most the P(n_g, n_a) assignments of Gauss arrows to arrows.
 PAIR_ASSIGNMENT_CAP = 10**7
 
 
@@ -80,7 +80,7 @@ def cmd_pair(args) -> int:
         raise InputError("pair expects an arrow diagram and a Gauss diagram")
     count = math.perm(g.degree, a.degree)
     if count > PAIR_ASSIGNMENT_CAP:
-        raise InputError(f"pair would try {count:,} assignments of arrows; "
+        raise InputError(f"pair walks at most {count:,} assignments of arrows; "
                          f"the cap is {PAIR_ASSIGNMENT_CAP:,}")
     print(_frac(pair(a, g)))
     return 0
@@ -112,8 +112,9 @@ def cmd_stokes_check(args) -> int:
     if args.max_degree < 0:
         raise fio.InputError(f"--max-degree must be at least 0, got {args.max_degree}")
     if args.max_degree > 8:
-        raise fio.InputError("degree cap is 8; each trial pairs diagrams by trying every "
-                             "assignment of arrows, a count that grows factorially with the degree")
+        raise fio.InputError("degree cap is 8; a trial's pairings walk up to P(n, k) "
+                             "embeddings of k arrows into n, a count that grows factorially "
+                             "with the degree")
     rng = random.Random(args.seed)
     failures = []
     done = 0

@@ -12,6 +12,7 @@ the defining contract of this module is the Stokes formula
 
 from __future__ import annotations
 
+import functools
 
 from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, pair
 from .germs import (Germ, _germ_data, boundary, canonical_term, monotonic_reduce, pair_germ,
@@ -30,13 +31,21 @@ def death_germ(a: ArrowDiagram, death) -> Germ:
     return Germ(kind, a.delete(death.data), a, dist)
 
 
+# 1,815 entries hold every arrow diagram of degree at most 4, the sum of
+# (2k)!/k! for k = 0..4, and bound the memory at higher degrees.
+@functools.lru_cache(maxsize=1815)
 def coboundary(a: ArrowDiagram) -> FormalSum:
     """dA by insertion into A: the R1, R2 and R3 terms, then the reduced partial ones.
 
     The R1 and R2 terms are the germs of A's ``deaths`` read as births.
+    Each dA is kept in a per-process LRU cache keyed by A up to
+    relabelling, so callers must not mutate it; it is computed on A's
+    canonical form, so its terms come in one order whatever labelling
+    filled the cache.
     """
     if isinstance(a, GaussDiagram):
         raise TypeError("the coboundary acts on arrow diagrams")
+    a = a.canonical()
     out = FormalSum()
     for death in deaths(a):
         key, coeff = canonical_term(death_germ(a, death))
@@ -56,6 +65,5 @@ def coboundary(a: ArrowDiagram) -> FormalSum:
 def stokes_sides(a: ArrowDiagram, gamma: Germ) -> tuple[int, int]:
     """The two sides <dA, gamma> and <A, boundary(gamma)>."""
     lhs = pair_germ(coboundary(a), gamma)
-    canon = a.canonical()
-    rhs = sum(c * pair(canon, g) for g, c in boundary(gamma).items())
+    rhs = sum(c * pair(a, g) for g, c in boundary(gamma).items())
     return lhs, rhs

@@ -143,12 +143,6 @@ def load_tetra_rows(fixtures=None) -> list[FormalSum]:
     return fio.load_fixture(fixtures, "strata/fig9_tetra.json", parse)
 
 
-@functools.cache
-def _coboundary(a: ArrowDiagram) -> FormalSum:
-    """dA, computed once per process for each A, so callers must not mutate it."""
-    return coboundary(a)
-
-
 def trivial_cocycle_vectors(degree: int, allowed) -> tuple[FormalSum, ...]:
     """The nonzero coboundaries dA of a degree that can lie on ``allowed``, a set of germs.
 
@@ -156,12 +150,12 @@ def trivial_cocycle_vectors(degree: int, allowed) -> tuple[FormalSum, ...]:
     when it has a death whose germ (``death_germ``) is not in ``allowed``:
     that germ is a +1 term of dA, and no other dA has it, for A is its
     larger side, so A has coefficient 0 in every combination of the dA
-    that lives on ``allowed``.  Each dA is computed once per process, so
-    callers must not mutate them.
+    that lives on ``allowed``.  Each dA comes from ``coboundary``'s
+    cache, so callers must not mutate them.
     """
     diagrams = (a for a in enumerate_arrow_diagrams(degree)
                 if all(death_germ(a, d) in allowed for d in deaths(a)))
-    return tuple(db for db in map(_coboundary, diagrams) if db)
+    return tuple(db for db in map(coboundary, diagrams) if db)
 
 
 def trivial_variable_vectors(var_index) -> list[dict[int, Fraction]]:

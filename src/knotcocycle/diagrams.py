@@ -18,7 +18,6 @@ basis of Gauss diagrams; the tests keep that second route as an oracle
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -59,15 +58,25 @@ class ArrowDiagram:
         """The diagram with every arrow id a renamed to m[a]."""
         return ArrowDiagram((m[a], k) for a, k in self.word)
 
+    def _first_occurrence(self) -> dict[int, int] | None:
+        """The ``relabelling``, or None when it is the identity."""
+        new = 1  # the ids met so far are 1 .. new - 1
+        for a, _ in self.word:
+            if not 0 < a < new:
+                if a != new:
+                    return self.relabelling()
+                new += 1
+        return None
+
     def canonical(self) -> "ArrowDiagram":
-        return self.relabel(self.relabelling())
+        """The diagram relabelled by first occurrence: itself if it already is."""
+        m = self._first_occurrence()
+        return self if m is None else self.relabel(m)
 
     def _canonical_word(self) -> tuple[Token, ...]:
         """The word relabelled by first occurrence: the word itself if it already is."""
-        m = self.relabelling()
-        if all(a == i for a, i in m.items()):
-            return self.word
-        return tuple((m[a], k) for a, k in self.word)
+        m = self._first_occurrence()
+        return self.word if m is None else tuple((m[a], k) for a, k in self.word)
 
     def canonical_key(self):
         if self._key is None:
@@ -240,35 +249,52 @@ class FormalSum:
 def pair(a: ArrowDiagram, g: GaussDiagram) -> int:
     """Polyak-Viro pairing <A, G> = <completions(A), subdiagrams(G)>.
 
-    Computed by direct embedding count: every ordered assignment of
-    distinct arrows of g to the arrows of a whose induced token order is
-    a's word contributes the product of the signs of the arrows hit.
+    Computed by direct embedding count: every embedding of a's arrows
+    into distinct arrows of g that keeps a's token order and tail/head
+    kinds contributes the product of the signs of the arrows hit.  The
+    walk reads a's word once, left to right: at an arrow's first end it
+    tries each unused arrow of g whose end of that kind lies after the
+    last position taken, and at its second end the position is forced.
+    Each node of that tree of order-consistent partial embeddings costs
+    O(n_g), against n_a steps for each of the P(n_g, n_a) assignments.
     ``pair_via_completions`` in ``tests/oracles.py`` is the independent
     evaluation through the two formal sums.
     """
-    a = a.canonical()
-    ids_a = a.arrow_ids()
-    ids_g = g.arrow_ids()
-    if len(ids_a) > len(ids_g):
+    word, gword = a.word, g.word
+    n, m = len(word), len(gword)
+    if n > m:
         return 0
-    pos_g = {t: j for j, t in enumerate(g.word)}
-    total = 0
-    for chosen in itertools.permutations(ids_g, len(ids_a)):
-        assign = dict(zip(ids_a, chosen))
-        # Induced positions of a's tokens inside g must be order-isomorphic
-        # to a's own word, with matching tail/head kinds.
-        last = -1
-        for aid, kind in a.word:
-            j = pos_g[(assign[aid], kind)]
-            if j <= last:
+    pos = {t: j for j, t in enumerate(gword)}
+    signs = g.signs
+    image: dict[int, int] = {}  # arrow of a -> arrow of g, for the arrows begun
+    used = set()
+
+    def walk(i: int, last: int) -> int:
+        """The signed count of the embeddings of word[i:] after position last."""
+        while i < n:
+            aid, kind = word[i]
+            x = image.get(aid)
+            if x is None:
                 break
-            last = j
+            j = pos[x, kind]
+            if j <= last:
+                return 0
+            i, last = i + 1, j
         else:
-            w = 1
-            for aid in chosen:
-                w *= g.signs[aid]
-            total += w
-    return total
+            return 1
+        total = 0
+        # word[i + 1:] needs n - i - 1 positions after the one taken here.
+        for j in range(last + 1, m - n + i + 1):
+            x, k = gword[j]
+            if k == kind and x not in used:
+                image[aid] = x
+                used.add(x)
+                total += signs[x] * walk(i + 1, j)
+                used.discard(x)
+        image.pop(aid, None)
+        return total
+
+    return walk(0, -1)
 
 
 def parse_diagram(text: str) -> GaussDiagram | ArrowDiagram:

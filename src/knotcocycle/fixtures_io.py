@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, HEAD, TAIL
 from .germs import Germ
-from .moves import Move, R1_BIRTH, R1_DEATH, R2_BIRTH, R2_DEATH, R3
+from .moves import _MOVE_DATA, Move, _fits
 
 ENV_VAR = "KNOT_COCYCLE_FIXTURES"
 _ID_KEY = re.compile(r"0|-?[1-9][0-9]*")  # the decimal form of an int, and only that
@@ -78,23 +78,11 @@ def _dict(obj, what: str) -> dict:
     return obj
 
 
-# The data layout of each move kind, one ``_field`` spec per entry.
-_MOVE_DATA = {
-    R1_BIRTH: (int, ("TH", "HT"), (1, -1)),
-    R1_DEATH: (int,),
-    R2_BIRTH: (int, int, (True, False), (True, False), (1, -1)),
-    R2_DEATH: (int, int),
-    R3: (int, int, int),
-}
-
-
 def _field(x, spec, what: str):
-    """x checked against spec: int, or a tuple of the allowed values."""
-    if spec is int:
-        return _int(x, what)
-    # Compare types too: JSON true would otherwise pass as the sign 1.
-    if not any(type(x) is type(a) and x == a for a in spec):
-        raise ValueError(f"{what} must be one of {spec}, got {_echo(x)}")
+    """x checked against spec, int or a tuple of the allowed values, as ``apply_move`` checks it."""
+    if not _fits(x, spec):
+        want = "an integer" if spec is int else f"one of {spec}"
+        raise ValueError(f"{what} must be {want}, got {_echo(x)}")
     return x
 
 

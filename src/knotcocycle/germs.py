@@ -158,13 +158,15 @@ class Germ:
         elif g.g1.degree < g.g0.degree:
             g = g.swapped()
             sign = -1
-        ref = g.bigger()
-        m = ref.relabelling()
-        g0 = g.g0.relabel(m)
-        g1 = g.g1.relabel(m)
-        dist = [m[a] for a in g.dist] if g.kind in (KIND_R1, KIND_R2) else g.dist
-        canon = Germ(g.kind, g0, g1, dist)
+        m = g.bigger()._first_occurrence()
+        if m is None:  # g, self or a new swapped copy, is labelled by first occurrence
+            canon = g
+        else:
+            dist = [m[a] for a in g.dist] if g.kind in (KIND_R1, KIND_R2) else g.dist
+            canon = Germ(g.kind, g.g0.relabel(m), g.g1.relabel(m), dist)
         canon._canon = True
+        if canon is self:
+            return self, 1
         self._canon = (canon, sign)
         return self._canon
 

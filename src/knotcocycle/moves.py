@@ -41,6 +41,24 @@ class InvalidMove(ValueError):
     pass
 
 
+# The data layout of each move kind, one entry per field: int, or a tuple
+# of the allowed values, all of one type.
+_MOVE_DATA = {
+    R1_BIRTH: (int, ("TH", "HT"), (1, -1)),
+    R1_DEATH: (int,),
+    R2_BIRTH: (int, int, (True, False), (True, False), (1, -1)),
+    R2_DEATH: (int, int),
+    R3: (int, int, int),
+}
+
+
+def _fits(x, spec) -> bool:
+    """Whether x fits a field's spec; types are compared, so True is not the sign 1."""
+    if spec is int:
+        return type(x) is int
+    return type(x) is type(spec[0]) and x in spec
+
+
 def interleave(d: ArrowDiagram, a: int, b: int) -> bool:
     """Whether arrows a and b cross (their spans alternate along the line)."""
     index = d.word.index
@@ -235,8 +253,15 @@ def apply_move(d, move: Move):
 
     Newly born arrows receive the ids just above the largest one present.
     The result is not relabelled; diagram equality is canonical anyway.
-    A death is checked against ``enumerate_moves``, its data in either order.
+    The data must fit the kind's layout in ``_MOVE_DATA``.  A death is
+    checked against ``enumerate_moves``, its data in either order.
     """
+    spec = _MOVE_DATA.get(move.kind)
+    if spec is None:
+        raise InvalidMove(f"unknown move kind {move.kind}")
+    if len(move.data) != len(spec) or not all(map(_fits, move.data, spec)):
+        layout = ", ".join("int" if t is int else " or ".join(map(repr, t)) for t in spec)
+        raise InvalidMove(f"{move.kind} data {move.data!r} does not fit ({layout})")
     if move.kind in (R1_DEATH, R2_DEATH):
         if Move(move.kind, tuple(sorted(move.data))) not in enumerate_moves(d, move.kind):
             raise InvalidMove(f"arrows {list(move.data)} are not in {move.kind} position")
@@ -266,14 +291,11 @@ def apply_move(d, move: Move):
             signs[a] = s1
             signs[b] = -s1
 
-    elif move.kind == R3:
+    else:  # R3
         gaps = move.data
         if not validate_r3(d, gaps):
             raise InvalidMove(f"R3 conditions fail at gaps {gaps}")
         return transpose(d, gaps)
-
-    else:
-        raise InvalidMove(f"unknown move kind {move.kind}")
 
     return GaussDiagram(word, signs) if signed else ArrowDiagram(word)
 

@@ -31,8 +31,34 @@ def test_d_of_single_arrow():
 
 
 def test_d_rejects_gauss_diagrams():
-    with pytest.raises(TypeError):
-        coboundary(parse_diagram("1; T1 H1; +"))
+    g = parse_diagram("1; T1 H1; +")
+    for _ in range(3):  # a refusal is never cached
+        with pytest.raises(TypeError):
+            coboundary(g)
+
+
+def test_d_is_cached_up_to_relabelling():
+    for text in ("1; T1 H1", "2; T1 T2 H1 H2", "3; T1 H2 T3 H1 T2 H3"):
+        a = parse_diagram(text)
+        assert coboundary(a) is coboundary(a.relabel({i: 50 - i for i in a.arrow_ids()}))
+
+
+def test_d_cache_holds_every_arrow_diagram_of_degree_at_most_4():
+    assert coboundary.cache_info().maxsize >= 1815
+    assert sum(1 for deg in range(5) for _ in enumerate_arrow_diagrams(deg)) == 1815
+
+
+def test_stokes_check_computes_each_distinct_d_once(monkeypatch, capsys):
+    import importlib
+    from knotcocycle.cli import main
+    module = importlib.import_module("knotcocycle.coboundary")
+    drawn = []
+    sides = module.stokes_sides
+    monkeypatch.setattr(module, "stokes_sides", lambda a, gamma: drawn.append(a) or sides(a, gamma))
+    coboundary.cache_clear()
+    assert main(["stokes-check", "--trials", "400", "--max-degree", "4", "--seed", "1"]) == 0
+    assert len(drawn) == 400 and len(set(drawn)) < 300
+    assert coboundary.cache_info().misses == len(set(drawn))
 
 
 def test_death_terms_match_the_positional_scan():

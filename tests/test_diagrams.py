@@ -123,6 +123,29 @@ def test_pair_ignores_the_arrow_ids_of_the_formula(knots):
             assert pair(a, g) == pair(a.canonical(), g) == pair_via_completions(a, g)
 
 
+def test_pair_walk_agrees_with_the_completion_route_on_every_small_formula():
+    # Every arrow diagram of degree at most 3, with decreasing ids, on 50
+    # seeded Gauss diagrams of degree at most 6: the empty A pairs to 1,
+    # and an A of higher degree than g to 0.
+    from knotcocycle.germs import enumerate_arrow_diagrams
+    rng = random.Random(26)
+    gauss = [random_gauss_diagram(rng, 6) for _ in range(50)]
+    formulas = [a.relabel({i: 40 - 3 * i for i in a.arrow_ids()})
+                for deg in range(4) for a in enumerate_arrow_diagrams(deg)]
+    assert any(g.degree < 3 for g in gauss) and any(g.degree == 6 for g in gauss)
+    for a in formulas:
+        for g in gauss:
+            assert pair(a, g) == pair_via_completions(a, g), (a, g)
+    assert all(pair(EMPTY_ARROW, g) == 1 for g in gauss)
+
+
+def test_canonical_forms_skip_identity_relabels():
+    d = parse_diagram("3; T1 H2 T3 H1 T2 H3; +-+")
+    assert d.canonical() is d
+    c = parse_diagram("2; T3 T1 H3 H1").canonical()
+    assert c.canonical() is c and c.word == ((1, "T"), (2, "T"), (1, "H"), (2, "H"))
+
+
 def test_pair_bilinear_in_first_slot():
     rng = random.Random(3)
     g = random_gauss_diagram(rng, 3)

@@ -10,7 +10,7 @@ from knotcocycle.coboundary import coboundary
 from knotcocycle.cocycles import alpha31, rot_loop
 from knotcocycle.diagrams import FormalSum, GaussDiagram, parse_diagram
 from knotcocycle.fixtures_io import germ_from_json, load_json
-from knotcocycle.germs import (_delete_from_germ, _subgerm_walk, boundary,
+from knotcocycle.germs import (Germ, _delete_from_germ, _subgerm_walk, boundary,
                                enumerate_arrow_3germs, enumerate_arrow_diagrams,
                                enumerate_partial_germs, make_germ, monotonic_partners,
                                monotonic_reduce, pair_germ, partial_germ_into, subgerms, ti,
@@ -178,6 +178,20 @@ def test_keys_and_hashes_are_kept_on_normal_forms_only():
     assert hash(germ) == hash(canon) and germ.key() == canon.key()
     assert germ._key is None and germ._hash is None
     assert canon._key == canon.key() and canon._hash == hash(canon.key())
+
+
+def test_a_germ_labelled_by_first_occurrence_keeps_its_sides():
+    # The normal forms in dA of degree at most 3, of every kind, rebuilt
+    # as new germs and taken either way round.
+    germs = {g for deg in range(4) for a in enumerate_arrow_diagrams(deg)
+             for g in coboundary(a).keys()}
+    assert {g.kind for g in germs} == {"R1", "R2", "R3", "P"}
+    for germ in germs:
+        fresh = Germ(germ.kind, germ.g0, germ.g1, germ.dist)
+        canon, sign = fresh.canonical()
+        assert canon is fresh and sign == 1
+        canon, sign = fresh.swapped().canonical()
+        assert sign == -1 and canon.g0 is germ.g0 and canon.g1 is germ.g1
 
 
 DIST_SIZES = {"R1": 1, "R2": 2, "R3": 3, "P": 1}

@@ -39,6 +39,14 @@ def test_edge_data_errors():
         edge_data(d, 4)
 
 
+def test_apply_move_refuses_data_that_do_not_fit_the_layout():
+    for move in (Move("R1_birth", (0, "XX", 1)), Move("R1_birth", (0, "TH", True)),
+                 Move("R2_birth", (0, 0, True)), Move("R2_birth", (0, 0, 1, False, 1)),
+                 Move("R1_death", (1.0,)), Move("R3", (1, 3)), Move("R4", ())):
+        with pytest.raises(InvalidMove):
+            apply_move(EMPTY_GAUSS, move)
+
+
 def test_enumerate_on_empty_diagram():
     assert len(enumerate_moves(EMPTY_GAUSS, "R1_birth")) == 4
     assert enumerate_moves(EMPTY_GAUSS, "R3") == []
