@@ -14,6 +14,8 @@ built before its clock starts (the meridians as
                               one-bystander meridians (not part of fixturegen)
   classify_scenes             classify_scenes on the 144 unoriented meridians
   collect_rows                collect_rows on those meridians, none expanded yet
+  collect_rows_1              collect_rows on the 5,760 one-bystander meridians,
+                              none expanded yet: the rows `solve --bystanders` adds
   quadruple_meridians         quadruple_meridians()
   derive_alpha31              derive_alpha31 on the assembled degree-3 system
   total                       a cold `python -m knotcocycle.fixturegen` process
@@ -80,6 +82,10 @@ elif stage == "collect_rows":
     ms = meridians()
     strata.variable_basis(3)
     run = lambda: strata.collect_rows(ms)
+elif stage == "collect_rows_1":
+    ms = list(strata.enumerate_cube_meridians(1))
+    strata.variable_basis(3)
+    run = lambda: strata.collect_rows(ms)
 elif stage == "quadruple_meridians":
     run = quadruple_meridians
 elif stage == "derive_alpha31":
@@ -92,7 +98,7 @@ run()
 print(time.perf_counter() - t)
 """
 STAGES = ("enumerate_cube_meridians_0", "enumerate_cube_meridians_1", "classify_scenes",
-          "collect_rows", "quadruple_meridians", "derive_alpha31")
+          "collect_rows", "collect_rows_1", "quadruple_meridians", "derive_alpha31")
 
 # One full fixture generation, or with argv[1] "-" the one-bystander
 # meridians, with counting wrappers; argv (out dir).  A function is

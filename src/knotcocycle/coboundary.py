@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 
 from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, pair
-from .germs import (Germ, _germ_data, boundary, canonical_term, monotonic_reduce, pair_germ,
+from .germs import (Germ, _germ_data, canonical_term, monotonic_reduce, pair_germ,
                     partial_germ_into, r3_germ_into)
 from .moves import R1_DEATH, R2_DEATH, enumerate_moves, r3_moves, split_gaps
 
@@ -63,7 +63,10 @@ def coboundary(a: ArrowDiagram) -> FormalSum:
 
 
 def stokes_sides(a: ArrowDiagram, gamma: Germ) -> tuple[int, int]:
-    """The two sides <dA, gamma> and <A, boundary(gamma)>."""
+    """The two sides <dA, gamma> and <A, boundary(gamma)>.
+
+    ``pair`` reads a diagram up to relabelling, so each side of gamma is
+    paired as given, with no canonical copy.
+    """
     lhs = pair_germ(coboundary(a), gamma)
-    rhs = sum(c * pair(a, g) for g, c in boundary(gamma).items())
-    return lhs, rhs
+    return lhs, pair(a, gamma.g1) - pair(a, gamma.g0)

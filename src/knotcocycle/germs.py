@@ -40,6 +40,7 @@ their ``key()`` and hash once computed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -512,11 +513,23 @@ def monotonic_partners(p: Germ) -> list[Germ]:
     return partners
 
 
+# 2,646 entries hold every non-monotonic partial arrow germ of degree at
+# most 4 (6 + 120 + 2,520 by ``enumerate_partial_germs``), all that the
+# dA cached by ``coboundary`` reduce, and bound the memory beyond.
+@functools.lru_cache(maxsize=2646)
+def _reduced_partners(canon: Germ) -> tuple[Germ, ...]:
+    """``monotonic_partners`` of a normal form, which fixes them; callers must not mutate them."""
+    partners = monotonic_partners(canon)
+    assert len(partners) == 2 and all(m.is_monotonic() for m in partners)
+    return tuple(partners)
+
+
 def monotonic_reduce(alpha: FormalSum) -> FormalSum:
     """Rewrite partial arrow germ terms in the monotonic basis.
 
     Non partial-germ keys pass through untouched; the map is idempotent
-    and preserves the germ degree of every term.
+    and preserves the germ degree of every term.  Each non-monotonic
+    normal form's partners are computed once (``_reduced_partners``).
     """
     out = FormalSum()
     for germ, c in alpha.items():
@@ -527,9 +540,7 @@ def monotonic_reduce(alpha: FormalSum) -> FormalSum:
         if canon.is_monotonic():
             out.add(canon, c * s)
             continue
-        partners = monotonic_partners(canon)
-        assert len(partners) == 2 and all(m.is_monotonic() for m in partners)
-        for m in partners:
+        for m in _reduced_partners(canon):
             out.add(m, c * s)
     return out
 

@@ -96,6 +96,21 @@ def test_monotonic_reduce_trivial_and_idempotent():
         assert monotonic_reduce(red) == red
 
 
+def test_monotonic_reduce_finds_each_normal_forms_partners_once(monkeypatch):
+    import knotcocycle.germs as germs
+    calls = []
+    monkeypatch.setattr(germs, "monotonic_partners",
+                        lambda p: calls.append(p) or monotonic_partners(p))
+    germs._reduced_partners.cache_clear()
+    fs = FormalSum((p, 1) for p in enumerate_partial_germs(3))
+    try:
+        reduced = monotonic_reduce(fs)
+        assert monotonic_reduce(fs) == reduced
+    finally:
+        germs._reduced_partners.cache_clear()
+    assert len(calls) == len(set(calls)) == 120
+
+
 def test_triangle_relators_match_fixture(fixtures_dir):
     obj = load_json(fixtures_dir / "relations" / "triangle_deg2.json")
     stored = {}

@@ -63,14 +63,90 @@ def test_cube_meridians_are_those_of_the_walk(cube_meridians):
 
 
 def test_only_births_with_an_unsigned_first_slide_are_built():
-    # Over the 12 scene words: 1,440 births, 312 with the three sides of
-    # the first slide's triangle, 144 whose unsigned word can slide.
-    from knotcocycle.moves import R2_BIRTH, enumerate_moves
+    # Over the 12 scene words: 720 unsigned births, 72 whose word can
+    # make the first slide, and each of those has one first and one
+    # second slide.
+    from knotcocycle.diagrams import ArrowDiagram
+    from knotcocycle.moves import R2_BIRTH, enumerate_moves, r2_birth_word, r3_moves, transpose
     from knotcocycle.strata import _scene_diagrams, _sliding_births
-    words = [scenes[0] for scenes in _scene_diagrams()]
+    words = [scenes[0].skeleton() for scenes in _scene_diagrams()]
     assert len(words) == 12
-    assert sum(len(enumerate_moves(g0, R2_BIRTH)) for g0 in words) == 1440
-    assert sum(len(_sliding_births(g0)) for g0 in words) == 144
+    assert sum(len(enumerate_moves(w, R2_BIRTH)) for w in words) == 720
+    plans = [(w, plan) for w in words for plan in _sliding_births(w)]
+    assert len(plans) == 72
+    for w, (birth, m1, _, m2, _) in plans:
+        c1, c2 = w.degree + 1, w.degree + 2
+        d1 = ArrowDiagram(r2_birth_word(w.word, birth.data, c1, c2))
+        assert r3_moves(d1, frozenset((1, 2, c2))) == [m1]
+        assert r3_moves(transpose(d1, m1.data), frozenset((1, 2, c1))) == [m2]
+
+
+def test_solved_signs_are_those_of_the_signed_slides(cube_meridians):
+    # The oracle searches every signing of each scene word and both birth
+    # signs with the signed r3_moves: on every unsigned plan exactly two
+    # choices slide twice, each the other with every sign flipped, and
+    # they are the births the enumeration built.
+    from knotcocycle.germs import make_germ
+    from knotcocycle.moves import r2_birth, r3_moves, transpose
+    from knotcocycle.strata import _scene_diagrams, _sliding_births
+
+    def literal(d):
+        return d.word, tuple(sorted(d.signs.items()))
+
+    found = set()
+    for scenes in _scene_diagrams():
+        for birth, *_ in _sliding_births(scenes[0].skeleton()):
+            sliding = []
+            for g0, sign in itertools.product(scenes, (1, -1)):
+                g1 = make_germ(g0, r2_birth(*birth.data[:4], sign)).g1
+                c1, c2 = g1.degree - 1, g1.degree
+                for m1 in r3_moves(g1, frozenset((1, 2, c2))):
+                    if r3_moves(transpose(g1, m1.data), frozenset((1, 2, c1))):
+                        sliding.append(g1)
+            assert len(sliding) == 2
+            a, b = sliding
+            assert a.word == b.word and {x: -s for x, s in a.signs.items()} == b.signs
+            found.update(map(literal, sliding))
+    assert found == {literal(m.germs[0].g1) for m in cube_meridians}
+    assert len(found) == 144
+
+
+def _partners(meridians):
+    """Each meridian with its twin partner, whichever of the two links to the other."""
+    partner = {id(m.twin): m for m in meridians if m.twin is not None}
+    return [(m, m.twin if m.twin is not None else partner[id(m)]) for m in meridians]
+
+
+def test_twins_pair_every_meridian_once(cube_meridians, bystander_meridians):
+    for meridians, pairs in ((cube_meridians, 72), (bystander_meridians, 2880)):
+        position = {id(m): i for i, m in enumerate(meridians)}
+        twinned = [m for m in meridians if m.twin is not None]
+        assert len(twinned) == len({id(m.twin) for m in twinned}) == pairs
+        assert {id(m) for m in twinned} | {id(m.twin) for m in twinned} == set(position)
+        for m in twinned:
+            twin = m.twin
+            assert twin.twin is None and position[id(twin)] < position[id(m)]
+            assert m.base().signs[1] == -1 == -twin.base().signs[1]
+            for g, h in zip(m.germs, twin.germs):
+                assert (g.kind, g.dist, g.g0.word, g.g1.word) == (h.kind, h.dist, h.g0.word,
+                                                                    h.g1.word)
+                for side, other in ((g.g0, h.g0), (g.g1, h.g1)):
+                    assert {a: -s for a, s in side.signs.items()} == other.signs
+
+
+def test_a_twins_equation_is_the_negation_of_its_partners(cube_meridians, bystander_meridians):
+    # Computed directly on both, in the same term order.
+    cases = [(m, t, frozenset()) for m, t in _partners(cube_meridians)]
+    cases += [(m, t, s) for m, t in _partners(bystander_meridians)[::10]
+              for s in (frozenset(), m.bystanders)]
+    assert len(cases) == 144 + 2 * 576
+    nonzero = 0
+    for m, twin, s in cases:
+        direct = list(ti_meridian(m, s, {3}).items())
+        assert direct == [(k, -c) for k, c in ti_meridian(twin, s, {3}).items()]
+        assert list(meridian_equation(m, s).items()) == direct
+        nonzero += bool(direct)
+    assert nonzero == 720
 
 
 def test_bystander_meridians_are_those_of_the_walk(bystander_meridians):
@@ -328,4 +404,6 @@ def test_scene_classification_and_rows_share_each_equation(monkeypatch):
     var_index = {g: j for j, g in enumerate(variables)}
     classify_scenes(meridians, variables, var_index)
     strata.collect_rows(meridians)
-    assert len(calls) == len(meridians) == 144
+    # One expansion per twin pair: a twin negates its partner's equation.
+    assert len(meridians) == 144
+    assert len(calls) == len(set(map(id, calls))) == 72
