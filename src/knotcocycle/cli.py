@@ -261,16 +261,13 @@ def cmd_rot_test(args) -> int:
     from .cocycles import alpha31, evaluate_loop, rot_loop, v2
     from .diagrams import GaussDiagram
     from .fixtures_io import InputError
-    from .morse import MorseError
+    from .morse import FIXTURE_MORSE
     knot = args.knot
-    if knot.endswith(".json"):
+    if knot not in FIXTURE_MORSE:  # then a diagram file, JSON or text
         knot = _load_diagram(knot)
         if not isinstance(knot, GaussDiagram):
             raise InputError("the rotation identity needs a Gauss diagram (with signs)")
-    try:
-        loop = rot_loop(knot, args.fixtures)
-    except MorseError as exc:
-        raise InputError(str(exc)) from exc
+    loop = rot_loop(knot)
     k = loop.initial
     a = alpha31(args.fixtures)
     val = evaluate_loop(a, loop)

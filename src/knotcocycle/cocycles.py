@@ -30,7 +30,7 @@ from .germs import (Germ, KIND_P, KIND_R1, KIND_R2, KIND_R3, OpenLoopError, chec
 from .coboundary import coboundary, death_germ, deaths
 from .moves import Move, move_between
 from . import fixtures_io as fio
-from .morse import rot_moves, trace
+from .morse import FIXTURE_MORSE, rot_moves, trace
 
 # The system side (strata, rational_linalg) is imported by the functions
 # that use it, so evaluating a loop does not load it.
@@ -86,37 +86,35 @@ def evaluate_loop(alpha: FormalSum, loop: Loop) -> int | Fraction:
     return sum(pair_germ(alpha, germ) for germ in loop.germs if kinds & _MEETS[germ.kind])
 
 
-def rot_loop(knot, fixtures=None) -> Loop:
+def rot_loop(knot) -> Loop:
     """The rotation loop of a long knot around its axis.
 
-    ``knot`` is a Morse presentation (list of column events), the name
-    of a fixture knot, or a Gauss diagram canonically equal to one of
-    the fixture knots.  Loops for other diagrams need an explicit Morse
+    ``knot`` is a Morse presentation (list of column events), a name in
+    ``morse.FIXTURE_MORSE``, or a Gauss diagram canonically equal to one
+    of those knots.  Loops for other diagrams need an explicit Morse
     presentation: the loop structure lives in the plane, not in the
     Gauss word alone.  ``rot_moves`` builds the closed germ chain.
     """
-    return Loop(*rot_moves(_resolve_morse(knot, fixtures)))
+    return Loop(*rot_moves(_resolve_morse(knot)))
 
 
-# What a caller can give instead of a knot with no presentation on file.
-_ON_FILE = ("rot-test takes unknot, trefoil or figure8, by name or as a diagram file equal to "
-            "one; from Python, pass the knot's column events to cocycles.rot_loop")
+# What a caller can give instead of a knot with no known presentation.
+_FIXTURE_HINT = ("rot-test takes unknot, trefoil or figure8, by name or as a diagram file equal "
+                 "to one; from Python, pass the knot's column events to cocycles.rot_loop")
 
 
-def _resolve_morse(knot, fixtures=None):
+def _resolve_morse(knot):
     if isinstance(knot, list):
         return knot
-    fixdir = fio.resolve_fixtures(fixtures)
-    names = ("unknot", "trefoil", "figure8")
     if isinstance(knot, str):
-        if knot not in names:
-            raise fio.InputError(f"no Morse presentation on file for {knot!r}: {_ON_FILE}")
-        return fio.load_morse(fixdir, knot)
+        if knot not in FIXTURE_MORSE:
+            raise fio.InputError(f"no Morse presentation for {knot!r}: {_FIXTURE_HINT}")
+        return FIXTURE_MORSE[knot]
     if isinstance(knot, GaussDiagram):
-        for events in fio.load_morses(fixdir, names):
+        for events in FIXTURE_MORSE.values():
             if trace(events).diagram == knot:
                 return events
-        raise fio.InputError(f"no Morse presentation on file for this diagram: {_ON_FILE}")
+        raise fio.InputError(f"no Morse presentation for this diagram: {_FIXTURE_HINT}")
     raise TypeError(f"cannot build a rotation loop from {knot!r}")
 
 

@@ -240,19 +240,7 @@ def load_fixture(fixtures, name: str, parse):
         return parse(obj)
 
 
-def load_knot(fixtures: Path, name: str) -> GaussDiagram:
-    return load_fixture(fixtures, f"knots/{name}.json", diagram_from_json)
-
-
-def load_morse(fixtures: Path, name: str) -> list:
-    return next(load_morses(fixtures, (name,)))
-
-
-def load_morses(fixtures: Path, names):
-    """The Morse presentation of each name in turn, from one read of the template."""
-    path = fixtures / "loops" / "rot_template.json"
-    obj = load_json(path)
-    for name in names:
-        with _reading(path, "fixture"):
-            events = [tuple(ev) for ev in obj["knots"][name]]
-        yield events
+def load_morse(fixtures, name: str) -> list:
+    """The Morse presentation of a knot in the rotation-loop template."""
+    return load_fixture(fixtures, "loops/rot_template.json",
+                        lambda obj: [tuple(ev) for ev in obj["knots"][name]])

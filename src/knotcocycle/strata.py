@@ -32,7 +32,9 @@ in one pass: the cube equations, then those of the bystander
 meridians, then the tetrahedron equations form one ordered list; its
 scalar-distinct members are the stored equations, and their
 restrictions to the variables, normalised to integer vectors with
-positive leading coefficient, are the rows.
+positive leading coefficient, are the rows.  Every equation with
+s = {b} is zero, so the bystander meridians add no row: they are
+enumerated only to check that (criterion 6b).
 """
 
 from __future__ import annotations
@@ -375,7 +377,8 @@ def collect_rows(meridians) -> list[tuple[FormalSum, EquationSource]]:
     s runs over the empty set and the single bystanders; on a meridian
     with bystanders s = {} is skipped, as it reproduces the equation of
     the meridian with them deleted, which is collected from the
-    bystander-free enumeration.
+    bystander-free enumeration.  On the one-bystander cube meridians
+    every s = {b} equation is zero, so they give no row.
     """
     def equations():
         for m in meridians:
@@ -509,7 +512,8 @@ def assemble_system(tetra_rows, bystanders: bool = False,
     enumerated here when not given.
 
     One pass: the cube equations, those of the one-bystander meridians
-    (with ``bystanders``) and the degree-3 parts of ``tetra_rows`` form
+    (with ``bystanders``; all zero, so that flag checks criterion 6b and
+    adds no row) and the degree-3 parts of ``tetra_rows`` form
     one ordered list.  Its members that are distinct up to a scalar are
     the stored equations ``full_rows``; their nonzero normalised rows,
     each kept at its first occurrence with the source of that equation,

@@ -18,8 +18,8 @@ def fixtures_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def knots(fixtures_dir):
-    from knotcocycle.fixtures_io import load_knot
-    return {name: load_knot(fixtures_dir, name)
+    from knotcocycle import fixtures_io as fio
+    return {name: fio.load_fixture(fixtures_dir, f"knots/{name}.json", fio.diagram_from_json)
             for name in ("unknot", "trefoil", "figure8")}
 
 

@@ -373,7 +373,7 @@ def test_criterion_7_rot_identity(fixtures_dir, knots):
     ok = True
     values = {}
     for name, k in knots.items():
-        loop = rot_loop(name, fixtures_dir)
+        loop = rot_loop(name)
         val = evaluate_loop(a, loop)
         values[name] = val
         if val != expected[name] or val != -v2(k, fixtures_dir):
@@ -382,7 +382,7 @@ def test_criterion_7_rot_identity(fixtures_dir, knots):
     from knotcocycle.morse import FIXTURE_MORSE, connected_sum, trace
     for parts in (("trefoil", "trefoil"), ("trefoil", "figure8")):
         events = connected_sum(*(FIXTURE_MORSE[p] for p in parts))
-        loop = rot_loop(events, fixtures_dir)
+        loop = rot_loop(events)
         k = trace(events).diagram
         if evaluate_loop(a, loop) != -v2(k.canonical(), fixtures_dir):
             ok = False
@@ -423,7 +423,7 @@ def test_criterion_8_loop_sanity(fixtures_dir, cube_meridians):
     # do-undo insertion into rot(trefoil) at 10 random positions; the
     # inserted move is a birth or an R3 so the suffix schedule still
     # applies verbatim (rebirths would rename arrows midway).
-    base_loop = rot_loop("trefoil", fixtures_dir)
+    base_loop = rot_loop("trefoil")
     base_val = evaluate_loop(a, base_loop)
     insert_ok = True
     diagrams = [germ.g0 for germ in base_loop.germs]

@@ -46,7 +46,7 @@ def test_verify_alpha31_passes():
 def test_eval_loop(tmp_path):
     from knotcocycle.cocycles import rot_loop
     from knotcocycle import fixtures_io as fio
-    loop = rot_loop("trefoil", FIXTURES)
+    loop = rot_loop("trefoil")
     obj = {"initial": fio.diagram_to_json(loop.initial),
            "moves": [fio.move_to_json(m) for m in loop.moves]}
     path = tmp_path / "loop.json"
@@ -119,25 +119,6 @@ def test_unknown_input_exits_two(tmp_path):
     run_cli("rot-test", "--knot", "not-a-knot", expect=2)
 
 
-@pytest.mark.parametrize("events", [
-    [["cup", 2], ["cap", 2]],
-    [["cup", 2], ["cup", 3], ["x", 2, "asc"], ["cap", 3], ["cap", 2]],
-])
-def test_rot_test_rejects_a_closed_component(tmp_path, events):
-    fixtures = tmp_path / "fixtures"
-    shutil.copytree(FIXTURES, fixtures)
-    template = fixtures / "loops" / "rot_template.json"
-    obj = json.loads(template.read_text())
-    obj["knots"]["trefoil"] = events
-    template.write_text(json.dumps(obj))
-    cmd = [sys.executable, "-m", "knotcocycle", "--fixtures", str(fixtures),
-           "rot-test", "--knot", "trefoil"]
-    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=REPO)
-    assert proc.returncode == 2, proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
-
-
 @pytest.mark.parametrize("command", [
     ["solve"], ["verify"], ["equations"],
     ["eval-loop", "--loop", str(FIXTURES / "knots" / "trefoil.json")],
@@ -177,6 +158,7 @@ READERS = {
     "coboundary-json": lambda bad: ["coboundary", "--diagram", bad],
     "coboundary-text": lambda bad: ["coboundary", "--diagram", bad],
     "rot-test": lambda bad: ["rot-test", "--knot", bad],
+    "rot-test-text": lambda bad: ["rot-test", "--knot", bad],
     "verify-formula": lambda bad: ["verify", "--formula", bad],
     "eval-loop": lambda bad: ["eval-loop", "--loop", bad],
     "verify-fixture": lambda bad: ["verify"],
@@ -195,7 +177,7 @@ def test_every_reader_refuses_a_bad_file_in_one_line(reader, content, tmp_path, 
         bad = fixtures / "formulas" / "alpha31.json"
         bad.unlink()
     else:
-        bad = tmp_path / ("bad.txt" if reader == "coboundary-text" else "bad.json")
+        bad = tmp_path / ("bad.txt" if reader.endswith("-text") else "bad.json")
     if content == "directory":
         bad.mkdir()
     elif content is not None:
@@ -223,7 +205,7 @@ def test_every_reader_refuses_a_file_one_byte_over_the_cap(reader, tmp_path, mon
     size = 1 + max(f.stat().st_size for f in FIXTURES.rglob("*") if f.is_file())
     good = (FIXTURES / "knots" / "trefoil.json").read_bytes()
     monkeypatch.setattr(fio, "MAX_INPUT_BYTES", size - 1)
-    bad = tmp_path / ("bad.txt" if reader == "coboundary-text" else "bad.json")
+    bad = tmp_path / ("bad.txt" if reader.endswith("-text") else "bad.json")
     bad.write_bytes(good + b" " * (size - len(good)))
     assert main(["--fixtures", str(FIXTURES), *READERS[reader](str(bad))]) == 2
     assert f"cannot read {bad}: longer than {size - 1} bytes" in _one_error_line(capsys)
@@ -261,34 +243,67 @@ def test_rot_test_on_a_knot_with_no_presentation_names_what_it_takes(tmp_path, c
     assert "column events to cocycles.rot_loop" in err
 
 
-def test_rot_test_without_a_template_entry_exits_2(tmp_path, capsys):
-    fixtures = tmp_path / "fixtures"
-    shutil.copytree(FIXTURES, fixtures)
-    template = fixtures / "loops" / "rot_template.json"
-    obj = json.loads(template.read_text())
-    del obj["knots"]["trefoil"]
-    template.write_text(json.dumps(obj))
-    assert main(["--fixtures", str(fixtures), "rot-test", "--knot", "trefoil"]) == 2
-    captured = capsys.readouterr()
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "'trefoil'" in err[0]
-    assert captured.out == ""
-
-
-def test_rot_test_on_a_diagram_file_reads_the_template_once(monkeypatch, capsys):
+def test_rot_test_reads_a_text_diagram_file(tmp_path, capsys):
     from knotcocycle import fixtures_io as fio
+    knot = tmp_path / "tref.txt"
+    knot.write_text(fio.load_json(FIXTURES / "knots" / "trefoil.json")["text"])
+    assert main(["--fixtures", str(FIXTURES), "rot-test", "--knot", str(knot)]) == 0
+    by_file = capsys.readouterr()
+    assert main(["--fixtures", str(FIXTURES), "rot-test", "--knot", "trefoil"]) == 0
+    assert by_file == capsys.readouterr()
+    assert by_file.out == "alpha31(rot)=-1, v2=1, identity holds\n"
+
+
+# The files each command reads: fixtures by their path in the fixture
+# directory, other files by name.
+READS = {
+    "rot-test-name": (["rot-test", "--knot", "figure8"],
+                      ["formulas/alpha31.json", "formulas/v2_diagram.json"]),
+    "rot-test-file": (["rot-test", "--knot", "{fixtures}/knots/figure8.json"],
+                      ["formulas/alpha31.json", "formulas/v2_diagram.json",
+                       "knots/figure8.json"]),
+    "eval-loop": (["eval-loop", "--loop", str(REPO / "tests" / "data" / "rot_loops" /
+                                              "trefoil+figure8.json")],
+                  ["formulas/alpha31.json", "trefoil+figure8.json"]),
+    "solve": (["solve"], ["formulas/alpha31.json", "strata/fig9_tetra.json"]),
+    "verify": (["verify"], ["formulas/alpha31.json", "strata/fig9_tetra.json"]),
+    "equations": (["equations"], ["strata/fig9_tetra.json"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_each_command_reads_only_its_files(command, tmp_path, monkeypatch, capsys):
+    from pathlib import Path
+    from knotcocycle import fixtures_io as fio
+    fixtures = tmp_path / "fixtures"  # a new directory, so no system is cached for it
+    shutil.copytree(FIXTURES, fixtures)
+    argv, expected = READS[command]
     reads = []
-    load_json = fio.load_json
+    read = fio.read
 
-    def counting_load_json(path):
-        reads.append(path)
-        return load_json(path)
+    def recording_read(path, parse, what):
+        path = Path(path)
+        reads.append(path.relative_to(fixtures).as_posix()
+                      if path.is_relative_to(fixtures) else path.name)
+        return read(path, parse, what)
 
-    monkeypatch.setattr(fio, "load_json", counting_load_json)
-    knot = str(FIXTURES / "knots" / "figure8.json")
-    assert main(["--fixtures", str(FIXTURES), "rot-test", "--knot", knot]) == 0
-    assert "identity holds" in capsys.readouterr().out
-    assert sum(1 for path in reads if path.name == "rot_template.json") == 1
+    monkeypatch.setattr(fio, "read", recording_read)
+    argv = [a.format(fixtures=fixtures) for a in argv]
+    assert main(["--fixtures", str(fixtures), *argv]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(reads) == expected
+
+
+def test_rot_test_needs_only_the_formulas(tmp_path, capsys):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES / "formulas", fixtures / "formulas")
+    text = tmp_path / "tref.txt"
+    text.write_text(json.loads((FIXTURES / "knots" / "trefoil.json").read_text())["text"])
+    knots = ["unknot", "trefoil", "figure8", str(text),
+             *(str(f) for f in sorted((FIXTURES / "knots").glob("*.json")))]
+    for knot in knots:
+        assert main(["--fixtures", str(fixtures), "rot-test", "--knot", knot]) == 0, knot
+        assert "identity holds" in capsys.readouterr().out
 
 
 def test_determinism_byte_identical():
@@ -481,7 +496,7 @@ def test_verify_rejects_an_r2_term_with_one_arrow_twice(tmp_path, capsys):
 def _rot_loop_file(tmp_path, name: str) -> str:
     from knotcocycle import fixtures_io as fio
     from knotcocycle.cocycles import rot_loop
-    loop = rot_loop(name, FIXTURES)
+    loop = rot_loop(name)
     path = tmp_path / "loop.json"
     path.write_text(json.dumps({"initial": fio.diagram_to_json(loop.initial),
                                 "moves": [fio.move_to_json(m) for m in loop.moves]}))
@@ -507,7 +522,7 @@ def test_formula_whose_germ_is_not_its_move_exits_2(command, tmp_path, capsys):
 def test_formula_with_a_signed_germ_exits_2(command, tmp_path, capsys):
     from knotcocycle import fixtures_io as fio
     from knotcocycle.cocycles import rot_loop
-    germ = next(g for g in rot_loop("trefoil", FIXTURES).germs if g.kind == "R3")
+    germ = next(g for g in rot_loop("trefoil").germs if g.kind == "R3")
     path = tmp_path / "formula.json"
     path.write_text(json.dumps([{"germ": fio.germ_to_json(germ.canonical()[0]),
                                  "coeff": [1, 1]}]))

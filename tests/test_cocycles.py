@@ -44,7 +44,7 @@ def test_do_undo_loops_evaluate_to_zero(fixtures_dir):
 
 def test_loop_reversal_negates(fixtures_dir):
     a = alpha31(fixtures_dir)
-    loop = rot_loop("trefoil", fixtures_dir)
+    loop = rot_loop("trefoil")
     assert evaluate_loop(a, loop.reversed()) == -evaluate_loop(a, loop)
 
 
@@ -78,20 +78,20 @@ def test_germwise_reversal(fixtures_dir):
 
 def test_loop_concatenation_adds(fixtures_dir):
     a = alpha31(fixtures_dir)
-    l1 = rot_loop("trefoil", fixtures_dir)
-    l2 = rot_loop("trefoil", fixtures_dir)
+    l1 = rot_loop("trefoil")
+    l2 = rot_loop("trefoil")
     both = Loop(l1.germs + l2.germs)
     assert evaluate_loop(a, both) == 2 * evaluate_loop(a, l1)
 
 
-def test_rot_loop_resolution(fixtures_dir, knots):
-    by_name = rot_loop("trefoil", fixtures_dir)
-    by_diagram = rot_loop(knots["trefoil"], fixtures_dir)
+def test_rot_loop_resolution(knots):
+    by_name = rot_loop("trefoil")
+    by_diagram = rot_loop(knots["trefoil"])
     assert by_name.initial == by_diagram.initial
     with pytest.raises(ValueError):
-        rot_loop("cinquefoil", fixtures_dir)
+        rot_loop("cinquefoil")
     with pytest.raises(ValueError):
-        rot_loop(parse_diagram("2; T1 T2 H1 H2; ++"), fixtures_dir)
+        rot_loop(parse_diagram("2; T1 T2 H1 H2; ++"))
 
 
 def test_v2_values(fixtures_dir, knots):
@@ -100,11 +100,11 @@ def test_v2_values(fixtures_dir, knots):
     assert v2(knots["figure8"], fixtures_dir) == -1
 
 
-def test_trivial_cocycles_vanish_on_loops(fixtures_dir):
+def test_trivial_cocycles_vanish_on_loops():
     rng = random.Random(77)
     A = parse_diagram("3; T1 T2 H1 T3 H2 H3")
     dA = coboundary(A)
-    loop = rot_loop("trefoil", fixtures_dir)
+    loop = rot_loop("trefoil")
     assert evaluate_loop(dA, loop) == 0
     done = 0
     while done < 10:
@@ -120,7 +120,7 @@ def test_cohomologous_formulas_agree_on_loops(fixtures_dir):
     # terms too: alpha31 + d(T1 H1 H2 T2) reads -1 on rot trefoil.
     a = alpha31(fixtures_dir)
     for name in ("unknot", "trefoil", "figure8"):
-        loop = rot_loop(name, fixtures_dir)
+        loop = rot_loop(name)
         value = evaluate_loop(a, loop)
         for A in (A for deg in range(4) for A in enumerate_arrow_diagrams(deg)):
             assert evaluate_loop(a + coboundary(A), loop) == value, (name, A)
@@ -152,10 +152,10 @@ def test_verify_reports_violations_for_non_cocycle(fixtures_dir, degree3_system)
     assert rep.violated
 
 
-def test_rot_loop_lengths(fixtures_dir):
+def test_rot_loop_lengths():
     lengths = {"unknot": 2, "trefoil": 12, "figure8": 18}
     for name, expected in lengths.items():
-        assert len(rot_loop(name, fixtures_dir).moves) == expected
+        assert len(rot_loop(name).moves) == expected
 
 
 def test_verify_reports_coboundaries_up_to_the_degree_as_trivial(fixtures_dir, degree3_system):

@@ -227,7 +227,7 @@ def test_every_germ_has_a_sorted_tuple_of_ints_as_dist(cube_meridians):
                        for g in coboundary(a).keys()],
         "variables": list(variable_basis(3)),
         "rotation loops": [g for name in ("unknot", "trefoil", "figure8")
-                           for g in rot_loop(name, FIXTURES).germs],
+                           for g in rot_loop(name).germs],
         "cube meridians": [g for m in [*cube_meridians, *enumerate_cube_meridians(1)]
                            for g in m.germs],
         "quadruple meridians": [g for m in quadruple_meridians() for g in m.germs],

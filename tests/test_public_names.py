@@ -21,7 +21,6 @@ PACKAGE = REPO / "src" / "knotcocycle"
 API = {
     "diagrams.EMPTY_ARROW",    # exported constant, used by the tests
     "diagrams.EMPTY_GAUSS",    # exported constant, used by the tests
-    "fixtures_io.load_knot",   # loads a fixture knot by name for the tests
     "germs.boundary",          # exported chain boundary of a germ, the tests' Stokes side
     "germs.triangle_relator",  # the relators that the tests check
 }

@@ -10,7 +10,7 @@ from knotcocycle.germs import KIND_P, KIND_R3
 from knotcocycle.morse import FIXTURE_MORSE, connected_sum
 from knotcocycle.moves import _literally_equal
 from knotcocycle.quadruple import quadruple_meridians
-from knotcocycle.strata import (Meridian, banned_variable, classify_scenes,
+from knotcocycle.strata import (Meridian, banned_variable, classify_scenes, collect_rows,
                                 dedupe_meridians, enumerate_cube_meridians,
                                 homogeneous_parts, meridian_equation,
                                 meridian_key, picture_fingerprint, reversal_on_rows,
@@ -183,6 +183,13 @@ def test_bystander_meridians_close_and_delete_to_a_bare_one(bystander_meridians,
         assert meridian_key(meridian_without(m, m.bystanders)) in bare
         for g in m.germs:
             g.validate()  # each germ is the move it names
+
+
+def test_every_one_bystander_equation_is_zero(bystander_meridians):
+    # So --bystanders checks criterion 6b and adds no row.
+    assert len(bystander_meridians) == 5760
+    assert all(not meridian_equation(m, m.bystanders) for m in bystander_meridians)
+    assert collect_rows(bystander_meridians) == []
 
 
 def test_more_than_one_bystander_is_refused():
