@@ -5,9 +5,8 @@ Usage:  python3 bench/fixturegen_stages.py [--src DIR --label NAME]... [--repeat
 Times each stage of the fixture generator with the ``knotcocycle``
 package of each source tree DIR (default: this repository), each
 measurement in its own process on fixed inputs; a stage's inputs are
-built before its clock starts (the meridians as
-``dedupe_meridians(enumerate_cube_meridians(0))``, which gives the same
-144 in a tree whose walk yields both orientations).  The stages are
+built before its clock starts (the 144 meridians as
+``list(enumerate_cube_meridians(0))``).  The stages are
 
   enumerate_cube_meridians_0  list(enumerate_cube_meridians(0)), the walk alone
   enumerate_cube_meridians_1  list(enumerate_cube_meridians(1)), the 5,760
@@ -41,21 +40,19 @@ version and the machine.
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
-OUT = REPO / "BENCH_fixturegen.json"
+import harness
+
+OUT = harness.REPO / "BENCH_fixturegen.json"
 REPEATS = 5
-TIMEOUT_S = 300.0
+WORKLOAD = ("python -m knotcocycle.fixturegen and its stages, median of each run's `repeats` "
+            "processes per stage; counts from one run of the whole generator")
 
 # One stage, run in a child process with argv (stage, fixtures); it
 # prints the stage's seconds.  Inputs are prepared before the clock starts.
@@ -68,7 +65,7 @@ from knotcocycle.quadruple import quadruple_meridians
 stage, fixtures = sys.argv[1], sys.argv[2]
 
 def meridians():
-    return strata.dedupe_meridians(strata.enumerate_cube_meridians(0))
+    return list(strata.enumerate_cube_meridians(0))
 
 if stage == "enumerate_cube_meridians_0":
     run = lambda: list(strata.enumerate_cube_meridians(0))
@@ -139,30 +136,13 @@ print(json.dumps(counts))
 """
 
 
-def _git(src: Path, *args) -> str | None:
-    try:
-        proc = subprocess.run(["git", "-C", str(src), *args], capture_output=True,
-                              text=True, timeout=30)
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    return proc.stdout.strip() if proc.returncode == 0 else None
-
-
-def _child(src: Path, cmd: list[str]) -> str:
-    env = dict(os.environ, PYTHONPATH=str(src / "src"))
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=src,
-                          timeout=TIMEOUT_S)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd[:4])} failed:\n{proc.stderr}")
-    return proc.stdout
-
-
 def _seconds(src: Path, name: str, tmp: str) -> float:
     """One process of the stage, or of the whole generator for ``total``."""
     if name != "total":
-        return float(_child(src, [sys.executable, "-c", STAGE, name, str(src / "fixtures")]))
+        return float(harness.run(src, [sys.executable, "-c", STAGE, name, str(src / "fixtures")]))
     t = time.perf_counter()
-    _child(src, [sys.executable, "-m", "knotcocycle.fixturegen", "--out", str(Path(tmp) / "total")])
+    harness.run(src, [sys.executable, "-m", "knotcocycle.fixturegen", "--out",
+                      str(Path(tmp) / "total")])
     return time.perf_counter() - t
 
 
@@ -172,11 +152,10 @@ def measure(trees: dict[str, Path], repeats: int) -> dict[str, tuple[dict, dict]
     times = {label: {name: [] for name in names} for label in trees}
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(repeats):
-            order = list(trees.items())[::-1 if i % 2 else 1]
             for name in names:
-                for label, src in order:
+                for label, src in harness.turn(trees, i):
                     times[label][name].append(_seconds(src, name, tmp))
-        counts = {label: {target: json.loads(_child(src, [sys.executable, "-c", COUNTS, arg]))
+        counts = {label: {target: json.loads(harness.run(src, [sys.executable, "-c", COUNTS, arg]))
                           for target, arg in (("counts", str(Path(tmp) / label)),
                                               ("counts_enumerate_cube_meridians_1", "-"))}
                   for label, src in trees.items()}
@@ -192,34 +171,11 @@ def measure(trees: dict[str, Path], repeats: int) -> dict[str, tuple[dict, dict]
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
-    ap.add_argument("--src", type=Path, action="append",
-                    help="source tree to measure (repeatable; default: this repository)")
-    ap.add_argument("--label", action="append",
-                    help="name of the run in the output, one per --src (default: change)")
-    ap.add_argument("--repeats", type=int, default=REPEATS,
-                    help="processes per stage (the median is recorded)")
-    args = ap.parse_args(argv)
-    if args.repeats < 1:
-        ap.error("--repeats must be at least 1")
-    srcs, labels = args.src or [REPO], args.label or ["change"]
-    if len(srcs) != len(labels) or len(set(labels)) != len(labels):
-        ap.error("give one distinct --label per --src")
-
-    trees = {label: src.resolve() for label, src in zip(labels, srcs)}
-    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
-    doc.setdefault("workload", "python -m knotcocycle.fixturegen and its stages, "
-                               f"median of {args.repeats} processes per stage; "
-                               "counts from one run of the whole generator")
-    for label, (stages, counts) in measure(trees, args.repeats).items():
-        src = trees[label]
-        doc.setdefault("runs", {})[label] = {
-            "git_revision": _git(src, "rev-parse", "HEAD"),
-            "uncommitted_changes": bool(_git(src, "status", "--porcelain", "--", "src")),
-            "python": platform.python_version(), "machine": platform.machine(),
-            "nproc": os.cpu_count(), "repeats": args.repeats,
-            "stages": stages, **counts}
-    OUT.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    trees, repeats = harness.parse_trees(__doc__, REPEATS,
+                                         "processes per stage (the median is recorded)", argv)
+    harness.record(OUT, WORKLOAD, {
+        label: (trees[label], {"repeats": repeats, "stages": stages, **counts})
+        for label, (stages, counts) in measure(trees, repeats).items()})
     return 0
 
 

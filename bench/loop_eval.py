@@ -19,17 +19,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import subprocess
 import sys
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
-OUT = REPO / "BENCH_loop_eval.json"
+import harness
+
+OUT = harness.REPO / "BENCH_loop_eval.json"
 SIZES = (1, 2, 3, 4, 5, 10, 20, 30, 40, 50)
 REPEATS = 3
 BUDGET_S = 120.0  # per point, loop building included
+WORKLOAD = ("evaluate_loop(alpha31, rot_loop(figure8^n)), n as listed in each run's points; "
+            f"median of {REPEATS} runs per point")
 
 # One point, run in a child process with argv (fixtures, n, repeats); it
 # prints the point as JSON.  Each repeat replays the loop's move list with
@@ -38,11 +39,10 @@ BUDGET_S = 120.0  # per point, loop building included
 # builds its germs directly and replays nothing).
 POINT = """
 import json, statistics, sys, time
-from knotcocycle import fixtures_io as fio
 from knotcocycle.cocycles import Loop, alpha31, evaluate_loop, rot_loop
-from knotcocycle.morse import connected_sum
+from knotcocycle.morse import FIXTURE_MORSE, connected_sum
 fixtures, n, repeats = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-events = connected_sum(*[fio.load_morse(fio.resolve_fixtures(fixtures), "figure8")] * n)
+events = connected_sum(*[FIXTURE_MORSE["figure8"]] * n)
 alpha = alpha31(fixtures)
 loop = rot_loop(events)
 initial, moves = loop.initial, loop.moves
@@ -59,17 +59,7 @@ print(json.dumps({"n": n, "moves": len(moves),
 """
 
 
-def _git(src: Path, *args) -> str | None:
-    try:
-        proc = subprocess.run(["git", "-C", str(src), *args], capture_output=True,
-                              text=True, timeout=30)
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    return proc.stdout.strip() if proc.returncode == 0 else None
-
-
 def measure(src: Path) -> list[dict]:
-    env = dict(os.environ, PYTHONPATH=str(src / "src"))
     points = []
     for n in SIZES:
         if points and "skipped" in points[-1]:
@@ -77,35 +67,22 @@ def measure(src: Path) -> list[dict]:
             continue
         cmd = [sys.executable, "-c", POINT, str(src / "fixtures"), str(n), str(REPEATS)]
         try:
-            proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
-                                  timeout=BUDGET_S)
+            points.append(json.loads(harness.run(src, cmd, BUDGET_S)))
         except subprocess.TimeoutExpired:
             points.append({"n": n, "skipped": f"over the {BUDGET_S:g} s budget"})
             continue
-        if proc.returncode != 0:
-            raise RuntimeError(f"figure8^{n} failed:\n{proc.stderr}")
-        points.append(json.loads(proc.stdout))
         print(json.dumps(points[-1]), file=sys.stderr)
     return points
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
-    ap.add_argument("--src", type=Path, default=REPO, help="source tree to measure")
+    ap.add_argument("--src", type=Path, default=harness.REPO, help="source tree to measure")
     ap.add_argument("--label", default="change", help="name of the run in the output")
     args = ap.parse_args(argv)
-
     src = args.src.resolve()
-    run = {"git_revision": _git(src, "rev-parse", "HEAD"),
-           "uncommitted_changes": bool(_git(src, "status", "--porcelain", "--", "src")),
-           "python": platform.python_version(), "machine": platform.machine(),
-           "nproc": os.cpu_count(), "budget_s": BUDGET_S,
-           "points": measure(src)}
-    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
-    doc["workload"] = ("evaluate_loop(alpha31, rot_loop(figure8^n)), n as listed in each "
-                       f"run's points; median of {REPEATS} runs per point")
-    doc.setdefault("runs", {})[args.label] = run
-    OUT.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    harness.record(OUT, WORKLOAD, {args.label: (src, {"budget_s": BUDGET_S,
+                                                      "points": measure(src)})})
     return 0
 
 

@@ -25,16 +25,15 @@ from __future__ import annotations
 import argparse
 import compileall
 import json
-import os
-import platform
 import shutil
-import subprocess
 import sys
 import time
 from pathlib import Path
 from statistics import median, quantiles
 
-REPO = Path(__file__).resolve().parent.parent
+import harness
+
+REPO = harness.REPO
 OUT = REPO / "BENCH_startup.json"
 COMMANDS = {
     "help": ["--help"],
@@ -43,6 +42,12 @@ COMMANDS = {
     "solve": ["solve"],
 }
 MODES = ("source", "bytecode")
+# A fixed hash seed for both sides; no process writes bytecode, so "source"
+# compiles every module and "bytecode" reads only what compileall wrote.
+ENV = {"PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1"}
+WORKLOAD = ("cold `python -m knotcocycle` processes, one per command and side, in alternating "
+            "parent/change pairs; times are wall seconds of the whole process, median and "
+            "quartiles over the pairs")
 
 # The entry point of `python -m knotcocycle`, run in a child that prints,
 # as its last line, the package modules and whether dataclasses was loaded.
@@ -58,40 +63,20 @@ print(json.dumps({"modules": sorted(m for m in sys.modules if m.split(".")[0] ==
 """
 
 
-def _git(tree: Path, *args) -> str | None:
-    try:
-        proc = subprocess.run(["git", "-C", str(tree), *args], capture_output=True,
-                              text=True, timeout=30)
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    return proc.stdout.strip() if proc.returncode == 0 else None
-
-
-def _env(tree: Path) -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "KNOT_COCYCLE_FIXTURES"}
-    env.update(PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
-    return env
-
-
 def _argv(tree: Path, name: str) -> list[str]:
     args = COMMANDS[name]
     return args if name == "help" else [*args, "--fixtures", str(tree / "fixtures")]
 
 
 def _run(tree: Path, name: str) -> tuple[float, bytes]:
-    cmd = [sys.executable, "-m", "knotcocycle", *_argv(tree, name)]
     start = time.perf_counter()
-    proc = subprocess.run(cmd, capture_output=True, env=_env(tree), cwd=tree)
-    seconds = time.perf_counter() - start
-    if proc.returncode != 0:
-        raise RuntimeError(f"{name} failed in {tree}:\n{proc.stderr.decode()}")
-    return seconds, proc.stdout
+    out = harness.run(tree, [sys.executable, "-m", "knotcocycle", *_argv(tree, name)], **ENV)
+    return time.perf_counter() - start, out
 
 
 def _imports(tree: Path, name: str) -> dict:
-    cmd = [sys.executable, "-c", IMPORTS, *_argv(tree, name)]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=_env(tree), cwd=tree)
-    return json.loads(proc.stdout.splitlines()[-1])
+    out = harness.run(tree, [sys.executable, "-c", IMPORTS, *_argv(tree, name)], **ENV)
+    return json.loads(out.splitlines()[-1])
 
 
 def _clear_bytecode(trees) -> None:
@@ -113,11 +98,10 @@ def measure(sides: dict[str, Path], pairs: int) -> dict:
                 compileall.compile_dir(tree / "src" / "knotcocycle", quiet=1)
         times = {name: {side: [] for side in sides} for name in COMMANDS}
         for i in range(pairs):
-            order = list(sides) if i % 2 == 0 else list(sides)[::-1]
             for name in COMMANDS:
                 printed = {}
-                for side in order:
-                    seconds, printed[side] = _run(sides[side], name)
+                for side, tree in harness.turn(sides, i):
+                    seconds, printed[side] = _run(tree, name)
                     times[name][side].append(seconds)
                 if len(set(printed.values())) != 1:
                     raise RuntimeError(f"{name}: the two trees print different bytes")
@@ -146,21 +130,12 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 2")
 
     sides = {"parent": args.parent.resolve(), "change": REPO}
-    run = {
-        "git_revision": {side: _git(tree, "rev-parse", "HEAD") for side, tree in sides.items()},
-        "uncommitted_changes": bool(_git(REPO, "status", "--porcelain", "--", "src")),
-        "python": platform.python_version(), "machine": platform.machine(),
-        "nproc": len(os.sched_getaffinity(0)),
+    harness.record(OUT, WORKLOAD, {args.label: (REPO, {
+        "git_revision": {side: harness.git(tree, "rev-parse", "HEAD")
+                         for side, tree in sides.items()},
         "imports": {name: {side: _imports(tree, name) for side, tree in sides.items()}
                     for name in COMMANDS},
-        "modes": measure(sides, args.pairs),
-    }
-    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
-    doc["workload"] = ("cold `python -m knotcocycle` processes, one per command and side, "
-                       "in alternating parent/change pairs; times are wall seconds of the "
-                       "whole process, median and quartiles over the pairs")
-    doc.setdefault("runs", {})[args.label] = run
-    OUT.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        "modes": measure(sides, args.pairs)})})
     return 0
 
 

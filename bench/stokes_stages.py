@@ -41,23 +41,22 @@ version and the machine.
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
-OUT = REPO / "BENCH_stokes.json"
+import harness
+
+OUT = harness.REPO / "BENCH_stokes.json"
 SEEDS = (1, 2, 3, 12345)
 TRIALS = 400
 MAX_DEGREE = 4
 REPEATS = 5
-TIMEOUT_S = 300.0
+WORKLOAD = (f"stokes-check --trials {TRIALS} --max-degree {MAX_DEGREE} on seeds "
+            f"{', '.join(map(str, SEEDS))}, one process per seed; stage times summed over the "
+            "seeds, median of each run's `repeats` such sums; counts summed over one run per seed")
 
 # The trial loop of cmd_stokes_check with stokes_sides unfolded; argv
 # (mode, seed, trials, max degree).  Mode "time" prints the seconds of
@@ -123,34 +122,16 @@ print(json.dumps(spent if mode == "time" else counts))
 STAGES = ("generation", "dA", "pair_dA_gamma", "pair_A_boundary")
 
 
-def _git(src: Path, *args) -> str | None:
-    try:
-        proc = subprocess.run(["git", "-C", str(src), *args], capture_output=True,
-                              text=True, timeout=30)
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    return proc.stdout.strip() if proc.returncode == 0 else None
-
-
-def _child(src: Path, cmd: list[str]) -> str:
-    env = dict(os.environ, PYTHONPATH=str(src / "src"))
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=src,
-                          timeout=TIMEOUT_S)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd[:4])} failed:\n{proc.stderr}")
-    return proc.stdout
-
-
 def _loop(src: Path, mode: str, seed: int) -> dict:
-    return json.loads(_child(src, [sys.executable, "-c", LOOP, mode, str(seed), str(TRIALS),
-                                   str(MAX_DEGREE)]))
+    return json.loads(harness.run(src, [sys.executable, "-c", LOOP, mode, str(seed),
+                                        str(TRIALS), str(MAX_DEGREE)]))
 
 
 def _total(src: Path, seed: int) -> float:
     """Seconds of one cold stokes-check process."""
     t = time.perf_counter()
-    _child(src, [sys.executable, "-m", "knotcocycle", "stokes-check", "--trials", str(TRIALS),
-                 "--max-degree", str(MAX_DEGREE), "--seed", str(seed)])
+    harness.run(src, [sys.executable, "-m", "knotcocycle", "stokes-check", "--trials",
+                      str(TRIALS), "--max-degree", str(MAX_DEGREE), "--seed", str(seed)])
     return time.perf_counter() - t
 
 
@@ -159,10 +140,9 @@ def measure(trees: dict[str, Path], repeats: int) -> dict[str, tuple[dict, dict]
     names = (*STAGES, "total")
     times = {label: {name: [] for name in names} for label in trees}
     for i in range(repeats):
-        order = list(trees.items())[::-1 if i % 2 else 1]
         sums = {label: dict.fromkeys(names, 0.0) for label in trees}
         for seed in SEEDS:
-            for label, src in order:
+            for label, src in harness.turn(trees, i):
                 for name, s in _loop(src, "time", seed).items():
                     sums[label][name] += s
                 sums[label]["total"] += _total(src, seed)
@@ -185,35 +165,11 @@ def measure(trees: dict[str, Path], repeats: int) -> dict[str, tuple[dict, dict]
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
-    ap.add_argument("--src", type=Path, action="append",
-                    help="source tree to measure (repeatable; default: this repository)")
-    ap.add_argument("--label", action="append",
-                    help="name of the run in the output, one per --src (default: change)")
-    ap.add_argument("--repeats", type=int, default=REPEATS,
-                    help="processes per seed and stage (the median sum is recorded)")
-    args = ap.parse_args(argv)
-    if args.repeats < 1:
-        ap.error("--repeats must be at least 1")
-    srcs, labels = args.src or [REPO], args.label or ["change"]
-    if len(srcs) != len(labels) or len(set(labels)) != len(labels):
-        ap.error("give one distinct --label per --src")
-
-    trees = {label: src.resolve() for label, src in zip(labels, srcs)}
-    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
-    doc.setdefault("workload", f"stokes-check --trials {TRIALS} --max-degree {MAX_DEGREE} on "
-                               f"seeds {', '.join(map(str, SEEDS))}, one process per seed; "
-                               f"stage times summed over the seeds, median of {args.repeats} "
-                               "such sums; counts summed over one run per seed")
-    for label, (stages, counts) in measure(trees, args.repeats).items():
-        src = trees[label]
-        doc.setdefault("runs", {})[label] = {
-            "git_revision": _git(src, "rev-parse", "HEAD"),
-            "uncommitted_changes": bool(_git(src, "status", "--porcelain", "--", "src")),
-            "python": platform.python_version(), "machine": platform.machine(),
-            "nproc": os.cpu_count(), "repeats": args.repeats,
-            "stages": stages, "counts": counts}
-    OUT.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    trees, repeats = harness.parse_trees(
+        __doc__, REPEATS, "processes per seed and stage (the median sum is recorded)", argv)
+    harness.record(OUT, WORKLOAD, {
+        label: (trees[label], {"repeats": repeats, "stages": stages, "counts": counts})
+        for label, (stages, counts) in measure(trees, repeats).items()})
     return 0
 
 

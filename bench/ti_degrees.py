@@ -26,33 +26,33 @@ uncommitted changes, the Python version and the machine.
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
-OUT = REPO / "BENCH_ti.json"
+import harness
+
+OUT = harness.REPO / "BENCH_ti.json"
 SIZES = (1, 2, 4, 8, 12)
 DEGREES = (3, 4)
 REPEATS = 3
 TIMEOUT_S = 600.0
+WORKLOAD = ("germs.ti(g, {d}) over the R3 germs of rot figure8^n, d = 3 and 4, "
+            f"n = {', '.join(map(str, SIZES))} in one process per degree; "
+            "median of each run's `repeats` processes, counts from one more")
 
-# One degree over every n, run in a child process with argv (fixtures,
-# degree, count); it prints one JSON object per n.  With count "1" the
+# One degree over every n, run in a child process with argv (degree,
+# count, n...); it prints one JSON object per n.  With count "1" the
 # canonicalisations are counted and nothing is timed.
 POINTS = """
 import json, sys, time
-from knotcocycle import fixtures_io as fio, germs
+from knotcocycle import germs
 from knotcocycle.cocycles import rot_loop
-from knotcocycle.morse import connected_sum
-fixtures, degree, count = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "1"
-sizes = [int(n) for n in sys.argv[4:]]
-figure8 = fio.load_morse(fio.resolve_fixtures(fixtures), "figure8")
+from knotcocycle.morse import FIXTURE_MORSE, connected_sum
+degree, count = int(sys.argv[1]), sys.argv[2] == "1"
+sizes = [int(n) for n in sys.argv[3:]]
+figure8 = FIXTURE_MORSE["figure8"]
 loops = {n: [g for g in rot_loop(connected_sum(*[figure8] * n)).germs if g.kind == "R3"]
          for n in sizes}
 fresh = [0]
@@ -79,33 +79,18 @@ for n, r3 in loops.items():
 """
 
 
-def _git(src: Path, *args) -> str | None:
-    try:
-        proc = subprocess.run(["git", "-C", str(src), *args], capture_output=True,
-                              text=True, timeout=30)
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    return proc.stdout.strip() if proc.returncode == 0 else None
-
-
 def _points(src: Path, degree: int, count: bool) -> list[dict]:
-    env = dict(os.environ, PYTHONPATH=str(src / "src"))
-    cmd = [sys.executable, "-c", POINTS, str(src / "fixtures"), str(degree),
-           "1" if count else "0", *map(str, SIZES)]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=src,
-                          timeout=TIMEOUT_S)
-    if proc.returncode != 0:
-        raise RuntimeError(f"degree {degree} failed:\n{proc.stderr}")
-    return [json.loads(line) for line in proc.stdout.splitlines()]
+    out = harness.run(src, [sys.executable, "-c", POINTS, str(degree), "1" if count else "0",
+                            *map(str, SIZES)], TIMEOUT_S)
+    return [json.loads(line) for line in out.splitlines()]
 
 
 def measure(trees: dict[str, Path], repeats: int) -> dict[str, dict]:
     """Per label and degree, the points with their timed runs and counts."""
     times = {label: {d: {n: [] for n in SIZES} for d in DEGREES} for label in trees}
     for i in range(repeats):
-        order = list(trees.items())[::-1 if i % 2 else 1]
         for d in DEGREES:
-            for label, src in order:
+            for label, src in harness.turn(trees, i):
                 for point in _points(src, d, False):
                     times[label][d][point["n"]].append(point["seconds"])
     out = {}
@@ -124,33 +109,10 @@ def measure(trees: dict[str, Path], repeats: int) -> dict[str, dict]:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
-    ap.add_argument("--src", type=Path, action="append",
-                    help="source tree to measure (repeatable; default: this repository)")
-    ap.add_argument("--label", action="append",
-                    help="name of the run in the output, one per --src (default: change)")
-    ap.add_argument("--repeats", type=int, default=REPEATS,
-                    help="timed processes per degree (the median is recorded)")
-    args = ap.parse_args(argv)
-    if args.repeats < 1:
-        ap.error("--repeats must be at least 1")
-    srcs, labels = args.src or [REPO], args.label or ["change"]
-    if len(srcs) != len(labels) or len(set(labels)) != len(labels):
-        ap.error("give one distinct --label per --src")
-
-    trees = {label: src.resolve() for label, src in zip(labels, srcs)}
-    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
-    doc["workload"] = ("germs.ti(g, {d}) over the R3 germs of rot figure8^n, d = 3 and 4, "
-                       f"n = {', '.join(map(str, SIZES))} in one process per degree; "
-                       f"median of {args.repeats} processes, counts from one more")
-    for label, degrees in measure(trees, args.repeats).items():
-        src = trees[label]
-        doc.setdefault("runs", {})[label] = {
-            "git_revision": _git(src, "rev-parse", "HEAD"),
-            "uncommitted_changes": bool(_git(src, "status", "--porcelain", "--", "src")),
-            "python": platform.python_version(), "machine": platform.machine(),
-            "nproc": os.cpu_count(), "repeats": args.repeats, **degrees}
-    OUT.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    trees, repeats = harness.parse_trees(
+        __doc__, REPEATS, "timed processes per degree (the median is recorded)", argv)
+    harness.record(OUT, WORKLOAD, {label: (trees[label], {"repeats": repeats, **degrees})
+                                   for label, degrees in measure(trees, repeats).items()})
     return 0
 
 

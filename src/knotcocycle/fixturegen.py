@@ -33,6 +33,9 @@ from .strata import (System, assemble_system, classify_scenes, enumerate_cube_me
                      meridian_equation, meridian_key, row_of_meridian, variable_basis)
 from . import fixtures_io as fio
 
+# The Casson invariant v2 of the fixture knots.
+V2 = {"unknot": 0, "trefoil": 1, "figure8": -1}
+
 
 def gen_knots(out: Path) -> dict:
     knots = {}
@@ -70,8 +73,7 @@ def derive_v2_diagram(knots) -> ArrowDiagram:
     """
     winners = []
     for cand in enumerate_arrow_diagrams(2):
-        if pair(cand, knots["trefoil"]) == 1 and pair(cand, knots["figure8"]) == -1 \
-                and pair(cand, knots["unknot"]) == 0 \
+        if all(pair(cand, knots[name]) == v for name, v in V2.items()) \
                 and not coboundary(cand):
             winners.append(cand)
     if not winners:
@@ -82,7 +84,7 @@ def derive_v2_diagram(knots) -> ArrowDiagram:
 def gen_v2(out: Path, knots) -> ArrowDiagram:
     d = derive_v2_diagram(knots)
     obj = fio.diagram_to_json(d)
-    obj["values"] = {"unknot": 0, "trefoil": 1, "figure8": -1}
+    obj["values"] = V2
     fio.save_json(out / "formulas" / "v2_diagram.json", obj)
     return d
 
@@ -297,8 +299,7 @@ def gen_alpha31(out: Path, system: System) -> FormalSum:
     # fixture knots, with the advertised sign.
     for name, events in FIXTURE_MORSE.items():
         total = evaluate_loop(fs, rot_loop(events))
-        expected = {"unknot": 0, "trefoil": -1, "figure8": 1}[name]
-        if total != expected:
+        if total != -V2[name]:
             raise RuntimeError(f"alpha31 candidate fails rot({name}): {total}")
     fio.save_json(out / "formulas" / "alpha31.json", fio.formula_to_json(fs))
     return fs
