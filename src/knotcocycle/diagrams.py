@@ -27,6 +27,17 @@ HEAD = "H"
 Token = tuple[int, str]  # (arrow id, TAIL or HEAD)
 
 
+def _first_occurrence(word) -> dict[int, int] | None:
+    """The renaming of a word's arrow ids to 1..n by first occurrence; None for the identity."""
+    new = 1  # the ids met so far are 1 .. new - 1
+    for a, _ in word:
+        if not 0 < a < new:
+            if a != new:
+                return {aid: i + 1 for i, aid in enumerate(dict.fromkeys(a for a, _ in word))}
+            new += 1
+    return None
+
+
 class ArrowDiagram:
     """A based arrow diagram: directed chords on a line, no signs."""
 
@@ -50,32 +61,18 @@ class ArrowDiagram:
         """The arrow ids in order of first occurrence."""
         return list(dict.fromkeys(a for a, _ in self.word))
 
-    def relabelling(self) -> dict[int, int]:
-        """Map of old ids to 1..n in order of first occurrence."""
-        return {aid: i + 1 for i, aid in enumerate(self.arrow_ids())}
-
     def relabel(self, m: Mapping[int, int]) -> "ArrowDiagram":
         """The diagram with every arrow id a renamed to m[a]."""
         return ArrowDiagram((m[a], k) for a, k in self.word)
 
-    def _first_occurrence(self) -> dict[int, int] | None:
-        """The ``relabelling``, or None when it is the identity."""
-        new = 1  # the ids met so far are 1 .. new - 1
-        for a, _ in self.word:
-            if not 0 < a < new:
-                if a != new:
-                    return self.relabelling()
-                new += 1
-        return None
-
     def canonical(self) -> "ArrowDiagram":
         """The diagram relabelled by first occurrence: itself if it already is."""
-        m = self._first_occurrence()
+        m = _first_occurrence(self.word)
         return self if m is None else self.relabel(m)
 
     def _canonical_word(self) -> tuple[Token, ...]:
         """The word relabelled by first occurrence: the word itself if it already is."""
-        m = self._first_occurrence()
+        m = _first_occurrence(self.word)
         return self.word if m is None else tuple((m[a], k) for a, k in self.word)
 
     def canonical_key(self):

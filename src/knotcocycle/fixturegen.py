@@ -17,6 +17,7 @@ the test suite regenerates them all and compares byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -27,8 +28,8 @@ from .coboundary import coboundary
 from .cocycles import evaluate_loop, rot_loop, trivial_variable_vectors
 from .morse import FIXTURE_MORSE, trace
 from .quadruple import quadruple_meridians
-from .rational_linalg import (SparseMatrix, extend_reduced, kernel_basis, residual, rref,
-                              solve_in_span)
+from .rational_linalg import (SparseMatrix, kernel_basis, primitive, reduce_primitive, residual,
+                              rref, solve_in_span)
 from .strata import (System, assemble_system, classify_scenes, enumerate_cube_meridians,
                      meridian_equation, meridian_key, row_of_meridian, variable_basis)
 from . import fixtures_io as fio
@@ -89,9 +90,15 @@ def gen_v2(out: Path, knots) -> ArrowDiagram:
     return d
 
 
+@functools.cache
+def _fixture_loop(name: str):
+    """The rotation loop of a fixture knot, built once per process; callers must not mutate it."""
+    return rot_loop(name)
+
+
 def gen_seed_r3(out: Path) -> None:
     """A planar-certified R3 move: the first bottom move of rot(trefoil)."""
-    loop = rot_loop(FIXTURE_MORSE["trefoil"])
+    loop = _fixture_loop("trefoil")
     germ = next(g for g, tag in zip(loop.germs, loop.tags) if tag == "bottom")
     fio.save_json(out / "moves" / "seed_r3.json", {
         "source": fio.diagram_to_json(germ.g0),
@@ -228,38 +235,42 @@ def _unit_candidates(fg, others, res, target, ncols) -> list[dict]:
     A support of fg and three of ``others`` (in ``itertools.combinations``
     order) is kept when sum_j x_j res[j] = target has a unique solution
     x without zero entries; scaled to x_fg = 1, a unit solution is a
-    candidate.  The supports are walked depth-first with one reduced
-    basis per prefix (fg), (fg, a) and (fg, a, b), each its parent's
-    extended by one row:
+    candidate.  The supports are walked depth-first, keeping the target's
+    and every later variable's residual modulo each prefix (fg), (fg, a)
+    and (fg, a, b) as a primitive integer row; a prefix reduces the
+    residuals of its parent by the one row it adds, its last variable's:
 
     - a prefix whose new row reduces to zero is dependent, so every
       support through it has a zero coefficient;
     - when the target reduces to zero against (fg, a, b), c gets 0;
-    - otherwise c completes the support only when its reduced row is a
-      nonzero multiple of the reduced target.
+    - otherwise c completes the support only when its residual is the
+      target's: primitive rows are equal exactly when they are multiples.
 
-    Those survivors alone are solved with ``solve_in_span``.  That is
-    len(others) + C(len(others), 2) one-row extensions and one reduction
-    per support, against an elimination per support.
+    Those survivors alone are solved with ``solve_in_span``.  That is one
+    single-row reduction per support and per (prefix, later variable),
+    against an elimination per support.
     """
     candidates = []
-    base = extend_reduced(SparseMatrix(0, ncols), res[fg])
-    if base is None:
+    pfg = primitive(res[fg])
+    if not pfg:
         return candidates
+    t1 = reduce_primitive(primitive(target), pfg)
+    level1 = {j: reduce_primitive(primitive(res[j]), pfg) for j in others}
     for i, a in enumerate(others):
-        with_a = extend_reduced(base, res[a])
-        if with_a is None:
+        pa = level1[a]
+        if not pa:
             continue
+        t2 = reduce_primitive(t1, pa)
+        level2 = {j: reduce_primitive(level1[j], pa) for j in others[i + 1:]}
         for k, b in enumerate(others[i + 1:], i + 1):
-            with_ab = extend_reduced(with_a, res[b])
-            if with_ab is None:
+            pb = level2[b]
+            if not pb:
                 continue
-            rest = residual(with_ab, target)
+            rest = reduce_primitive(t2, pb)
             if not rest:
                 continue
             for c in others[k + 1:]:
-                rc = residual(with_ab, res[c])  # empty when c is dependent
-                if rc.keys() != rest.keys() or len({rest[j] / rc[j] for j in rc}) != 1:
+                if reduce_primitive(level2[c], pb) != rest:
                     continue
                 support = (fg, a, b, c)
                 # solve_in_span gives non-pivot rows coefficient 0, so a
@@ -282,7 +293,7 @@ def _rot_profiles(var_index):
     """
     profile: dict = {}
     for pos, name in enumerate(("trefoil", "figure8")):
-        loop = rot_loop(FIXTURE_MORSE[name])
+        loop = _fixture_loop(name)
         for germ, tag in zip(loop.germs, loop.tags):
             if germ.kind == KIND_R3:
                 for key, c in ti(germ, {3}).items():
@@ -297,8 +308,8 @@ def gen_alpha31(out: Path, system: System) -> FormalSum:
     fs = derive_alpha31(system)
     # Hard validation before freezing: the rotation identity on all three
     # fixture knots, with the advertised sign.
-    for name, events in FIXTURE_MORSE.items():
-        total = evaluate_loop(fs, rot_loop(events))
+    for name in FIXTURE_MORSE:
+        total = evaluate_loop(fs, _fixture_loop(name))
         if total != -V2[name]:
             raise RuntimeError(f"alpha31 candidate fails rot({name}): {total}")
     fio.save_json(out / "formulas" / "alpha31.json", fio.formula_to_json(fs))

@@ -226,10 +226,10 @@ def load_json(path):
 
 
 def save_json(path: Path, obj) -> None:
+    """Write obj as indented JSON, keys sorted, in one write."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
 def load_fixture(fixtures, name: str, parse):

@@ -33,18 +33,22 @@ T(I(germ)) is summed over the subgerms of the unsigned skeleton.  A
 subgerm's normal form depends only on where the distinguished arrows'
 ends lie on the two sides, on which of them it drops, and on where the
 ends of the other arrows it keeps fall among them.  ``add_ti`` reads
-every subgerm from the placement table ``_PLACEMENTS``, one per process,
-filled on a miss by deleting and canonicalising.  Normal forms keep
-their ``key()`` and hash once computed.
+every subgerm from the placement table ``_PLACEMENTS``, one per process.
+A miss reads the subgerm's words off the skeleton's words and puts them
+in normal form with ``_normalise``, the one normal-form rule, which
+``Germ.canonical`` also follows; only a normal form met for the first
+time is built as a germ.  Normal forms keep their ``key()`` and hash
+once computed; other germs read their key off their words.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
-from .diagrams import (ArrowDiagram, FormalSum, GaussDiagram, HEAD, TAIL)
+from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, HEAD, TAIL, _first_occurrence
 from .moves import (InvalidMove, Move, R1_BIRTH, R1_DEATH, R2_BIRTH, R2_DEATH,
                     R3, _fresh_ids, _literally_equal, apply_move, edge_data, edge_flanks,
                     move_between, r1_death, r2_death, r3, r3_moves, split_gaps, transpose)
@@ -138,45 +142,47 @@ class Germ:
     def canonical(self) -> tuple["Germ", int]:
         """Normalised representative and the sign carried by this one.
 
-        R3 and partial germs normalise to the side with co-orientation
-        value +1; R1 and R2 germs normalise to the birth orientation
-        (larger side second).  A germ presented the other way round is
-        minus its normal form, so that cochain evaluation along a
-        traversal is antisymmetric under reversing a step for every
-        move kind -- the Stokes formula fails on death-oriented germs
-        otherwise.
+        The normal form is the one ``_normalise`` reads off the words.  A
+        germ presented the other way round is minus its normal form, so
+        that cochain evaluation along a traversal is antisymmetric under
+        reversing a step for every move kind -- the Stokes formula fails
+        on death-oriented germs otherwise.
         """
         if self._canon is not None:
             # A normal form marks itself True rather than holding (self, 1),
             # so it is not a reference cycle and dies with its last user.
             return (self, 1) if self._canon is True else self._canon
-        sign = 1
-        g = self
-        if g.kind in (KIND_R3, KIND_P):
-            if g.orientation_value(g.g1) != 1:
-                g = g.swapped()
-                sign = -1
-        elif g.g1.degree < g.g0.degree:
-            g = g.swapped()
-            sign = -1
-        m = g.bigger()._first_occurrence()
-        if m is None:  # g, self or a new swapped copy, is labelled by first occurrence
-            canon = g
-        else:
-            dist = [m[a] for a in g.dist] if g.kind in (KIND_R1, KIND_R2) else g.dist
-            canon = Germ(g.kind, g.g0.relabel(m), g.g1.relabel(m), dist)
+        sign, m, dist = self._normal_data()
+        g0, g1 = (self.g0, self.g1)[::sign]
+        if m is not None:
+            canon = Germ(self.kind, g0.relabel(m), g1.relabel(m), dist)
+        else:  # labelled by first occurrence already
+            canon = self if sign == 1 else Germ(self.kind, g0, g1, dist)
         canon._canon = True
         if canon is self:
             return self, 1
         self._canon = (canon, sign)
         return self._canon
 
-    def _normal_form(self) -> "Germ":
-        return self if self._canon is True else self.canonical()[0]
+    def _normal_data(self):
+        """``_normalise`` on this germ: its normal form's sign, relabelling and dist."""
+        value = self.orientation_value(self.g1) if self.kind in (KIND_R3, KIND_P) else 1
+        return _normalise(self.kind, self.g0.word, self.g1.word, self.dist, value)
+
+    def _normal_form(self):
+        """The normal form if it is built: this germ, or the one ``canonical`` found."""
+        return self if self._canon is True else self._canon and self._canon[0]
 
     def key(self):
-        """The normal form's identity, computed once on the normal form and kept there."""
+        """The normal form's identity, kept on the normal form once computed.
+
+        A germ not canonicalised yet reads it off its sides without building
+        its normal form, since relabelling keeps a diagram's ``canonical_key``.
+        """
         c = self._normal_form()
+        if c is None:
+            sign, _, dist = self._normal_data()
+            return (self.kind, *(self.g0.canonical_key(), self.g1.canonical_key())[::sign], dist)
         if c._key is None:
             c._key = (c.kind, c.g0.canonical_key(), c.g1.canonical_key(), c.dist)
         return c._key
@@ -186,6 +192,8 @@ class Germ:
 
     def __hash__(self) -> int:
         c = self._normal_form()
+        if c is None:
+            return hash(self.key())
         if c._hash is None:
             c._hash = hash(c.key())
         return c._hash
@@ -257,26 +265,75 @@ def boundary(germ: Germ) -> FormalSum:
     return out
 
 
+def _normalise(kind, w0, w1, dist, value):
+    """How the germ with these words becomes its normal form: (sign, relabelling, dist).
+
+    R3 and partial germs normalise to the side with co-orientation value
+    +1, ``value`` being that of w1; R1 and R2 germs to the birth
+    orientation (larger side second).  The sign is -1 when the sides
+    swap.  The relabelling, None for the identity, renames the arrows by
+    first occurrence on the larger side of the normal form, and dist is
+    the normal form's: R1 and R2 arrow ids renamed, gaps as they are.
+    """
+    sign = 1
+    if (value != 1) if kind in (KIND_R3, KIND_P) else (len(w1) < len(w0)):
+        sign, w0, w1 = -1, w1, w0
+    m = _first_occurrence(w1 if len(w1) >= len(w0) else w0)
+    if m is not None and kind in (KIND_R1, KIND_R2):
+        dist = tuple(sorted(m[a] for a in dist))
+    return sign, m, dist
+
+
+def _deleted(germ: Germ, ids: set[int]):
+    """The subgerm without the arrows ids: its kind, words and distinguished data.
+
+    Its gaps are the germ's less the deleted tokens before them; a 3-germ
+    losing one distinguished arrow keeps, as a partial germ, its first
+    edge not flanked by that arrow.  Last come the germ's gaps that the
+    subgerm keeps, empty for R1 and R2.
+    """
+    w0 = tuple(t for t in germ.g0.word if t[0] not in ids)
+    w1 = tuple(t for t in germ.g1.word if t[0] not in ids)
+    if germ.kind in (KIND_R1, KIND_R2):
+        return germ.kind, w0, w1, germ.dist, ()
+    word = germ.g1.word
+    kind, gaps = germ.kind, germ.dist
+    gone = ids & germ.distinguished_ids()
+    if gone:
+        (x,) = gone
+        kind, gaps = KIND_P, [g for g in gaps if x not in (word[g - 1][0], word[g][0])][:1]
+        if not gaps:
+            raise ValueError("no surviving distinguished edge")
+    dist = tuple(g - sum(1 for a, _ in word[:g] if a in ids) for g in gaps)
+    return kind, w0, w1, dist, tuple(gaps)
+
+
 def _delete_from_germ(germ: Germ, ids: set[int]) -> Germ:
     """Remove matched arrows from both sides, keeping distinguished data."""
-    g0 = germ.g0.delete(ids)
-    g1 = germ.g1.delete(ids)
-    if germ.kind in (KIND_R1, KIND_R2):
-        return Germ(germ.kind, g0, g1, germ.dist)
-    word = germ.g1.word
+    kind, _, _, dist, _ = _deleted(germ, ids)
+    return Germ(kind, germ.g0.delete(ids), germ.g1.delete(ids), dist)
 
-    def kept(gap):  # a kept edge's gap, less the deleted tokens before it
-        return gap - sum(1 for a, _ in word[:gap] if a in ids)
 
-    # Removed ids may include one distinguished arrow of a 3-germ.
-    gone = ids & germ.distinguished_ids()
-    if not gone:
-        return Germ(germ.kind, g0, g1, [kept(g) for g in germ.dist])
-    (x,) = gone
-    for g in germ.dist:
-        if x not in (word[g - 1][0], word[g][0]):
-            return Germ(KIND_P, g0, g1, (kept(g),))
-    raise ValueError("no surviving distinguished edge")
+def _subgerm(germ: Germ, ids: set[int]) -> tuple[Germ, int]:
+    """The normal form of the skeleton's subgerm without the arrows ids, and its sign.
+
+    It is read off the words: the kept edges are flanked by the germ's
+    tokens, so their co-orientation values are the germ's.  A normal
+    form met before is taken from ``_NORMAL_FORMS``; a new one is built
+    once, with its two diagrams.
+    """
+    kind, w0, w1, dist, gaps = _deleted(germ, ids)
+    value = math.prod(edge_data(germ.g1, g)[3] for g in gaps)
+    sign, m, dist = _normalise(kind, w0, w1, dist, value)
+    w0, w1 = (w0, w1)[::sign]
+    if m is not None:
+        w0, w1 = (tuple((m[a], k) for a, k in w) for w in (w0, w1))
+    canon = _NORMAL_FORMS.get((kind, w0, w1, dist))
+    if canon is None:
+        canon = _NORMAL_FORMS[kind, w0, w1, dist] = Germ(kind, ArrowDiagram(w0),
+                                                         ArrowDiagram(w1), dist)
+        canon._canon = True
+    return canon, sign
 
 
 def _subgerm_levels(germ: Germ, keep: frozenset[int], drop: frozenset[int], degrees):
@@ -352,8 +409,11 @@ def add_ti(out: FormalSum, germ: Germ, coeff=1, keep: frozenset[int] = frozenset
     Every normal form is read from the table ``_PLACEMENTS``, keyed by
     the germ's placement (``_placement``, one pass over the words), the
     dropped distinguished arrow and the kept arrows' ends (``_slots``,
-    O(k^2) for k kept arrows).  A miss deletes the removed arrows from
-    the skeleton, canonicalises, and stores the result.  An R3 germ of
+    O(k^2) for k kept arrows).  A miss (``_subgerm``) drops the removed
+    arrows from the words, shifts the gaps, orients and relabels the
+    words by ``_normalise``, and stores the result; a germ with its two
+    checked diagrams is built only for a normal form that
+    ``_NORMAL_FORMS`` does not hold yet.  An R3 germ of
     degree n read in degree 3 (alpha31, the cube equations) so costs O(n),
     and one read in degree 4 O(n^2), with no canonicalisation once the
     table holds its shapes.
@@ -370,7 +430,6 @@ def add_ti(out: FormalSum, germ: Germ, coeff=1, keep: frozenset[int] = frozenset
     for a in itertools.chain(dist, keep):
         bare *= signs[a]
     keep = tuple(keep)
-    skel = None
     for r, dds in levels:
         # Each dd with its dropped arrow's label and coeff times its sign (0 and coeff if none).
         dds = [(dd, label[dd[0]], coeff * signs[dd[0]]) if dd else (dd, 0, coeff) for dd in dds]
@@ -383,18 +442,18 @@ def add_ti(out: FormalSum, germ: Germ, coeff=1, keep: frozenset[int] = frozenset
             for dd, dl, c in dds:
                 hit = table.get((dl, slots))
                 if hit is None:
-                    if skel is None:
-                        skel = Germ(germ.kind, germ.g0.skeleton(), germ.g1.skeleton(), germ.dist)
                     removed = drop.union(set(rest).difference(kept), dd)
-                    hit = table[dl, slots] = _delete_from_germ(skel, removed).canonical()
+                    hit = table[dl, slots] = _subgerm(germ, removed)
                 canon, s = hit
                 out.add(canon, c * weight * s)
 
 
 # Subgerm normal forms by placement, then by the dropped distinguished
 # arrow and the kept ends: one table per process, filled on a miss by
-# ``add_ti``; nothing is built up front.
+# ``add_ti``; nothing is built up front.  The normal forms themselves are
+# shared by their words, so there are at most as many as table entries.
 _PLACEMENTS: dict = {}
+_NORMAL_FORMS: dict = {}
 
 
 def _placement(germ: Germ, dist: frozenset[int]):

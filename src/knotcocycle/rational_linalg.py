@@ -1,15 +1,19 @@
 """Exact sparse linear algebra over the rationals.
 
-Rows map column indices to nonzero ints or Fractions, made Fractions
-where they enter an elimination or a reduction so that division stays
-exact.  Elimination picks, for each pivot column in increasing order,
-the sparsest remaining candidate row (lowest row index on ties), so the
-reduced form and the kernel basis are reproducible.
+Rows map column indices to nonzero ints or Fractions.  Inside, every
+elimination runs on integer rows: an entry update is one integer
+multiply-subtract, and a row update ends with one gcd that makes the
+row primitive (``primitive``).  Scaling a row keeps its support, so
+the pivots are those of elimination over the rationals, and Fractions
+appear only in the rows, residuals and solutions returned.  Elimination
+picks, for each pivot column in increasing order, the sparsest remaining
+candidate row (lowest row index on ties), so the reduced form and the
+kernel basis are reproducible.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -36,25 +40,67 @@ class SparseMatrix(NamedTuple):
         return out
 
 
-def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
-    """row -= f * other in place, dropping the entries that cancel."""
-    for c, v in other.items():
-        nv = row.get(c, Fraction(0)) - f * v
-        if nv == 0:
-            row.pop(c, None)
+def _scaled(row) -> tuple[dict[int, int], int]:
+    """The row times the lcm of its denominators, as ints, and that lcm."""
+    den = math.lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items()}, den
+
+
+def _combine(row: dict[int, int], piv: dict[int, int], col: int):
+    """a * row - b * piv for the least a > 0 that clears col, and a."""
+    f, q = row[col], piv[col]
+    g = math.gcd(f, q)
+    a, b = abs(q) // g, f // g if q > 0 else -f // g
+    out = {c: a * v for c, v in row.items()} if a != 1 else dict(row)
+    for c, v in piv.items():
+        nv = out.get(c, 0) - b * v
+        if nv:
+            out[c] = nv
         else:
-            row[c] = nv
+            del out[c]
+    return out, a
 
 
-def _eliminate(rows: list[dict[int, Fraction]], ncols: int):
-    """Reduced row echelon form: the pivot rows and their pivot columns.
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """A nonzero int row divided by its gcd, signed positive at its least column."""
+    g = math.gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
-    Pivots are taken in increasing column order, so the i-th row has its
-    leading entry, 1, in the i-th pivot column.
+
+def primitive(row) -> dict[int, int]:
+    """The primitive integer row on the line of a row of ints and Fractions.
+
+    Its entries are coprime ints, positive at the least column, so two
+    rows share it exactly when each is a nonzero multiple of the other;
+    the zero row gives {}.
     """
-    work = [{c: Fraction(v) for c, v in r.items()} for r in rows if r]
+    return _primitive(_scaled(row)[0]) if row else {}
+
+
+def reduce_primitive(row: dict[int, int], prow: dict[int, int]) -> dict[int, int]:
+    """``primitive`` of row minus the multiple of prow that is 0 at prow's least column.
+
+    Both rows are primitive; row comes back as it is when it is 0 there.
+    """
+    col = min(prow)
+    if col not in row:
+        return row
+    out, _ = _combine(row, prow, col)
+    return _primitive(out) if out else out
+
+
+def _eliminate(rows, ncols: int):
+    """Reduced row echelon form on primitive integer rows: the rows and their pivot columns.
+
+    Pivots are taken in increasing column order; the i-th row is the
+    rational reduced row scaled by its nonzero entry in the i-th pivot
+    column, and is 0 in the other pivot columns.
+    """
+    work = [primitive(r) for r in rows if r]
     pivots: list[int] = []
-    final: list[dict[int, Fraction]] = []
+    final: list[dict[int, int]] = []
     for col in range(ncols):
         best = None
         for i, row in enumerate(work):
@@ -64,13 +110,8 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int):
         if best is None:
             continue
         piv = work.pop(best)
-        inv = 1 / piv[col]
-        piv = {c: v * inv for c, v in piv.items()}
-        for row in itertools.chain(work, final):
-            f = row.get(col)
-            if f:
-                _subtract(row, f, piv)
-        work = [r for r in work if r]
+        work = [r for r in (reduce_primitive(r, piv) for r in work) if r]
+        final = [reduce_primitive(r, piv) for r in final]
         pivots.append(col)
         final.append(piv)
     return final, pivots
@@ -79,27 +120,27 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int):
 def rref(m: SparseMatrix) -> tuple[SparseMatrix, list[int]]:
     """Reduced echelon form and the pivot column list; rank = len(pivots)."""
     final, pivots = _eliminate(m.rows, m.ncols)
-    return SparseMatrix(len(final), m.ncols, final), pivots
+    rows = [{c: Fraction(v, row[p]) for c, v in row.items()} for p, row in zip(pivots, final)]
+    return SparseMatrix(len(rows), m.ncols, rows), pivots
 
 
 def rank(m: SparseMatrix) -> int:
-    return len(rref(m)[1])
+    return len(_eliminate(m.rows, m.ncols)[1])
 
 
 def kernel_basis(m: SparseMatrix) -> list[dict[int, Fraction]]:
     """Exact basis of the null space; count equals ncols - rank."""
-    reduced, pivots = rref(m)
+    final, pivots = _eliminate(m.rows, m.ncols)
     pivot_set = set(pivots)
-    pivot_row = dict(zip(pivots, reduced.rows))
     basis = []
     for free in range(m.ncols):
         if free in pivot_set:
             continue
         vec = {free: Fraction(1)}
-        for p in pivots:
-            v = pivot_row[p].get(free)
+        for p, row in zip(pivots, final):
+            v = row.get(free)
             if v:
-                vec[p] = -v
+                vec[p] = Fraction(-v, row[p])
         basis.append(vec)
     return basis
 
@@ -109,30 +150,16 @@ def residual(reduced: SparseMatrix, row: dict[int, Fraction]) -> dict[int, Fract
 
     The residual misses every pivot column; it is empty exactly when the
     row lies in the span, and equal for rows that differ by a member of
-    the span.  Eliminate once with ``rref`` to reduce many rows.
+    the span.  Eliminate once with ``rref`` to reduce many rows.  Each
+    row of ``reduced`` is 1 at its least column and clears that column.
     """
-    work = {c: Fraction(v) for c, v in row.items()}
+    work, scale = _scaled(row)  # work = scale * (the reduction so far)
     for prow in reduced.rows:
-        f = work.get(min(prow))
-        if f:
-            _subtract(work, f, prow)
-    return work
-
-
-def extend_reduced(reduced: SparseMatrix, row: dict[int, Fraction]) -> SparseMatrix | None:
-    """``reduced`` with one more row, or None when the row lies in its span.
-
-    The new row is the residual of ``row``, scaled to 1 at its least
-    column.  It is 0 at the leading columns of the rows before it, so
-    ``residual`` against the result is again a normal form modulo the
-    span, one that rows differing by a member of the span share.
-    """
-    work = residual(reduced, row)
-    if not work:
-        return None
-    inv = 1 / work[min(work)]
-    return SparseMatrix(reduced.nrows + 1, reduced.ncols,
-                        [*reduced.rows, {c: v * inv for c, v in work.items()}])
+        col = min(prow)
+        if col in work:
+            work, a = _combine(work, _scaled(prow)[0], col)
+            scale *= a
+    return {c: Fraction(v, scale) for c, v in work.items()}
 
 
 def in_row_span(m: SparseMatrix, row: dict[int, Fraction]) -> bool:
@@ -166,5 +193,5 @@ def solve_in_span(rows: list[dict[int, Fraction]], target: dict[int, Fraction]):
     final, pivots = _eliminate(aug, len(rows) + 1)
     if len(rows) in pivots:
         return None
-    coeffs = {p: row.get(len(rows), Fraction(0)) for p, row in zip(pivots, final)}
+    coeffs = {p: Fraction(row.get(len(rows), 0), row[p]) for p, row in zip(pivots, final)}
     return [coeffs.get(j, Fraction(0)) for j in range(len(rows))]

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -51,7 +50,7 @@ from .germs import (Germ, KIND_P, KIND_R2, KIND_R3, add_ti, enumerate_arrow_3ger
                     reversed_chain)
 from .moves import (R1_DEATH, R2_BIRTH, R2_DEATH, _fresh_ids, edge_data, edge_flanks,
                     enumerate_moves, r2_birth, r2_birth_word, r2_death, r3_moves, transpose)
-from .rational_linalg import SparseMatrix, rank
+from .rational_linalg import SparseMatrix, primitive, rank
 
 CUBE = "cube"
 QUADRUPLE = "quadruple"
@@ -306,15 +305,8 @@ def restrict_to_variables(fs: FormalSum, var_index: dict) -> dict[int, Fraction]
 
 
 def normalise_row(row: dict) -> tuple:
-    """One representative of the row's nonzero multiples: coprime integers, leading one positive."""
-    if not row:
-        return ()
-    items = sorted(row.items())
-    denom_lcm = math.lcm(*(v.denominator for _, v in items))
-    ints = [(j, int(v * denom_lcm)) for j, v in items]
-    g = math.gcd(*(v for _, v in ints))
-    sign = -1 if ints[0][1] < 0 else 1
-    return tuple((j, sign * v // g) for j, v in ints)
+    """One representative of the row's nonzero multiples: its ``primitive`` row, sorted."""
+    return tuple(sorted(primitive(row).items()))
 
 
 def meridian_equation(m: Meridian, s: frozenset[int] = frozenset()) -> FormalSum:

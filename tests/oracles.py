@@ -49,6 +49,10 @@ computes another way:
 - ``subset_unit_candidates``: alpha31's unit-coefficient supports found
   by one ``solve_in_span`` per support, against the prefix elimination
   of ``fixturegen._unit_candidates``;
+- ``fraction_eliminate``, ``fraction_residual`` and
+  ``fraction_solve_in_span``: elimination with a Fraction in every
+  entry, each row scaled to 1 at its pivot, against the primitive
+  integer rows of ``rational_linalg``;
 - ``filtered_trivial_variable_vectors``: the trivial variable vectors
   kept after computing every degree-3 coboundary, against the R1/R2
   filter before the coboundary in ``cocycles.trivial_variable_vectors``;
@@ -85,7 +89,7 @@ from knotcocycle.germs import (KIND_P, KIND_R1, KIND_R2, Germ, _delete_from_germ
 from knotcocycle.moves import (MOVE_KINDS, R1_BIRTH, R2_BIRTH, InvalidMove, _literally_equal,
                                apply_move, edge_flanks, enumerate_moves, r1_birth, r2_birth,
                                r2_death, r3, r3_moves, split_gaps, validate_r3)
-from knotcocycle.rational_linalg import solve_in_span
+from knotcocycle.rational_linalg import SparseMatrix, solve_in_span
 from knotcocycle.strata import CUBE, Meridian, restrict_to_variables
 
 
@@ -507,6 +511,67 @@ def subset_unit_candidates(fg, others, res, target) -> list[dict]:
         if all(abs(c) == 1 for c in cand.values()):
             candidates.append(cand)
     return candidates
+
+
+def _subtract(row: dict, f: Fraction, other: dict) -> None:
+    """row -= f * other in place, dropping the entries that cancel."""
+    for c, v in other.items():
+        nv = row.get(c, Fraction(0)) - f * v
+        if nv == 0:
+            row.pop(c, None)
+        else:
+            row[c] = nv
+
+
+def fraction_eliminate(rows, ncols: int):
+    """Reduced row echelon form over Fractions: the pivot rows, 1 at their pivots, and the pivots.
+
+    Pivots are taken in increasing column order, each from the sparsest
+    remaining row (lowest index on ties).
+    """
+    work = [{c: Fraction(v) for c, v in r.items()} for r in rows if r]
+    pivots, final = [], []
+    for col in range(ncols):
+        best = None
+        for i, row in enumerate(work):
+            if col in row:
+                if best is None or len(row) < len(work[best]):
+                    best = i
+        if best is None:
+            continue
+        piv = work.pop(best)
+        inv = 1 / piv[col]
+        piv = {c: v * inv for c, v in piv.items()}
+        for row in itertools.chain(work, final):
+            f = row.get(col)
+            if f:
+                _subtract(row, f, piv)
+        work = [r for r in work if r]
+        pivots.append(col)
+        final.append(piv)
+    return final, pivots
+
+
+def fraction_residual(reduced: SparseMatrix, row: dict) -> dict:
+    """A row reduced in turn by each row of ``reduced`` at its least column, in Fractions."""
+    work = {c: Fraction(v) for c, v in row.items()}
+    for prow in reduced.rows:
+        f = work.get(min(prow))
+        if f:
+            _subtract(work, f, prow)
+    return work
+
+
+def fraction_solve_in_span(rows, target):
+    """``rational_linalg.solve_in_span`` through ``fraction_eliminate``."""
+    cols = sorted(set(target).union(*rows))
+    aug = [{**{j: r[c] for j, r in enumerate(rows) if r.get(c)},
+            **({len(rows): target[c]} if target.get(c) else {})} for c in cols]
+    final, pivots = fraction_eliminate(aug, len(rows) + 1)
+    if len(rows) in pivots:
+        return None
+    coeffs = {p: row.get(len(rows), Fraction(0)) for p, row in zip(pivots, final)}
+    return [coeffs.get(j, Fraction(0)) for j in range(len(rows))]
 
 
 @functools.cache

@@ -19,6 +19,7 @@ from knotcocycle.diagrams import FormalSum, GaussDiagram
 from knotcocycle.germs import (Germ, _subgerm_levels, add_ti, enumerate_arrow_3germs, make_germ,
                                pair_germ, ti)
 from knotcocycle.morse import connected_sum
+from knotcocycle.quadruple import quadruple_meridians
 from knotcocycle.strata import enumerate_cube_meridians, ti_meridian
 from conftest import FIXTURES, REPO, random_arrow_diagram, random_gauss_diagram, random_move
 from oracles import (expanded_add_ti, expanded_ti, expanded_ti_meridian, i_map, i_meridian,
@@ -47,6 +48,15 @@ def test_table_matches_the_expansion_on_the_cube_meridians(cube_meridians):
             assert _same_terms(ti_meridian(m, frozenset(), degrees),
                                expanded_ti_meridian(m, frozenset(), degrees))
         assert ti_meridian(m, frozenset(), {3}) == t_map(i_meridian(m, frozenset(), {3}))
+
+
+def test_table_matches_the_expansion_on_the_quadruple_meridians():
+    meridians = quadruple_meridians()
+    assert len(meridians) == 24
+    for m in meridians:
+        for degrees in ({3}, {4}):
+            assert _same_terms(ti_meridian(m, frozenset(), degrees),
+                               expanded_ti_meridian(m, frozenset(), degrees))
 
 
 def test_table_matches_the_expansion_on_the_bystander_meridians():
@@ -168,14 +178,21 @@ def test_table_matches_the_expansion_in_degrees_4_and_5_on_rotation_loops():
     assert compared >= 200
 
 
+def _counting_normal_forms(monkeypatch) -> list:
+    """The calls of ``germs._normalise``, which ``Germ.canonical`` and every table miss make."""
+    from knotcocycle.germs import _normalise
+    calls = []
+    monkeypatch.setattr("knotcocycle.germs._normalise",
+                        lambda *args: calls.append(1) or _normalise(*args))
+    return calls
+
+
 def test_a_second_degree_4_pass_makes_no_canonicalisation(monkeypatch):
     fixdir = fio.resolve_fixtures(FIXTURES)
     figure8 = fio.load_morse(fixdir, "figure8")
     germs = [g for g in rot_loop(connected_sum(figure8, figure8)).germs if g.kind == "R3"]
     first = [ti(g, {4}) for g in germs]
-    calls = []
-    canonical = Germ.canonical
-    monkeypatch.setattr(Germ, "canonical", lambda self: calls.append(1) or canonical(self))
+    calls = _counting_normal_forms(monkeypatch)
     assert [ti(g, {4}) for g in germs] == first
     assert calls == [] and sum(len(t) for t in first) > 1000
 
@@ -188,9 +205,7 @@ def test_renamed_arrows_read_the_same_table_entries(monkeypatch):
     top = max(a for g in germs for a in g.arrow_ids())
     m = {a: top + 1 - a for a in range(1, top + 1)}  # reverses the order of the names
     renamed = [Germ(g.kind, g.g0.relabel(m), g.g1.relabel(m), g.dist) for g in germs]
-    calls = []
-    canonical = Germ.canonical
-    monkeypatch.setattr(Germ, "canonical", lambda self: calls.append(1) or canonical(self))
+    calls = _counting_normal_forms(monkeypatch)
     assert [dict(ti(g, {4}).items()) for g in renamed] == [dict(t.items()) for t in first]
     assert calls == []
 
@@ -204,9 +219,7 @@ def test_canonicalisations_per_alpha31_pairing_do_not_grow_with_the_loop(monkeyp
     for germs in loops.values():  # warm-up: every placement of these germs is in the table
         for g in germs:
             pair_germ(alpha, g)
-    calls = []
-    canonical = Germ.canonical
-    monkeypatch.setattr(Germ, "canonical", lambda self: calls.append(1) or canonical(self))
+    calls = _counting_normal_forms(monkeypatch)
     most = {}
     for n, germs in loops.items():
         for g in germs:

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
-from knotcocycle.rational_linalg import (SparseMatrix, extend_reduced, in_row_span,
-                                         kernel_basis, rank, residual, rref, solve_in_span)
+from knotcocycle.rational_linalg import (SparseMatrix, in_row_span, kernel_basis, primitive,
+                                         rank, reduce_primitive, residual, rref, solve_in_span)
+from oracles import fraction_eliminate, fraction_residual, fraction_solve_in_span
 
 
 def dense_rank_oracle(rows, ncols):
@@ -177,7 +179,15 @@ def test_solution_without_zero_coefficient_is_unique():
             assert rank(SparseMatrix(nrows, ncols, rows)) == nrows
 
 
-def test_extended_basis_reduces_like_an_elimination():
+def _chain_reduce(pivots, row):
+    """A primitive row reduced by each pivot row in turn."""
+    out = primitive(row)
+    for p in pivots:
+        out = reduce_primitive(out, p)
+    return out
+
+
+def test_primitive_rows_reduce_like_an_elimination():
     rng = random.Random(7)
     ncols = 6
 
@@ -185,22 +195,79 @@ def test_extended_basis_reduces_like_an_elimination():
         return {c: Fraction(x) for c in rng.sample(range(ncols), 3) if (x := rng.randint(-2, 2))}
 
     for _ in range(30):
-        rows, basis = [], SparseMatrix(0, ncols)
+        rows, pivots = [], []
         for _ in range(5):
             row = vec()
-            grown = extend_reduced(basis, row)
-            assert (grown is None) == in_row_span(SparseMatrix(len(rows), ncols, rows), row)
-            if grown is not None:
+            red = _chain_reduce(pivots, row)
+            assert (not red) == in_row_span(SparseMatrix(len(rows), ncols, rows), row)
+            if red:
                 rows.append(row)
-                basis = grown
-        assert basis.nrows == rank(SparseMatrix(len(rows), ncols, rows)) == len(rows)
+                pivots.append(red)
+        assert len(pivots) == rank(SparseMatrix(len(rows), ncols, rows)) == len(rows)
         for _ in range(5):
             v = vec()
-            red = residual(basis, v)
+            red = _chain_reduce(pivots, v)
             assert (not red) == in_row_span(SparseMatrix(len(rows), ncols, rows), v)
+            assert not set(red) & {min(p) for p in pivots}
             shifted = dict(v)
             for row in rows:
                 f = Fraction(rng.randint(-2, 2))
                 for c, x in row.items():
                     shifted[c] = shifted.get(c, 0) + f * x
-            assert residual(basis, {c: x for c, x in shifted.items() if x}) == red
+            assert _chain_reduce(pivots, {c: x for c, x in shifted.items() if x}) == red
+
+
+def test_primitive_rows_are_one_per_line():
+    rng = random.Random(11)
+    for _ in range(60):
+        (row,) = _random_rows(rng, 1, 6)
+        p = primitive(row)
+        assert primitive({}) == {} and (not p) == (not row)
+        if not p:
+            continue
+        assert all(type(v) is int for v in p.values()) and p[min(p)] > 0
+        assert math.gcd(*p.values()) == 1 and p.keys() == row.keys()
+        f = Fraction(rng.choice((-3, -1, 2, 5)), rng.randrange(1, 4))
+        assert primitive({c: f * v for c, v in row.items()}) == p
+        assert len({Fraction(v) / row[c] for c, v in p.items()}) == 1
+
+
+def _sparse_rows(rng, nrows, ncols):
+    """Random rows with Fraction entries, a quarter of them empty, the rest with 1 to 4 entries."""
+    rows = []
+    for _ in range(nrows):
+        cols = [] if rng.random() < 0.25 else rng.sample(range(ncols), rng.randint(1, min(4, ncols)))
+        row = {c: Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)) for c in cols}
+        rows.append({c: v for c, v in row.items() if v})
+    return rows
+
+
+def _same(a: dict, b: dict) -> bool:
+    """Equal values in the same key order, every value a Fraction."""
+    return list(a.items()) == list(b.items()) and all(type(v) is Fraction for v in a.values())
+
+
+def test_integer_elimination_matches_the_fraction_oracle():
+    rng = random.Random(53)
+    for _ in range(300):
+        nrows, ncols = rng.randrange(1, 9), rng.randrange(1, 9)
+        rows = _sparse_rows(rng, nrows, ncols)
+        m = SparseMatrix(nrows, ncols, rows)
+        final, pivots = fraction_eliminate(rows, ncols)
+        reduced, got = rref(m)
+        assert got == pivots and rank(m) == len(pivots) and reduced.nrows == len(final)
+        assert all(_same(r, f) for r, f in zip(reduced.rows, final, strict=True))
+        kernel = [{free: Fraction(1), **{p: -row[free] for p, row in zip(pivots, final)
+                                         if row.get(free)}}
+                  for free in range(ncols) if free not in pivots]
+        assert all(_same(k, o) for k, o in zip(kernel_basis(m), kernel, strict=True))
+        combo = {}
+        for row in rows:
+            f = Fraction(rng.randrange(-2, 3), rng.randrange(1, 3))
+            for c, v in row.items():
+                combo[c] = combo.get(c, 0) + f * v
+        for x in ({c: v for c, v in combo.items() if v}, *_sparse_rows(rng, 3, ncols)):
+            assert _same(residual(reduced, x), fraction_residual(reduced, x))
+            assert solve_in_span(rows, x) == fraction_solve_in_span(rows, x)
+            sol = solve_in_span(rows, x)
+            assert sol is None or all(type(v) is Fraction for v in sol)
