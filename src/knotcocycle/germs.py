@@ -38,7 +38,7 @@ A miss reads the subgerm's words off the skeleton's words and puts them
 in normal form with ``_normalise``, the one normal-form rule, which
 ``Germ.canonical`` also follows; only a normal form met for the first
 time is built as a germ.  Normal forms keep their ``key()`` and hash
-once computed; other germs read their key off their words.
+once computed; a germ not canonicalised yet reads its key off its sides.
 """
 
 from __future__ import annotations
@@ -169,20 +169,20 @@ class Germ:
         value = self.orientation_value(self.g1) if self.kind in (KIND_R3, KIND_P) else 1
         return _normalise(self.kind, self.g0.word, self.g1.word, self.dist, value)
 
-    def _normal_form(self):
-        """The normal form if it is built: this germ, or the one ``canonical`` found."""
-        return self if self._canon is True else self._canon and self._canon[0]
+    def _normal_form(self) -> "Germ":
+        return self if self._canon is True else self.canonical()[0]
 
     def key(self):
-        """The normal form's identity, kept on the normal form once computed.
+        """The normal form's identity, computed once on the normal form and kept there.
 
-        A germ not canonicalised yet reads it off its sides without building
-        its normal form, since relabelling keeps a diagram's ``canonical_key``.
+        A germ not canonicalised yet reads it off its sides instead, without
+        building its normal form: relabelling keeps a diagram's
+        ``canonical_key``.  Hashing builds the normal form, which keeps it.
         """
-        c = self._normal_form()
-        if c is None:
+        if self._canon is None:
             sign, _, dist = self._normal_data()
             return (self.kind, *(self.g0.canonical_key(), self.g1.canonical_key())[::sign], dist)
+        c = self._normal_form()
         if c._key is None:
             c._key = (c.kind, c.g0.canonical_key(), c.g1.canonical_key(), c.dist)
         return c._key
@@ -192,8 +192,6 @@ class Germ:
 
     def __hash__(self) -> int:
         c = self._normal_form()
-        if c is None:
-            return hash(self.key())
         if c._hash is None:
             c._hash = hash(c.key())
         return c._hash
@@ -314,7 +312,7 @@ def _delete_from_germ(germ: Germ, ids: set[int]) -> Germ:
     return Germ(kind, germ.g0.delete(ids), germ.g1.delete(ids), dist)
 
 
-def _subgerm(germ: Germ, ids: set[int]) -> tuple[Germ, int]:
+def _normal_subgerm(germ: Germ, ids: set[int]) -> tuple[Germ, int]:
     """The normal form of the skeleton's subgerm without the arrows ids, and its sign.
 
     It is read off the words: the kept edges are flanked by the germ's
@@ -409,10 +407,10 @@ def add_ti(out: FormalSum, germ: Germ, coeff=1, keep: frozenset[int] = frozenset
     Every normal form is read from the table ``_PLACEMENTS``, keyed by
     the germ's placement (``_placement``, one pass over the words), the
     dropped distinguished arrow and the kept arrows' ends (``_slots``,
-    O(k^2) for k kept arrows).  A miss (``_subgerm``) drops the removed
-    arrows from the words, shifts the gaps, orients and relabels the
-    words by ``_normalise``, and stores the result; a germ with its two
-    checked diagrams is built only for a normal form that
+    O(k^2) for k kept arrows).  A miss (``_normal_subgerm``) drops the
+    removed arrows from the words, shifts the gaps, orients and
+    relabels the words by ``_normalise``, and stores the result; a germ
+    with its two checked diagrams is built only for a normal form that
     ``_NORMAL_FORMS`` does not hold yet.  An R3 germ of
     degree n read in degree 3 (alpha31, the cube equations) so costs O(n),
     and one read in degree 4 O(n^2), with no canonicalisation once the
@@ -443,7 +441,7 @@ def add_ti(out: FormalSum, germ: Germ, coeff=1, keep: frozenset[int] = frozenset
                 hit = table.get((dl, slots))
                 if hit is None:
                     removed = drop.union(set(rest).difference(kept), dd)
-                    hit = table[dl, slots] = _subgerm(germ, removed)
+                    hit = table[dl, slots] = _normal_subgerm(germ, removed)
                 canon, s = hit
                 out.add(canon, c * weight * s)
 

@@ -236,7 +236,8 @@ def _sparse_rows(rng, nrows, ncols):
     """Random rows with Fraction entries, a quarter of them empty, the rest with 1 to 4 entries."""
     rows = []
     for _ in range(nrows):
-        cols = [] if rng.random() < 0.25 else rng.sample(range(ncols), rng.randint(1, min(4, ncols)))
+        size = 0 if rng.random() < 0.25 else rng.randint(1, min(4, ncols))
+        cols = rng.sample(range(ncols), size)
         row = {c: Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)) for c in cols}
         rows.append({c: v for c, v in row.items() if v})
     return rows
