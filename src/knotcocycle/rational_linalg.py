@@ -50,7 +50,7 @@ def _combine(row: dict[int, int], piv: dict[int, int], col: int):
     """a * row - b * piv for the least a > 0 that clears col, and a."""
     f, q = row[col], piv[col]
     g = math.gcd(f, q)
-    a, b = abs(q) // g, f // g if q > 0 else -f // g
+    a, b = abs(q) // g, (f // g if q > 0 else -f // g)
     out = {c: a * v for c, v in row.items()} if a != 1 else dict(row)
     for c, v in piv.items():
         nv = out.get(c, 0) - b * v
