@@ -11,9 +11,10 @@ increasing order, so the subgerm table fills as in one long run; the
 loops are built before the clock starts.  Per n it records
 
   seconds              the median over N processes (default 3)
-  canonicalisations    the ``Germ.canonical`` calls on a germ with no
-                       normal form yet, from one more process with a
-                       counting wrapper
+  canonicalisations    the normal forms worked out (``germs._normalise``
+                       calls: ``Germ.canonical`` on a germ with no normal
+                       form yet, and every table miss), from one more
+                       process with a counting wrapper
   table_entries        the normal forms stored in ``germs._PLACEMENTS``
                        after that n, from the same process
 
@@ -57,11 +58,11 @@ loops = {n: [g for g in rot_loop(connected_sum(*[figure8] * n)).germs if g.kind 
          for n in sizes}
 fresh = [0]
 if count:
-    canonical = germs.Germ.canonical
-    def counting(self):
-        fresh[0] += self._canon is None
-        return canonical(self)
-    germs.Germ.canonical = counting
+    normalise = germs._normalise
+    def counting(*args):
+        fresh[0] += 1
+        return normalise(*args)
+    germs._normalise = counting
 for n, r3 in loops.items():
     fresh[0] = 0
     t = time.perf_counter()
