@@ -54,15 +54,15 @@ REPEATS = 5
 WORKLOAD = ("python -m knotcocycle.fixturegen and its stages, median of each run's `repeats` "
             "processes per stage; counts from one run of the whole generator")
 
-# One stage, run in a child process with argv (stage, fixtures); it
-# prints the stage's seconds.  Inputs are prepared before the clock starts.
+# One stage, run in a child process with argv (stage); it prints the
+# stage's seconds.  Inputs are prepared before the clock starts.
 STAGE = """
 import sys, time
 from knotcocycle import strata
 from knotcocycle.cocycles import assemble_default_system
 from knotcocycle.fixturegen import derive_alpha31
 from knotcocycle.quadruple import quadruple_meridians
-stage, fixtures = sys.argv[1], sys.argv[2]
+stage = sys.argv[1]
 
 def meridians():
     return list(strata.enumerate_cube_meridians(0))
@@ -86,7 +86,7 @@ elif stage == "collect_rows_1":
 elif stage == "quadruple_meridians":
     run = quadruple_meridians
 elif stage == "derive_alpha31":
-    system = assemble_default_system(fixtures)
+    system = assemble_default_system()
     run = lambda: derive_alpha31(system)
 else:
     raise SystemExit(f"unknown stage {stage}")
@@ -139,7 +139,7 @@ print(json.dumps(counts))
 def _seconds(src: Path, name: str, tmp: str) -> float:
     """One process of the stage, or of the whole generator for ``total``."""
     if name != "total":
-        return float(harness.run(src, [sys.executable, "-c", STAGE, name, str(src / "fixtures")]))
+        return float(harness.run(src, [sys.executable, "-c", STAGE, name]))
     t = time.perf_counter()
     harness.run(src, [sys.executable, "-m", "knotcocycle.fixturegen", "--out",
                       str(Path(tmp) / "total")])

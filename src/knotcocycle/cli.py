@@ -139,7 +139,7 @@ def cmd_equations(args) -> int:
     from pathlib import Path
     from .cocycles import assemble_default_system
     from .fixtures_io import InputError
-    system = assemble_default_system(args.fixtures, bystanders=args.bystanders)
+    system = assemble_default_system(args.bystanders)
     mat = system.matrix()
     triplets = [[r, c, f"{v.numerator}/{v.denominator}"]
                 for r, c, v in mat.triplets()]
@@ -165,9 +165,9 @@ def cmd_equations(args) -> int:
 def cmd_solve(args) -> int:
     from .cocycles import alpha31, assemble_default_system, system_dimensions
     from .strata import restrict_to_variables
-    system = assemble_default_system(args.fixtures, bystanders=args.bystanders)
-    kdim, tdim, qdim = system_dimensions(system)
     a = alpha31(args.fixtures)
+    system = assemble_default_system(args.bystanders)
+    kdim, tdim, qdim = system_dimensions(system)
     vec = restrict_to_variables(a, system.var_index)
     in_kernel = all(s == 0 for s in system.matrix().multiply_vector(vec))
     _emit({
@@ -193,7 +193,7 @@ def _load_formula(args) -> FormalSum:
 def cmd_verify(args) -> int:
     from .cocycles import verify_cocycle
     a = _load_formula(args)
-    report = verify_cocycle(a, fixtures=args.fixtures)
+    report = verify_cocycle(a)
     _emit({
         "violated_equations": report.violated,
         "passed": report.passed,

@@ -132,15 +132,6 @@ def alpha31(fixtures=None) -> FormalSum:
     return fio.load_fixture(fixtures, "formulas/alpha31.json", fio.formula_from_json)
 
 
-def load_tetra_rows(fixtures=None) -> list[FormalSum]:
-    def parse(obj):
-        rows = [fio.formula_from_json(item) for item in obj["equations"]]
-        if len(rows) != 2:
-            raise ValueError("expected exactly two tetrahedron equations")
-        return rows
-    return fio.load_fixture(fixtures, "strata/fig9_tetra.json", parse)
-
-
 def trivial_cocycle_vectors(degree: int, allowed) -> tuple[FormalSum, ...]:
     """The nonzero coboundaries dA of a degree that can lie on ``allowed``, a set of germs.
 
@@ -202,8 +193,7 @@ def system_dimensions(system: System):
     return kdim, tdim, kdim - tdim
 
 
-def verify_cocycle(alpha: FormalSum, system: System | None = None,
-                   fixtures=None) -> CocycleReport:
+def verify_cocycle(alpha: FormalSum, system: System | None = None) -> CocycleReport:
     """Check a cochain against every stored meridian functional.
 
     Violations are computed with the full pairing (all germ kinds), so
@@ -215,7 +205,7 @@ def verify_cocycle(alpha: FormalSum, system: System | None = None,
     """
     from .rational_linalg import solve_in_span
     if system is None:
-        system = assemble_default_system(fixtures)
+        system = assemble_default_system()
     violated = [i for i, fs in enumerate(system.full_rows) if alpha.dot(fs) != 0]
 
     rows = [{g.key(): c for g, c in db.items()}
@@ -227,15 +217,8 @@ def verify_cocycle(alpha: FormalSum, system: System | None = None,
     return CocycleReport(violated, trivial, kdim, tdim, qdim)
 
 
-def assemble_default_system(fixtures=None, bystanders: bool = False) -> System:
-    """The system over the tetrahedron rows of a fixture directory.
-
-    Assembled once per process for each resolved directory.
-    """
-    return _default_system(fio.resolve_fixtures(fixtures), bystanders)
-
-
 @functools.cache
-def _default_system(fixdir, bystanders: bool) -> System:
+def assemble_default_system(bystanders: bool = False) -> System:
+    """The degree-3 system, assembled once per process; callers must not mutate it."""
     from .strata import assemble_system
-    return assemble_system(load_tetra_rows(fixdir), bystanders=bystanders)
+    return assemble_system(bystanders)

@@ -5,7 +5,8 @@ from Morse presentations, the v2 arrow diagram validated against the
 trefoil and figure-eight values, the degree-2 triangle relators, the
 six cube scenes with their expected equations, the two tetrahedron
 equations extracted from the quadruple-point movie, and the formula
-alpha31 selected from the solution space of the degree-3 system.  Span
+alpha31 selected from the solution space of the degree-3 system, which
+builds those two equations itself and reads no strata fixture.  Span
 questions are answered by normal forms: the cube rows and the trivial
 cocycles are each eliminated once, and every candidate row is reduced
 against that echelon form.
@@ -27,7 +28,7 @@ from .germs import (KIND_R3, enumerate_arrow_diagrams, enumerate_partial_germs,
 from .coboundary import coboundary
 from .cocycles import evaluate_loop, rot_loop, trivial_variable_vectors
 from .morse import FIXTURE_MORSE, trace
-from .quadruple import quadruple_meridians
+from .quadruple import quadruple_meridians, tetrahedron_meridians
 from .rational_linalg import (SparseMatrix, kernel_basis, primitive, reduce_primitive, residual,
                               rref, solve_in_span)
 from .strata import (System, assemble_system, classify_scenes, enumerate_cube_meridians,
@@ -166,7 +167,8 @@ def gen_strata(out: Path) -> System:
         "scene_equations": eq_objs,
     })
 
-    # Tetrahedron pair: quadruple rows not spanned by the cube rows.
+    # Tetrahedron pair: the quadruple rows not spanned by the cube rows,
+    # which must be those of the meridians that assemble_system expands.
     cube_rows = sorted(set().union(*(cls["rows"] for cls in scenes.values())) - {()})
     cube_span, _ = rref(SparseMatrix(len(cube_rows), len(variables),
                                      [dict(r) for r in cube_rows]))
@@ -179,15 +181,15 @@ def gen_strata(out: Path) -> System:
         seen.add(norm)
         if residual(cube_span, dict(norm)):
             novel.append(meridian_equation(m))
-    if len(novel) != 2:
-        raise RuntimeError(f"expected 2 novel tetrahedron equations, got {len(novel)}")
+    if novel != [meridian_equation(m) for m in tetrahedron_meridians()]:
+        raise RuntimeError("the quadruple rows outside the cube span are not the tetrahedron pair")
     fio.save_json(out / "strata" / "fig9_tetra.json", {
         "description": "the two degree-3 quadruple-point equations not "
                        "spanned by the cube equations; images of each "
                        "other under arrow reversal",
         "equations": [fio.formula_to_json(fs) for fs in novel],
     })
-    return assemble_system(novel, meridians=meridians)
+    return assemble_system(meridians=meridians)
 
 
 def derive_alpha31(system: System) -> FormalSum:
@@ -222,14 +224,14 @@ def derive_alpha31(system: System) -> FormalSum:
     invisible = [j for j in range(len(variables)) if j not in profile]
     res = {j: residual(trivial_span, {j: 1}) for j in (fg, *invisible)}
 
-    candidates = _unit_candidates(fg, invisible, res, target, len(variables))
+    candidates = _unit_candidates(fg, invisible, res, target)
     if not candidates:
         raise RuntimeError("no unit-coefficient four-term representative found")
     chosen = min(candidates, key=lambda cand: sorted(variables[j].key() for j in cand))
     return FormalSum((variables[j], c) for j, c in chosen.items())
 
 
-def _unit_candidates(fg, others, res, target, ncols) -> list[dict]:
+def _unit_candidates(fg, others, res, target) -> list[dict]:
     """The unit-coefficient solutions over the supports (fg, a, b, c), in order.
 
     A support of fg and three of ``others`` (in ``itertools.combinations``

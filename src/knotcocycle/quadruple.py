@@ -18,7 +18,8 @@ about zero (``geometric_sector_orders`` in ``tests/oracles.py``).
 
 A global type threads the four local strands into one long knot; with
 the basepoint choice it is a visiting order, and all 24 orders are
-enumerated.  Every sector-to-sector step is the germ of the valid R3
+enumerated (``tetrahedron_meridians`` builds the two the degree-3
+system takes).  Every sector-to-sector step is the germ of the valid R3
 move that ``moves.move_between`` finds (every sector carries the same
 six arrows) or raises on, so the movie checks itself.  The last step
 returns to the first sector, which closes the meridian.
@@ -55,12 +56,26 @@ def _word_for(orders, visit: tuple[int, ...]) -> GaussDiagram:
     return GaussDiagram(tokens, {aid: 1 for aid in _LABEL.values()})
 
 
+def _meridian(sectors, visit: tuple[int, ...]) -> Meridian:
+    """The eight-germ meridian of the sectors with the strands visited in the given order."""
+    diagrams = [_word_for(orders, visit) for orders in sectors]
+    germs = [germ_between(d, nxt) for d, nxt in zip(diagrams, diagrams[1:] + diagrams[:1])]
+    return Meridian(QUADRUPLE, germs, frozenset())
+
+
 def quadruple_meridians() -> list[Meridian]:
     """One eight-germ meridian per linear visiting order of the strands."""
     sectors = sector_orders()
-    out = []
-    for visit in itertools.permutations(range(4)):
-        diagrams = [_word_for(orders, visit) for orders in sectors]
-        germs = [germ_between(d, nxt) for d, nxt in zip(diagrams, diagrams[1:] + diagrams[:1])]
-        out.append(Meridian(QUADRUPLE, germs, frozenset()))
-    return out
+    return [_meridian(sectors, visit) for visit in itertools.permutations(range(4))]
+
+
+def tetrahedron_meridians() -> list[Meridian]:
+    """The meridians of the visiting orders in which no two consecutive strands are neighbours.
+
+    Those are (1, 3, 0, 2) and (2, 0, 3, 1).  Of the 24 quadruple meridians
+    only their equations, the tetrahedron pair, leave the span of the cube
+    equations, which ``fixturegen.gen_strata`` checks.
+    """
+    sectors = sector_orders()
+    return [_meridian(sectors, visit) for visit in itertools.permutations(range(4))
+            if all(abs(a - b) != 1 for a, b in zip(visit, visit[1:]))]

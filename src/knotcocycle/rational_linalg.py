@@ -79,12 +79,13 @@ def primitive(row) -> dict[int, int]:
     return _primitive(_scaled(row)[0]) if row else {}
 
 
-def reduce_primitive(row: dict[int, int], prow: dict[int, int]) -> dict[int, int]:
-    """``primitive`` of row minus the multiple of prow that is 0 at prow's least column.
+def reduce_primitive(row: dict[int, int], prow: dict[int, int], col=None) -> dict[int, int]:
+    """``primitive`` of row minus the multiple of prow that is 0 at col.
 
-    Both rows are primitive; row comes back as it is when it is 0 there.
+    Both rows are primitive, and col is prow's least column, found when
+    not given; row comes back as it is when it is 0 there.
     """
-    col = min(prow)
+    col = min(prow) if col is None else col
     if col not in row:
         return row
     out, _ = _combine(row, prow, col)
@@ -110,8 +111,8 @@ def _eliminate(rows, ncols: int):
         if best is None:
             continue
         piv = work.pop(best)
-        work = [r for r in (reduce_primitive(r, piv) for r in work) if r]
-        final = [reduce_primitive(r, piv) for r in final]
+        work = [r for r in (reduce_primitive(r, piv, col) for r in work) if r]
+        final = [reduce_primitive(r, piv, col) for r in final]
         pivots.append(col)
         final.append(piv)
     return final, pivots

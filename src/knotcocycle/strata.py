@@ -27,14 +27,15 @@ An equation is the degree-3 part of T(I(m; s)) where s selects the
 surviving bystanders; for the degree-3 system only s of size at most
 one matters.  Flipping every sign negates it, so of two meridians that
 differ only so, the later one (the ``twin`` link) negates the earlier
-one's equation instead of expanding its own.  The system is assembled
-in one pass: the cube equations, then those of the bystander
-meridians, then the tetrahedron equations form one ordered list; its
-scalar-distinct members are the stored equations, and their
-restrictions to the variables, normalised to integer vectors with
-positive leading coefficient, are the rows.  Every equation with
-s = {b} is zero, so the bystander meridians add no row: they are
-enumerated only to check that (criterion 6b).
+one's equation instead of expanding its own.  The tetrahedron equations
+are those of two quadruple-point meridians, so every equation has its
+meridian as source.  The system is assembled in one pass: the cube
+equations, then those of the bystander meridians, then the tetrahedron
+equations form one ordered list; its scalar-distinct members are the
+stored equations, and their restrictions to the variables, normalised
+to integer vectors with positive leading coefficient, are the rows.
+Every equation with s = {b} is zero, so the bystander meridians add no
+row: they are enumerated only to check that (criterion 6b).
 """
 
 from __future__ import annotations
@@ -94,13 +95,6 @@ def ti_meridian(m: Meridian, s: frozenset[int], degrees=None) -> FormalSum:
     for germ in m.germs:
         add_ti(out, germ, 1, s, drop, degrees)
     return out
-
-
-def homogeneous_parts(fs: FormalSum) -> dict[int, FormalSum]:
-    parts: dict[int, FormalSum] = {}
-    for key, c in fs.items():
-        parts.setdefault(key.degree, FormalSum()).add(key, c)
-    return parts
 
 
 # -- Variable filter (the strata that never appear as rows) -----------------
@@ -332,7 +326,7 @@ def equation_row(part: FormalSum, var_index) -> tuple:
 
 class EquationSource(NamedTuple):
     stratum: str
-    meridian: Meridian | None
+    meridian: Meridian
     s: frozenset[int]
 
 
@@ -493,25 +487,25 @@ def classify_scenes(meridians, variables, var_index):
             "d": de[0], "e": de[1], "f": rest[2]}
 
 
-def assemble_system(tetra_rows, bystanders: bool = False,
-                    meridians=None) -> System:
+def assemble_system(bystanders: bool = False, meridians=None) -> System:
     """The complete degree-3 system: cube rows plus the tetrahedron pair.
 
-    ``tetra_rows`` are the two quadruple-point equations as FormalSums
-    over germs (loaded from the fixture or regenerated); the double-R3
+    The tetrahedron pair is the equations of the two quadruple-point
+    meridians of ``quadruple.tetrahedron_meridians``; the double-R3
     stratum only contributes from degree 4 on and is omitted.
-    ``meridians`` are the bystander-free cube meridians,
-    enumerated here when not given.
+    ``meridians`` are the bystander-free cube meridians, enumerated here
+    when not given.
 
     One pass: the cube equations, those of the one-bystander meridians
     (with ``bystanders``; all zero, so that flag checks criterion 6b and
-    adds no row) and the degree-3 parts of ``tetra_rows`` form
-    one ordered list.  Its members that are distinct up to a scalar are
-    the stored equations ``full_rows``; their nonzero normalised rows,
-    each kept at its first occurrence with the source of that equation,
-    are ``rows``.  ``collect_rows`` already drops scalar repeats within
-    each meridian family, which leaves the first occurrences unchanged.
+    adds no row) and the tetrahedron pair form one ordered list.  Its
+    members that are distinct up to a scalar are the stored equations
+    ``full_rows``; their nonzero normalised rows, each kept at its first
+    occurrence with the source of that equation, are ``rows``.
+    ``collect_rows`` already drops scalar repeats within each meridian
+    family, which leaves the first occurrences unchanged.
     """
+    from .quadruple import tetrahedron_meridians  # quadruple imports this module
     variables = variable_basis(3)
     var_index = {g: j for j, g in enumerate(variables)}
     if meridians is None:
@@ -519,10 +513,8 @@ def assemble_system(tetra_rows, bystanders: bool = False,
     equations = collect_rows(meridians)
     if bystanders:
         equations += collect_rows(enumerate_cube_meridians(1))
-    for fs in tetra_rows:
-        part = homogeneous_parts(fs).get(3)
-        if part:
-            equations.append((part, EquationSource(QUADRUPLE, None, frozenset())))
+    equations += [(meridian_equation(m), EquationSource(QUADRUPLE, m, frozenset()))
+                  for m in tetrahedron_meridians()]
 
     full_rows: list[FormalSum] = []
     sources: dict[tuple, EquationSource] = {}

@@ -30,8 +30,6 @@ def cube_meridians():
 
 
 @pytest.fixture(scope="session")
-def degree3_system(fixtures_dir, cube_meridians):
-    from knotcocycle.cocycles import load_tetra_rows
+def degree3_system(cube_meridians):
     from knotcocycle.strata import assemble_system
-    tetra = load_tetra_rows(fixtures_dir)
-    return assemble_system(tetra_rows=tetra, meridians=cube_meridians)
+    return assemble_system(meridians=cube_meridians)

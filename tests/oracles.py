@@ -69,7 +69,13 @@ computes another way:
   which telescopes to zero on a closed chain such as a meridian.
 - ``geometric_sector_orders``: the quadruple-point meridian's sectors read
   off four lines of slopes 1, 2, 3 and 5 whose intercepts move on a
-  circle, in floats, against the wall rule of ``quadruple.sector_orders``.
+  circle, in floats, against the wall rule of ``quadruple.sector_orders``;
+- ``homogeneous_parts``: a formal sum split by germ degree, so a
+  meridian's full expansion gives its equation, against the degree-3
+  expansion of ``strata.meridian_equation``;
+- ``load_tetra_rows``: the tetrahedron pair read back from the fixture
+  that ``fixturegen`` writes, against the meridians of
+  ``quadruple.tetrahedron_meridians`` that the degree-3 system expands.
 """
 
 from __future__ import annotations
@@ -79,6 +85,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from knotcocycle import fixtures_io as fio
 from knotcocycle.coboundary import coboundary
 from knotcocycle.cocycles import TRIVIAL_DEGREES
 from knotcocycle.diagrams import HEAD, TAIL, ArrowDiagram, FormalSum, GaussDiagram
@@ -650,6 +657,19 @@ def positional_coboundary(a: ArrowDiagram) -> FormalSum:
 def chain_boundary(germs) -> FormalSum:
     """The boundary of a germ chain: the sum of the boundaries of its germs."""
     return sum((boundary(g) for g in germs), FormalSum())
+
+
+def homogeneous_parts(fs: FormalSum) -> dict[int, FormalSum]:
+    parts: dict[int, FormalSum] = {}
+    for key, c in fs.items():
+        parts.setdefault(key.degree, FormalSum()).add(key, c)
+    return parts
+
+
+def load_tetra_rows(fixtures) -> list[FormalSum]:
+    """The equations of ``strata/fig9_tetra.json`` in a fixture directory, in file order."""
+    obj = fio.load_json(fixtures / "strata" / "fig9_tetra.json")
+    return [fio.formula_from_json(item) for item in obj["equations"]]
 
 
 SLOPES = (1.0, 2.0, 3.0, 5.0)

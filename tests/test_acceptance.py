@@ -324,7 +324,7 @@ def test_criterion_6_alpha31_certificate(fixtures_dir, degree3_system):
     system = degree3_system
     a = alpha31(fixtures_dir)
 
-    rep = verify_cocycle(a, system=system, fixtures=fixtures_dir)
+    rep = verify_cocycle(a, system=system)
     alpha_ok = rep.passed and not rep.trivial
 
     dims_ok = (len(system.variables) == VARIABLE_COUNT
@@ -354,12 +354,10 @@ def test_criterion_6_alpha31_certificate(fixtures_dir, degree3_system):
            f"{rep.kernel_dim}/{rep.trivial_dim}/{rep.quotient_dim}")
 
 
-def test_criterion_6b_bystander_sets_add_no_rank(fixtures_dir):
-    from knotcocycle.cocycles import load_tetra_rows
+def test_criterion_6b_bystander_sets_add_no_rank():
     from knotcocycle.strata import assemble_system
-    tetra = load_tetra_rows(fixtures_dir)
-    base = assemble_system(tetra_rows=tetra)
-    extended = assemble_system(tetra_rows=tetra, bystanders=True)
+    base = assemble_system()
+    extended = assemble_system(bystanders=True)
     gain = extended.rank() - base.rank()
     report(6, gain == BYSTANDER_RANK_GAIN,
            f"bystander subsets contribute {gain} extra rank "

@@ -39,7 +39,7 @@ def test_help_exits_0(script):
 
 
 def test_fixturegen_stage_runs():
-    seconds = float(_child(fixturegen_stages.STAGE, "quadruple_meridians", REPO / "fixtures"))
+    seconds = float(_child(fixturegen_stages.STAGE, "quadruple_meridians"))
     assert seconds > 0
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -120,7 +121,7 @@ def test_unknown_input_exits_two(tmp_path):
 
 
 @pytest.mark.parametrize("command", [
-    ["solve"], ["verify"], ["equations"],
+    ["solve"], ["verify"],
     ["eval-loop", "--loop", str(FIXTURES / "knots" / "trefoil.json")],
     ["rot-test", "--knot", "trefoil"],
 ])
@@ -138,9 +139,8 @@ def test_unreadable_fixtures_exit_2(command, where, tmp_path, capsys):
 
 @pytest.mark.parametrize("fixture, content, command", [
     ("formulas/alpha31.json", {}, ["verify"]),
-    ("strata/fig9_tetra.json", {}, ["solve"]),
     ("formulas/v2_diagram.json", [], ["rot-test", "--knot", "trefoil"]),
-], ids=["alpha31", "fig9_tetra", "v2_diagram"])
+], ids=["alpha31", "v2_diagram"])
 def test_malformed_fixtures_exit_2(fixture, content, command, tmp_path, capsys):
     fixtures = tmp_path / "fixtures"
     shutil.copytree(FIXTURES, fixtures)
@@ -265,9 +265,9 @@ READS = {
     "eval-loop": (["eval-loop", "--loop", str(REPO / "tests" / "data" / "rot_loops" /
                                               "trefoil+figure8.json")],
                   ["formulas/alpha31.json", "trefoil+figure8.json"]),
-    "solve": (["solve"], ["formulas/alpha31.json", "strata/fig9_tetra.json"]),
-    "verify": (["verify"], ["formulas/alpha31.json", "strata/fig9_tetra.json"]),
-    "equations": (["equations"], ["strata/fig9_tetra.json"]),
+    "solve": (["solve"], ["formulas/alpha31.json"]),
+    "verify": (["verify"], ["formulas/alpha31.json"]),
+    "equations": (["equations"], []),
 }
 
 
@@ -275,7 +275,7 @@ READS = {
 def test_each_command_reads_only_its_files(command, tmp_path, monkeypatch, capsys):
     from pathlib import Path
     from knotcocycle import fixtures_io as fio
-    fixtures = tmp_path / "fixtures"  # a new directory, so no system is cached for it
+    fixtures = tmp_path / "fixtures"
     shutil.copytree(FIXTURES, fixtures)
     argv, expected = READS[command]
     reads = []
@@ -292,6 +292,42 @@ def test_each_command_reads_only_its_files(command, tmp_path, monkeypatch, capsy
     assert main(["--fixtures", str(fixtures), *argv]) == 0
     assert capsys.readouterr().err == ""
     assert sorted(reads) == expected
+
+
+# sha256 of each system command's stdout, the bytes it printed when the
+# tetrahedron pair was still read from strata/fig9_tetra.json.
+SYSTEM_STDOUT_SHA256 = {
+    "solve": "de83b2df45b490fbba3ca29ccc36d5c3699d54f0a4469124f8658149713477b1",
+    "verify": "cc6b26a8afa687e6eb2a0e0b43e1569cd4e3f9e1908a5f7cc9578a05d3302d5b",
+    "equations": "c2e83f54457d94330e309cc225b90b7c0d49b67f8e425e03e1b5b2616d71a018",
+}
+
+
+@pytest.mark.parametrize("command, kept", [
+    ("solve", ["formulas"]), ("verify", ["formulas"]), ("equations", []),
+], ids=["solve", "verify", "equations"])
+def test_the_system_commands_need_no_strata_fixture(command, kept, tmp_path):
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    for name in kept:
+        shutil.copytree(FIXTURES / name, fixtures / name)
+    env = dict(os.environ)
+    env.pop("KNOT_COCYCLE_FIXTURES", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "knotcocycle", "--fixtures", str(fixtures),
+                           command], capture_output=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == SYSTEM_STDOUT_SHA256[command]
+
+
+def test_a_corrupted_tetrahedron_fixture_does_not_change_solve(tmp_path, capsys):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, fixtures)
+    (fixtures / "strata" / "fig9_tetra.json").write_text("{}")
+    assert main(["--fixtures", str(fixtures), "solve"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == SYSTEM_STDOUT_SHA256["solve"]
 
 
 def test_rot_test_needs_only_the_formulas(tmp_path, capsys):
@@ -550,7 +586,7 @@ def test_integral_coefficients_print_what_fractions_print(argv, monkeypatch, cap
     checks its bytes.
     """
     from fractions import Fraction
-    from knotcocycle import cocycles, fixtures_io as fio
+    from knotcocycle import fixtures_io as fio
     from knotcocycle.diagrams import FormalSum
     read = fio.formula_from_json
 
@@ -561,15 +597,9 @@ def test_integral_coefficients_print_what_fractions_print(argv, monkeypatch, cap
         return out
 
     def run() -> str:
-        cocycles._default_system.cache_clear()  # reload the tetrahedron rows
-        cocycles.system_dimensions.cache_clear()
         assert main(["--fixtures", str(FIXTURES), *argv]) == 0
         return capsys.readouterr().out
 
     with_ints = run()
     monkeypatch.setattr(fio, "formula_from_json", as_fractions)
-    try:
-        assert run() == with_ints
-    finally:  # later tests get the system of the unpatched reader
-        cocycles._default_system.cache_clear()
-        cocycles.system_dimensions.cache_clear()
+    assert run() == with_ints

@@ -141,14 +141,14 @@ def test_alpha31_reversal_image_satisfies_system(fixtures_dir, degree3_system):
         from knotcocycle.germs import canonical_term
         key, coeff = canonical_term(g.reverse_arrows(), c)
         reversed_a.add(key, coeff)
-    rep = verify_cocycle(reversed_a, system=degree3_system, fixtures=fixtures_dir)
+    rep = verify_cocycle(reversed_a, system=degree3_system)
     assert rep.passed and not rep.trivial
 
 
-def test_verify_reports_violations_for_non_cocycle(fixtures_dir, degree3_system):
+def test_verify_reports_violations_for_non_cocycle(degree3_system):
     from knotcocycle.strata import variable_basis
     bogus = FormalSum([(variable_basis(3)[0], Fraction(1))])
-    rep = verify_cocycle(bogus, system=degree3_system, fixtures=fixtures_dir)
+    rep = verify_cocycle(bogus, system=degree3_system)
     assert rep.violated
 
 
@@ -158,13 +158,12 @@ def test_rot_loop_lengths():
         assert len(rot_loop(name).moves) == expected
 
 
-def test_verify_reports_coboundaries_up_to_the_degree_as_trivial(fixtures_dir, degree3_system):
+def test_verify_reports_coboundaries_up_to_the_degree_as_trivial(degree3_system):
     from knotcocycle.germs import enumerate_arrow_diagrams
     diagrams = [a for deg in range(3) for a in enumerate_arrow_diagrams(deg)]
     diagrams.append(parse_diagram("3; T1 T2 H1 T3 H2 H3"))
     for a in diagrams:
-        rep = verify_cocycle(coboundary(a), system=degree3_system,
-                             fixtures=fixtures_dir)
+        rep = verify_cocycle(coboundary(a), system=degree3_system)
         assert rep.passed and rep.trivial, a
 
 
@@ -223,7 +222,7 @@ def test_verify_triviality_agrees_with_the_span_of_every_coboundary(fixtures_dir
     seen = {True: 0, False: 0}
     with_deaths = 0
     for target in _seeded_targets(alpha31(fixtures_dir), 64):
-        trivial = verify_cocycle(target, system=degree3_system, fixtures=fixtures_dir).trivial
+        trivial = verify_cocycle(target, system=degree3_system).trivial
         assert trivial == spanned_by_every_coboundary(target)
         seen[trivial] += 1
         with_deaths += trivial and any(g.kind in ("R1", "R2") for g in target.keys())
@@ -237,6 +236,6 @@ def test_verify_computes_only_the_coboundaries_that_can_meet_its_target(fixtures
     import knotcocycle.cocycles as cocycles
     coboundary.cache_clear()
     cocycles.system_dimensions.cache_clear()
-    report = verify_cocycle(alpha31(fixtures_dir), fixtures=fixtures_dir)
+    report = verify_cocycle(alpha31(fixtures_dir))
     assert report.passed and not report.trivial
     assert coboundary.cache_info().misses == 25

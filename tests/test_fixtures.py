@@ -192,9 +192,9 @@ def test_alpha31_search_matches_one_solve_per_support(monkeypatch, degree3_syste
     monkeypatch.setattr(fixturegen, "_unit_candidates", recording)
     calls = _counting_solves(monkeypatch)
     fixturegen.derive_alpha31(degree3_system)
-    (fg, others, res, target, ncols), = seen
+    (fg, others, res, target), = seen
     assert len(others) == 23 and len(calls) == 68
-    found = search(fg, others, res, target, ncols)
+    found = search(fg, others, res, target)
     expected = subset_unit_candidates(fg, others, res, target)
     assert expected and found == expected
     assert all(type(x) is Fraction for cand in found for x in cand.values())
@@ -219,7 +219,7 @@ def test_alpha31_search_exits_early_on_hand_made_residuals(monkeypatch):
     target = _e(0, 1, 2, 3)
     others = list(range(1, 8))
     calls = _counting_solves(monkeypatch)
-    found = _unit_candidates(0, others, res, target, 4)
+    found = _unit_candidates(0, others, res, target)
     assert found == subset_unit_candidates(0, others, res, target)
     assert found == [{0: 1, 2: 1, 5: 1, 7: 1}]
     # Only these reach solve_in_span; (0, 3, 5, c) gets a zero first coefficient.
@@ -231,5 +231,5 @@ def test_alpha31_search_without_a_first_germ_row(monkeypatch):
     from knotcocycle.fixturegen import _unit_candidates
     calls = _counting_solves(monkeypatch)
     res = {0: {}, 1: _e(0), 2: _e(1), 3: _e(2)}
-    assert _unit_candidates(0, [1, 2, 3], res, _e(0), 3) == []
+    assert _unit_candidates(0, [1, 2, 3], res, _e(0)) == []
     assert calls == []

@@ -10,8 +10,8 @@ from knotcocycle.coboundary import coboundary
 from knotcocycle.cocycles import alpha31, rot_loop
 from knotcocycle.diagrams import FormalSum, GaussDiagram, parse_diagram
 from knotcocycle.fixtures_io import germ_from_json, load_json
-from knotcocycle.germs import (Germ, _delete_from_germ, _subgerm_walk, boundary,
-                               enumerate_arrow_3germs, enumerate_arrow_diagrams,
+from knotcocycle.germs import (KIND_R3, Germ, _delete_from_germ, _normal_subgerm, _subgerm_walk,
+                               boundary, enumerate_arrow_3germs, enumerate_arrow_diagrams,
                                enumerate_partial_germs, make_germ, monotonic_partners,
                                monotonic_reduce, pair_germ, partial_germ_into, subgerms, ti,
                                triangle_relator)
@@ -403,3 +403,41 @@ def test_pair_germ_matches_the_full_expansion(rng):
         full = ti(germ)
         for alpha in FORMULAS:
             assert pair_germ(alpha, germ) == alpha.dot(full)
+
+
+@given(st.randoms())
+@settings(max_examples=80, deadline=None)
+def test_a_subgerm_read_off_the_words_is_the_canonical_deletion(rng):
+    """``_normal_subgerm``, the table miss of ``add_ti``, against the diagram route.
+
+    The germs are a random move's and a random R3 move's, signed as
+    ``add_ti`` meets them, and a partial arrow germ.  Each loses a random
+    set of free arrows, and an R3 germ at times one distinguished arrow;
+    the diagram route deletes them from the unsigned germ and canonicalises.
+    """
+    g = random_gauss_diagram(rng, 7)
+    germs = []
+    move = random_move(rng, g)
+    if move is not None:
+        germs.append(make_germ(g, move))
+    if split_gaps(g):
+        germs.append(partial_germ_into(g.skeleton(), rng.choice(split_gaps(g))))
+    for _ in range(20):  # random_move rarely picks an R3 move
+        r3s = enumerate_moves(g, "R3")
+        if r3s:
+            germs.append(make_germ(g, rng.choice(r3s)))
+            break
+        g = random_gauss_diagram(rng, 7)
+    for germ in germs:
+        skeleton = germ
+        if germ.signed:
+            skeleton = Germ(germ.kind, germ.g0.skeleton(), germ.g1.skeleton(), germ.dist)
+        dist = germ.distinguished_ids()
+        ids = {a for a in germ.arrow_ids() if a not in dist and rng.random() < 0.5}
+        if germ.kind == KIND_R3 and rng.random() < 0.5:
+            ids.add(rng.choice(sorted(dist)))
+        canon, sign = _normal_subgerm(germ, ids)
+        expected, expected_sign = _delete_from_germ(skeleton, ids).canonical()
+        assert sign == expected_sign
+        assert ((canon.kind, canon.g0.word, canon.g1.word, canon.dist)
+                == (expected.kind, expected.g0.word, expected.g1.word, expected.dist))

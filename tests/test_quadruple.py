@@ -2,12 +2,12 @@ from fractions import Fraction
 
 from knotcocycle.germs import check_closed
 from knotcocycle.moves import _literally_equal
-from knotcocycle.quadruple import quadruple_meridians, sector_orders
+from knotcocycle.quadruple import quadruple_meridians, sector_orders, tetrahedron_meridians
 from knotcocycle.rational_linalg import SparseMatrix, in_row_span
-from knotcocycle.strata import (homogeneous_parts, normalise_row,
+from knotcocycle.strata import (QUADRUPLE, meridian_equation, normalise_row,
                                 restrict_to_variables, reversal_on_rows,
                                 row_of_meridian, ti_meridian, variable_basis)
-from oracles import chain_boundary, geometric_sector_orders
+from oracles import chain_boundary, geometric_sector_orders, homogeneous_parts, load_tetra_rows
 
 
 def test_wall_rule_gives_the_sectors_of_the_lines():
@@ -28,7 +28,7 @@ def test_quadruple_movie_structure():
             assert all(s == 1 for s in g.g1.signs.values())
 
 
-def test_exactly_two_novel_equations(cube_meridians, fixtures_dir):
+def test_exactly_two_novel_equations(cube_meridians):
     variables = variable_basis(3)
     var_index = {g: j for j, g in enumerate(variables)}
     cube_rows = sorted({row_of_meridian(m, var_index) for m in cube_meridians} - {()})
@@ -48,13 +48,22 @@ def test_exactly_two_novel_equations(cube_meridians, fixtures_dir):
     assert len(novel) == 2
     reverse_row = reversal_on_rows(variables, var_index)
     assert reverse_row(novel[0]) == novel[1]
+    # The scan over all 24 meridians finds the pair the system takes, in its order.
+    assert novel == [row_of_meridian(m, var_index) for m in tetrahedron_meridians()]
 
-    # fixture agreement
-    from knotcocycle.cocycles import load_tetra_rows
-    stored = []
-    for fs in load_tetra_rows(fixtures_dir):
-        stored.append(normalise_row(restrict_to_variables(fs, var_index)))
-    assert sorted(stored) == sorted(novel)
+
+def test_the_tetrahedron_pair_is_the_generated_fixture(fixtures_dir):
+    pair = tetrahedron_meridians()
+    assert [meridian_equation(m) for m in pair] == load_tetra_rows(fixtures_dir)
+    var_index = {g: j for j, g in enumerate(variable_basis(3))}
+    assert [len(row_of_meridian(m, var_index)) for m in pair] == [8, 8]
+
+
+def test_every_stored_equation_names_its_meridian(degree3_system):
+    sources = list(degree3_system.sources.values())
+    assert all(source.meridian is not None for source in sources)
+    tetra = [source.meridian for source in sources if source.stratum == QUADRUPLE]
+    assert [m.germs for m in tetra] == [m.germs for m in tetrahedron_meridians()]
 
 
 def test_novel_rows_are_pure_partial():

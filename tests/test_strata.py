@@ -11,12 +11,11 @@ from knotcocycle.morse import FIXTURE_MORSE, connected_sum
 from knotcocycle.moves import _literally_equal
 from knotcocycle.quadruple import quadruple_meridians
 from knotcocycle.strata import (Meridian, banned_variable, classify_scenes, collect_rows,
-                                dedupe_meridians, enumerate_cube_meridians,
-                                homogeneous_parts, meridian_equation,
+                                dedupe_meridians, enumerate_cube_meridians, meridian_equation,
                                 meridian_key, picture_fingerprint, reversal_on_rows,
                                 row_of_meridian, ti_meridian, variable_basis)
-from oracles import (arrow_positions, chain_boundary, i_meridian, meridian_without, t_map,
-                     walked_cube_meridians, walked_scenes)
+from oracles import (arrow_positions, chain_boundary, homogeneous_parts, i_meridian,
+                     meridian_without, t_map, walked_cube_meridians, walked_scenes)
 
 # sha256 of repr(sorted(meridian keys)) of the 5,760 one-bystander cube
 # meridians, as the walk over every scene and pruned birth found them.
