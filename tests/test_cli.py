@@ -120,11 +120,12 @@ def test_unknown_input_exits_two(tmp_path):
     run_cli("rot-test", "--knot", "not-a-knot", expect=2)
 
 
+# command2 was `equations`, which reads no fixture now; the other ids keep their names.
 @pytest.mark.parametrize("command", [
     ["solve"], ["verify"],
     ["eval-loop", "--loop", str(FIXTURES / "knots" / "trefoil.json")],
     ["rot-test", "--knot", "trefoil"],
-])
+], ids=["command0", "command1", "command3", "command4"])
 @pytest.mark.parametrize("where", ["empty", "missing"])
 def test_unreadable_fixtures_exit_2(command, where, tmp_path, capsys):
     fixtures = tmp_path / where
