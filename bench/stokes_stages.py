@@ -6,13 +6,11 @@ Runs the Stokes check, 400 trials at --max-degree 4, on each of the
 seeds 1, 2, 3 and 12345 with the ``knotcocycle`` package of each source
 tree DIR (default: this repository), every seed in its own process as
 the CLI runs it.  A child replays the CLI's trial loop, drawing what it
-draws in the same order, and times its four stages:
+draws in the same order, and times its two stages:
 
-  generation       draw A, draw the Gauss diagram, draw the move, make the germ gamma
-  dA               coboundary(A)
-  pair_dA_gamma    <dA, gamma> by pair_germ
-  pair_A_boundary  <A, boundary(gamma)>, one pair per side of gamma as given
-  total            a cold `python -m knotcocycle stokes-check` process
+  generation    draw A, draw the Gauss diagram, draw the move, make the germ gamma
+  stokes_sides  both sides of the Stokes formula, as the CLI computes them
+  total         a cold `python -m knotcocycle stokes-check` process
 
 A stage's time is the sum over the four seeds, and each is the median
 of N such sums (default 5).  The trees take turns on every seed, the
@@ -21,8 +19,14 @@ the machine falls on all of them alike.  One more process per seed and
 tree runs the loop under a ``sys.setprofile`` hook that counts calls of
 Python code, summed over the seeds:
 
-  dA_computations        entries into the body of coboundary: every call
-                         without a cache, the misses with one
+  dA_I, dA_II            components I and II of some dA computed: calls
+                         from coboundary.py of moves.enumerate_moves for
+                         R1 and for R2 deaths
+  dA_Delta, dA_Lambda    components Delta and Lambda computed: calls
+                         from coboundary.py of moves.r3_moves and of
+                         moves.split_gaps
+  gamma_R1, gamma_R2,    the germs gamma drawn, by kind
+  gamma_R3
   pair_calls             calls of diagrams.pair
   pair_assignments       P(n_g, n_a) summed over the pair calls with
                          n_a <= n_g: the ordered assignments of Gauss
@@ -58,25 +62,26 @@ WORKLOAD = (f"stokes-check --trials {TRIALS} --max-degree {MAX_DEGREE} on seeds 
             f"{', '.join(map(str, SEEDS))}, one process per seed; stage times summed over the "
             "seeds, median of each run's `repeats` such sums; counts summed over one run per seed")
 
-# The trial loop of cmd_stokes_check with stokes_sides unfolded; argv
-# (mode, seed, trials, max degree).  Mode "time" prints the seconds of
-# each stage, mode "count" the calls counted by a profile hook.
+# The trial loop of cmd_stokes_check; argv (mode, seed, trials, max
+# degree).  Mode "time" prints the seconds of each stage, mode "count"
+# the calls counted by a profile hook and the kinds of gamma drawn.
 LOOP = """
 import json, math, os, random, sys, time
-from knotcocycle.coboundary import coboundary
-from knotcocycle.diagrams import pair
-from knotcocycle.germs import make_germ, pair_germ
+from knotcocycle.coboundary import stokes_sides
+from knotcocycle.germs import make_germ
 from knotcocycle.moves import random_arrow_diagram, random_gauss_diagram, random_move
 mode = sys.argv[1]
 seed, trials, max_degree = map(int, sys.argv[2:])
 clock = time.perf_counter
-spent = dict.fromkeys(("generation", "dA", "pair_dA_gamma", "pair_A_boundary"), 0.0)
-counts = dict.fromkeys(("dA_computations", "pair_calls", "pair_assignments", "pair_walk_nodes",
+spent = dict.fromkeys(("generation", "stokes_sides"), 0.0)
+counts = dict.fromkeys(("dA_I", "dA_II", "dA_Delta", "dA_Lambda", "gamma_R1", "gamma_R2",
+                        "gamma_R3", "pair_calls", "pair_assignments", "pair_walk_nodes",
                         "enumerate_moves_calls", "germ_canonical_calls"), 0)
-TARGETS = {("coboundary.py", "coboundary"): "dA_computations",
-           ("diagrams.py", "pair"): "pair_calls", ("diagrams.py", "walk"): "pair_walk_nodes",
+TARGETS = {("diagrams.py", "pair"): "pair_calls", ("diagrams.py", "walk"): "pair_walk_nodes",
            ("moves.py", "enumerate_moves"): "enumerate_moves_calls",
+           ("moves.py", "r3_moves"): "dA_Delta", ("moves.py", "split_gaps"): "dA_Lambda",
            ("germs.py", "canonical"): "germ_canonical_calls"}
+DEATHS = {"R1_death": "dA_I", "R2_death": "dA_II"}
 
 def hook(frame, event, _arg):
     if event != "call":
@@ -85,7 +90,13 @@ def hook(frame, event, _arg):
     name = TARGETS.get((os.path.basename(code.co_filename), code.co_name))
     if name is None:
         return
+    from_d = os.path.basename(frame.f_back.f_code.co_filename) == "coboundary.py"
+    if name.startswith("dA_"):
+        counts[name] += from_d
+        return
     counts[name] += 1
+    if name == "enumerate_moves_calls" and from_d:
+        counts[DEATHS[frame.f_locals["kind"]]] += 1
     if name == "pair_calls":
         a, g = frame.f_locals["a"], frame.f_locals["g"]
         if a.degree <= g.degree:
@@ -105,21 +116,18 @@ while done < trials:
         continue
     gamma = make_germ(g, move)
     t1 = clock()
-    da = coboundary(a)
+    lhs, rhs = stokes_sides(a, gamma)
     t2 = clock()
-    lhs = pair_germ(da, gamma)
-    t3 = clock()
-    rhs = pair(a, gamma.g1) - pair(a, gamma.g0)
-    t4 = clock()
     if lhs != rhs:
         raise SystemExit(f"Stokes formula fails on trial {done}: {lhs} != {rhs}")
-    for stage, dt in zip(spent, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
-        spent[stage] += dt
+    spent["generation"] += t1 - t0
+    spent["stokes_sides"] += t2 - t1
+    counts["gamma_" + gamma.kind] += 1
     done += 1
 sys.setprofile(None)
 print(json.dumps(spent if mode == "time" else counts))
 """
-STAGES = ("generation", "dA", "pair_dA_gamma", "pair_A_boundary")
+STAGES = ("generation", "stokes_sides")
 
 
 def _loop(src: Path, mode: str, seed: int) -> dict:

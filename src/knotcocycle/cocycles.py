@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .diagrams import ArrowDiagram, FormalSum, GaussDiagram, pair
-from .germs import (Germ, KIND_P, KIND_R1, KIND_R2, KIND_R3, OpenLoopError, check_closed,
-                    enumerate_arrow_diagrams, make_germ, pair_germ, reversed_chain)
+from .germs import (_MEETS, Germ, OpenLoopError, check_closed, enumerate_arrow_diagrams,
+                    make_germ, pair_germ, reversed_chain)
 from .coboundary import coboundary, death_germ, deaths
 from .moves import Move, move_between
 from . import fixtures_io as fio
@@ -67,10 +67,6 @@ class Loop(NamedTuple):
         return Loop(reversed_chain(self.germs), self.tags[::-1] if self.tags else None)
 
 
-# The germ kinds of a formula's terms that a loop germ of each kind can meet.
-_MEETS = {KIND_R1: {KIND_R1}, KIND_R2: {KIND_R2}, KIND_R3: {KIND_R3, KIND_P}}
-
-
 def evaluate_loop(alpha: FormalSum, loop: Loop) -> int | Fraction:
     """Sum of the germ pairings over the moves of a closed loop.
 
@@ -83,7 +79,8 @@ def evaluate_loop(alpha: FormalSum, loop: Loop) -> int | Fraction:
     """
     check_closed(loop.germs)
     kinds = {g.kind for g in alpha.keys()}
-    return sum(pair_germ(alpha, germ) for germ in loop.germs if kinds & _MEETS[germ.kind])
+    return sum(pair_germ(alpha, germ) for germ in loop.germs
+               if not kinds.isdisjoint(_MEETS[germ.kind]))
 
 
 def rot_loop(knot) -> Loop:
@@ -139,8 +136,8 @@ def trivial_cocycle_vectors(degree: int, allowed) -> tuple[FormalSum, ...]:
     when it has a death whose germ (``death_germ``) is not in ``allowed``:
     that germ is a +1 term of dA, and no other dA has it, for A is its
     larger side, so A has coefficient 0 in every combination of the dA
-    that lives on ``allowed``.  Each dA comes from ``coboundary``'s
-    cache, so callers must not mutate them.
+    that lives on ``allowed``.  Each dA is a new sum that ``coboundary``
+    builds from its cached components, so callers may change them.
     """
     diagrams = (a for a in enumerate_arrow_diagrams(degree)
                 if all(death_germ(a, d) in allowed for d in deaths(a)))

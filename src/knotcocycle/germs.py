@@ -58,6 +58,9 @@ KIND_R2 = "R2"
 KIND_R3 = "R3"
 KIND_P = "P"
 
+# The germ kinds of a formula's terms that a germ of each move kind can meet.
+_MEETS = {KIND_R1: (KIND_R1,), KIND_R2: (KIND_R2,), KIND_R3: (KIND_R3, KIND_P)}
+
 
 class Germ:
     """An ordered diagram couple with distinguished move data.
@@ -440,6 +443,7 @@ def add_ti(out: FormalSum, germ: Germ, coeff=1, keep: frozenset[int] = frozenset
             for dd, dl, c in dds:
                 hit = table.get((dl, slots))
                 if hit is None:
+                    table = _room(base, table)
                     removed = drop.union(set(rest).difference(kept), dd)
                     hit = table[dl, slots] = _normal_subgerm(germ, removed)
                 canon, s = hit
@@ -450,8 +454,26 @@ def add_ti(out: FormalSum, germ: Germ, coeff=1, keep: frozenset[int] = frozenset
 # arrow and the kept ends: one table per process, filled on a miss by
 # ``add_ti``; nothing is built up front.  The normal forms themselves are
 # shared by their words, so there are at most as many as table entries.
+# Both tables are emptied together once the entries reach _TABLE_CAP, far
+# above the 651 of ``solve``, the 1,188 of ``fixturegen`` and the under 200
+# of a 400-trial ``stokes-check``, so a long run's memory stays bounded.
 _PLACEMENTS: dict = {}
 _NORMAL_FORMS: dict = {}
+_TABLE_CAP = 10_000
+_entries = 0  # the entries of all placements in _PLACEMENTS
+
+
+def _room(base, table: dict) -> dict:
+    """The placement's table, with one more entry counted; both tables
+    are emptied first if they hold ``_TABLE_CAP`` entries."""
+    global _entries
+    if _entries >= _TABLE_CAP:
+        _PLACEMENTS.clear()
+        _NORMAL_FORMS.clear()
+        _entries = 0
+        table = _PLACEMENTS[base] = {}
+    _entries += 1
+    return table
 
 
 def _placement(germ: Germ, dist: frozenset[int]):
@@ -572,7 +594,8 @@ def monotonic_partners(p: Germ) -> list[Germ]:
 
 # 2,646 entries hold every non-monotonic partial arrow germ of degree at
 # most 4 (6 + 120 + 2,520 by ``enumerate_partial_germs``), all that the
-# dA cached by ``coboundary`` reduce, and bound the memory beyond.
+# Lambda components cached by ``coboundary`` reduce, and bound the memory
+# beyond.
 @functools.lru_cache(maxsize=2646)
 def _reduced_partners(canon: Germ) -> tuple[Germ, ...]:
     """``monotonic_partners`` of a normal form, which fixes them; callers must not mutate them."""

@@ -55,6 +55,7 @@ def test_stokes_loop_runs(mode):
         assert set(out) == set(stokes_stages.STAGES)
     else:
         assert out["pair_calls"] == 10  # two per trial, one per side of gamma
+        assert out["gamma_R1"] + out["gamma_R2"] + out["gamma_R3"] == 5
 
 
 @pytest.mark.parametrize("count", ["0", "1"])

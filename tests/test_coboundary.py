@@ -5,12 +5,15 @@ import pytest
 
 from knotcocycle.diagrams import (EMPTY_ARROW, HEAD, TAIL, ArrowDiagram, FormalSum, GaussDiagram,
                                   pair, parse_diagram)
-from knotcocycle.coboundary import coboundary, stokes_sides
-from knotcocycle.germs import enumerate_arrow_diagrams, make_germ
-from knotcocycle.moves import apply_move, enumerate_moves
+from knotcocycle.coboundary import coboundary, component, stokes_sides
+from knotcocycle.germs import _MEETS, enumerate_arrow_diagrams, make_germ, pair_germ
+from knotcocycle.moves import apply_move, enumerate_moves, r3_moves
 from knotcocycle.rational_linalg import SparseMatrix, kernel_basis
 from conftest import random_arrow_diagram, random_gauss_diagram, random_move
 from oracles import positional_coboundary
+
+
+COMPONENTS = ("R1", "R2", "R3", "P")  # I, II, Delta and Lambda, in the order of dA's terms
 
 
 def _terms(db, kind):
@@ -40,25 +43,43 @@ def test_d_rejects_gauss_diagrams():
 def test_d_is_cached_up_to_relabelling():
     for text in ("1; T1 H1", "2; T1 T2 H1 H2", "3; T1 H2 T3 H1 T2 H3"):
         a = parse_diagram(text)
-        assert coboundary(a) is coboundary(a.relabel({i: 50 - i for i in a.arrow_ids()}))
+        b = a.relabel({i: 50 - i for i in a.arrow_ids()})
+        for kind in COMPONENTS:
+            assert component(a, kind) is component(b, kind)
+        assert list(coboundary(a).items()) == list(coboundary(b).items())
 
 
 def test_d_cache_holds_every_arrow_diagram_of_degree_at_most_4():
-    assert coboundary.cache_info().maxsize >= 1815
+    assert component.cache_info().maxsize >= 4 * 1815  # four components each
     assert sum(1 for deg in range(5) for _ in enumerate_arrow_diagrams(deg)) == 1815
 
 
-def test_stokes_check_computes_each_distinct_d_once(monkeypatch, capsys):
+def test_d_is_its_four_components_in_order():
+    for a in (a for deg in range(5) for a in enumerate_arrow_diagrams(deg)):
+        parts = [component(a, kind) for kind in COMPONENTS]
+        assert all(g.kind == kind for kind, part in zip(COMPONENTS, parts) for g in part.keys())
+        assert list(coboundary(a).items()) == [t for part in parts for t in part.items()], a
+
+
+def test_stokes_check_computes_each_met_component_once(monkeypatch, capsys):
+    # Random moves draw only R1 and R2 germs here, which meet the deaths
+    # of A: no R3 search and no partial germ is made.
     import importlib
     from knotcocycle.cli import main
     module = importlib.import_module("knotcocycle.coboundary")
-    drawn = []
+    drawn, searched = [], []
     sides = module.stokes_sides
-    monkeypatch.setattr(module, "stokes_sides", lambda a, gamma: drawn.append(a) or sides(a, gamma))
-    coboundary.cache_clear()
+    monkeypatch.setattr(module, "stokes_sides",
+                        lambda a, gamma: drawn.append((a, gamma.kind)) or sides(a, gamma))
+    for name in ("r3_moves", "split_gaps"):
+        monkeypatch.setattr(module, name, lambda d, f=getattr(module, name), name=name:
+                            searched.append(name) or f(d))
+    component.cache_clear()
     assert main(["stokes-check", "--trials", "400", "--max-degree", "4", "--seed", "1"]) == 0
-    assert len(drawn) == 400 and len(set(drawn)) < 300
-    assert coboundary.cache_info().misses == len(set(drawn))
+    met = {(a, kind) for a, gamma_kind in drawn for kind in _MEETS[gamma_kind]}
+    assert len(drawn) == 400 and {kind for _, kind in drawn} == {"R1", "R2"}
+    assert component.cache_info().misses == len(met) < 300
+    assert not searched
 
 
 def test_death_terms_match_the_positional_scan():
@@ -103,6 +124,49 @@ def test_stokes_random_suite_small():
             continue
         lhs, rhs = stokes_sides(a, make_germ(g, m))
         assert lhs == rhs
+
+
+def _random_r3_germs(rng, count, max_degree):
+    """The germs of every R3 move of seeded random Gauss diagrams, at least count of them."""
+    germs = []
+    while len(germs) < count:
+        g = random_gauss_diagram(rng, max_degree)
+        germs.extend(make_germ(g, m) for m in r3_moves(g))
+    return germs
+
+
+def test_met_components_pair_as_the_whole_coboundary():
+    # Each gamma kind on seeded trials, with R3 germs that random moves
+    # seldom draw: the components gamma meets give <dA, gamma> exactly.
+    rng = random.Random(31)
+    trials = [(random_arrow_diagram(rng, 4), germ) for germ in _random_r3_germs(rng, 40, 4)]
+    while len(trials) < 240:
+        g = random_gauss_diagram(rng, 4)
+        m = random_move(rng, g)
+        if m is not None:
+            trials.append((random_arrow_diagram(rng, 4), make_germ(g, m)))
+    assert {gamma.kind for _, gamma in trials} == {"R1", "R2", "R3"}
+    for a, gamma in trials:
+        lhs, rhs = stokes_sides(a, gamma)
+        assert lhs == pair_germ(coboundary(a), gamma) == rhs, (a, gamma)
+
+
+def test_stokes_on_r3_germs(fixtures_dir):
+    # Stokes, do/undo and antisymmetry on the R3 germs of the rotation
+    # loops and on every R3 move of seeded random Gauss diagrams, against
+    # every arrow diagram of degree at most 3 and 30 seeded ones of degree 4.
+    from knotcocycle.cocycles import rot_loop
+    rotation = [g for k in ("trefoil", "figure8") for g in rot_loop(k).germs if g.kind == "R3"]
+    diagrams = [a for deg in range(4) for a in enumerate_arrow_diagrams(deg)]
+    diagrams += random.Random(8).sample(list(enumerate_arrow_diagrams(4)), 30)
+    nonzero = 0
+    for gamma in rotation + _random_r3_germs(random.Random(7), 24, 4):
+        for a in diagrams:
+            lhs, rhs = stokes_sides(a, gamma)
+            assert lhs == rhs, (a, gamma)
+            assert stokes_sides(a, gamma.swapped()) == (-lhs, -rhs), (a, gamma)
+            nonzero += lhs != 0
+    assert len(rotation) == 14 and nonzero > 300
 
 
 def _kernel_low_degree(max_degree):

@@ -5,7 +5,7 @@ import pytest
 
 from knotcocycle.cocycles import (Loop, OpenLoopError, alpha31, evaluate_loop,
                                   rot_loop, v2, v2_diagram, verify_cocycle)
-from knotcocycle.coboundary import coboundary
+from knotcocycle.coboundary import coboundary, component
 from knotcocycle.diagrams import FormalSum, GaussDiagram, parse_diagram
 from knotcocycle.germs import check_closed, enumerate_arrow_diagrams, make_germ
 from knotcocycle.moves import MOVE_KINDS, _literally_equal, apply_move, enumerate_moves, inverse
@@ -190,7 +190,7 @@ def test_trivial_variable_vectors_skip_r1_and_r2_before_the_coboundary(monkeypat
     from oracles import filtered_trivial_variable_vectors
     var_index = {g: j for j, g in enumerate(variable_basis(3))}
     expected = filtered_trivial_variable_vectors(var_index)
-    coboundary.cache_clear()  # earlier tests may have computed these dA
+    component.cache_clear()  # earlier tests may have computed these dA
     calls = []
     d = cocycles.coboundary
     monkeypatch.setattr(cocycles, "coboundary", lambda a: calls.append(a) or d(a))
@@ -231,11 +231,11 @@ def test_verify_triviality_agrees_with_the_span_of_every_coboundary(fixtures_dir
 
 def test_verify_computes_only_the_coboundaries_that_can_meet_its_target(fixtures_dir):
     # 22 for the trivial dimension and 3 for the span check, whose degree-3
-    # dA are the same 22; every dA of degree 0 to 3 would be 135.  A dA is
-    # computed on a miss of coboundary's cache.
+    # dA are the same 22; every dA of degree 0 to 3 would be 135.  Each of
+    # the four components of a dA is computed on a miss of their cache.
     import knotcocycle.cocycles as cocycles
-    coboundary.cache_clear()
+    component.cache_clear()
     cocycles.system_dimensions.cache_clear()
     report = verify_cocycle(alpha31(fixtures_dir))
     assert report.passed and not report.trivial
-    assert coboundary.cache_info().misses == 25
+    assert component.cache_info().misses == 4 * 25

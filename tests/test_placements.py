@@ -237,3 +237,24 @@ def test_importing_the_cli_leaves_the_table_empty():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          cwd=REPO, env=dict(os.environ, PYTHONPATH=str(REPO / "src")), check=True)
     assert out.stdout.strip() == "0"
+
+
+
+def test_the_tables_are_emptied_at_their_cap(monkeypatch):
+    # Both tables are emptied together on the miss that would pass the cap,
+    # so they stay within it, and each germ's T(I) keeps its terms and order.
+    from knotcocycle import germs
+    chain = [g for k in ("trefoil", "figure8") for g in rot_loop(k).germs]
+    expected = [list(ti(g).items()) for g in chain]
+    for name, empty in (("_PLACEMENTS", {}), ("_NORMAL_FORMS", {}), ("_entries", 0)):
+        monkeypatch.setattr(germs, name, empty)
+    monkeypatch.setattr(germs, "_TABLE_CAP", 40)
+    misses = []
+    normal_subgerm = germs._normal_subgerm
+    monkeypatch.setattr(germs, "_normal_subgerm",
+                        lambda *args: misses.append(1) or normal_subgerm(*args))
+    for g, want in zip(chain, expected):
+        assert list(ti(g).items()) == want
+        assert sum(map(len, germs._PLACEMENTS.values())) == germs._entries <= 40
+        assert len(germs._NORMAL_FORMS) <= 40
+    assert len(misses) > 3 * 40  # so the tables were emptied at least three times
