@@ -77,9 +77,9 @@ def stokes_sides(a: ArrowDiagram, gamma: Germ) -> tuple[int, int]:
     Only the components of dA of the kinds gamma meets (``_MEETS``) are
     computed and paired: every other term pairs to 0 with gamma, so the
     lhs is <dA, gamma>.  An R1 or R2 gamma, nearly all that random moves
-    draw, costs A's deaths, and no R3 search or partial germ.  ``pair`` reads a
-    diagram up to relabelling, so each side of gamma is paired as given,
-    with no canonical copy.
+    draw, costs A's deaths and no R3 search or partial germ.  ``pair``
+    reads a diagram up to relabelling, so each side of gamma is paired as
+    given, with no canonical copy.
     """
     lhs = sum(pair_germ(component(a, kind), gamma) for kind in _MEETS[gamma.kind])
     return lhs, pair(a, gamma.g1) - pair(a, gamma.g0)
