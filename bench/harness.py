@@ -15,6 +15,7 @@ import os
 import platform
 import subprocess
 from pathlib import Path
+from statistics import median, quantiles
 
 REPO = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300.0
@@ -73,6 +74,12 @@ def turn(trees: dict, i: int) -> list:
     """
     items = list(trees.items())
     return items if i % 2 == 0 else items[::-1]
+
+
+def summary(times: list[float]) -> dict:
+    """The median and quartiles of two or more times, and the times."""
+    q1, _, q3 = quantiles(times, n=4)
+    return {"median_s": median(times), "q1_s": q1, "q3_s": q3, "runs_s": times}
 
 
 def record(out: Path, workload: str, runs: dict[str, tuple[Path, dict]]) -> None:

@@ -29,7 +29,6 @@ import shutil
 import sys
 import time
 from pathlib import Path
-from statistics import median, quantiles
 
 import harness
 
@@ -84,11 +83,6 @@ def _clear_bytecode(trees) -> None:
         shutil.rmtree(tree / "src" / "knotcocycle" / "__pycache__", ignore_errors=True)
 
 
-def _summary(times: list[float]) -> dict:
-    q1, _, q3 = quantiles(times, n=4)
-    return {"median_s": median(times), "q1_s": q1, "q3_s": q3, "runs_s": times}
-
-
 def measure(sides: dict[str, Path], pairs: int) -> dict:
     out = {}
     for mode in MODES:
@@ -108,7 +102,7 @@ def measure(sides: dict[str, Path], pairs: int) -> dict:
         out[mode] = {}
         for name, by_side in times.items():
             wins = sum(c < p for c, p in zip(by_side["change"], by_side["parent"]))
-            parent, change = _summary(by_side["parent"]), _summary(by_side["change"])
+            parent, change = harness.summary(by_side["parent"]), harness.summary(by_side["change"])
             out[mode][name] = {
                 "parent": parent, "change": change, "change_wins": wins, "pairs": pairs,
                 "median_change": change["median_s"] / parent["median_s"] - 1,

@@ -225,7 +225,7 @@ def cmd_eval_loop(args) -> int:
 
 def cmd_invariants(args) -> int:
     """Basis of Ker d over arrow diagrams up to the given degree."""
-    from .coboundary import coboundary
+    from .coboundary import coboundary, deaths
     from .diagrams import format_diagram
     from .fixtures_io import InputError
     from .germs import enumerate_arrow_diagrams
@@ -233,23 +233,22 @@ def cmd_invariants(args) -> int:
     if args.max_degree < 0:
         raise InputError(f"--max-degree must be at least 0, got {args.max_degree}")
     if args.max_degree > 4:
-        raise InputError("degree cap is 4; degree 5 needs the coboundary of 30,240 diagrams "
-                         "and the exact kernel of that matrix")
-    diagrams = []
-    for deg in range(args.max_degree + 1):
-        diagrams.extend(enumerate_arrow_diagrams(deg))
+        raise InputError("degree cap is 4; degree 5 needs dA of its 6,174 diagrams without a "
+                         "death, of 30,240, and the exact kernel of that matrix")
+    diagrams = [a for deg in range(args.max_degree + 1) for a in enumerate_arrow_diagrams(deg)]
+    # A death's germ is a +1 term of dA and of no other dB, so kernel vectors are 0 on A.
+    kept = [a for a in diagrams if not deaths(a)]
     rows: dict = {}  # d maps the diagram space into the germ space: one row per germ key
-    for i, a in enumerate(diagrams):
+    for i, a in enumerate(kept):
         for germ, c in coboundary(a).items():
             rows.setdefault(germ.key(), {})[i] = c
-    basis = kernel_basis(SparseMatrix(len(rows), len(diagrams), list(rows.values())))
+    basis = kernel_basis(SparseMatrix(len(rows), len(kept), list(rows.values())))
     out = {
         "max_degree": args.max_degree,
         "diagrams": len(diagrams),
         "kernel_dimension": len(basis),
         "formulas": [
-            sorted(f"{_frac(c)} * [{format_diagram(diagrams[i])}]"
-                   for i, c in vec.items())
+            sorted(f"{_frac(c)} * [{format_diagram(kept[i])}]" for i, c in vec.items())
             for vec in basis
         ],
     }

@@ -210,7 +210,7 @@ def rot_moves(events) -> tuple[list[Germ], list[str]]:
     """
     tr = trace(events)
     K = tr.diagram
-    under, wrap_id = _sweep(tr, max(K.arrow_ids(), default=0) + 1, under=True)
+    under, wrap_id = _sweep(tr, _fresh_ids(K, 1)[0], under=True)
     over, _ = _sweep(tr, wrap_id, under=False)
     if not _literally_equal(under[-1], over[0]):
         raise LoopBuildError("the wrapped states of the two passes differ")

@@ -59,6 +59,10 @@ computes another way:
 - ``spanned_by_every_coboundary``: the triviality check of ``verify``
   over every dA with deg A from 0 to 3, against the death-term rule of
   ``cocycles.trivial_cocycle_vectors`` that ``verify_cocycle`` applies;
+- ``whole_space_coboundary`` and ``whole_space_formulas``: the matrix of
+  d over every arrow diagram up to a degree and its kernel basis, printed
+  as ``invariants`` prints it, against ``cli.cmd_invariants``, which
+  builds d only on the diagrams with no death;
 - ``positional_bans``: the four variable bans read one by one from the
   ``arrow_positions`` table of each side, against the death moves of
   ``strata.banned_variable``;
@@ -88,7 +92,8 @@ from fractions import Fraction
 from knotcocycle import fixtures_io as fio
 from knotcocycle.coboundary import coboundary
 from knotcocycle.cocycles import TRIVIAL_DEGREES
-from knotcocycle.diagrams import HEAD, TAIL, ArrowDiagram, FormalSum, GaussDiagram
+from knotcocycle.diagrams import (HEAD, TAIL, ArrowDiagram, FormalSum, GaussDiagram,
+                                  format_diagram)
 from knotcocycle.germs import (KIND_P, KIND_R1, KIND_R2, Germ, _delete_from_germ, _subgerm_walk,
                                boundary, canonical_term, check_closed,
                                enumerate_arrow_diagrams, make_germ,
@@ -96,7 +101,7 @@ from knotcocycle.germs import (KIND_P, KIND_R1, KIND_R2, Germ, _delete_from_germ
 from knotcocycle.moves import (MOVE_KINDS, R1_BIRTH, R2_BIRTH, InvalidMove, _literally_equal,
                                apply_move, edge_flanks, enumerate_moves, r1_birth, r2_birth,
                                r2_death, r3, r3_moves, split_gaps, validate_r3)
-from knotcocycle.rational_linalg import SparseMatrix, solve_in_span
+from knotcocycle.rational_linalg import SparseMatrix, kernel_basis, solve_in_span
 from knotcocycle.strata import CUBE, Meridian, restrict_to_variables
 
 
@@ -604,6 +609,27 @@ def spanned_by_every_coboundary(alpha: FormalSum) -> bool:
     rows = [{g.key(): c for g, c in db.items()}
             for deg in TRIVIAL_DEGREES for db in every_coboundary(deg)]
     return solve_in_span(rows, {g.key(): c for g, c in alpha.items()}) is not None
+
+
+@functools.cache
+def whole_space_coboundary(max_degree: int) -> tuple[list[ArrowDiagram], SparseMatrix]:
+    """Every arrow diagram of degree at most max_degree and the matrix of d on them.
+
+    One column per diagram in enumeration order, one row per germ key.
+    """
+    diagrams = [a for deg in range(max_degree + 1) for a in enumerate_arrow_diagrams(deg)]
+    rows: dict = {}
+    for i, a in enumerate(diagrams):
+        for germ, c in coboundary(a).items():
+            rows.setdefault(germ.key(), {})[i] = c
+    return diagrams, SparseMatrix(len(rows), len(diagrams), list(rows.values()))
+
+
+def whole_space_formulas(max_degree: int) -> list[list[str]]:
+    """The kernel basis of the whole-space matrix of d, each vector as ``invariants`` prints it."""
+    diagrams, mat = whole_space_coboundary(max_degree)
+    return [sorted(f"{c} * [{format_diagram(diagrams[i])}]" for i, c in vec.items())
+            for vec in kernel_basis(mat)]
 
 
 def positional_bans(germ: Germ) -> set[int]:

@@ -18,6 +18,7 @@ sys.path.insert(0, str(BENCH))
 
 import fixturegen_stages  # noqa: E402
 import harness  # noqa: E402
+import invariants  # noqa: E402
 import loop_eval  # noqa: E402
 import startup  # noqa: E402
 import stokes_stages  # noqa: E402
@@ -69,6 +70,13 @@ def test_loop_eval_point_runs():
     point = json.loads(_child(loop_eval.POINT, REPO / "fixtures", 1, 1))
     assert point["n"] == 1
     assert point["value"] == "1"  # alpha31(rot figure8) = -v2(figure8)
+
+
+def test_invariants_counts_run_at_degree_two():
+    counts = json.loads(_child(invariants.COUNTS, 2))
+    # 1 + 2 + 12 diagrams; the degree-0 and the two degree-2 ones have no death
+    assert counts["diagrams"] == 15 and counts["diagrams_kept"] == 3
+    assert counts["components"] == 4 * 3
 
 
 def test_startup_imports_runs():

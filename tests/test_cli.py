@@ -9,6 +9,7 @@ import pytest
 
 from conftest import FIXTURES, REPO
 from knotcocycle.cli import main
+from oracles import whole_space_coboundary, whole_space_formulas
 
 
 def run_cli(*argv, expect=0):
@@ -110,6 +111,30 @@ def test_invariants_degree_two():
 def test_invariants_prints_the_recorded_bytes():
     expected = (REPO / "tests" / "data" / "invariants_deg3.json").read_text()
     assert run_cli("invariants", "--max-degree", "3") == expected
+
+
+def test_invariants_degree_four_prints_the_pinned_bytes():
+    expected = (REPO / "tests" / "data" / "invariants_deg4.sha256").read_text().split()[0]
+    out = run_cli("invariants", "--max-degree", "4")
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("max_degree", range(5))
+def test_invariants_prints_the_whole_space_kernel(max_degree, capsys):
+    assert main(["invariants", "--max-degree", str(max_degree)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    diagrams, _ = whole_space_coboundary(max_degree)
+    assert out["diagrams"] == len(diagrams)
+    assert out["formulas"] == whole_space_formulas(max_degree)
+
+
+def test_every_diagram_with_a_death_is_a_pivot_of_the_whole_space():
+    from knotcocycle.coboundary import deaths
+    from knotcocycle.rational_linalg import rref
+    diagrams, mat = whole_space_coboundary(4)
+    with_death = {i for i, a in enumerate(diagrams) if deaths(a)}
+    assert len(with_death) == 1815 - 359  # 1 + 0 + 2 + 22 + 334 diagrams have none
+    assert with_death <= set(rref(mat)[1])
 
 
 def test_unknown_input_exits_two(tmp_path):
