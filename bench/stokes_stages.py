@@ -35,6 +35,8 @@ Python code, summed over the seeds:
                          node of its tree of partial embeddings (0 in a
                          tree whose pair has no walk)
   enumerate_moves_calls  calls of moves.enumerate_moves
+  apply_move_calls       calls of moves.apply_move: the steps the random walk
+                         takes, and the germs gamma made
   germ_canonical_calls   calls of Germ.canonical
 
 Each tree's run is stored under its NAME in BENCH_stokes.json at the
@@ -76,9 +78,10 @@ clock = time.perf_counter
 spent = dict.fromkeys(("generation", "stokes_sides"), 0.0)
 counts = dict.fromkeys(("dA_I", "dA_II", "dA_Delta", "dA_Lambda", "gamma_R1", "gamma_R2",
                         "gamma_R3", "pair_calls", "pair_assignments", "pair_walk_nodes",
-                        "enumerate_moves_calls", "germ_canonical_calls"), 0)
+                        "enumerate_moves_calls", "apply_move_calls", "germ_canonical_calls"), 0)
 TARGETS = {("diagrams.py", "pair"): "pair_calls", ("diagrams.py", "walk"): "pair_walk_nodes",
            ("moves.py", "enumerate_moves"): "enumerate_moves_calls",
+           ("moves.py", "apply_move"): "apply_move_calls",
            ("moves.py", "r3_moves"): "dA_Delta", ("moves.py", "split_gaps"): "dA_Lambda",
            ("germs.py", "canonical"): "germ_canonical_calls"}
 DEATHS = {"R1_death": "dA_I", "R2_death": "dA_II"}

@@ -21,6 +21,7 @@ that its value on the rotation loop of a long knot K is -v2(K).
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -216,6 +217,14 @@ def verify_cocycle(alpha: FormalSum, system: System | None = None) -> CocycleRep
 
 @functools.cache
 def assemble_default_system(bystanders: bool = False) -> System:
-    """The degree-3 system, assembled once per process; callers must not mutate it."""
-    from .strata import assemble_system
-    return assemble_system(bystanders)
+    """The degree-3 system, assembled once per process; callers must not mutate it.
+
+    Its meridians are the 144 cube ones, the 5,760 one-bystander ones
+    with ``bystanders``, then ``quadruple.tetrahedron_meridians``; they
+    are streamed, so the bystander ones are not all held at once.
+    """
+    from .quadruple import tetrahedron_meridians
+    from .strata import assemble_system, enumerate_cube_meridians
+    return assemble_system(itertools.chain(
+        enumerate_cube_meridians(0), enumerate_cube_meridians(1) if bystanders else (),
+        tetrahedron_meridians()))

@@ -5,11 +5,12 @@ from Morse presentations, the v2 arrow diagram validated against the
 trefoil and figure-eight values, the degree-2 triangle relators, the
 six cube scenes with their expected equations, the two tetrahedron
 equations extracted from the quadruple-point movie, and the formula
-alpha31 selected from the solution space of the degree-3 system, which
-builds those two equations itself and reads no strata fixture.  Span
-questions are answered by normal forms: the cube rows and the trivial
-cocycles are each eliminated once, and every candidate row is reduced
-against that echelon form.
+alpha31 selected from the solution space of the degree-3 system, to
+which the scan of the quadruple meridians passes the tetrahedron pair,
+checked against ``quadruple.tetrahedron_meridians``; no strata fixture
+is read back.  Span questions are answered by normal forms: the cube
+rows and the trivial cocycles are each eliminated once, and every
+candidate row is reduced against that echelon form.
 
 Run as  python -m knotcocycle.fixturegen [--out DIR]  to refresh them;
 the test suite regenerates them all and compares byte for byte.
@@ -167,8 +168,8 @@ def gen_strata(out: Path) -> System:
         "scene_equations": eq_objs,
     })
 
-    # Tetrahedron pair: the quadruple rows not spanned by the cube rows,
-    # which must be those of the meridians that assemble_system expands.
+    # Tetrahedron pair: the meridians of the quadruple rows outside the
+    # cube span, which must be those of quadruple.tetrahedron_meridians.
     cube_rows = sorted(set().union(*(cls["rows"] for cls in scenes.values())) - {()})
     cube_span, _ = rref(SparseMatrix(len(cube_rows), len(variables),
                                      [dict(r) for r in cube_rows]))
@@ -180,16 +181,16 @@ def gen_strata(out: Path) -> System:
             continue
         seen.add(norm)
         if residual(cube_span, dict(norm)):
-            novel.append(meridian_equation(m))
-    if novel != [meridian_equation(m) for m in tetrahedron_meridians()]:
+            novel.append(m)
+    if list(map(meridian_key, novel)) != list(map(meridian_key, tetrahedron_meridians())):
         raise RuntimeError("the quadruple rows outside the cube span are not the tetrahedron pair")
     fio.save_json(out / "strata" / "fig9_tetra.json", {
         "description": "the two degree-3 quadruple-point equations not "
                        "spanned by the cube equations; images of each "
                        "other under arrow reversal",
-        "equations": [fio.formula_to_json(fs) for fs in novel],
+        "equations": [fio.formula_to_json(meridian_equation(m)) for m in novel],
     })
-    return assemble_system(meridians=meridians)
+    return assemble_system(meridians + novel)
 
 
 def derive_alpha31(system: System) -> FormalSum:

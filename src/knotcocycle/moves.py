@@ -449,12 +449,13 @@ def random_gauss_diagram(rng, max_degree: int) -> GaussDiagram:
     """A random diagram reached from the empty one by random R-moves."""
     g = GaussDiagram((), {})
     for _ in range(rng.randrange(0, 3 * max_degree + 2)):
-        count, at = _indexed_moves(g, rng.choice(MOVE_KINDS))
+        kind = rng.choice(MOVE_KINDS)
+        count, at = _indexed_moves(g, kind)
         if not count:
             continue
-        nxt = apply_move(g, at(rng.randrange(count)))
-        if nxt.degree <= max_degree:
-            g = nxt
+        i = rng.randrange(count)  # drawn also for a birth past the cap, which is not built
+        if g.degree + {R1_BIRTH: 1, R2_BIRTH: 2}.get(kind, 0) <= max_degree:
+            g = apply_move(g, at(i))
     return g
 
 

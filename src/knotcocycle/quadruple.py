@@ -18,11 +18,12 @@ about zero (``geometric_sector_orders`` in ``tests/oracles.py``).
 
 A global type threads the four local strands into one long knot; with
 the basepoint choice it is a visiting order, and all 24 orders are
-enumerated (``tetrahedron_meridians`` builds the two the degree-3
-system takes).  Every sector-to-sector step is the germ of the valid R3
-move that ``moves.move_between`` finds (every sector carries the same
-six arrows) or raises on, so the movie checks itself.  The last step
-returns to the first sector, which closes the meridian.
+enumerated; ``tetrahedron_meridians`` builds the two that the default
+degree-3 system lists and ``fixturegen.gen_strata`` finds by its scan.
+Every sector-to-sector step is the germ of the valid R3 move that
+``moves.move_between`` finds (every sector carries the same six arrows)
+or raises on, so the movie checks itself.  The last step returns to
+the first sector, which closes the meridian.
 """
 
 from __future__ import annotations

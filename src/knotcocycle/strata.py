@@ -27,15 +27,15 @@ An equation is the degree-3 part of T(I(m; s)) where s selects the
 surviving bystanders; for the degree-3 system only s of size at most
 one matters.  Flipping every sign negates it, so of two meridians that
 differ only so, the later one (the ``twin`` link) negates the earlier
-one's equation instead of expanding its own.  The tetrahedron equations
-are those of two quadruple-point meridians, so every equation has its
-meridian as source.  The system is assembled in one pass: the cube
-equations, then those of the bystander meridians, then the tetrahedron
-equations form one ordered list; its scalar-distinct members are the
+one's equation instead of expanding its own.  The system is assembled
+in one pass over one meridian list: the cube meridians, the
+one-bystander ones when criterion 6b is checked, and the two
+tetrahedron meridians; each meridian's tag names its stratum.  The
+list's nonzero equations, each the first of its scalar class, are the
 stored equations, and their restrictions to the variables, normalised
 to integer vectors with positive leading coefficient, are the rows.
 Every equation with s = {b} is zero, so the bystander meridians add no
-row: they are enumerated only to check that (criterion 6b).
+row: they are listed only to check that.
 """
 
 from __future__ import annotations
@@ -325,7 +325,7 @@ def equation_row(part: FormalSum, var_index) -> tuple:
 
 
 class EquationSource(NamedTuple):
-    stratum: str
+    """The meridian and bystander set s of an equation; ``meridian.tag`` is its stratum."""
     meridian: Meridian
     s: frozenset[int]
 
@@ -358,33 +358,24 @@ class System:
 
 
 def collect_rows(meridians) -> list[tuple[FormalSum, EquationSource]]:
-    """The distinct degree-3 equations of cube meridians, with their sources.
+    """The distinct degree-3 equations of the meridians, in order, with their sources.
 
     s runs over the empty set and the single bystanders; on a meridian
     with bystanders s = {} is skipped, as it reproduces the equation of
-    the meridian with them deleted, which is collected from the
-    bystander-free enumeration.  On the one-bystander cube meridians
-    every s = {b} equation is zero, so they give no row.
+    the meridian with them deleted, which the bystander-free meridians
+    give.  Zero equations are dropped, and of the equations that differ
+    by a scalar factor only the first is kept.  On the one-bystander
+    cube meridians every s = {b} equation is zero, so they give none.
     """
-    def equations():
-        for m in meridians:
-            for s in [frozenset((b,)) for b in sorted(m.bystanders)] or [frozenset()]:
-                part = meridian_equation(m, s)
-                if part:
-                    yield part, EquationSource(CUBE, m, s)
-
-    return _distinct_equations(equations())
-
-
-def _distinct_equations(equations) -> list[tuple[FormalSum, EquationSource]]:
-    """The first of each set of equations that differ by a scalar factor."""
     out = []
     seen = set()
-    for part, source in equations:
-        key = normalise_row({k.key(): v for k, v in part.items()})
-        if key not in seen:
-            seen.add(key)
-            out.append((part, source))
+    for m in meridians:
+        for s in [frozenset((b,)) for b in sorted(m.bystanders)] or [frozenset()]:
+            part = meridian_equation(m, s)
+            key = normalise_row({k.key(): v for k, v in part.items()})
+            if key and key not in seen:
+                seen.add(key)
+                out.append((part, EquationSource(m, s)))
     return out
 
 
@@ -487,38 +478,22 @@ def classify_scenes(meridians, variables, var_index):
             "d": de[0], "e": de[1], "f": rest[2]}
 
 
-def assemble_system(bystanders: bool = False, meridians=None) -> System:
-    """The complete degree-3 system: cube rows plus the tetrahedron pair.
+def assemble_system(meridians) -> System:
+    """The degree-3 system of a meridian list, assembled in one pass.
 
-    The tetrahedron pair is the equations of the two quadruple-point
-    meridians of ``quadruple.tetrahedron_meridians``; the double-R3
-    stratum only contributes from degree 4 on and is omitted.
-    ``meridians`` are the bystander-free cube meridians, enumerated here
-    when not given.
-
-    One pass: the cube equations, those of the one-bystander meridians
-    (with ``bystanders``; all zero, so that flag checks criterion 6b and
-    adds no row) and the tetrahedron pair form one ordered list.  Its
-    members that are distinct up to a scalar are the stored equations
-    ``full_rows``; their nonzero normalised rows, each kept at its first
-    occurrence with the source of that equation, are ``rows``.
-    ``collect_rows`` already drops scalar repeats within each meridian
-    family, which leaves the first occurrences unchanged.
+    ``meridians``, iterated once, holds every meridian whose equations
+    are rows: the cube meridians, the one-bystander ones (their
+    equations are all zero, so they check criterion 6b and add no row)
+    and the tetrahedron pair, as ``cocycles.assemble_default_system``
+    lists them.  The equations of ``collect_rows`` are the stored
+    equations ``full_rows``; their nonzero normalised rows, each kept at
+    its first occurrence with the source of that equation, are ``rows``.
     """
-    from .quadruple import tetrahedron_meridians  # quadruple imports this module
     variables = variable_basis(3)
     var_index = {g: j for j, g in enumerate(variables)}
-    if meridians is None:
-        meridians = list(enumerate_cube_meridians(0))
-    equations = collect_rows(meridians)
-    if bystanders:
-        equations += collect_rows(enumerate_cube_meridians(1))
-    equations += [(meridian_equation(m), EquationSource(QUADRUPLE, m, frozenset()))
-                  for m in tetrahedron_meridians()]
-
     full_rows: list[FormalSum] = []
     sources: dict[tuple, EquationSource] = {}
-    for part, source in _distinct_equations(equations):
+    for part, source in collect_rows(meridians):
         full_rows.append(part)
         norm = equation_row(part, var_index)
         if norm:

@@ -31,5 +31,6 @@ def cube_meridians():
 
 @pytest.fixture(scope="session")
 def degree3_system(cube_meridians):
+    from knotcocycle.quadruple import tetrahedron_meridians
     from knotcocycle.strata import assemble_system
-    return assemble_system(meridians=cube_meridians)
+    return assemble_system(cube_meridians + tetrahedron_meridians())

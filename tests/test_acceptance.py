@@ -355,9 +355,9 @@ def test_criterion_6_alpha31_certificate(fixtures_dir, degree3_system):
 
 
 def test_criterion_6b_bystander_sets_add_no_rank():
-    from knotcocycle.strata import assemble_system
-    base = assemble_system()
-    extended = assemble_system(bystanders=True)
+    from knotcocycle.cocycles import assemble_default_system
+    base = assemble_default_system()
+    extended = assemble_default_system(bystanders=True)
     gain = extended.rank() - base.rank()
     report(6, gain == BYSTANDER_RANK_GAIN,
            f"bystander subsets contribute {gain} extra rank "

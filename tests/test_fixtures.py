@@ -157,6 +157,26 @@ def test_a_refused_value_is_echoed_cut_short(check, value):
     assert len(str(info.value)) < 40 + fio.ECHO_CHARS
 
 
+def test_gen_strata_expands_each_meridian_once(monkeypatch, tmp_path):
+    from knotcocycle import fixturegen, strata
+    calls = []
+    expand = strata.ti_meridian
+    monkeypatch.setattr(strata, "ti_meridian",
+                        lambda m, s, degrees=None: calls.append(m) or expand(m, s, degrees))
+    fixturegen.gen_strata(tmp_path)
+    # 72 of the 144 cube meridians (the others negate their twins) and
+    # the 24 quadruple meridians; the pair the scan finds is not rebuilt.
+    assert len(calls) == len(set(map(id, calls))) == 96
+
+
+def test_gen_strata_refuses_a_pair_it_did_not_find(monkeypatch, tmp_path):
+    from knotcocycle import fixturegen
+    pair = fixturegen.tetrahedron_meridians()
+    monkeypatch.setattr(fixturegen, "tetrahedron_meridians", lambda: pair[::-1])
+    with pytest.raises(RuntimeError, match="not the tetrahedron pair"):
+        fixturegen.gen_strata(tmp_path)
+
+
 def test_fixturegen_refuses_an_output_under_a_file(tmp_path, capsys):
     from knotcocycle.fixturegen import main
     blocker = tmp_path / "file"

@@ -1,9 +1,10 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from knotcocycle.diagrams import EMPTY_GAUSS, GaussDiagram, parse_diagram
+from knotcocycle.diagrams import EMPTY_GAUSS, GaussDiagram, format_diagram, parse_diagram
 from knotcocycle.fixtures_io import diagram_from_json, load_json
 from knotcocycle.moves import (InvalidMove, MOVE_KINDS, Move, apply_move, edge_data,
                                R1_BIRTH, R1_DEATH, R2_BIRTH, R2_DEATH, enumerate_moves,
@@ -233,6 +234,24 @@ def test_samplers_draw_what_the_listed_samplers_draw():
         assert (g.word, g.signs) == (h.word, h.signs)
         assert random_move(fast, g) == listed_random_move(listed, g)
         assert fast.random() == listed.random()
+
+
+# sha256 of the formatted first 100 diagrams of the walk at seeds 1 to 4,
+# one line each, recorded while the walk still built every birth and
+# discarded those past the cap.
+WALK_SHA256 = {2: "7172582f742ac9496ef0dadb4ae3687559c9e8b93be146e3b77ecde26f30f2fa",
+               4: "02876267d2134fd854f637cdd0339bfed04aecfd2e53e67ccc27947b14e5f135",
+               8: "62b4d6281b6f9f09d1c07d301056a2c3a6c7fb8715b82da2cf63a74110274769"}
+
+
+@pytest.mark.parametrize("max_degree", sorted(WALK_SHA256))
+def test_the_walk_draws_the_pinned_diagrams(max_degree):
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3, 4):
+        rng = random.Random(seed)
+        for _ in range(100):
+            digest.update(format_diagram(random_gauss_diagram(rng, max_degree)).encode() + b"\n")
+    assert digest.hexdigest() == WALK_SHA256[max_degree]
 
 
 def test_triangle_test_matches_the_frozenset_form():

@@ -62,7 +62,7 @@ def test_the_tetrahedron_pair_is_the_generated_fixture(fixtures_dir):
 def test_every_stored_equation_names_its_meridian(degree3_system):
     sources = list(degree3_system.sources.values())
     assert all(source.meridian is not None for source in sources)
-    tetra = [source.meridian for source in sources if source.stratum == QUADRUPLE]
+    tetra = [source.meridian for source in sources if source.meridian.tag == QUADRUPLE]
     assert [m.germs for m in tetra] == [m.germs for m in tetrahedron_meridians()]
 
 

@@ -9,11 +9,11 @@ from knotcocycle.cocycles import rot_loop
 from knotcocycle.germs import KIND_P, KIND_R3
 from knotcocycle.morse import FIXTURE_MORSE, connected_sum
 from knotcocycle.moves import _literally_equal
-from knotcocycle.quadruple import quadruple_meridians
-from knotcocycle.strata import (Meridian, banned_variable, classify_scenes, collect_rows,
-                                dedupe_meridians, enumerate_cube_meridians, meridian_equation,
-                                meridian_key, picture_fingerprint, reversal_on_rows,
-                                row_of_meridian, ti_meridian, variable_basis)
+from knotcocycle.quadruple import quadruple_meridians, tetrahedron_meridians
+from knotcocycle.strata import (CUBE, QUADRUPLE, Meridian, banned_variable, classify_scenes,
+                                collect_rows, dedupe_meridians, enumerate_cube_meridians,
+                                meridian_equation, meridian_key, picture_fingerprint,
+                                reversal_on_rows, row_of_meridian, ti_meridian, variable_basis)
 from oracles import (arrow_positions, chain_boundary, homogeneous_parts, i_meridian,
                      meridian_without, t_map, walked_cube_meridians, walked_scenes)
 
@@ -189,6 +189,16 @@ def test_every_one_bystander_equation_is_zero(bystander_meridians):
     assert len(bystander_meridians) == 5760
     assert all(not meridian_equation(m, m.bystanders) for m in bystander_meridians)
     assert collect_rows(bystander_meridians) == []
+
+
+def test_one_pass_keeps_the_first_equation_of_each_class(cube_meridians):
+    listed = [*cube_meridians, *tetrahedron_meridians()]
+    rows = collect_rows(listed)
+    # A meridian listed twice adds nothing: its equations are repeats.
+    assert collect_rows([*listed, *cube_meridians]) == rows
+    # The tetrahedron pair leaves the cube equations' scalar classes.
+    tags = [source.meridian.tag for _, source in rows]
+    assert tags == [CUBE] * (len(rows) - 2) + [QUADRUPLE] * 2
 
 
 def test_more_than_one_bystander_is_refused():
